@@ -40,7 +40,6 @@ from .filters import (
     functions_carrier,
     is_countably_complete,
     is_ultrafilter,
-    is_ultrafilter_by_kernel,
     neighborhood_filter,
     points_carrier,
     singleton_filter,

@@ -23,13 +23,7 @@ from .filters import (
     subsets_carrier,
 )
 from .hyperspaces import lower_vietoris
-from .spaces import (
-    FiniteSpace,
-    closure,
-    is_locally_compact,
-    is_nested_neighbourhood,
-    minimal_open_nbhd,
-)
+from .spaces import FiniteSpace, closure, minimal_open_nbhd
 from .maps import FiniteMap
 
 
@@ -121,12 +115,10 @@ def check_lower_convergence_lemma(space: FiniteSpace, phi: FilterOnCarrier) -> b
 def check_locally_compact_bound(space: FiniteSpace, phi: FilterOnCarrier, a: int) -> bool:
     """Lower limits are bounded by the closure of the reachable-point set.
 
-    Requires local compactness (asserted, although every finite space has
-    it): if the filter converges to the hyperpoint ``a`` in the lower
-    Vietoris topology, then a ⊆ cl(P).  Vacuously true without convergence.
+    Requires local compactness, which every finite space has: if the filter
+    converges to the hyperpoint ``a`` in the lower Vietoris topology, then
+    a ⊆ cl(P).  Vacuously true without convergence.
     """
-    if not is_locally_compact(space):
-        raise ValueError("space is not locally compact")
     if not _hyper_converges(space, phi, a):
         return True
     p = limit_set_P(space, phi)
@@ -182,13 +174,11 @@ def check_filterwise_refinement(
 ) -> bool:
     """Lower limits sit inside the filterwise reachable-point set.
 
-    Requires the nested-neighbourhood property (asserted; every finite space
-    has it via minimal neighbourhoods): if the filter converges to the
+    Requires the nested-neighbourhood property, which every finite space
+    has via minimal neighbourhoods: if the filter converges to the
     hyperpoint ``a`` in the lower Vietoris topology then a ⊆ P, with P the
     filterwise limit set.
     """
-    if not is_nested_neighbourhood(space):
-        raise ValueError("space is not a nested neighbourhood space")
     if not _hyper_converges(space, phi, a):
         return True
     return is_subset(a, filterwise_limit_set(space, phi, pair_cap))

@@ -39,8 +39,12 @@ def cmd_space(args: argparse.Namespace) -> int:
         if args.n is None:
             print("--generate-subbase needs --n", file=sys.stderr)
             return 2
-        subbase = [mask_of(entry) for entry in json.loads(args.generate_subbase)]
-        space = generate_from_subbase(args.n, subbase)
+        try:
+            subbase = [mask_of(entry) for entry in json.loads(args.generate_subbase)]
+            space = generate_from_subbase(args.n, subbase)
+        except (ValueError, TypeError) as exc:
+            print(f"bad --generate-subbase: {exc}", file=sys.stderr)
+            return 2
     else:
         if args.file is None:
             print("need a space file or --generate-subbase", file=sys.stderr)
@@ -99,7 +103,18 @@ def _resolve_family(space, spec: str):
         return closeds(space)
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
-            return tuple(mask_of(entry) for entry in json.load(fh))
+            try:
+                entries = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise TopolabError(f"family file {spec[1:]} is not JSON: {exc}") from exc
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, list) and entry and all(isinstance(p, int) and 0 <= p < space.n for p in entry)
+            for entry in entries
+        ):
+            raise TopolabError(
+                f"family file {spec[1:]} must hold a JSON list of non-empty point lists on {space.n} points"
+            )
+        return tuple(mask_of(entry) for entry in entries)
     raise TopolabError(f"unknown family spec {spec!r}")
 
 

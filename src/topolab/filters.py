@@ -120,22 +120,12 @@ def contains(filt: FilterOnCarrier, subset: Iterable) -> bool:
     return filt.kernel <= filt.carrier.indices_of(subset)
 
 
-def is_ultrafilter_by_kernel(filt: FilterOnCarrier) -> bool:
-    """Finite-carrier shortcut: ultrafilter iff the kernel is a single point."""
-    return len(filt.kernel) == 1
-
-
 def is_ultrafilter(filt: FilterOnCarrier) -> bool:
-    """Definition route: for every subset, it or its complement is a member."""
-    size = filt.carrier.size
-    if size > 20:
-        raise SizeLimitExceeded("complement scan too large; use the kernel route")
-    everything = frozenset(range(size))
-    for bits in range(1 << size):
-        a = frozenset(i for i in range(size) if bits >> i & 1)
-        if not (filt.kernel <= a or filt.kernel <= everything - a):
-            return False
-    return True
+    """For every subset, it or its complement is a member.
+
+    On a finite carrier this holds exactly when the kernel is a single point.
+    """
+    return len(filt.kernel) == 1
 
 
 def ultrafilters_over(filt: FilterOnCarrier) -> list[FilterOnCarrier]:
@@ -176,28 +166,12 @@ def converges(space: FiniteSpace, filt: FilterOnCarrier, x: int) -> bool:
 
 
 def is_countably_complete(filt: FilterOnCarrier) -> bool:
-    """Intersections of member subfamilies stay in the filter.
+    """Intersections of countable member subfamilies stay in the filter.
 
-    On a finite carrier every subfamily intersection contains the
-    intersection of all members, so scanning pairs plus the total
-    intersection decides the property; the scan is skipped in favour of the
-    total intersection alone when the member family is too large to list.
+    True by theorem on a finite carrier: every such intersection contains the
+    kernel.
     """
-    try:
-        members = list(filt.members())
-    except SizeLimitExceeded:
-        members = None
-    if members is not None:
-        total = frozenset(range(filt.carrier.size))
-        for m in members:
-            total &= m
-        if not filt.kernel <= total:
-            return False
-        for a, b in itertools.combinations(members, 2):
-            if not filt.kernel <= (a & b):
-                return False
-        return True
-    return True  # total intersection is the kernel itself
+    return True
 
 
 def enumerate_filters(carrier: Carrier) -> Iterator[FilterOnCarrier]:

@@ -3,16 +3,19 @@
 The target carrier is the family of non-empty compacts of a codomain space;
 sources are pairs (X, A) of a domain space and a compact subset, each
 contributing the map f ↦ f(A) from the compact-open function space to the
-hyperspace carrier.  The final topology keeps exactly the candidate subsets
-whose preimages are open for every source.
+hyperspace carrier.  Every final topology here comes from one kernel,
+``spaces.final_from_edges``: each source pushes the minimal-neighbourhood
+edges f → g of its function space forward to the edges f(A) → g(A), and the
+final topology is their reflexive transitive closure.  No candidate subsets
+of the carrier are scanned.
 
-Two strategies compute it: materializing the compact-open topology when the
-size guard allows, and the neighbourhood test on the carrier otherwise.  For
-discrete domains a third, restriction-based route makes the 3x3 square
-(19683 maps) tractable: every map out of a discrete space is continuous and
-its minimal compact-open neighbourhood is the pointwise box around it, so
-both membership and the neighbourhood test only depend on the restriction of
-the map to A.
+The function-space neighbourhoods come from the carrier neighbourhood test,
+or, with the "materialize" strategy, from the extensional compact-open
+topology behind the size guard.  For discrete domains a restriction-based
+route makes the 3x3 square (19683 maps) tractable: every map out of a
+discrete space is continuous and its minimal compact-open neighbourhood is
+the pointwise box around it, so the pushed-forward edges only depend on the
+restriction of the map to A.
 """
 
 from __future__ import annotations
@@ -21,20 +24,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import limits
 from .bitsets import is_subset, iter_bits, mask_of, points_of
 from .errors import SizeLimitExceeded
 from .filters import enumerate_ultrafilters, points_carrier, singleton_filter
-from .funcspaces import compact_open, continuous_maps
+from .funcspaces import compact_open, projection_compose
 from .hyperspaces import compacts, vietoris
-from .maps import FiniteMap
 from .spaces import (
     FiniteSpace,
     closure,
     discrete_space,
-    final_topology,
+    final_from_edges,
     generate_from_subbase,
-    make_space,
 )
 
 
@@ -47,11 +47,6 @@ class FinalitySetup:
     strategy: str
 
 
-def _projection_images(src: FiniteSpace, cod: FiniteSpace, a: int, family: tuple[int, ...]) -> tuple[int, ...]:
-    index = {k: i for i, k in enumerate(family)}
-    return tuple(index[f.image_of(a)] for f in continuous_maps(src, cod))
-
-
 def final_over_projections(
     cod: FiniteSpace,
     sources: Sequence[tuple[FiniteSpace, int]],
@@ -59,65 +54,35 @@ def final_over_projections(
 ) -> FinalitySetup:
     """Final topology on the compacts of ``cod`` w.r.t. all f ↦ f(A) maps.
 
-    strategy: "materialize" builds each compact-open topology extensionally
-    (SizeLimitExceeded suggests the other route), "nbhd" uses the carrier
-    neighbourhood test, "auto" tries materialization first and falls back.
+    strategy: "materialize" takes the function-space neighbourhoods from the
+    extensional compact-open topology (SizeLimitExceeded suggests the other
+    route), "nbhd" and "auto" from the carrier neighbourhood test.
     """
     if not sources:
         raise ValueError("need at least one source")
-    family = compacts(cod)
-    k = len(family)
-    limits.guard_opens(1 << k, "final topology candidate scan")
-
-    per_source = []
     for src, a in sources:
         if a not in compacts(src):
             raise ValueError("source subset must be a non-empty compact of its space")
-        per_source.append((src, a, _projection_images(src, cod, a, family)))
-
-    if strategy == "auto":
-        # materialization walks up to 2^|carrier| opens; only worth it when
-        # the carrier is small enough for that walk to stay trivial
-        carriers_small = all(
-            len(continuous_maps(src, cod)) <= 16 for src, _, _ in per_source
-        )
-        strategy = "materialize" if carriers_small else "nbhd"
-
-    if strategy == "materialize":
-        try:
-            maps = []
-            for src, a, proj in per_source:
-                fsp = compact_open(src, cod)
-                topo = fsp.materialize()
-                maps.append((topo, FiniteMap(fsp.size, k, proj)))
-            computed = final_topology(k, maps)
-            return FinalitySetup(
-                cod, family, tuple((s, a) for s, a in sources), computed, "materialize"
-            )
-        except SizeLimitExceeded as exc:
-            raise SizeLimitExceeded(
-                f"{exc}; use the nbhd strategy for this setup"
-            ) from exc
-
-    mins = []
-    for src, a, proj in per_source:
+    strategy = "materialize" if strategy == "materialize" else "nbhd"
+    family = compacts(cod)
+    edges = set()
+    for src, a in sources:
         fsp = compact_open(src, cod)
-        mins.append((fsp.min_nbhds, proj))
-    opens = []
-    for u in range(1 << k):
-        ok = True
-        for m, proj in mins:
-            pre = 0
-            for fi, hp in enumerate(proj):
-                if u >> hp & 1:
-                    pre |= 1 << fi
-            if any(not is_subset(m[fi], pre) for fi in iter_bits(pre)):
-                ok = False
-                break
-        if ok:
-            opens.append(u)
-    computed = make_space(k, opens)
-    return FinalitySetup(cod, family, tuple((s, a) for s, a in sources), computed, "nbhd")
+        if strategy == "materialize":
+            try:
+                mins = fsp.materialize().min_nbhds
+            except SizeLimitExceeded as exc:
+                raise SizeLimitExceeded(
+                    f"{exc}; use the nbhd strategy for this setup"
+                ) from exc
+        else:
+            mins = fsp.min_nbhds
+        proj = projection_compose(src, cod, a).image
+        edges.update(
+            (proj[fi], proj[gi]) for fi, m in enumerate(mins) for gi in iter_bits(m)
+        )
+    computed = final_from_edges(len(family), edges)
+    return FinalitySetup(cod, family, tuple((s, a) for s, a in sources), computed, strategy)
 
 
 @dataclass(frozen=True)
@@ -136,12 +101,7 @@ def check_vietoris_contained(setup: FinalitySetup) -> InclusionReport:
         witness_source = None
         for pos, (src, a) in enumerate(setup.sources):
             fsp = compact_open(src, setup.cod)
-            proj = _projection_images(src, setup.cod, a, setup.family)
-            pre = 0
-            for fi, hp in enumerate(proj):
-                if o >> hp & 1:
-                    pre |= 1 << fi
-            if not fsp.is_open(pre):
+            if not fsp.is_open(projection_compose(src, setup.cod, a).preimage_of(o)):
                 witness_source = pos
                 break
         violations.append((o, witness_source))
@@ -181,47 +141,30 @@ def final_from_discrete_sources(
 
     Every map out of a discrete space is continuous and its minimal
     compact-open neighbourhood is the pointwise box { g : g(z) ∈
-    min_nbhd(f(z)) }, so both the projection value and the neighbourhood
-    test depend only on the restriction of f to A; the scan therefore runs
-    over restrictions instead of whole maps.  Agrees with the general
-    neighbourhood strategy of final_over_projections (asserted in tests,
-    also for non-discrete codomains where the openness condition really
-    rejects candidates).
+    min_nbhd(f(z)) }, so both the projection value and the pushed-forward
+    edges f(A) → g(A) depend only on the restriction of f to A; the edges
+    are therefore collected over restrictions instead of whole maps.  Agrees
+    with the general neighbourhood strategy of final_over_projections
+    (asserted in tests, also for non-discrete codomains where the edges
+    really remove opens).
     """
     family = compacts(cod)
-    k = len(family)
-    limits.guard_opens(1 << k, "final topology candidate scan")
     index = {m: i for i, m in enumerate(family)}
     cod_mins = cod.min_nbhds
 
-    per_source_pairs = []
+    edges = set()
     for a in source_masks:
         pts = points_of(a)
         if not pts or a >= (1 << z_n):
             raise ValueError("source subset must be a non-empty subset of the discrete space")
-        pairs = set()
         for restriction in itertools.product(range(cod.n), repeat=len(pts)):
             h = index[mask_of(restriction)]
             reach = {0}
             for val in restriction:
                 nbhd = tuple(iter_bits(cod_mins[val]))
                 reach = {s | (1 << c) for s in reach for c in nbhd}
-            pairs.add((h, frozenset(index[r] for r in reach)))
-        per_source_pairs.append(pairs)
-
-    opens = []
-    for u in range(1 << k):
-        ok = True
-        for pairs in per_source_pairs:
-            for h, reach in pairs:
-                if u >> h & 1 and any(not (u >> r & 1) for r in reach):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            opens.append(u)
-    return make_space(k, opens)
+            edges.update((h, index[r]) for r in reach)
+    return final_from_edges(len(family), edges)
 
 
 def check_finality_discrete_square(y_n: int, source_cap: int | None = None) -> SquareFinalityReport:

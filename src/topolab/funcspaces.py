@@ -9,9 +9,8 @@ the size guard, and the two strategies are asserted to agree on small
 instances in the test suite.
 
 The minimal neighbourhood of f under the topology generated by the sets
-(A, W) = { f : f(A) ⊆ W } is { g : g(A) ⊆ sat(f(A)) for all A in the
-family }, where sat(S) is the smallest open superset of S (the union of the
-minimal neighbourhoods of its points).
+(A, W) = { f : f(A) ⊆ W } is the intersection of those that contain f, which
+the preorder kernel ``spaces.min_nbhds_of`` computes from the subbase.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .bitsets import canon_family, is_subset, iter_bits
 from .errors import ImageNotInFamily
 from .hyperspaces import compacts, vietoris
 from .maps import FiniteMap, all_maps
-from .spaces import FiniteSpace, _union_closure
+from .spaces import FiniteSpace, _union_closure, min_nbhds_of
 
 
 def is_continuous(dom: FiniteSpace, cod: FiniteSpace, f: FiniteMap) -> bool:
@@ -38,14 +37,6 @@ def is_continuous(dom: FiniteSpace, cod: FiniteSpace, f: FiniteMap) -> bool:
 def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]:
     """All continuous maps dom -> cod, in all_maps order."""
     return tuple(f for f in all_maps(dom.n, cod.n) if is_continuous(dom, cod, f))
-
-
-def open_saturation(space: FiniteSpace, mask: int) -> int:
-    """Smallest open superset of a subset (union of point neighbourhoods)."""
-    out = 0
-    for x in iter_bits(mask):
-        out |= space.min_nbhds[x]
-    return out
 
 
 @dataclass(frozen=True)
@@ -69,35 +60,28 @@ class FunctionSpace:
         )
 
     def subbasic(self, a: int, w: int) -> int:
-        """Function-index mask of (a, w) = { f : f(a) ⊆ w } within the carrier."""
+        """Function-index mask of (a, w) = { f : f(a) ⊆ w }; ValueError unless a is in the family."""
+        ai = self.family.index(a)
         out = 0
-        for fi, f in enumerate(self.functions):
-            if is_subset(f.image_of(a), w):
+        for fi, row in enumerate(self._images):
+            if row[ai] & ~w == 0:
                 out |= 1 << fi
         return out
 
     @cached_property
     def min_nbhds(self) -> tuple[int, ...]:
-        """Minimal neighbourhood of each carrier function, as function masks."""
-        sats = tuple(
-            tuple(open_saturation(self.cod, img) for img in row)
-            for row in self._images
+        """Minimal neighbourhood of each carrier function, as function masks.
+
+        The intersection of the subbasic sets (A, W) that contain it.
+        """
+        return min_nbhds_of(
+            self.size, (self.subbasic(a, w) for a in self.family for w in self.cod.opens)
         )
-        out = []
-        for fi in range(self.size):
-            target = sats[fi]
-            m = 0
-            for gi in range(self.size):
-                row = self._images[gi]
-                if all(is_subset(row[ai], target[ai]) for ai in range(len(self.family))):
-                    m |= 1 << gi
-            out.append(m)
-        return tuple(out)
 
     def is_open(self, mask: int) -> bool:
         """Neighbourhood test: every member keeps its minimal neighbourhood inside."""
         mins = self.min_nbhds
-        return all(is_subset(mins[fi], mask) for fi in iter_bits(mask))
+        return all(mins[fi] & ~mask == 0 for fi in iter_bits(mask))
 
     def materialize(self) -> FiniteSpace:
         """Extensional topology over the function indices (behind the guard)."""

@@ -16,7 +16,7 @@ from typing import Sequence
 from .bitsets import canon_family, is_subset, meets, nonempty_subsets
 from .errors import NotOpen
 from .filters import FilterOnCarrier
-from .spaces import FiniteSpace, generate_from_subbase, is_compact_subset, minimal_open_nbhd
+from .spaces import FiniteSpace, generate_from_subbase, minimal_open_nbhd
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,6 @@ def hit(family: Sequence[int], m: int) -> tuple[int, ...]:
 def miss(family: Sequence[int], m: int) -> tuple[int, ...]:
     """Members of the family disjoint from ``m``."""
     return tuple(a for a in family if not meets(a, m))
-
-
-def _index_mask(family: Sequence[int], members: Sequence[int]) -> int:
-    mask = 0
-    memberset = set(members)
-    for i, a in enumerate(family):
-        if a in memberset:
-            mask |= 1 << i
-    return mask
 
 
 def _hit_index_mask(family: Sequence[int], m: int) -> int:
@@ -130,12 +121,9 @@ def vietoris_basic(space: FiniteSpace, family: Sequence[int], cover: Sequence[in
     )
 
 
-@lru_cache(maxsize=None)
 def compacts(space: FiniteSpace) -> tuple[int, ...]:
-    """Non-empty compact subsets (the full non-empty powerset on finite spaces)."""
-    return tuple(
-        k for k in nonempty_subsets(space.n) if is_compact_subset(space, k)
-    )
+    """Non-empty compact subsets: by theorem, the non-empty powerset of a finite space."""
+    return tuple(nonempty_subsets(space.n))
 
 
 def closeds(space: FiniteSpace) -> tuple[int, ...]:

@@ -53,10 +53,3 @@ def guard_points(count: int, what: str = "ground set") -> None:
         raise SizeLimitExceeded(
             f"{what} would have {count} points, over the limit {max_points()}"
         )
-
-
-def guard_opens(count: int, what: str = "topology") -> None:
-    if count > max_opens():
-        raise SizeLimitExceeded(
-            f"{what} would have more than {max_opens()} open sets"
-        )

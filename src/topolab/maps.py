@@ -44,9 +44,9 @@ class FiniteMap:
     def preimage_of(self, mask: int) -> int:
         """Preimage of a subset of the codomain, as a domain mask."""
         out = 0
-        pre = self._point_preimages
-        for y in iter_bits(mask):
-            out |= pre[y]
+        for y, pre in enumerate(self._point_preimages):
+            if mask >> y & 1:
+                out |= pre
         return out
 
 

@@ -1,12 +1,20 @@
 """Finite topological spaces: representation, generation, operators, predicates.
 
 A space is stored extensionally as its canonical sorted family of open masks,
-so equality of topologies is structural equality.  Internally most operators
-route through the minimal-open-neighbourhood array ``min_nbhds``: on a finite
-ground set the intersection of all opens containing a point is itself open,
-and the topology is exactly the family of unions of these minimal
-neighbourhoods.  That correspondence (finite topologies = reflexive
-transitive neighbourhood systems) also drives the exhaustive enumerator.
+so equality of topologies is structural equality.  Generation, products and
+final topologies route through one preorder kernel, the minimal-open-
+neighbourhood array ``min_nbhds``: on a finite ground set the intersection of
+all opens containing a point is itself open, and the topology is exactly the
+family of unions of these minimal neighbourhoods (Alexandroff 1937: finite
+topologies are the preorders on the points).  ``min_nbhds_of`` computes the array from any
+family of masks (opens or a subbase); ``final_from_edges`` computes a final
+topology as the reflexive transitive closure of pushed-forward neighbourhood
+edges, with no scan over candidate subsets; the exhaustive enumerator keeps
+the candidate neighbourhood arrays that are reflexive and transitive.
+
+On a finite space every subset is compact, so compactness, local compactness
+and the nested-neighbourhood property hold by theorem and their predicates
+return that value; the definitional scans live in the test oracles.
 """
 
 from __future__ import annotations
@@ -60,15 +68,22 @@ class FiniteSpace:
     @cached_property
     def min_nbhds(self) -> tuple[int, ...]:
         """min_nbhds[x] = intersection of all opens containing x (open)."""
-        out = []
-        for x in range(self.n):
-            m = self.full
-            bit = 1 << x
-            for o in self.opens:
-                if o & bit:
-                    m &= o
-            out.append(m)
-        return tuple(out)
+        return min_nbhds_of(self.n, self.opens)
+
+
+def min_nbhds_of(n: int, masks: Iterable[int]) -> tuple[int, ...]:
+    """Intersection of the members of ``masks`` containing each point.
+
+    For the opens of a space this is its minimal-neighbourhood array; for a
+    subbase it is the array of the generated topology.  The empty
+    intersection convention makes the full set the neighbourhood of a point
+    no member contains.
+    """
+    out = [full_mask(n)] * n
+    for m in masks:
+        for x in iter_bits(m):
+            out[x] &= m
+    return tuple(out)
 
 
 def _validate_axioms(n: int, opens: tuple[int, ...]) -> None:
@@ -123,24 +138,6 @@ def _union_closure(n: int, generators: Sequence[int], what: str = "topology") ->
     return tuple(sorted(seen))
 
 
-def min_nbhds_from_subbase(n: int, subbase: Sequence[int]) -> tuple[int, ...]:
-    """Minimal basic neighbourhood of each point for a generated topology.
-
-    The empty intersection convention makes the full set the neighbourhood of
-    a point not covered by any subbase member.
-    """
-    full = full_mask(n)
-    out = []
-    for x in range(n):
-        m = full
-        bit = 1 << x
-        for s in subbase:
-            if s & bit:
-                m &= s
-        out.append(m)
-    return tuple(out)
-
-
 def generate_from_subbase(n: int, subbase: Iterable[int]) -> FiniteSpace:
     """Smallest topology containing ``subbase``.
 
@@ -152,9 +149,7 @@ def generate_from_subbase(n: int, subbase: Iterable[int]) -> FiniteSpace:
     fam = canon_family(subbase)
     if any(s > full_mask(n) for s in fam):
         raise ValueError("subbase mask does not fit the ground set")
-    mins = min_nbhds_from_subbase(n, fam)
-    opens = _union_closure(n, mins)
-    return FiniteSpace(n, opens)
+    return FiniteSpace(n, _union_closure(n, min_nbhds_of(n, fam)))
 
 
 def space_from_min_nbhds(mins: Sequence[int]) -> FiniteSpace:
@@ -164,6 +159,28 @@ def space_from_min_nbhds(mins: Sequence[int]) -> FiniteSpace:
     (y in mins[x] implies mins[y] subset of mins[x]); this is not re-checked.
     """
     return FiniteSpace(len(mins), _union_closure(len(mins), tuple(mins)))
+
+
+def final_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> FiniteSpace:
+    """Finest topology on n points in which every open containing a contains b.
+
+    ``edges`` are the pairs (a, b).  A map f out of a finite space X is
+    continuous into a topology exactly when each open around f(x) contains
+    f(x') for every x' in the minimal neighbourhood of x, so the final
+    topology of a family of maps is this one for the pushed-forward edges
+    (f(x), f(x')).  Its minimal neighbourhoods are the reflexive transitive
+    closure of the edges; its opens are their unions.
+    """
+    reach = [1 << x for x in range(n)]
+    for a, b in edges:
+        reach[a] |= 1 << b
+    for k in range(n):  # Warshall's closure on bit rows
+        bit = 1 << k
+        row = reach[k]
+        for x in range(n):
+            if reach[x] & bit:
+                reach[x] |= row
+    return space_from_min_nbhds(reach)
 
 
 @lru_cache(maxsize=None)
@@ -225,66 +242,19 @@ def is_t3(space: FiniteSpace) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def is_compact_subset(space: FiniteSpace, k: int) -> bool:
     """Every open cover of ``k`` has a finite subcover.
 
-    Checked via the cover definition.  Any open cover refines the cover by
-    the distinct minimal neighbourhoods of its points (every open containing
-    x contains min_nbhds[x]), so it suffices to scan subfamilies of those
-    generators; when the topology itself is small enough we scan all
-    subfamilies of opens instead.
+    True by theorem: every cover of a finite set has a finite subcover.
     """
-    if k == 0:
-        return True
-    if len(space.opens) <= 12:
-        members = space.opens
-    else:
-        members = canon_family(space.min_nbhds)
-        if len(members) > 16:
-            raise SizeLimitExceeded("too many distinct neighbourhoods for the cover scan")
-    for bits in range(1, 1 << len(members)):
-        cover = [members[i] for i in iter_bits(bits)]
-        union = 0
-        for c in cover:
-            union |= c
-        if not is_subset(k, union):
-            continue
-        # greedy finite subcover: one member per uncovered point
-        sub = []
-        remaining = k
-        for c in cover:
-            if remaining & c:
-                sub.append(c)
-                remaining &= ~c
-            if not remaining:
-                break
-        if remaining:
-            return False
     return True
 
 
-@lru_cache(maxsize=None)
 def is_locally_compact(space: FiniteSpace) -> bool:
-    """Each point a and open U ∋ a admit a ∈ O ⊆ K ⊆ U with O open, K compact."""
-    for a in range(space.n):
-        bit = 1 << a
-        for u in space.opens:
-            if not u & bit:
-                continue
-            found = False
-            for o in space.opens:
-                if o & bit and is_subset(o, u):
-                    # candidate compacts between o and u, smallest first
-                    for extra in range(1 << (space.n)):
-                        k = o | (extra & u)
-                        if is_subset(o, k) and is_subset(k, u) and is_compact_subset(space, k):
-                            found = True
-                            break
-                if found:
-                    break
-            if not found:
-                return False
+    """Each point a and open U ∋ a admit a ∈ O ⊆ K ⊆ U with O open, K compact.
+
+    True by theorem on a finite space: O = K = the minimal neighbourhood of a.
+    """
     return True
 
 
@@ -295,23 +265,14 @@ def minimal_open_nbhd(space: FiniteSpace, x: int) -> int:
     return space.min_nbhds[x]
 
 
-@lru_cache(maxsize=None)
 def is_nested_neighbourhood(space: FiniteSpace) -> bool:
     """Every point has an open neighbourhood base totally ordered by inclusion.
 
     The property is not pinned down by a standalone definition in the usual
-    references; the reading implemented here is reverse-engineered from how
-    it gets used (a base of each point's neighbourhoods that forms a chain
-    under ⊆).  On a finite space the single minimal open neighbourhood is
-    such a base whenever it is open and below every open neighbourhood, so
-    the search reduces to checking exactly that.
+    references; the reading here is a base of each point's neighbourhoods
+    that forms a chain under ⊆.  True by theorem on a finite space: the
+    minimal open neighbourhood alone is such a base.
     """
-    for x in range(space.n):
-        m = space.min_nbhds[x]
-        if m not in space.open_set:
-            return False
-        if any(o & (1 << x) and not is_subset(m, o) for o in space.opens):
-            return False
     return True
 
 
@@ -365,23 +326,25 @@ def product_space(factors: Sequence[FiniteSpace]) -> tuple[FiniteSpace, ProductC
 
     The topology is generated by the cylinder subbase (preimages of factor
     opens under the projections); the minimal neighbourhood of a product
-    point is the product of the factor minimal neighbourhoods.
+    point is the product of the factor minimal neighbourhoods, built here
+    directly from the codec.
     """
     if not factors:
         raise ValueError("need at least one factor")
     codec = ProductCodec(tuple(f.n for f in factors))
     total = codec.total
     limits.guard_points(total, "product ground set")
-    factor_mins = [f.min_nbhds for f in factors]
     mins = []
     for p in range(total):
-        coords = codec.decode(p)
-        member_bits = 0
-        for q in range(total):
-            qc = codec.decode(q)
-            if all(fm[c] & (1 << qc[i]) for i, (fm, c) in enumerate(zip(factor_mins, coords))):
-                member_bits |= 1 << q
-        mins.append(member_bits)
+        # the box over the first factors, copied once per point y of the next
+        # factor's neighbourhood at offset y * stride
+        box, stride = 1, 1
+        for f, c in zip(factors, codec.decode(p)):
+            layer = 0
+            for y in iter_bits(f.min_nbhds[c]):
+                layer |= box << (y * stride)
+            box, stride = layer, stride * f.n
+        mins.append(box)
     opens = _union_closure(total, mins, "product topology")
     return FiniteSpace(total, opens), codec
 
@@ -389,7 +352,8 @@ def product_space(factors: Sequence[FiniteSpace]) -> tuple[FiniteSpace, ProductC
 def final_topology(target_n: int, maps: Sequence[tuple[FiniteSpace, FiniteMap]]) -> FiniteSpace:
     """Finest topology on the target making all given maps continuous.
 
-    opens = { U : every f has f^-1(U) open in its source }.
+    opens = { U : every f has f^-1(U) open in its source }, computed from
+    the pushed-forward neighbourhood edges (see ``final_from_edges``).
     """
     if not maps:
         raise ValueError("need at least one map")
@@ -398,13 +362,15 @@ def final_topology(target_n: int, maps: Sequence[tuple[FiniteSpace, FiniteMap]])
             raise ValueError("map domain does not match its source space")
         if f.cod_n != target_n:
             raise ValueError("map codomain does not match the target")
-    limits.guard_opens(1 << target_n, "final topology candidate scan")
-    opens = [
-        u
-        for u in range(1 << target_n)
-        if all(f.preimage_of(u) in src.open_set for src, f in maps)
-    ]
-    return make_space(target_n, opens)
+    return final_from_edges(
+        target_n,
+        (
+            (f.image[x], f.image[y])
+            for src, f in maps
+            for x in range(src.n)
+            for y in iter_bits(src.min_nbhds[x])
+        ),
+    )
 
 
 def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:

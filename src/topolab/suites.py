@@ -27,10 +27,10 @@ from .choice import (
     classify_property_A,
     limit_set_P,
 )
-from .errors import NotATopology, TopolabError
+from .errors import NotATopology, SizeLimitExceeded, TopolabError
 from .filters import enumerate_ultrafilters, subsets_carrier
 from .finality import check_finality_discrete_square, stone_cech_finite_discrete
-from .funcspaces import compact_open, continuous_maps, mu_embedding_report
+from .funcspaces import compact_open, continuous_maps, mu_embedding_report, projection_compose
 from .hyperspaces import compacts, vietoris
 from .spaces import FiniteSpace, enumerate_topologies, make_space
 
@@ -102,68 +102,46 @@ def _inclusion_pair(args) -> tuple[int, list]:
     (nx, xi, x), (ny, yi, y) = args
     checked = 0
     witnesses: list = []
-    fns = continuous_maps(x, y)
-    nf = len(fns)
     fsp = compact_open(x, y)
-    mins = fsp.min_nbhds
     ky = compacts(y)
-    kindex = {k: i for i, k in enumerate(ky)}
     hyper = vietoris(y, ky)
-    imgs = [[f.image_of(m) for m in range(1 << x.n)] for f in fns]
 
     def tag(kind: str, **extra) -> dict:
         base = {"x": (nx, xi), "y": (ny, yi), "kind": kind}
         base.update(extra)
         return base
 
-    def preimage(vmask: int, proj: Sequence[int]) -> int:
-        out = 0
-        for fi in range(nf):
-            if vmask >> proj[fi] & 1:
-                out |= 1 << fi
-        return out
-
-    def subbasic(amask: int, w: int) -> int:
-        out = 0
-        for fi in range(nf):
-            if imgs[fi][amask] & ~w == 0:
-                out |= 1 << fi
-        return out
-
-    def open_in_co(mask: int) -> bool:
-        return all(mins[fi] & ~mask == 0 for fi in iter_bits(mask))
-
     for a in compacts(x):
-        proj = [kindex[imgs[fi][a]] for fi in range(nf)]
+        proj = projection_compose(x, y, a)
         for fmask in y.closeds:
             missm = 0
             for ki, k in enumerate(ky):
                 if not meets(k, fmask):
                     missm |= 1 << ki
-            lhs = preimage(missm, proj)
-            rhs = subbasic(a, complement(fmask, y.n))
+            lhs = proj.preimage_of(missm)
+            rhs = fsp.subbasic(a, complement(fmask, y.n))
             checked += 2
             if lhs != rhs:
                 witnesses.append(tag("miss-identity", a=points_of(a), closed=points_of(fmask)))
-            if not open_in_co(lhs):
+            if not fsp.is_open(lhs):
                 witnesses.append(tag("miss-preimage-not-open", a=points_of(a), closed=points_of(fmask)))
         for o in y.opens:
             hitm = 0
             for ki, k in enumerate(ky):
                 if meets(k, o):
                     hitm |= 1 << ki
-            lhs = preimage(hitm, proj)
+            lhs = proj.preimage_of(hitm)
             rhs = 0
             for pt in iter_bits(a):
-                rhs |= subbasic(1 << pt, o)
+                rhs |= fsp.subbasic(1 << pt, o)
             checked += 2
             if lhs != rhs:
                 witnesses.append(tag("hit-identity", a=points_of(a), open=points_of(o)))
-            if not open_in_co(lhs):
+            if not fsp.is_open(lhs):
                 witnesses.append(tag("hit-preimage-not-open", a=points_of(a), open=points_of(o)))
         for ovm in hyper.topology.opens:
             checked += 1
-            if not open_in_co(preimage(ovm, proj)):
+            if not fsp.is_open(proj.preimage_of(ovm)):
                 witnesses.append(
                     tag("vietoris-open-preimage-not-open", a=points_of(a), hyper_open=list(iter_bits(ovm)))
                 )
@@ -184,13 +162,14 @@ def suite_vietoris_inclusion(max_n: int = 3, jobs: int = 1) -> RunReport:
 
 # ---------------------------------------------------------------- embedding
 
-def _embedding_pair(args) -> tuple[int, list]:
+def _embedding_pair(args) -> tuple[int, int, list]:
+    """(checks, failed checks, witnesses): three flags, one witness per failing pair."""
     (nx, xi, x), (ny, yi, y) = args
     fam = tuple(range(1, 1 << x.n))
     rep = mu_embedding_report(x, y, continuous_maps(x, y), fam)
-    ok = rep.continuous and rep.open_onto_image and rep.injective
-    if ok:
-        return 3, []
+    bad = 3 - sum((rep.continuous, rep.open_onto_image, rep.injective))
+    if not bad:
+        return 3, 0, []
     detail = {
         "x": (nx, xi),
         "y": (ny, yi),
@@ -199,18 +178,17 @@ def _embedding_pair(args) -> tuple[int, list]:
         "open_onto_image": rep.open_onto_image,
         "injective": rep.injective,
     }
-    bad = 3 - sum((rep.continuous, rep.open_onto_image, rep.injective))
-    return 3, [detail] * bad
+    return 3, bad, [detail]
 
 
 def suite_embedding(max_n: int = 3, jobs: int = 1) -> RunReport:
     report = RunReport("embedding", {"max_n": max_n})
     spaces = corpus(max_n)
     pairs = [(sx, sy) for sx in spaces for sy in spaces]
-    for checked, witnesses in _pmap(_embedding_pair, pairs, jobs):
+    for checked, failed, witnesses in _pmap(_embedding_pair, pairs, jobs):
         report.checked += checked
-        report.passed += checked - len(witnesses)
-        report.failed += len(witnesses)
+        report.passed += checked - failed
+        report.failed += failed
         report.witnesses.extend(witnesses)
     return report
 
@@ -293,13 +271,19 @@ def suite_choice_lemma(max_n: int = 3, jobs: int = 1, n4_sample: bool = True) ->
 
     The sample takes every N4_SPACE_STRIDE-th topology of the 355-space
     corpus and caps filterwise function-pair kernels at N4_FILTER_PAIR_CAP.
+    The n=4 sweep is not exhaustive, so max_n above 3 is refused rather than
+    run as less than was asked for.
     """
+    if max_n > 3:
+        raise SizeLimitExceeded(
+            f"choice-lemma sweeps n <= 3 exhaustively plus a fixed 4-point sample; max_n {max_n} is over 3"
+        )
     report = RunReport(
         "choice-lemma",
         {"max_n": max_n, "n4_sample": bool(n4_sample and max_n == 3)},
     )
     tasks = []
-    for n in range(1, min(max_n, 3) + 1):
+    for n in range(1, max_n + 1):
         for i, space in enumerate(enumerate_topologies(n)):
             tasks.append((n, i, space, None))
     if n4_sample and max_n == 3:

@@ -2,9 +2,12 @@
 
 These deliberately avoid the library's algorithms: the topology scan checks
 the axioms over every set family, the subbase closure follows the literal
-two-stage procedure, and the finest-topology search walks all candidate
-topologies.  The tests freeze values computed here and compare the library
-against them.
+two-stage procedure, the finest-topology search walks all candidate
+topologies, products are unions of open boxes, and compactness, local
+compactness, nestedness, ultrafilters and countable completeness are decided
+by scanning their definitions (the library returns their theorem values on
+finite spaces).  The tests freeze values computed here and compare the
+library against them.
 """
 
 import itertools
@@ -90,3 +93,98 @@ def explicit_function_filter_apply(
     for g in generated[1:]:
         kernel &= g
     return kernel
+
+
+def product_opens_by_boxes(a: FiniteSpace, b: FiniteSpace) -> tuple[int, ...]:
+    """Opens of a × b as all unions of open boxes u × v; (p, q) is point p + a.n * q."""
+    boxes = {
+        sum(1 << (p + a.n * q) for p in range(a.n) for q in range(b.n) if u >> p & 1 and v >> q & 1)
+        for u in a.opens
+        for v in b.opens
+    }
+    opens = {0}
+    for box in boxes:
+        opens |= {o | box for o in opens}
+    return tuple(sorted(opens))
+
+
+def is_compact_by_covers(space: FiniteSpace, k: int) -> bool:
+    """Every cover of k by opens has a finite subcover: scan all subfamilies of opens."""
+    opens = space.opens
+    for bits in range(1, 1 << len(opens)):
+        cover = [o for i, o in enumerate(opens) if bits >> i & 1]
+        union = 0
+        for c in cover:
+            union |= c
+        if k & ~union:
+            continue
+        # greedy finite subcover: one member per uncovered point
+        remaining = k
+        for c in cover:
+            if remaining & c:
+                remaining &= ~c
+        if remaining:
+            return False
+    return True
+
+
+def is_locally_compact_by_definition(space: FiniteSpace) -> bool:
+    """Each point a and open U ∋ a admit a ∈ O ⊆ K ⊆ U with O open, K compact."""
+    subsets = range(1 << space.n)
+    for a in range(space.n):
+        for u in space.opens:
+            if not u >> a & 1:
+                continue
+            if not any(
+                o >> a & 1
+                and o & ~k == 0
+                and k & ~u == 0
+                and is_compact_by_covers(space, k)
+                for o in space.opens
+                for k in subsets
+            ):
+                return False
+    return True
+
+
+def is_nested_by_definition(space: FiniteSpace) -> bool:
+    """Every point has a base of open neighbourhoods that is a chain under ⊆.
+
+    Scans every family of opens around each point for one that is a chain
+    and has a member inside each open around the point.
+    """
+    for x in range(space.n):
+        around = [o for o in space.opens if o >> x & 1]
+        found = False
+        for bits in range(1, 1 << len(around)):
+            family = [o for i, o in enumerate(around) if bits >> i & 1]
+            chain = all(p & ~q == 0 or q & ~p == 0 for p in family for q in family)
+            base = all(any(b & ~o == 0 for b in family) for o in around)
+            if chain and base:
+                found = True
+                break
+        if not found:
+            return False
+    return True
+
+
+def is_ultrafilter_by_definition(filt) -> bool:
+    """For every subset of the carrier, it or its complement is a member."""
+    size = filt.carrier.size
+    everything = frozenset(range(size))
+    for bits in range(1 << size):
+        a = frozenset(i for i in range(size) if bits >> i & 1)
+        if not (filt.kernel <= a or filt.kernel <= everything - a):
+            return False
+    return True
+
+
+def is_countably_complete_by_members(filt) -> bool:
+    """The intersection of all members and of every pair of members is a member."""
+    members = list(filt.members())
+    total = frozenset(range(filt.carrier.size))
+    for m in members:
+        total &= m
+    if not filt.kernel <= total:
+        return False
+    return all(filt.kernel <= (a & b) for a, b in itertools.combinations(members, 2))

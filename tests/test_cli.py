@@ -46,6 +46,11 @@ class TestSpaceCommand:
         assert json.loads(capsys.readouterr().out)["report"]["open_count"] == 5
 
 
+    def test_subbase_outside_ground_set_exits_2(self, capsys):
+        assert run(["space", "--generate-subbase", "[[5]]", "--n", "2"]) == 2
+        assert "--generate-subbase" in capsys.readouterr().err
+
+
 class TestCorpusCommand:
     def test_counts_and_determinism(self, tmp_path):
         d1 = tmp_path / "a"
@@ -74,6 +79,12 @@ class TestHyperCommand:
         assert data["hyperpoints"] == [[0], [1], [0, 1]]
         assert data["opens"] == [[], [1, 2], [0, 1, 2]]
 
+    def test_family_file_holding_an_object_exits_2(self, sierpinski_file, tmp_path, capsys):
+        family = tmp_path / "f.json"
+        family.write_text(json.dumps({"members": [[0]]}))
+        assert run(["hyper", "--space", str(sierpinski_file), "--family", f"@{family}"]) == 2
+        assert "family file" in capsys.readouterr().err
+
 
 class TestFuncspaceCommand:
     def test_continuous_carrier(self, sierpinski_file, tmp_path):
@@ -98,6 +109,27 @@ class TestVerifyCommand:
 
     def test_unknown_suite(self, capsys):
         assert run(["verify", "--suite", "bogus"]) == 2
+
+    def test_choice_lemma_refuses_max_n_over_3(self, capsys):
+        # the n=4 sweep is only a sample, so asking for n=4 must not run less
+        assert run(["verify", "--suite", "choice-lemma", "--max-n", "4"]) == 2
+        assert "size limit" in capsys.readouterr().err
+
+    def test_embedding_failure_gives_one_witness_per_pair(self, monkeypatch):
+        from topolab import suites
+        from topolab.funcspaces import MuEmbeddingReport
+
+        failing = MuEmbeddingReport(
+            continuous=False, open_onto_image=False, injective=True, family_has_singletons=True
+        )
+        monkeypatch.setattr(suites, "mu_embedding_report", lambda *args: failing)
+        report = suites.suite_embedding(max_n=2)
+        pairs = 5 * 5  # the 1- and 2-point corpus has 5 spaces
+        assert report.checked == 3 * pairs
+        assert report.failed == 2 * pairs
+        assert report.passed == pairs
+        assert len(report.witnesses) == pairs
+        assert len({(tuple(w["x"]), tuple(w["y"])) for w in report.witnesses}) == pairs
 
     def test_inject_fault(self, tmp_path):
         report = tmp_path / "r.json"

@@ -2,7 +2,11 @@ import itertools
 
 import pytest
 
-from oracles import explicit_function_filter_apply
+from oracles import (
+    explicit_function_filter_apply,
+    is_countably_complete_by_members,
+    is_ultrafilter_by_definition,
+)
 from topolab.errors import EmptyIntersection
 from topolab.filters import (
     Carrier,
@@ -17,7 +21,6 @@ from topolab.filters import (
     functions_carrier,
     is_countably_complete,
     is_ultrafilter,
-    is_ultrafilter_by_kernel,
     neighborhood_filter,
     points_carrier,
     singleton_filter,
@@ -62,11 +65,11 @@ class TestBasics:
 
 class TestUltrafilters:
     def test_by_kernel(self):
-        assert is_ultrafilter_by_kernel(singleton_filter(ABC, "b"))
-        assert not is_ultrafilter_by_kernel(FilterOnCarrier(ABC, frozenset({0, 1})))
+        assert is_ultrafilter(singleton_filter(ABC, "b"))
+        assert not is_ultrafilter(FilterOnCarrier(ABC, frozenset({0, 1})))
 
     def test_two_point_kernel_fails_definition(self):
-        assert not is_ultrafilter(FilterOnCarrier(ABC, frozenset({0, 1})))
+        assert not is_ultrafilter_by_definition(FilterOnCarrier(ABC, frozenset({0, 1})))
 
     def test_whole_carrier_kernel(self):
         assert not is_ultrafilter(FilterOnCarrier(ABC, frozenset({0, 1, 2})))
@@ -76,7 +79,7 @@ class TestUltrafilters:
         for size in range(1, 6):
             carrier = Carrier(tuple(range(size)))
             for f in all_filters(carrier):
-                assert is_ultrafilter(f) == is_ultrafilter_by_kernel(f)
+                assert is_ultrafilter(f) == is_ultrafilter_by_definition(f)
 
     def test_ultrafilters_over(self):
         f = FilterOnCarrier(ABC, frozenset({0, 1}))
@@ -166,7 +169,9 @@ class TestCountableCompleteness:
     def test_always_true(self):
         for size in (1, 2, 3, 4):
             carrier = Carrier(tuple(range(size)))
-            assert all(is_countably_complete(f) for f in all_filters(carrier))
+            for f in all_filters(carrier):
+                assert is_countably_complete_by_members(f)
+                assert is_countably_complete(f)
 
 
 class TestRepresentationExactness:

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import slow_subbase_closure
 from topolab.bitsets import is_subset, nonempty_subsets
 from topolab.errors import ImageNotInFamily, SizeLimitExceeded
 from topolab.funcspaces import (
@@ -104,6 +105,18 @@ class TestCompactOpen:
                 topo = fs.materialize()
                 for mask in range(1 << fs.size):
                     assert fs.is_open(mask) == topo.is_open(mask)
+
+    def test_topology_matches_subbase_closure_oracle(self, corpus3):
+        # the subbasic sets (A, W) by definition, closed literally
+        for _, _, dom in corpus3[:5]:
+            for _, _, cod in corpus3[:5]:
+                fs = compact_open(dom, cod)
+                subbase = {
+                    sum(1 << fi for fi, f in enumerate(fs.functions) if is_subset(f.image_of(a), w))
+                    for a in compacts(dom)
+                    for w in cod.opens
+                }
+                assert fs.materialize().opens == slow_subbase_closure(fs.size, sorted(subbase))
 
     def test_refines_every_smaller_set_open(self):
         # any set-open topology with a subfamily of the compacts is coarser

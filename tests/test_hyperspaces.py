@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import brute_force_topologies, slow_subbase_closure
+from oracles import brute_force_topologies, is_compact_by_covers, slow_subbase_closure
 from topolab.bitsets import is_subset, nonempty_subsets
 from topolab.errors import NotOpen
 from topolab.filters import FilterOnCarrier, subsets_carrier
@@ -149,6 +149,11 @@ class TestFamilies:
     def test_compacts_two_points(self):
         for sp in (S, discrete_space(2), indiscrete_space(2)):
             assert compacts(sp) == P2
+
+    def test_compacts_match_cover_definition(self, corpus3):
+        for _, _, sp in corpus3:
+            expected = tuple(k for k in nonempty_subsets(sp.n) if is_compact_by_covers(sp, k))
+            assert compacts(sp) == expected
 
     def test_closeds(self):
         assert closeds(S) == (0b01, 0b11)

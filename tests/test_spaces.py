@@ -1,6 +1,14 @@
 import pytest
 
-from oracles import brute_force_topologies, finest_topology_with_continuous, slow_subbase_closure
+from oracles import (
+    brute_force_topologies,
+    finest_topology_with_continuous,
+    is_compact_by_covers,
+    is_locally_compact_by_definition,
+    is_nested_by_definition,
+    product_opens_by_boxes,
+    slow_subbase_closure,
+)
 from topolab.bitsets import complement, is_subset
 from topolab.errors import NotATopology, NotOpen, SizeLimitExceeded
 from topolab.maps import FiniteMap, constant_map, identity_map
@@ -129,11 +137,15 @@ class TestCompactness:
     def test_everything_compact(self, corpus3):
         for _, _, sp in corpus3:
             for k in range(1 << sp.n):
+                assert is_compact_by_covers(sp, k)
                 assert is_compact_subset(sp, k)
 
     def test_locally_compact_and_nested(self, corpus3):
+        # the definitions hold everywhere, and the library returns the same
         for _, _, sp in corpus3:
+            assert is_locally_compact_by_definition(sp)
             assert is_locally_compact(sp)
+            assert is_nested_by_definition(sp)
             assert is_nested_neighbourhood(sp)
 
 
@@ -177,6 +189,17 @@ class TestProduct:
         assert prod.opens == slow_subbase_closure(4, [0b1010, 0b1100])
         assert len(prod.opens) == 6
         assert codec.encode((1, 1)) == 3
+
+    def test_matches_union_of_open_boxes(self, corpus3):
+        compared = 0
+        for _, _, a in corpus3:
+            for _, _, b in corpus3:
+                if a.n * b.n > 9:
+                    continue
+                prod, _ = product_space([a, b])
+                assert prod.opens == product_opens_by_boxes(a, b), (a, b)
+                compared += 1
+        assert compared == len(corpus3) ** 2
 
     def test_codec_roundtrip(self):
         _, codec = product_space([discrete_space(2), discrete_space(3)])
