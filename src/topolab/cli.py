@@ -16,10 +16,9 @@ from pathlib import Path
 from . import limits
 from .bitsets import mask_of, points_of
 from .errors import NotATopology, SizeLimitExceeded, TopolabError
-from .fileio import dumps_canonical, load_space, save_space, space_from_dict, space_to_dict
+from .fileio import dumps_canonical, is_point, load_space, save_space, space_to_dict
 from .funcspaces import compact_open, set_open_topology
 from .hyperspaces import closeds, compacts, lower_vietoris, upper_vietoris, vietoris
-from .maps import all_maps
 from .spaces import enumerate_topologies, generate_from_subbase, space_report
 from .suites import SUITE_NAMES, run_suites
 
@@ -31,6 +30,14 @@ def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
 
 def _apply_limits(args: argparse.Namespace) -> None:
     limits.set_limits(points=args.limit_points, opens=args.limit_opens)
+    limits.max_opens()  # a malformed TOPOLAB_LIMIT_OPENS is refused before any work
+
+
+def _load_space(path: str):
+    try:
+        return load_space(path)
+    except ValueError as exc:
+        raise TopolabError(f"malformed space file {path}: {exc}") from exc
 
 
 def cmd_space(args: argparse.Namespace) -> int:
@@ -40,7 +47,10 @@ def cmd_space(args: argparse.Namespace) -> int:
             print("--generate-subbase needs --n", file=sys.stderr)
             return 2
         try:
-            subbase = [mask_of(entry) for entry in json.loads(args.generate_subbase)]
+            entries = json.loads(args.generate_subbase)
+            if any(isinstance(p, bool) for entry in entries for p in entry):
+                raise ValueError("points must be integers, not booleans")
+            subbase = [mask_of(entry) for entry in entries]
             space = generate_from_subbase(args.n, subbase)
         except (ValueError, TypeError) as exc:
             print(f"bad --generate-subbase: {exc}", file=sys.stderr)
@@ -50,19 +60,10 @@ def cmd_space(args: argparse.Namespace) -> int:
             print("need a space file or --generate-subbase", file=sys.stderr)
             return 2
         try:
-            with open(args.file) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read space file: {exc}", file=sys.stderr)
-            return 2
-        try:
-            space = space_from_dict(data)
+            space = _load_space(args.file)
         except NotATopology as exc:
             print(f"invalid: {exc}", file=sys.stderr)
             return 1
-        except ValueError as exc:
-            print(f"malformed space file: {exc}", file=sys.stderr)
-            return 2
     if args.describe:
         rep = space_report(space)
         out = dict(space_to_dict(space))
@@ -108,7 +109,7 @@ def _resolve_family(space, spec: str):
             except json.JSONDecodeError as exc:
                 raise TopolabError(f"family file {spec[1:]} is not JSON: {exc}") from exc
         if not isinstance(entries, list) or not all(
-            isinstance(entry, list) and entry and all(isinstance(p, int) and 0 <= p < space.n for p in entry)
+            isinstance(entry, list) and entry and all(is_point(p, space.n) for p in entry)
             for entry in entries
         ):
             raise TopolabError(
@@ -120,7 +121,7 @@ def _resolve_family(space, spec: str):
 
 def cmd_hyper(args: argparse.Namespace) -> int:
     """Emit a hyperspace as a space file plus the hyperpoint index table."""
-    space = load_space(args.space)
+    space = _load_space(args.space)
     family = _resolve_family(space, args.family)
     builder = {"lower": lower_vietoris, "upper": upper_vietoris, "vietoris": vietoris}[args.variant]
     hyper = builder(space, family)
@@ -137,19 +138,10 @@ def cmd_hyper(args: argparse.Namespace) -> int:
 
 def cmd_funcspace(args: argparse.Namespace) -> int:
     """Emit the function carrier and optionally its materialized topology."""
-    dom = load_space(args.dom)
-    cod = load_space(args.cod)
-    if args.family == "compacts":
-        fsp = compact_open(dom, cod, carrier=args.carrier)
-    else:
-        family = _resolve_family(dom, args.family)
-        if args.carrier == "continuous":
-            from .funcspaces import continuous_maps
-
-            fns = continuous_maps(dom, cod)
-        else:
-            fns = tuple(all_maps(dom.n, cod.n))
-        fsp = set_open_topology(fns, family, dom, cod)
+    dom = _load_space(args.dom)
+    cod = _load_space(args.cod)
+    fns = compact_open(dom, cod, carrier=args.carrier).functions
+    fsp = set_open_topology(fns, _resolve_family(dom, args.family), dom, cod)
     out = {
         "dom_n": dom.n,
         "cod_n": cod.n,
@@ -228,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help=f"all | {' | '.join(SUITE_NAMES)}")
-    p.add_argument("--max-n", type=int, default=3, dest="max_n")
+    p.add_argument("--max-n", type=int, default=3, dest="max_n", help="largest n of vietoris-inclusion, embedding, "
+                   "choice-lemma (<= 3), property-a (<= 3) and y of finality-square (<= 3); stone-cech keeps max_d=4")
     p.add_argument("--report", default=None, help="write the RunReport JSON here")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--inject-fault", action="store_true", help="harness self-test: flip one open set and require a failure")
@@ -241,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_limits(args)
     try:
+        _apply_limits(args)
         return args.func(args)
     except SizeLimitExceeded as exc:
         print(f"size limit: {exc}", file=sys.stderr)

@@ -33,17 +33,20 @@ def space_to_dict(space: FiniteSpace) -> dict:
     }
 
 
+def is_point(p, n: int) -> bool:
+    """p is an index of an n-point ground set; JSON booleans are not."""
+    return isinstance(p, int) and not isinstance(p, bool) and 0 <= p < n
+
+
 def space_from_dict(data: dict) -> FiniteSpace:
     if not isinstance(data, dict) or "n" not in data or "opens" not in data:
         raise ValueError("space file needs 'n' and 'opens'")
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError("'n' must be a non-negative integer")
     opens = []
     for entry in data["opens"]:
-        if not isinstance(entry, list) or any(
-            not isinstance(p, int) or not 0 <= p < n for p in entry
-        ):
+        if not isinstance(entry, list) or not all(is_point(p, n) for p in entry):
             raise ValueError(f"open set {entry!r} does not fit the ground set")
         opens.append(mask_of(entry))
     return make_space(n, opens)

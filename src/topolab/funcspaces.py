@@ -8,22 +8,24 @@ the point-has-basic-neighbourhood test; materialization is available behind
 the size guard, and the two strategies are asserted to agree on small
 instances in the test suite.
 
-The minimal neighbourhood of f under the topology generated by the sets
-(A, W) = { f : f(A) ⊆ W } is the intersection of those that contain f, which
-the preorder kernel ``spaces.min_nbhds_of`` computes from the subbase.
+Both neighbourhood computations pull minimal neighbourhoods back along the
+coordinates f ↦ f(A) (``_pull_back``): the set-open topology is the initial
+topology of these maps into the upper Vietoris hyperspace, and the
+embedding f ↦ (A ↦ f(A)) is decided against the Vietoris power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Sequence
+from functools import cached_property, lru_cache, reduce
+from operator import or_
+from typing import Callable, Iterable, Sequence
 
-from .bitsets import canon_family, is_subset, iter_bits
+from .bitsets import canon_family, full_mask, is_subset, iter_bits
 from .errors import ImageNotInFamily
 from .hyperspaces import compacts, vietoris
 from .maps import FiniteMap, all_maps
-from .spaces import FiniteSpace, _union_closure, min_nbhds_of
+from .spaces import FiniteSpace, _union_closure
 
 
 def is_continuous(dom: FiniteSpace, cod: FiniteSpace, f: FiniteMap) -> bool:
@@ -37,6 +39,36 @@ def is_continuous(dom: FiniteSpace, cod: FiniteSpace, f: FiniteMap) -> bool:
 def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]:
     """All continuous maps dom -> cod, in all_maps order."""
     return tuple(f for f in all_maps(dom.n, cod.n) if is_continuous(dom, cod, f))
+
+
+def _pull_back(size: int, groups: Sequence[dict], near: Callable[[object, object], bool]) -> tuple[int, ...]:
+    """Per index i, the indices whose value lies near i's value in every slot.
+
+    ``groups[s]`` maps each value of slot s to the mask of indices taking it;
+    ``near(v, u)`` says u is in the target neighbourhood of v.  Cost per slot:
+    its indices plus the square of its distinct values.
+    """
+    out = [full_mask(size)] * size
+    for slot in groups:
+        items = tuple(slot.items())
+        for v, members in items:
+            up = 0
+            for u, others in items:
+                if near(v, u):
+                    up |= others
+            for i in iter_bits(members):
+                out[i] &= up
+    return tuple(out)
+
+
+def _group_by_slot(rows: Iterable[Sequence], slots: int) -> tuple[dict, ...]:
+    """groups[s][v] = mask of the row indices whose slot s holds v."""
+    groups = tuple({} for _ in range(slots))
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for slot, v in zip(groups, row):
+            slot[v] = slot.get(v, 0) | bit
+    return groups
 
 
 @dataclass(frozen=True)
@@ -53,30 +85,30 @@ class FunctionSpace:
         return len(self.functions)
 
     @cached_property
-    def _images(self) -> tuple[tuple[int, ...], ...]:
-        """_images[fi][ai] = image mask of family[ai] under functions[fi]."""
-        return tuple(
-            tuple(f.image_of(a) for a in self.family) for f in self.functions
+    def _groups(self) -> tuple[dict[int, int], ...]:
+        """_groups[ai][img] = function mask of { f : f(family[ai]) = img }."""
+        return _group_by_slot(
+            (tuple(f.image_of(a) for a in self.family) for f in self.functions), len(self.family)
         )
 
     def subbasic(self, a: int, w: int) -> int:
         """Function-index mask of (a, w) = { f : f(a) ⊆ w }; ValueError unless a is in the family."""
-        ai = self.family.index(a)
         out = 0
-        for fi, row in enumerate(self._images):
-            if row[ai] & ~w == 0:
-                out |= 1 << fi
+        for img, members in self._groups[self.family.index(a)].items():
+            if img & ~w == 0:
+                out |= members
         return out
 
     @cached_property
     def min_nbhds(self) -> tuple[int, ...]:
         """Minimal neighbourhood of each carrier function, as function masks.
 
-        The intersection of the subbasic sets (A, W) that contain it.
+        The subbasic sets (A, W) containing f meet in { g : g(A) ⊆ hull(f(A)) },
+        hull being the smallest open superset in the codomain; intersect over A.
         """
-        return min_nbhds_of(
-            self.size, (self.subbasic(a, w) for a in self.family for w in self.cod.opens)
-        )
+        mins = self.cod.min_nbhds
+        hull = {v: reduce(or_, (mins[y] for y in iter_bits(v)), 0) for slot in self._groups for v in slot}
+        return _pull_back(self.size, self._groups, lambda v, u: u & ~hull[v] == 0)
 
     def is_open(self, mask: int) -> bool:
         """Neighbourhood test: every member keeps its minimal neighbourhood inside."""
@@ -168,14 +200,13 @@ def mu_embedding_report(
     The carrier gets the set-open topology of ``family``; the target is the
     product over the family of copies of the Vietoris hyperspace on
     ``target_family`` (default: the compacts of the codomain) with the
-    pointwise product topology.  Three facts are computed by definition:
+    pointwise product topology.  With U_f the minimal neighbourhood of f in
+    the carrier and P_f the set of g with every g(A) in the Vietoris minimal
+    neighbourhood of f(A) (the product neighbourhood of mu(f), pulled back):
 
-    * continuity: preimages of the product cylinders are open;
-    * openness onto the image: images of opens are open in the subspace
-      topology of the image, decided via product minimal neighbourhoods
-      (for injective carriers the subbasic opens suffice because images then
-      commute with intersections; otherwise the carrier topology is
-      materialized behind the size guard);
+    * continuity: U_f ⊆ P_f for every f;
+    * openness onto the image: P_f ⊆ sat(U_f) for every f, sat(S) being the
+      union of the mu-fibres meeting S (U_f is the smallest open around f);
     * injectivity: the value tuples are pairwise distinct.
 
     All three hold whenever the family contains the singletons; a family
@@ -184,60 +215,17 @@ def mu_embedding_report(
     fam = canon_family(family)
     fs = set_open_topology(carrier, fam, dom, cod)
     tf = canon_family(target_family if target_family is not None else compacts(cod))
-    hyper = vietoris(cod, tf)
-    singles = all((1 << x) in fam for x in range(dom.n))
-
+    hmins = vietoris(cod, tf).topology.min_nbhds
     tuples = [mu(dom, cod, fam, f, tf) for f in fs.functions]
-    injective = len(set(tuples)) == len(tuples)
-
-    # continuity: cylinder preimages { f : f(A) ∈ V } are open in the carrier
-    continuous = True
-    for ai in range(len(fam)):
-        for v in hyper.topology.opens:
-            pre = 0
-            for fi, tup in enumerate(tuples):
-                if v >> tup[ai] & 1:
-                    pre |= 1 << fi
-            if not fs.is_open(pre):
-                continuous = False
-                break
-        if not continuous:
-            break
-
-    # product minimal neighbourhood of mu(f), pulled back to carrier indices
-    hmins = hyper.topology.min_nbhds
-    pm = []
-    for fi in range(fs.size):
-        box = 0
-        for gi in range(fs.size):
-            if all(
-                hmins[tuples[fi][ai]] >> tuples[gi][ai] & 1
-                for ai in range(len(fam))
-            ):
-                box |= 1 << gi
-        pm.append(box)
-
-    def image_relatively_open(g_mask: int) -> bool:
-        members = set(tuples[fi] for fi in iter_bits(g_mask))
-        saturated = 0
-        for gi in range(fs.size):
-            if tuples[gi] in members:
-                saturated |= 1 << gi
-        return all(is_subset(pm[fi], saturated) for fi in iter_bits(g_mask))
-
-    if injective:
-        opens_to_check = [
-            fs.subbasic(a, w) for a in fam for w in cod.opens
-        ]
-    else:
-        opens_to_check = list(fs.materialize().opens)
-    open_onto_image = all(image_relatively_open(g) for g in opens_to_check)
-
+    pm = _pull_back(fs.size, _group_by_slot(tuples, len(fam)), lambda v, u: hmins[v] >> u & 1)
+    # mu-fibres of two or more functions: sat(S) is S plus those meeting it
+    shared = [m for m in _group_by_slot(((t,) for t in tuples), 1)[0].values() if m & (m - 1)]
+    mins = fs.min_nbhds
     return MuEmbeddingReport(
-        continuous=continuous,
-        open_onto_image=open_onto_image,
-        injective=injective,
-        family_has_singletons=singles,
+        continuous=all(is_subset(u, p) for u, p in zip(mins, pm)),
+        open_onto_image=all(is_subset(p, reduce(or_, (m for m in shared if m & u), u)) for u, p in zip(mins, pm)),
+        injective=not shared,
+        family_has_singletons=all((1 << x) in fam for x in range(dom.n)),
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import SizeLimitExceeded
+from .errors import SizeLimitExceeded, TopolabError
 
 DEFAULT_MAX_POINTS = 1 << 20
 DEFAULT_MAX_OPENS = 1 << 24
@@ -44,7 +44,10 @@ def max_opens() -> int:
         return _explicit_opens
     env = os.environ.get("TOPOLAB_LIMIT_OPENS")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise TopolabError(f"TOPOLAB_LIMIT_OPENS must be an integer, not {env!r}") from None
     return DEFAULT_MAX_OPENS
 
 

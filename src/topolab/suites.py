@@ -196,8 +196,10 @@ def suite_embedding(max_n: int = 3, jobs: int = 1) -> RunReport:
 # ------------------------------------------------------------ finality square
 
 def suite_finality_square(max_y: int = 3) -> RunReport:
+    if max_y > 3:
+        raise SizeLimitExceeded(f"finality-square checks y <= 3; max_y {max_y} is over 3")
     report = RunReport("finality-square", {"max_y": max_y})
-    for y_n in range(1, min(max_y, 3) + 1):
+    for y_n in range(1, max_y + 1):
         rep = check_finality_discrete_square(y_n)
         witness = None
         if not rep.equal:
@@ -302,9 +304,11 @@ def suite_choice_lemma(max_n: int = 3, jobs: int = 1, n4_sample: bool = True) ->
 # ----------------------------------------------------------------- property A
 
 def suite_property_a(max_n: int = 3) -> RunReport:
+    if max_n > 3:
+        raise SizeLimitExceeded(f"property-a knows the counts for n <= 3; max_n {max_n} is over 3")
     report = RunReport("property-a", {"max_n": max_n})
     expected_counts = {1: 1, 2: 3, 3: 7}
-    for n in range(1, min(max_n, 3) + 1):
+    for n in range(1, max_n + 1):
         cls = classify_property_A(n)
         checks = (
             ("property-a-equals-singletons", cls.property_a_equals_singletons),
@@ -363,7 +367,7 @@ def run_suite(
     elif name == "embedding":
         report = suite_embedding(max_n, jobs)
     elif name == "finality-square":
-        report = suite_finality_square()
+        report = suite_finality_square(max_n)
     elif name == "stone-cech":
         report = suite_stone_cech()
     elif name == "choice-lemma":

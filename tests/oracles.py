@@ -6,13 +6,16 @@ two-stage procedure, the finest-topology search walks all candidate
 topologies, products are unions of open boxes, and compactness, local
 compactness, nestedness, ultrafilters and countable completeness are decided
 by scanning their definitions (the library returns their theorem values on
-finite spaces).  The tests freeze values computed here and compare the
+finite spaces).  The hyperspace embedding is decided from cylinder
+preimages and the images of opens, over a carrier topology built from its
+subbase.  The tests freeze values computed here and compare the
 library against them.
 """
 
 import itertools
 
 from topolab.bitsets import full_mask
+from topolab.hyperspaces import vietoris
 from topolab.maps import FiniteMap
 from topolab.spaces import FiniteSpace
 
@@ -188,3 +191,70 @@ def is_countably_complete_by_members(filt) -> bool:
     if not filt.kernel <= total:
         return False
     return all(filt.kernel <= (a & b) for a, b in itertools.combinations(members, 2))
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def mu_embedding_by_definition(dom, cod, carrier, family, target_family=None) -> tuple[bool, bool, bool, bool]:
+    """(continuous, open_onto_image, injective, family_has_singletons) of f ↦ (A ↦ f(A)).
+
+    The carrier topology is generated by the sets (A, W) = { f : f(A) ⊆ W };
+    the target is the product over the family of the Vietoris hyperspace on
+    ``target_family`` (default: the non-empty subsets of the codomain).
+    Continuity: the preimage of every cylinder over a Vietoris open is open.
+    Openness onto the image: the image of every open is open in the image,
+    that is, it holds the product minimal neighbourhood of each of its points
+    cut down to the image.  For an injective map the subbasic opens suffice
+    (images then commute with unions and intersections); otherwise every
+    open of the carrier is scanned.
+    """
+    fam = sorted(set(family))
+    tf = sorted(set(target_family)) if target_family is not None else list(range(1, 1 << cod.n))
+    fns = list(carrier)
+    size = len(fns)
+    subbase = [
+        sum(1 << fi for fi, f in enumerate(fns) if f.image_of(a) & ~w == 0) for a in fam for w in cod.opens
+    ]
+    nbhd = []
+    for fi in range(size):
+        m = full_mask(size)
+        for s in subbase:
+            if s >> fi & 1:
+                m &= s
+        nbhd.append(m)
+
+    def is_open(mask: int) -> bool:
+        return all(nbhd[fi] & ~mask == 0 for fi in _bits(mask))
+
+    hyper = vietoris(cod, tuple(tf)).topology
+    tuples = [tuple(tf.index(f.image_of(a)) for a in fam) for f in fns]
+    continuous = all(
+        is_open(sum(1 << fi for fi, t in enumerate(tuples) if v >> t[ai] & 1))
+        for ai in range(len(fam))
+        for v in hyper.opens
+    )
+    box = [
+        sum(
+            1 << gi
+            for gi in range(size)
+            if all(hyper.min_nbhds[tuples[fi][ai]] >> tuples[gi][ai] & 1 for ai in range(len(fam)))
+        )
+        for fi in range(size)
+    ]
+    injective = len(set(tuples)) == size
+    if injective:
+        opens = set(subbase)
+    else:
+        opens = {0}
+        for m in nbhd:
+            opens |= {o | m for o in opens}
+
+    def image_open(g: int) -> bool:
+        members = {tuples[fi] for fi in _bits(g)}
+        saturated = sum(1 << gi for gi in range(size) if tuples[gi] in members)
+        return all(box[fi] & ~saturated == 0 for fi in _bits(g))
+
+    open_onto_image = all(image_open(g) for g in opens)
+    return continuous, open_onto_image, injective, all(1 << x in fam for x in range(dom.n))

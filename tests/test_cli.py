@@ -50,6 +50,20 @@ class TestSpaceCommand:
         assert run(["space", "--generate-subbase", "[[5]]", "--n", "2"]) == 2
         assert "--generate-subbase" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 2, "opens": [[], [True], [0, 1]]},
+            {"n": True, "opens": [[], [0]]},
+        ],
+    )
+    def test_json_booleans_are_not_numbers(self, tmp_path, capsys, data):
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(data))
+        assert run(["space", str(bad)]) == 2
+        assert "malformed space file" in capsys.readouterr().err
+        assert run(["space", "--generate-subbase", "[[true]]", "--n", "2"]) == 2
+
 
 class TestCorpusCommand:
     def test_counts_and_determinism(self, tmp_path):
@@ -85,6 +99,18 @@ class TestHyperCommand:
         assert run(["hyper", "--space", str(sierpinski_file), "--family", f"@{family}"]) == 2
         assert "family file" in capsys.readouterr().err
 
+    def test_family_file_with_a_boolean_point_exits_2(self, sierpinski_file, tmp_path, capsys):
+        family = tmp_path / "f.json"
+        family.write_text(json.dumps([[0], [True]]))
+        assert run(["hyper", "--space", str(sierpinski_file), "--family", f"@{family}"]) == 2
+        assert "family file" in capsys.readouterr().err
+
+    def test_space_file_without_opens_exits_2(self, tmp_path, capsys):
+        space = tmp_path / "s.json"
+        space.write_text(json.dumps({"n": 2}))
+        assert run(["hyper", "--space", str(space)]) == 2
+        assert "malformed space file" in capsys.readouterr().err
+
 
 class TestFuncspaceCommand:
     def test_continuous_carrier(self, sierpinski_file, tmp_path):
@@ -114,6 +140,27 @@ class TestVerifyCommand:
         # the n=4 sweep is only a sample, so asking for n=4 must not run less
         assert run(["verify", "--suite", "choice-lemma", "--max-n", "4"]) == 2
         assert "size limit" in capsys.readouterr().err
+
+    def test_bad_opens_limit_in_environment_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("TOPOLAB_LIMIT_OPENS", "abc")
+        assert run(["verify", "--suite", "finality-square"]) == 2
+        assert "TOPOLAB_LIMIT_OPENS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["finality-square", "property-a"])
+    def test_max_n_over_3_refused(self, suite, capsys):
+        assert run(["verify", "--suite", suite, "--max-n", "4"]) == 2
+        assert "size limit" in capsys.readouterr().err
+
+    def test_finality_square_honours_max_n(self, tmp_path):
+        report = tmp_path / "r.json"
+        totals = {}
+        for max_n in (1, 2, 3):
+            assert run(["verify", "--suite", "finality-square", "--max-n", str(max_n), "--report", str(report)]) == 0
+            payload = json.loads(report.read_text())
+            assert payload["parameters"] == {"max_y": max_n}
+            totals[max_n] = payload["totals"]["checked"]
+        # y = 1 checks equality only; every larger y adds the discreteness check
+        assert totals == {1: 1, 2: 3, 3: 5}
 
     def test_embedding_failure_gives_one_witness_per_pair(self, monkeypatch):
         from topolab import suites

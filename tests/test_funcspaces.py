@@ -1,6 +1,8 @@
+from dataclasses import astuple
+
 import pytest
 
-from oracles import slow_subbase_closure
+from oracles import mu_embedding_by_definition, slow_subbase_closure
 from topolab.bitsets import is_subset, nonempty_subsets
 from topolab.errors import ImageNotInFamily, SizeLimitExceeded
 from topolab.funcspaces import (
@@ -13,6 +15,7 @@ from topolab.funcspaces import (
     set_open_topology,
 )
 from topolab.hyperspaces import compacts, vietoris
+from topolab import limits
 from topolab.maps import FiniteMap, all_maps, constant_map, identity_map
 from topolab.spaces import discrete_space, indiscrete_space, sierpinski_space
 
@@ -110,13 +113,17 @@ class TestCompactOpen:
         # the subbasic sets (A, W) by definition, closed literally
         for _, _, dom in corpus3[:5]:
             for _, _, cod in corpus3[:5]:
-                fs = compact_open(dom, cod)
-                subbase = {
-                    sum(1 << fi for fi, f in enumerate(fs.functions) if is_subset(f.image_of(a), w))
-                    for a in compacts(dom)
-                    for w in cod.opens
-                }
-                assert fs.materialize().opens == slow_subbase_closure(fs.size, sorted(subbase))
+                for carrier in ("continuous", "all"):
+                    fs = compact_open(dom, cod, carrier)
+                    subbase = {
+                        sum(1 << fi for fi, f in enumerate(fs.functions) if is_subset(f.image_of(a), w))
+                        for a in compacts(dom)
+                        for w in cod.opens
+                    }
+                    assert fs.materialize().opens == slow_subbase_closure(fs.size, sorted(subbase))
+                    for a in fs.family:
+                        for w in cod.opens:
+                            assert fs.subbasic(a, w) in subbase
 
     def test_refines_every_smaller_set_open(self):
         # any set-open topology with a subfamily of the compacts is coarser
@@ -176,6 +183,67 @@ class TestEmbedding:
             for cod in corpus_n3[::4]:
                 rep = mu_embedding_report(dom, cod, continuous_maps(dom, cod), fam)
                 assert rep.continuous and rep.open_onto_image and rep.injective, (dom, cod)
+
+
+def _families_without_singletons(n: int) -> list[tuple[int, ...]]:
+    """The non-singleton subsets, the whole set, and the overlapping consecutive pairs."""
+    if n < 2:
+        return []
+    big = tuple(m for m in nonempty_subsets(n) if m & (m - 1))
+    return list(dict.fromkeys((big, ((1 << n) - 1,), tuple(0b11 << i for i in range(n - 1)))))
+
+
+class TestEmbeddingOracle:
+    """mu_embedding_report against cylinder preimages and images of opens."""
+
+    def test_full_family(self, corpus3):
+        for _, _, dom in corpus3:
+            fam = tuple(nonempty_subsets(dom.n))
+            for _, _, cod in corpus3:
+                fns = continuous_maps(dom, cod)
+                got = astuple(mu_embedding_report(dom, cod, fns, fam))
+                assert got == mu_embedding_by_definition(dom, cod, fns, fam), (dom, cod)
+
+    def test_families_without_singletons(self, corpus3):
+        non_injective = 0
+        for _, _, dom in corpus3:
+            for fam in _families_without_singletons(dom.n):
+                for _, _, cod in corpus3:
+                    fns = continuous_maps(dom, cod)
+                    got = astuple(mu_embedding_report(dom, cod, fns, fam))
+                    assert got == mu_embedding_by_definition(dom, cod, fns, fam), (dom, cod, fam)
+                    non_injective += not got[2]
+        assert non_injective > 1000  # the fibres of a non-injective mu are exercised
+
+    def test_powerset_target(self, corpus3):
+        for _, _, dom in corpus3:
+            for fam in [tuple(nonempty_subsets(dom.n))] + _families_without_singletons(dom.n):
+                for _, _, cod in corpus3[::3]:
+                    fns = continuous_maps(dom, cod)
+                    tf = tuple(nonempty_subsets(cod.n))
+                    got = astuple(mu_embedding_report(dom, cod, fns, fam, tf))
+                    assert got == mu_embedding_by_definition(dom, cod, fns, fam, tf), (dom, cod, fam)
+
+    def test_non_injective_needs_no_materialized_topology(self):
+        # the carrier topology of the 27 maps has 24930 opens; the report
+        # compares neighbourhoods and stays under a guard of 1000 opens
+        d3 = discrete_space(3)
+        fns = continuous_maps(d3, d3)
+        fam = (0b011, 0b110)
+        expected = mu_embedding_by_definition(d3, d3, fns, fam)
+        assert not expected[2]
+        limits.set_limits(opens=1000)
+        try:
+            got = astuple(mu_embedding_report(d3, d3, fns, fam))
+        finally:
+            limits.reset_limits()
+        assert got == expected
+
+    def test_errors_of_mu_are_kept(self):
+        with pytest.raises(ValueError):
+            mu_embedding_report(S, S, (FiniteMap(2, 2, (1, 0)),), P2)
+        with pytest.raises(ImageNotInFamily):
+            mu_embedding_report(S, S, (identity_map(2),), P2, target_family=(0b01, 0b11))
 
 
 class TestProjectionCompose:
