@@ -46,15 +46,20 @@ def cmd_space(args: argparse.Namespace) -> int:
         if args.n is None:
             print("--generate-subbase needs --n", file=sys.stderr)
             return 2
+        if args.n < 0:
+            print(f"--n must be non-negative, got {args.n}", file=sys.stderr)
+            return 2
         try:
             entries = json.loads(args.generate_subbase)
-            if any(isinstance(p, bool) for entry in entries for p in entry):
-                raise ValueError("points must be integers, not booleans")
-            subbase = [mask_of(entry) for entry in entries]
-            space = generate_from_subbase(args.n, subbase)
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             print(f"bad --generate-subbase: {exc}", file=sys.stderr)
             return 2
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, list) and all(is_point(p, args.n) for p in entry) for entry in entries
+        ):
+            print(f"bad --generate-subbase: need a JSON list of point lists on {args.n} points", file=sys.stderr)
+            return 2
+        space = generate_from_subbase(args.n, [mask_of(entry) for entry in entries])
     else:
         if args.file is None:
             print("need a space file or --generate-subbase", file=sys.stderr)
@@ -85,6 +90,9 @@ def cmd_space(args: argparse.Namespace) -> int:
 
 def cmd_corpus(args: argparse.Namespace) -> int:
     """Materialize all topologies on n points with stable filenames."""
+    if args.n < 0:
+        print(f"--n must be non-negative, got {args.n}", file=sys.stderr)
+        return 2
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     count = 0
@@ -220,10 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help=f"all | {' | '.join(SUITE_NAMES)}")
-    p.add_argument("--max-n", type=int, default=3, dest="max_n", help="largest n of vietoris-inclusion, embedding, "
-                   "choice-lemma (<= 3), property-a (<= 3) and y of finality-square (<= 3); stone-cech keeps max_d=4")
+    p.add_argument("--max-n", type=int, default=3, dest="max_n", help="largest n (>= 1) of vietoris-inclusion, embedding, "
+                   "choice-lemma (<= 3), property-a (<= 3) and y of finality-square (<= 3); stone-cech keeps max_d=4; "
+                   "every selected suite's bound is checked before any suite runs")
     p.add_argument("--report", default=None, help="write the RunReport JSON here")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1)")
     p.add_argument("--inject-fault", action="store_true", help="harness self-test: flip one open set and require a failure")
     _add_limit_flags(p)
     p.set_defaults(func=cmd_verify)

@@ -8,6 +8,12 @@ the point-has-basic-neighbourhood test; materialization is available behind
 the size guard, and the two strategies are asserted to agree on small
 instances in the test suite.
 
+A map between finite spaces is continuous exactly when it is monotone for
+the specialization preorders (Alexandroff 1937): f(U_x) ⊆ U_{f(x)} for the
+minimal neighbourhood U_x of every point x.  ``is_continuous`` is that test,
+and ``continuous_maps`` builds the monotone maps point by point instead of
+filtering all cod^dom maps.
+
 Both neighbourhood computations pull minimal neighbourhoods back along the
 coordinates f ↦ f(A) (``_pull_back``): the set-open topology is the initial
 topology of these maps into the upper Vietoris hyperspace, and the
@@ -18,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from operator import or_
-from typing import Callable, Iterable, Sequence
+from operator import and_, or_
+from typing import Callable, Sequence
 
 from .bitsets import canon_family, full_mask, is_subset, iter_bits
 from .errors import ImageNotInFamily
@@ -29,16 +35,34 @@ from .spaces import FiniteSpace, _union_closure
 
 
 def is_continuous(dom: FiniteSpace, cod: FiniteSpace, f: FiniteMap) -> bool:
-    """Preimage of every open is open."""
+    """Monotone for the specialization preorders: f(U_x) ⊆ U_{f(x)} for every x."""
     if f.dom_n != dom.n or f.cod_n != cod.n:
         raise ValueError("map does not match the given spaces")
-    return all(f.preimage_of(w) in dom.open_set for w in cod.opens)
+    cmins = cod.min_nbhds
+    return all(is_subset(f.image_of(u), cmins[y]) for u, y in zip(dom.min_nbhds, f.image))
 
 
 @lru_cache(maxsize=None)
 def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]:
-    """All continuous maps dom -> cod, in all_maps order."""
-    return tuple(f for f in all_maps(dom.n, cod.n) if is_continuous(dom, cod, f))
+    """All continuous maps dom -> cod, in all_maps order.
+
+    The image tuples grow one point at a time in lexicographic order.  Point
+    x may take value y when y lies in U_{f(x')} for every earlier x' with x in
+    U_{x'}, and U_y holds f(x') for every earlier x' in U_x; a partial map
+    with no admissible value is dropped.
+    """
+    dmins, cmins = dom.min_nbhds, cod.min_nbhds
+    images: list[tuple[int, ...]] = [()]
+    for x in range(dom.n):
+        below = tuple(iter_bits(dmins[x] & ((1 << x) - 1)))
+        above = tuple(e for e in range(x) if dmins[e] >> x & 1)
+        grown = []
+        for image in images:
+            allowed = reduce(and_, (cmins[image[e]] for e in above), full_mask(cod.n))
+            need = reduce(or_, (1 << image[e] for e in below), 0)
+            grown += [image + (y,) for y in iter_bits(allowed) if is_subset(need, cmins[y])]
+        images = grown
+    return tuple(FiniteMap(dom.n, cod.n, image) for image in images)
 
 
 def _pull_back(size: int, groups: Sequence[dict], near: Callable[[object, object], bool]) -> tuple[int, ...]:
@@ -61,16 +85,6 @@ def _pull_back(size: int, groups: Sequence[dict], near: Callable[[object, object
     return tuple(out)
 
 
-def _group_by_slot(rows: Iterable[Sequence], slots: int) -> tuple[dict, ...]:
-    """groups[s][v] = mask of the row indices whose slot s holds v."""
-    groups = tuple({} for _ in range(slots))
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        for slot, v in zip(groups, row):
-            slot[v] = slot.get(v, 0) | bit
-    return groups
-
-
 @dataclass(frozen=True)
 class FunctionSpace:
     """A carrier of maps dom -> cod with the set-open topology of ``family``."""
@@ -87,14 +101,21 @@ class FunctionSpace:
     @cached_property
     def _groups(self) -> tuple[dict[int, int], ...]:
         """_groups[ai][img] = function mask of { f : f(family[ai]) = img }."""
-        return _group_by_slot(
-            (tuple(f.image_of(a) for a in self.family) for f in self.functions), len(self.family)
-        )
+        groups = tuple({} for _ in self.family)
+        for i, f in enumerate(self.functions):
+            for slot, a in zip(groups, self.family):
+                img = f.image_of(a)
+                slot[img] = slot.get(img, 0) | 1 << i
+        return groups
+
+    def images(self, a: int) -> dict[int, int]:
+        """{ image f(a) : function mask of the f with that image }; ValueError unless a is in the family."""
+        return self._groups[self.family.index(a)]
 
     def subbasic(self, a: int, w: int) -> int:
         """Function-index mask of (a, w) = { f : f(a) ⊆ w }; ValueError unless a is in the family."""
         out = 0
-        for img, members in self._groups[self.family.index(a)].items():
+        for img, members in self.images(a).items():
             if img & ~w == 0:
                 out |= members
         return out
@@ -209,17 +230,34 @@ def mu_embedding_report(
       union of the mu-fibres meeting S (U_f is the smallest open around f);
     * injectivity: the value tuples are pairwise distinct.
 
-    All three hold whenever the family contains the singletons; a family
-    without them only flags the report, it does not raise.
+    Continuity and injectivity hold whenever the family contains the
+    singletons; a family without them only flags the report, it does not
+    raise.  Openness onto the image holds for every carrier by theorem: the
+    carrier topology is initial for the maps f ↦ f(A) into the upper
+    Vietoris hyperspace, which the Vietoris topology refines, so P_f ⊆ U_f.
+    It is still checked, since the embedding suite counts it.
+
+    The mu values come from the carrier's image table (``_groups``), not from
+    a call of ``mu`` per map; the first map in carrier order that ``mu``
+    would refuse (not continuous, or an image outside the target family)
+    raises the same error.
     """
     fam = canon_family(family)
     fs = set_open_topology(carrier, fam, dom, cod)
     tf = canon_family(target_family if target_family is not None else compacts(cod))
+    index = {k: i for i, k in enumerate(tf)}
+    refused = reduce(or_, (m for slot in fs._groups for img, m in slot.items() if img not in index), 0)
+    refused |= reduce(or_, (1 << i for i, f in enumerate(fs.functions) if not is_continuous(dom, cod, f)), 0)
+    if refused:
+        mu(dom, cod, fam, fs.functions[(refused & -refused).bit_length() - 1], tf)
+    slots = tuple({index[img]: m for img, m in slot.items()} for slot in fs._groups)
     hmins = vietoris(cod, tf).topology.min_nbhds
-    tuples = [mu(dom, cod, fam, f, tf) for f in fs.functions]
-    pm = _pull_back(fs.size, _group_by_slot(tuples, len(fam)), lambda v, u: hmins[v] >> u & 1)
+    pm = _pull_back(fs.size, slots, lambda v, u: hmins[v] >> u & 1)
     # mu-fibres of two or more functions: sat(S) is S plus those meeting it
-    shared = [m for m in _group_by_slot(((t,) for t in tuples), 1)[0].values() if m & (m - 1)]
+    fibres = [full_mask(fs.size)] if fs.size else []
+    for slot in slots:
+        fibres = [p & m for p in fibres for m in slot.values() if p & m]
+    shared = [m for m in fibres if m & (m - 1)]
     mins = fs.min_nbhds
     return MuEmbeddingReport(
         continuous=all(is_subset(u, p) for u, p in zip(mins, pm)),

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from multiprocessing import Pool
+from operator import or_
 from typing import Callable, Sequence
 
-from .bitsets import complement, iter_bits, meets, points_of
+from .bitsets import complement, is_subset, iter_bits, points_of
 from .choice import (
     check_filterwise_refinement,
     check_locally_compact_bound,
@@ -30,8 +32,8 @@ from .choice import (
 from .errors import NotATopology, SizeLimitExceeded, TopolabError
 from .filters import enumerate_ultrafilters, subsets_carrier
 from .finality import check_finality_discrete_square, stone_cech_finite_discrete
-from .funcspaces import compact_open, continuous_maps, mu_embedding_report, projection_compose
-from .hyperspaces import compacts, vietoris
+from .funcspaces import _pull_back, compact_open, continuous_maps, mu_embedding_report
+from .hyperspaces import _contained_index_mask, _hit_index_mask, compacts, vietoris
 from .spaces import FiniteSpace, enumerate_topologies, make_space
 
 SUITE_NAMES = (
@@ -42,6 +44,13 @@ SUITE_NAMES = (
     "choice-lemma",
     "property-a",
 )
+
+# Suites that refuse max_n above 3, with the reason.
+MAX_N_3 = {
+    "finality-square": "checks y <= 3",
+    "choice-lemma": "sweeps n <= 3 exhaustively plus a fixed 4-point sample",
+    "property-a": "knows the counts for n <= 3",
+}
 
 N4_SPACE_STRIDE = 30  # deterministic n=4 sample: corpus indices 0, 30, 60, ...
 N4_FILTER_PAIR_CAP = 100
@@ -89,22 +98,55 @@ def corpus(max_n: int) -> list[tuple[int, int, FiniteSpace]]:
     return out
 
 
+def _check_max_n(name: str, max_n: int) -> None:
+    if max_n < 1:
+        raise TopolabError(f"max_n must be at least 1, got {max_n}")
+    if name in MAX_N_3 and max_n > 3:
+        raise SizeLimitExceeded(f"{name} {MAX_N_3[name]}; max_n {max_n} is over 3")
+
+
+def check_request(names: Sequence[str], max_n: int, jobs: int = 1) -> None:
+    """Refuse unknown suites, max_n or jobs below 1, and a max_n over any selected suite's bound."""
+    for name in names:
+        if name not in SUITE_NAMES:
+            raise TopolabError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+        _check_max_n(name, max_n)
+    if jobs < 1:
+        raise TopolabError(f"jobs must be at least 1, got {jobs}")
+
+
 def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with Pool(jobs) as pool:
+    with Pool(min(jobs, len(items))) as pool:
         return pool.map(fn, items)
 
 
 # ---------------------------------------------------------------- inclusion
 
 def _inclusion_pair(args) -> tuple[int, list]:
+    """Hit-and-miss identities and Vietoris openness of the maps f ↦ f(a).
+
+    The miss and hit index masks over compacts(y) and the subbasic sets of
+    the singletons depend on the pair only and are built once.  For each
+    compact a the map f ↦ f(a) into the Vietoris hyperspace is tested for
+    continuity once (U_f inside the pulled-back Vietoris neighbourhood of
+    f(a)); when it holds, every Vietoris open pulls back to an open, and the
+    opens are scanned one by one only to name the witnesses when it fails.
+    """
     (nx, xi, x), (ny, yi, y) = args
     checked = 0
     witnesses: list = []
     fsp = compact_open(x, y)
     ky = compacts(y)
-    hyper = vietoris(y, ky)
+    index = {k: i for i, k in enumerate(ky)}
+    hyper = vietoris(y, ky).topology
+    hmins = hyper.min_nbhds
+    mins = fsp.min_nbhds
+    misses = [(fmask, _contained_index_mask(ky, complement(fmask, y.n))) for fmask in y.closeds]
+    hits = [
+        (o, _hit_index_mask(ky, o), [fsp.subbasic(1 << pt, o) for pt in range(x.n)]) for o in y.opens
+    ]
 
     def tag(kind: str, **extra) -> dict:
         base = {"x": (nx, xi), "y": (ny, yi), "kind": kind}
@@ -112,36 +154,39 @@ def _inclusion_pair(args) -> tuple[int, list]:
         return base
 
     for a in compacts(x):
-        proj = projection_compose(x, y, a)
-        for fmask in y.closeds:
-            missm = 0
-            for ki, k in enumerate(ky):
-                if not meets(k, fmask):
-                    missm |= 1 << ki
-            lhs = proj.preimage_of(missm)
+        groups = fsp.images(a)
+        near = _pull_back(fsp.size, (groups,), lambda v, u: hmins[index[v]] >> index[u] & 1)
+        continuous = all(is_subset(u, p) for u, p in zip(mins, near))
+
+        def preimage(index_mask: int) -> int:
+            return reduce(or_, (m for img, m in groups.items() if index_mask >> index[img] & 1), 0)
+
+        def pulls_back_open(index_mask: int) -> bool:
+            if continuous and index_mask in hyper.open_set:
+                return True
+            return fsp.is_open(preimage(index_mask))
+
+        for fmask, missm in misses:
+            lhs = preimage(missm)
             rhs = fsp.subbasic(a, complement(fmask, y.n))
             checked += 2
             if lhs != rhs:
                 witnesses.append(tag("miss-identity", a=points_of(a), closed=points_of(fmask)))
-            if not fsp.is_open(lhs):
+            if not pulls_back_open(missm):
                 witnesses.append(tag("miss-preimage-not-open", a=points_of(a), closed=points_of(fmask)))
-        for o in y.opens:
-            hitm = 0
-            for ki, k in enumerate(ky):
-                if meets(k, o):
-                    hitm |= 1 << ki
-            lhs = proj.preimage_of(hitm)
-            rhs = 0
-            for pt in iter_bits(a):
-                rhs |= fsp.subbasic(1 << pt, o)
+        for o, hitm, by_point in hits:
+            lhs = preimage(hitm)
+            rhs = reduce(or_, (by_point[pt] for pt in iter_bits(a)), 0)
             checked += 2
             if lhs != rhs:
                 witnesses.append(tag("hit-identity", a=points_of(a), open=points_of(o)))
-            if not fsp.is_open(lhs):
+            if not pulls_back_open(hitm):
                 witnesses.append(tag("hit-preimage-not-open", a=points_of(a), open=points_of(o)))
-        for ovm in hyper.topology.opens:
-            checked += 1
-            if not fsp.is_open(proj.preimage_of(ovm)):
+        checked += len(hyper.opens)
+        if continuous:
+            continue
+        for ovm in hyper.opens:
+            if not fsp.is_open(preimage(ovm)):
                 witnesses.append(
                     tag("vietoris-open-preimage-not-open", a=points_of(a), hyper_open=list(iter_bits(ovm)))
                 )
@@ -149,6 +194,7 @@ def _inclusion_pair(args) -> tuple[int, list]:
 
 
 def suite_vietoris_inclusion(max_n: int = 3, jobs: int = 1) -> RunReport:
+    _check_max_n("vietoris-inclusion", max_n)
     report = RunReport("vietoris-inclusion", {"max_n": max_n})
     spaces = corpus(max_n)
     pairs = [(sx, sy) for sx in spaces for sy in spaces]
@@ -182,6 +228,7 @@ def _embedding_pair(args) -> tuple[int, int, list]:
 
 
 def suite_embedding(max_n: int = 3, jobs: int = 1) -> RunReport:
+    _check_max_n("embedding", max_n)
     report = RunReport("embedding", {"max_n": max_n})
     spaces = corpus(max_n)
     pairs = [(sx, sy) for sx in spaces for sy in spaces]
@@ -196,8 +243,7 @@ def suite_embedding(max_n: int = 3, jobs: int = 1) -> RunReport:
 # ------------------------------------------------------------ finality square
 
 def suite_finality_square(max_y: int = 3) -> RunReport:
-    if max_y > 3:
-        raise SizeLimitExceeded(f"finality-square checks y <= 3; max_y {max_y} is over 3")
+    _check_max_n("finality-square", max_y)
     report = RunReport("finality-square", {"max_y": max_y})
     for y_n in range(1, max_y + 1):
         rep = check_finality_discrete_square(y_n)
@@ -276,10 +322,7 @@ def suite_choice_lemma(max_n: int = 3, jobs: int = 1, n4_sample: bool = True) ->
     The n=4 sweep is not exhaustive, so max_n above 3 is refused rather than
     run as less than was asked for.
     """
-    if max_n > 3:
-        raise SizeLimitExceeded(
-            f"choice-lemma sweeps n <= 3 exhaustively plus a fixed 4-point sample; max_n {max_n} is over 3"
-        )
+    _check_max_n("choice-lemma", max_n)
     report = RunReport(
         "choice-lemma",
         {"max_n": max_n, "n4_sample": bool(n4_sample and max_n == 3)},
@@ -304,8 +347,7 @@ def suite_choice_lemma(max_n: int = 3, jobs: int = 1, n4_sample: bool = True) ->
 # ----------------------------------------------------------------- property A
 
 def suite_property_a(max_n: int = 3) -> RunReport:
-    if max_n > 3:
-        raise SizeLimitExceeded(f"property-a knows the counts for n <= 3; max_n {max_n} is over 3")
+    _check_max_n("property-a", max_n)
     report = RunReport("property-a", {"max_n": max_n})
     expected_counts = {1: 1, 2: 3, 3: 7}
     for n in range(1, max_n + 1):
@@ -361,6 +403,7 @@ def run_suite(
     jobs: int = 1,
     inject_fault: bool = False,
 ) -> RunReport:
+    check_request([name], max_n, jobs)
     start = time.perf_counter()
     if name == "vietoris-inclusion":
         report = suite_vietoris_inclusion(max_n, jobs)
@@ -372,10 +415,8 @@ def run_suite(
         report = suite_stone_cech()
     elif name == "choice-lemma":
         report = suite_choice_lemma(max_n, jobs)
-    elif name == "property-a":
-        report = suite_property_a(max_n)
     else:
-        raise TopolabError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+        report = suite_property_a(max_n)
     if inject_fault:
         report.parameters["inject_fault"] = True
         _fault_self_test(report, max_n)
@@ -389,4 +430,6 @@ def run_suites(
     jobs: int = 1,
     inject_fault: bool = False,
 ) -> list[RunReport]:
+    """Run the named suites in order, after checking the request for all of them."""
+    check_request(names, max_n, jobs)
     return [run_suite(n, max_n=max_n, jobs=jobs, inject_fault=inject_fault) for n in names]

@@ -6,17 +6,20 @@ two-stage procedure, the finest-topology search walks all candidate
 topologies, products are unions of open boxes, and compactness, local
 compactness, nestedness, ultrafilters and countable completeness are decided
 by scanning their definitions (the library returns their theorem values on
-finite spaces).  The hyperspace embedding is decided from cylinder
-preimages and the images of opens, over a carrier topology built from its
-subbase.  The tests freeze values computed here and compare the
-library against them.
+finite spaces).  Continuous maps are the maps whose preimages of opens are
+open (the library builds monotone maps instead).  The hyperspace embedding
+is decided from cylinder preimages and the images of opens, over a carrier
+topology built from its subbase, and the hit-and-miss identities of one
+(X, Y) pair by scanning every open of the Vietoris hyperspace.  The tests
+freeze values computed here and compare the library against them.
 """
 
 import itertools
 
-from topolab.bitsets import full_mask
-from topolab.hyperspaces import vietoris
-from topolab.maps import FiniteMap
+from topolab.bitsets import complement, full_mask, iter_bits, meets, points_of
+from topolab.funcspaces import compact_open, projection_compose
+from topolab.hyperspaces import compacts, vietoris
+from topolab.maps import FiniteMap, all_maps
 from topolab.spaces import FiniteSpace
 
 
@@ -258,3 +261,68 @@ def mu_embedding_by_definition(dom, cod, carrier, family, target_family=None) ->
 
     open_onto_image = all(image_open(g) for g in opens)
     return continuous, open_onto_image, injective, all(1 << x in fam for x in range(dom.n))
+
+
+def continuous_maps_by_preimages(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]:
+    """The maps of all_maps whose preimage of every open is open, in that order."""
+    return tuple(
+        f
+        for f in all_maps(dom.n, cod.n)
+        if all(sum(1 << x for x, y in enumerate(f.image) if w >> y & 1) in dom.open_set for w in cod.opens)
+    )
+
+
+def inclusion_pair_by_scan(args) -> tuple[int, list]:
+    """The vietoris-inclusion checks of one pair with per-compact masks and every Vietoris open scanned.
+
+    Same input and output as ``suites._inclusion_pair``: the miss and hit
+    index masks are rebuilt for each compact a, preimages go through
+    ``projection_compose``, and each Vietoris open is pulled back and tested.
+    """
+    (nx, xi, x), (ny, yi, y) = args
+    checked = 0
+    witnesses: list = []
+    fsp = compact_open(x, y)
+    ky = compacts(y)
+    hyper = vietoris(y, ky)
+
+    def tag(kind: str, **extra) -> dict:
+        base = {"x": (nx, xi), "y": (ny, yi), "kind": kind}
+        base.update(extra)
+        return base
+
+    for a in compacts(x):
+        proj = projection_compose(x, y, a)
+        for fmask in y.closeds:
+            missm = 0
+            for ki, k in enumerate(ky):
+                if not meets(k, fmask):
+                    missm |= 1 << ki
+            lhs = proj.preimage_of(missm)
+            rhs = fsp.subbasic(a, complement(fmask, y.n))
+            checked += 2
+            if lhs != rhs:
+                witnesses.append(tag("miss-identity", a=points_of(a), closed=points_of(fmask)))
+            if not fsp.is_open(lhs):
+                witnesses.append(tag("miss-preimage-not-open", a=points_of(a), closed=points_of(fmask)))
+        for o in y.opens:
+            hitm = 0
+            for ki, k in enumerate(ky):
+                if meets(k, o):
+                    hitm |= 1 << ki
+            lhs = proj.preimage_of(hitm)
+            rhs = 0
+            for pt in iter_bits(a):
+                rhs |= fsp.subbasic(1 << pt, o)
+            checked += 2
+            if lhs != rhs:
+                witnesses.append(tag("hit-identity", a=points_of(a), open=points_of(o)))
+            if not fsp.is_open(lhs):
+                witnesses.append(tag("hit-preimage-not-open", a=points_of(a), open=points_of(o)))
+        for ovm in hyper.topology.opens:
+            checked += 1
+            if not fsp.is_open(proj.preimage_of(ovm)):
+                witnesses.append(
+                    tag("vietoris-open-preimage-not-open", a=points_of(a), hyper_open=list(iter_bits(ovm)))
+                )
+    return checked, witnesses

@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from topolab.cli import main
+from topolab.suites import SUITE_NAMES
 
 
 def run(args):
@@ -257,3 +260,40 @@ class TestSpaceFileValidation:
         a = space_from_dict({"n": 2, "opens": [[1, 0], [1], []]})
         b = space_from_dict({"n": 2, "opens": [[], [1], [0, 1]]})
         assert a == b
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, must_refuse): a corpus, verify or generate-subbase invocation."""
+    kind = draw(st.sampled_from(["corpus", "verify", "space"]))
+    if kind == "corpus":
+        n = draw(st.integers(-3, 3))
+        return ["corpus", "--n", str(n), "--out", "{tmp}"], n < 0
+    if kind == "verify":
+        suite = draw(st.sampled_from(("all",) + SUITE_NAMES))
+        max_n = draw(st.integers(-2, 2))
+        jobs = draw(st.integers(-1, 1))
+        return ["verify", "--suite", suite, "--max-n", str(max_n), "--jobs", str(jobs)], max_n < 1 or jobs < 1
+    n = draw(st.integers(-1, 3))
+    return ["space", "--n", str(n), f"--generate-subbase={json.dumps(draw(JSON))}"], n < 0
+
+
+class TestExitCodeContract:
+    """main returns 0, 1 or 2 and never raises; bad sizes and counts give 2."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=command_lines())
+    def test_main_keeps_the_contract(self, tmp_path, capsys, command):
+        argv, must_refuse = command
+        code = main([arg.replace("{tmp}", str(tmp_path / "corpus")) for arg in argv])
+        capsys.readouterr()
+        assert code in (0, 1, 2)
+        if must_refuse:
+            assert code == 2, argv

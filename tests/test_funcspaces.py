@@ -1,8 +1,9 @@
+import random
 from dataclasses import astuple
 
 import pytest
 
-from oracles import mu_embedding_by_definition, slow_subbase_closure
+from oracles import continuous_maps_by_preimages, mu_embedding_by_definition, slow_subbase_closure
 from topolab.bitsets import is_subset, nonempty_subsets
 from topolab.errors import ImageNotInFamily, SizeLimitExceeded
 from topolab.funcspaces import (
@@ -41,6 +42,32 @@ class TestCarriers:
         assert [f.image for f in continuous_maps(S, S)] == [(0, 0), (0, 1), (1, 1)]
         assert len(continuous_maps(D2, S)) == 4
         assert [f.image for f in continuous_maps(I2, D2)] == [(0, 0), (1, 1)]
+
+
+class TestContinuousMapsOracle:
+    """The monotone maps, built point by point, against preimages of opens."""
+
+    def test_all_pairs_up_to_three_points(self, corpus3):
+        for _, _, dom in corpus3:
+            for _, _, cod in corpus3:
+                expected = continuous_maps_by_preimages(dom, cod)
+                assert continuous_maps(dom, cod) == expected, (dom, cod)
+                kept = set(expected)
+                for f in all_maps(dom.n, cod.n):
+                    assert is_continuous(dom, cod, f) == (f in kept)
+
+    def test_seeded_four_point_sample(self, corpus_n4):
+        rng = random.Random(4)
+        pairs = [(rng.choice(corpus_n4), rng.choice(corpus_n4)) for _ in range(40)]
+        pairs.append((discrete_space(4), discrete_space(4)))
+        pairs.append((indiscrete_space(4), sierpinski_space()))
+        for dom, cod in pairs:
+            assert continuous_maps(dom, cod) == continuous_maps_by_preimages(dom, cod), (dom, cod)
+
+    def test_empty_domain_and_codomain(self):
+        empty = discrete_space(0)
+        assert [f.image for f in continuous_maps(empty, S)] == [()]
+        assert continuous_maps(S, empty) == ()
 
 
 class TestSetOpen:
@@ -244,6 +271,17 @@ class TestEmbeddingOracle:
             mu_embedding_report(S, S, (FiniteMap(2, 2, (1, 0)),), P2)
         with pytest.raises(ImageNotInFamily):
             mu_embedding_report(S, S, (identity_map(2),), P2, target_family=(0b01, 0b11))
+
+    def test_first_refused_map_decides_the_error(self):
+        # mu refuses a discontinuous map with ValueError and an image outside
+        # the target family with ImageNotInFamily; the first such map wins
+        swap = FiniteMap(2, 2, (1, 0))  # not continuous on S
+        ident = identity_map(2)  # image {0} is outside (0b10, 0b11)
+        tf = (0b10, 0b11)
+        with pytest.raises(ValueError):
+            mu_embedding_report(S, S, (constant_map(2, 2, 1), swap, ident), P2, target_family=tf)
+        with pytest.raises(ImageNotInFamily):
+            mu_embedding_report(S, S, (constant_map(2, 2, 1), ident, swap), P2, target_family=tf)
 
 
 class TestProjectionCompose:
