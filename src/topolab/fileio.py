@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from . import limits
 from .bitsets import mask_of, points_of
 from .choice import enumerate_choice_functions
 from .filters import (
@@ -44,6 +45,9 @@ def space_from_dict(data: dict) -> FiniteSpace:
     n = data["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError("'n' must be a non-negative integer")
+    limits.guard_points(n, "space file")
+    if not isinstance(data["opens"], list):
+        raise ValueError("'opens' must be a list of point lists")
     opens = []
     for entry in data["opens"]:
         if not isinstance(entry, list) or not all(is_point(p, n) for p in entry):

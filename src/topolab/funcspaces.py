@@ -18,6 +18,21 @@ Both neighbourhood computations pull minimal neighbourhoods back along the
 coordinates f ↦ f(A) (``_pull_back``): the set-open topology is the initial
 topology of these maps into the upper Vietoris hyperspace, and the
 embedding f ↦ (A ↦ f(A)) is decided against the Vietoris power.
+
+A FunctionSpace works column-wise, on function masks, never map by map.
+Its point table holds, per (x, y), the mask of the maps with f(x) = y; the
+image table of a family member A follows from the recurrence
+table(A) = table(A − x) ⊗ table({x}), x the lowest point of A, where ⊗
+intersects the masks of every pair of entries and joins their images.
+Carrier continuity is one mask as well: the maps with f(e) ∈ U_{f(x)} for
+every domain edge e ∈ U_x.
+
+Slot pruning: a family member A of two or more points whose singletons are
+all family members adds nothing to either pull-back.  If g(x) ∈ U_{f(x)}
+for each x ∈ A, then g(A) ⊆ hull f(A), and g(A) meets U_k for each
+k ∈ f(A); these are the upper and the Vietoris nearness of g(A) to f(A).
+On the full powerset the slots drop from 2^n − 1 to n, and when the
+singletons are in the family the Vietoris pull-back P_f equals U_f.
 """
 
 from __future__ import annotations
@@ -87,7 +102,15 @@ def _pull_back(size: int, groups: Sequence[dict], near: Callable[[object, object
 
 @dataclass(frozen=True)
 class FunctionSpace:
-    """A carrier of maps dom -> cod with the set-open topology of ``family``."""
+    """A carrier of maps dom -> cod with the set-open topology of ``family``.
+
+    Everything is kept as function masks (bit i for ``functions[i]``) and
+    derived column-wise: the point table ``_points`` (maps with f(x) = y),
+    the image table ``_groups`` per family member by the recurrence over
+    the lowest point, the continuous maps ``_continuous`` by one mask per
+    domain edge, and the family positions ``_kept`` that a pull-back needs
+    (slot pruning, see the module docstring).
+    """
 
     dom: FiniteSpace
     cod: FiniteSpace
@@ -99,14 +122,66 @@ class FunctionSpace:
         return len(self.functions)
 
     @cached_property
-    def _groups(self) -> tuple[dict[int, int], ...]:
-        """_groups[ai][img] = function mask of { f : f(family[ai]) = img }."""
-        groups = tuple({} for _ in self.family)
+    def _points(self) -> tuple[tuple[int, ...], ...]:
+        """_points[x][y] = function mask of { f : f(x) = y }."""
+        table = [[0] * self.cod.n for _ in range(self.dom.n)]
         for i, f in enumerate(self.functions):
-            for slot, a in zip(groups, self.family):
-                img = f.image_of(a)
-                slot[img] = slot.get(img, 0) | 1 << i
-        return groups
+            for column, y in zip(table, f.image):
+                column[y] |= 1 << i
+        return tuple(map(tuple, table))
+
+    @cached_property
+    def _groups(self) -> tuple[dict[int, int], ...]:
+        """_groups[ai][img] = function mask of { f : f(family[ai]) = img }.
+
+        table(A) = table(A − x) ⊗ _points[x] for the lowest point x of A: each
+        entry (img, m) of table(A − x) splits into (img | {y}, m & _points[x][y]).
+        The cost is (distinct images × |cod|) mask operations per member.
+        """
+        columns = [[(1 << y, m) for y, m in enumerate(column) if m] for column in self._points]
+        tables = {0: {0: full_mask(self.size)} if self.size else {}}
+
+        def table(a: int) -> dict[int, int]:
+            if a not in tables:
+                low = a & -a
+                out: dict[int, int] = {}
+                for img, members in table(a ^ low).items():
+                    for bit, m in columns[low.bit_length() - 1]:
+                        if members & m:
+                            out[img | bit] = out.get(img | bit, 0) | members & m
+                tables[a] = out
+            return tables[a]
+
+        return tuple(table(a) for a in self.family)
+
+    @cached_property
+    def _kept(self) -> tuple[int, ...]:
+        """Family positions whose slot a pull-back needs (see the module docstring).
+
+        A member of two or more points whose singletons are all members is
+        skipped: the singleton slots imply its upper and Vietoris nearness.
+        """
+        fam = set(self.family)
+        return tuple(
+            ai
+            for ai, a in enumerate(self.family)
+            if not (a & (a - 1) and all(1 << x in fam for x in iter_bits(a)))
+        )
+
+    @cached_property
+    def _continuous(self) -> int:
+        """Function mask of the continuous carrier maps.
+
+        One mask per domain edge (x, e), e ∈ U_x: the maps with f(e) ∈ U_{f(x)},
+        that is, the union over y of _points[x][y] & { f : f(e) ∈ U_y }.
+        """
+        points, cmins = self._points, self.cod.min_nbhds
+        within = [[reduce(or_, (column[z] for z in iter_bits(u)), 0) for u in cmins] for column in points]
+        out = full_mask(self.size)
+        for x, u in enumerate(self.dom.min_nbhds):
+            for e in iter_bits(u & ~(1 << x)):
+                out &= reduce(or_, map(and_, points[x], within[e]), 0)
+        return out
 
     def images(self, a: int) -> dict[int, int]:
         """{ image f(a) : function mask of the f with that image }; ValueError unless a is in the family."""
@@ -125,11 +200,14 @@ class FunctionSpace:
         """Minimal neighbourhood of each carrier function, as function masks.
 
         The subbasic sets (A, W) containing f meet in { g : g(A) ⊆ hull(f(A)) },
-        hull being the smallest open superset in the codomain; intersect over A.
+        hull being the smallest open superset in the codomain; intersect over
+        the kept family members (``_kept``), which gives the same sets as
+        intersecting over all of them.
         """
         mins = self.cod.min_nbhds
-        hull = {v: reduce(or_, (mins[y] for y in iter_bits(v)), 0) for slot in self._groups for v in slot}
-        return _pull_back(self.size, self._groups, lambda v, u: u & ~hull[v] == 0)
+        slots = [self._groups[ai] for ai in self._kept]
+        hull = {v: reduce(or_, (mins[y] for y in iter_bits(v)), 0) for slot in slots for v in slot}
+        return _pull_back(self.size, slots, lambda v, u: u & ~hull[v] == 0)
 
     def is_open(self, mask: int) -> bool:
         """Neighbourhood test: every member keeps its minimal neighbourhood inside."""
@@ -235,22 +313,27 @@ def mu_embedding_report(
     raise.  Openness onto the image holds for every carrier by theorem: the
     carrier topology is initial for the maps f ↦ f(A) into the upper
     Vietoris hyperspace, which the Vietoris topology refines, so P_f ⊆ U_f.
-    It is still checked, since the embedding suite counts it.
+    It is still checked, since the embedding suite counts it.  When the
+    singletons are in the family, P_f = U_f: only the singleton slots are
+    kept, and on them both pull-backs read g(x) ∈ U_{f(x)}.
 
-    The mu values come from the carrier's image table (``_groups``), not from
-    a call of ``mu`` per map; the first map in carrier order that ``mu``
-    would refuse (not continuous, or an image outside the target family)
-    raises the same error.
+    P_f and the mu-fibres are taken over the kept slots of the carrier
+    (``FunctionSpace._kept``), which gives the same sets as all slots.  The
+    mu values come from the carrier's image table (``_groups``) and its
+    continuity from one mask (``_continuous``), not from a call of ``mu``
+    per map; the first map in carrier order that ``mu`` would refuse (not
+    continuous, or an image outside the target family) raises the same
+    error.
     """
     fam = canon_family(family)
     fs = set_open_topology(carrier, fam, dom, cod)
     tf = canon_family(target_family if target_family is not None else compacts(cod))
     index = {k: i for i, k in enumerate(tf)}
     refused = reduce(or_, (m for slot in fs._groups for img, m in slot.items() if img not in index), 0)
-    refused |= reduce(or_, (1 << i for i, f in enumerate(fs.functions) if not is_continuous(dom, cod, f)), 0)
+    refused |= full_mask(fs.size) & ~fs._continuous
     if refused:
         mu(dom, cod, fam, fs.functions[(refused & -refused).bit_length() - 1], tf)
-    slots = tuple({index[img]: m for img, m in slot.items()} for slot in fs._groups)
+    slots = tuple({index[img]: m for img, m in fs._groups[ai].items()} for ai in fs._kept)
     hmins = vietoris(cod, tf).topology.min_nbhds
     pm = _pull_back(fs.size, slots, lambda v, u: hmins[v] >> u & 1)
     # mu-fibres of two or more functions: sat(S) is S plus those meeting it

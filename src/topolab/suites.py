@@ -32,7 +32,7 @@ from .choice import (
 from .errors import NotATopology, SizeLimitExceeded, TopolabError
 from .filters import enumerate_ultrafilters, subsets_carrier
 from .finality import check_finality_discrete_square, stone_cech_finite_discrete
-from .funcspaces import _pull_back, compact_open, continuous_maps, mu_embedding_report
+from .funcspaces import compact_open, continuous_maps, mu_embedding_report
 from .hyperspaces import _contained_index_mask, _hit_index_mask, compacts, vietoris
 from .spaces import FiniteSpace, enumerate_topologies, make_space
 
@@ -129,9 +129,11 @@ def _inclusion_pair(args) -> tuple[int, list]:
 
     The miss and hit index masks over compacts(y) and the subbasic sets of
     the singletons depend on the pair only and are built once.  For each
-    compact a the map f ↦ f(a) into the Vietoris hyperspace is tested for
-    continuity once (U_f inside the pulled-back Vietoris neighbourhood of
-    f(a)); when it holds, every Vietoris open pulls back to an open, and the
+    compact a the value groups of f ↦ f(a) become (index bit, function mask)
+    pairs, from which every preimage is a union.  The map into the Vietoris
+    hyperspace is tested for continuity once per value group: the union of
+    U_f over the group lies in the pulled-back Vietoris neighbourhood of the
+    value.  When it holds, every Vietoris open pulls back to an open, and the
     opens are scanned one by one only to name the witnesses when it fails.
     """
     (nx, xi, x), (ny, yi, y) = args
@@ -154,12 +156,16 @@ def _inclusion_pair(args) -> tuple[int, list]:
         return base
 
     for a in compacts(x):
-        groups = fsp.images(a)
-        near = _pull_back(fsp.size, (groups,), lambda v, u: hmins[index[v]] >> index[u] & 1)
-        continuous = all(is_subset(u, p) for u, p in zip(mins, near))
+        values = [(index[img], m) for img, m in fsp.images(a).items()]
+        groups = [(1 << v, m) for v, m in values]
+        a_points = points_of(a)
 
         def preimage(index_mask: int) -> int:
-            return reduce(or_, (m for img, m in groups.items() if index_mask >> index[img] & 1), 0)
+            return reduce(or_, [m for bit, m in groups if index_mask & bit], 0)
+
+        continuous = all(
+            is_subset(reduce(or_, [mins[i] for i in iter_bits(m)], 0), preimage(hmins[v])) for v, m in values
+        )
 
         def pulls_back_open(index_mask: int) -> bool:
             if continuous and index_mask in hyper.open_set:
@@ -171,24 +177,24 @@ def _inclusion_pair(args) -> tuple[int, list]:
             rhs = fsp.subbasic(a, complement(fmask, y.n))
             checked += 2
             if lhs != rhs:
-                witnesses.append(tag("miss-identity", a=points_of(a), closed=points_of(fmask)))
+                witnesses.append(tag("miss-identity", a=a_points, closed=points_of(fmask)))
             if not pulls_back_open(missm):
-                witnesses.append(tag("miss-preimage-not-open", a=points_of(a), closed=points_of(fmask)))
+                witnesses.append(tag("miss-preimage-not-open", a=a_points, closed=points_of(fmask)))
         for o, hitm, by_point in hits:
             lhs = preimage(hitm)
-            rhs = reduce(or_, (by_point[pt] for pt in iter_bits(a)), 0)
+            rhs = reduce(or_, [by_point[pt] for pt in a_points], 0)
             checked += 2
             if lhs != rhs:
-                witnesses.append(tag("hit-identity", a=points_of(a), open=points_of(o)))
+                witnesses.append(tag("hit-identity", a=a_points, open=points_of(o)))
             if not pulls_back_open(hitm):
-                witnesses.append(tag("hit-preimage-not-open", a=points_of(a), open=points_of(o)))
+                witnesses.append(tag("hit-preimage-not-open", a=a_points, open=points_of(o)))
         checked += len(hyper.opens)
         if continuous:
             continue
         for ovm in hyper.opens:
             if not fsp.is_open(preimage(ovm)):
                 witnesses.append(
-                    tag("vietoris-open-preimage-not-open", a=points_of(a), hyper_open=list(iter_bits(ovm)))
+                    tag("vietoris-open-preimage-not-open", a=a_points, hyper_open=list(iter_bits(ovm)))
                 )
     return checked, witnesses
 

@@ -10,8 +10,12 @@ finite spaces).  Continuous maps are the maps whose preimages of opens are
 open (the library builds monotone maps instead).  The hyperspace embedding
 is decided from cylinder preimages and the images of opens, over a carrier
 topology built from its subbase, and the hit-and-miss identities of one
-(X, Y) pair by scanning every open of the Vietoris hyperspace.  The tests
-freeze values computed here and compare the library against them.
+(X, Y) pair by scanning every open of the Vietoris hyperspace.  Image
+tables of a function carrier are built map by map with ``image_of``, and
+neighbourhoods are pulled back over every family member, where the library
+builds the tables column-wise from its point table and skips the members
+its singletons already decide.  The tests freeze values computed here and
+compare the library against them.
 """
 
 import itertools
@@ -261,6 +265,53 @@ def mu_embedding_by_definition(dom, cod, carrier, family, target_family=None) ->
 
     open_onto_image = all(image_open(g) for g in opens)
     return continuous, open_onto_image, injective, all(1 << x in fam for x in range(dom.n))
+
+
+def image_groups_by_maps(functions, family) -> tuple[dict[int, int], ...]:
+    """Per family member A, { f(A) : mask of the maps with that image }, one image_of call per (map, member)."""
+    groups = tuple({} for _ in family)
+    for i, f in enumerate(functions):
+        for slot, a in zip(groups, family):
+            img = f.image_of(a)
+            slot[img] = slot.get(img, 0) | 1 << i
+    return groups
+
+
+def pull_back_all_slots(size: int, groups, near) -> tuple[int, ...]:
+    """Per index i, the indices whose value lies near i's value in every slot, no slot skipped."""
+    out = [full_mask(size)] * size
+    for slot in groups:
+        for v, members in slot.items():
+            up = 0
+            for u, others in slot.items():
+                if near(v, u):
+                    up |= others
+            for i in _bits(members):
+                out[i] &= up
+    return tuple(out)
+
+
+def set_open_min_nbhds_by_maps(fs) -> tuple[int, ...]:
+    """U_f = { g : g(A) ⊆ hull f(A) for every family member A }, hull the smallest open superset."""
+    mins = fs.cod.min_nbhds
+
+    def hull(v: int) -> int:
+        out = 0
+        for y in _bits(v):
+            out |= mins[y]
+        return out
+
+    groups = image_groups_by_maps(fs.functions, fs.family)
+    return pull_back_all_slots(fs.size, groups, lambda v, u: u & ~hull(v) == 0)
+
+
+def vietoris_pull_back_by_maps(fs, target_family=None) -> tuple[int, ...]:
+    """P_f = { g : g(A) lies in the Vietoris minimal neighbourhood of f(A) for every family member A }."""
+    tf = sorted(set(target_family)) if target_family is not None else list(range(1, 1 << fs.cod.n))
+    index = {k: i for i, k in enumerate(tf)}
+    hmins = vietoris(fs.cod, tuple(tf)).topology.min_nbhds
+    groups = image_groups_by_maps(fs.functions, fs.family)
+    return pull_back_all_slots(fs.size, groups, lambda v, u: hmins[index[v]] >> index[u] & 1)
 
 
 def continuous_maps_by_preimages(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]:

@@ -254,6 +254,26 @@ class TestSpaceFileValidation:
         with pytest.raises(ValueError):
             space_from_dict({"n": 2, "opens": [[], [0, 7], [0, 1]]})
 
+    @pytest.mark.parametrize("opens", [5, None, {"0": [0]}, "", "[[0]]"])
+    def test_opens_that_are_not_a_list_exit_2(self, tmp_path, sierpinski_file, capsys, opens):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 2, "opens": opens}))
+        for argv in (
+            ["space", str(bad)],
+            ["hyper", "--space", str(bad)],
+            ["funcspace", "--dom", str(bad), "--cod", str(sierpinski_file)],
+            ["funcspace", "--dom", str(sierpinski_file), "--cod", str(bad)],
+        ):
+            assert run(argv) == 2, argv
+            assert "'opens' must be a list" in capsys.readouterr().err
+
+    def test_ground_set_over_the_point_guard_exits_2(self, tmp_path, capsys):
+        # refused before any mask of the ground set is built
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"n": 1 << 40, "opens": []}))
+        assert run(["space", str(big)]) == 2
+        assert "size limit" in capsys.readouterr().err
+
     def test_input_order_irrelevant(self):
         from topolab.fileio import space_from_dict
 
@@ -285,6 +305,16 @@ def command_lines(draw):
     return ["space", "--n", str(n), f"--generate-subbase={json.dumps(draw(JSON))}"], n < 0
 
 
+@st.composite
+def space_bodies(draw):
+    """(body, must_refuse): a space file body with random JSON for n and opens."""
+    n = draw(st.integers(-1, 3) | JSON)
+    point_lists = st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=5)
+    chains = st.lists(st.sampled_from([[], [0], [0, 1], [0, 1, 2]]), max_size=4)  # valid whenever the ends fit n
+    opens = draw(point_lists | chains | JSON | JSON.filter(lambda v: not isinstance(v, list)))
+    return {"n": n, "opens": opens}, not isinstance(opens, list)
+
+
 class TestExitCodeContract:
     """main returns 0, 1 or 2 and never raises; bad sizes and counts give 2."""
 
@@ -297,3 +327,22 @@ class TestExitCodeContract:
         assert code in (0, 1, 2)
         if must_refuse:
             assert code == 2, argv
+
+    @settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=space_bodies())
+    def test_space_files_keep_the_contract(self, tmp_path, capsys, body):
+        data, must_refuse = body
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(data))
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"n": 1, "opens": [[], [0]]}))
+        for argv in (
+            ["space", str(path)],
+            ["hyper", "--space", str(path)],
+            ["funcspace", "--dom", str(path), "--cod", str(point)],
+        ):
+            code = main(argv)
+            capsys.readouterr()
+            assert code in (0, 1, 2), argv
+            if must_refuse:
+                assert code == 2, (argv, data)

@@ -3,7 +3,14 @@ from dataclasses import astuple
 
 import pytest
 
-from oracles import continuous_maps_by_preimages, mu_embedding_by_definition, slow_subbase_closure
+from oracles import (
+    continuous_maps_by_preimages,
+    image_groups_by_maps,
+    mu_embedding_by_definition,
+    set_open_min_nbhds_by_maps,
+    slow_subbase_closure,
+    vietoris_pull_back_by_maps,
+)
 from topolab.bitsets import is_subset, nonempty_subsets
 from topolab.errors import ImageNotInFamily, SizeLimitExceeded
 from topolab.funcspaces import (
@@ -282,6 +289,92 @@ class TestEmbeddingOracle:
             mu_embedding_report(S, S, (constant_map(2, 2, 1), swap, ident), P2, target_family=tf)
         with pytest.raises(ImageNotInFamily):
             mu_embedding_report(S, S, (constant_map(2, 2, 1), ident, swap), P2, target_family=tf)
+
+
+def _families_with_some_singletons(n: int) -> list[tuple[int, ...]]:
+    """Families holding a singleton but not every singleton of their larger members; the second holds the empty set."""
+    if n < 2:
+        return []
+    big = tuple(m for m in nonempty_subsets(n) if m & (m - 1))
+    return [(0b1,) + big, (0, 0b1, (1 << n) - 1)]
+
+
+class TestColumnTablesOracle:
+    """Point-table image groups and pruned pull-backs against the per-map, all-slots route."""
+
+    @staticmethod
+    def _check(fs):
+        groups = image_groups_by_maps(fs.functions, fs.family)
+        assert fs._groups == groups
+        for a, slot in zip(fs.family, groups):
+            assert fs.images(a) == slot
+            for w in fs.cod.opens:
+                assert fs.subbasic(a, w) == sum(m for img, m in slot.items() if img & ~w == 0)
+        assert fs.min_nbhds == set_open_min_nbhds_by_maps(fs)
+
+    @staticmethod
+    def _families(n: int) -> list[tuple[int, ...]]:
+        return (
+            [tuple(nonempty_subsets(n))]
+            + _families_without_singletons(n)
+            + _families_with_some_singletons(n)
+        )
+
+    def test_all_pairs_up_to_three_points(self, corpus3):
+        for _, _, dom in corpus3:
+            for fam in self._families(dom.n):
+                for _, _, cod in corpus3:
+                    for carrier in ("continuous", "all"):
+                        fns = compact_open(dom, cod, carrier).functions
+                        self._check(set_open_topology(fns, fam, dom, cod))
+
+    def test_seeded_four_point_sample(self, corpus_n4):
+        rng = random.Random(5)
+        pairs = [(rng.choice(corpus_n4), rng.choice(corpus_n4)) for _ in range(12)]
+        for dom, cod in pairs:
+            for fam in self._families(4):
+                for carrier in ("continuous", "all"):
+                    fns = compact_open(dom, cod, carrier).functions
+                    self._check(set_open_topology(fns, fam, dom, cod))
+
+    def test_empty_carrier(self):
+        self._check(set_open_topology((), P2, S, discrete_space(0)))
+
+
+class TestPruningLemma:
+    """With the singletons in the family, the Vietoris pull-back P_f is U_f."""
+
+    def test_vietoris_pull_back_is_the_minimal_neighbourhood(self, corpus3):
+        for _, _, dom in corpus3:
+            singletons = tuple(1 << x for x in range(dom.n))
+            for fam in (tuple(nonempty_subsets(dom.n)), singletons, singletons + (dom.full,)):
+                for _, _, cod in corpus3:
+                    for carrier in ("continuous", "all"):
+                        fns = compact_open(dom, cod, carrier).functions
+                        fs = set_open_topology(fns, fam, dom, cod)
+                        assert [fs.family[ai] for ai in fs._kept] == list(singletons)
+                        assert vietoris_pull_back_by_maps(fs) == fs.min_nbhds, (dom, cod, fam)
+
+
+class TestContinuityMask:
+    """The carrier-continuity mask against is_continuous, map by map."""
+
+    @staticmethod
+    def _check(dom, cod):
+        fs = set_open_topology(tuple(all_maps(dom.n, cod.n)), (), dom, cod)
+        expected = sum(1 << i for i, f in enumerate(fs.functions) if is_continuous(dom, cod, f))
+        assert fs._continuous == expected, (dom, cod)
+
+    def test_all_pairs_up_to_two_points(self, corpus3):
+        small = [space for n, _, space in corpus3 if n <= 2] + [discrete_space(0)]
+        for dom in small:
+            for cod in small:
+                self._check(dom, cod)
+
+    def test_seeded_three_point_sample(self, corpus_n3):
+        rng = random.Random(3)
+        for _ in range(60):
+            self._check(rng.choice(corpus_n3), rng.choice(corpus_n3))
 
 
 class TestProjectionCompose:

@@ -1,7 +1,11 @@
+import json
+
 import pytest
 
 from oracles import inclusion_pair_by_scan
 from topolab import suites
+from topolab.cli import main
+from topolab.fileio import dumps_canonical
 from topolab.bitsets import full_mask
 from topolab.errors import SizeLimitExceeded, TopolabError
 from topolab.funcspaces import FunctionSpace
@@ -88,3 +92,41 @@ class TestRequestChecks:
     def test_unknown_suite_refused(self):
         with pytest.raises(TopolabError, match="unknown suite"):
             suites.check_request(["embedding", "bogus"], 3)
+
+
+# (suite, parameters, checks) of the canonical reports at --max-n 3
+PINNED_REPORTS = [
+    ("vietoris-inclusion", {"max_n": 3}, 242352),
+    ("embedding", {"max_n": 3}, 3468),
+    ("finality-square", {"max_y": 3}, 5),
+    ("property-a", {"max_n": 3}, 15),
+    ("stone-cech", {"max_d": 4}, 16),
+]
+
+
+class TestPinnedReports:
+    """The canonical report bytes at --max-n 3, all but wall_time_s."""
+
+    @staticmethod
+    def _report(tmp_path, suite, *extra) -> str:
+        path = tmp_path / f"{suite}.json"
+        assert main(["verify", "--suite", suite, "--max-n", "3", "--report", str(path), *extra]) == 0
+        return path.read_text()
+
+    @pytest.mark.parametrize("suite,parameters,checks", PINNED_REPORTS)
+    def test_report_bytes(self, tmp_path, capsys, suite, parameters, checks):
+        text = self._report(tmp_path, suite)
+        expected = {
+            "suite": suite,
+            "parameters": parameters,
+            "totals": {"checked": checks, "passed": checks, "failed": 0},
+            "witnesses": [],
+            "wall_time_s": json.loads(text)["wall_time_s"],
+        }
+        assert text == dumps_canonical(expected)
+
+    def test_jobs_give_the_same_bytes(self, tmp_path, capsys):
+        serial = json.loads(self._report(tmp_path, "vietoris-inclusion"))
+        parallel = json.loads(self._report(tmp_path, "vietoris-inclusion", "--jobs", "2"))
+        serial["wall_time_s"] = parallel["wall_time_s"]
+        assert dumps_canonical(parallel) == dumps_canonical(serial)
