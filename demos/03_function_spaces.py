@@ -3,8 +3,9 @@
 (A, W) = { f : f(A) inside W } over a family of domain subsets generates the
 set-open topology; with the compact subsets as the family it is the
 compact-open topology.  These topologies blow up quickly, so the carrier
-keeps a minimal-neighbourhood array and decides openness lazily; small ones
-can still be materialized.
+keeps a minimal-neighbourhood array, like every FiniteSpace, and decides
+openness by the neighbourhood test.  Its opens are counted without listing
+them, and listed only on demand, behind the size guard.
 
 The star of the show is mu : f -> (A -> f(A)), which embeds the carrier into
 a product of Vietoris hyperspaces whenever the family contains the
@@ -40,7 +41,7 @@ fs = compact_open(discrete_space(2), discrete_space(2))
 print("discrete -> discrete: carrier of", fs.size, "maps,", len(fs.materialize().opens), "opens (discrete)")
 
 big = compact_open(discrete_space(3), discrete_space(3))
-print("discrete3 -> discrete3: carrier of", big.size, "maps; topology stays lazy")
+print("discrete3 -> discrete3: carrier of", big.size, "maps,", big.materialize().open_count, "opens, counted, not listed")
 singleton = 1 << 0
 print("is {first map} open?", big.is_open(singleton))
 

@@ -1,7 +1,7 @@
 """topolab: finite-topology computation and exhaustive desk-scale verification.
 
 Everything is exact and combinatorial: subsets are int bitmasks, topologies
-are canonical sorted families of masks, filters are kernels, and the
+are their minimal-neighbourhood arrays, filters are kernels, and the
 verification suites sweep complete corpora of labeled topologies on up to
 four points.
 """

@@ -49,6 +49,7 @@ def cmd_space(args: argparse.Namespace) -> int:
         if args.n < 0:
             print(f"--n must be non-negative, got {args.n}", file=sys.stderr)
             return 2
+        limits.guard_points(args.n, "--n")
         try:
             entries = json.loads(args.generate_subbase)
         except ValueError as exc:
@@ -78,13 +79,13 @@ def cmd_space(args: argparse.Namespace) -> int:
             "t3": rep.t3,
             "locally_compact": rep.locally_compact,
             "nested_neighbourhood": rep.nested_neighbourhood,
-            "open_count": len(space.opens),
+            "open_count": space.open_count,
         }
         print(dumps_canonical(out), end="")
     if args.out:
         save_space(space, args.out)
     if not args.describe and not args.out:
-        print(f"valid topology on {space.n} points with {len(space.opens)} opens")
+        print(f"valid topology on {space.n} points with {space.open_count} opens")
     return 0
 
 

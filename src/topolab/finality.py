@@ -9,8 +9,8 @@ edges f → g of its function space forward to the edges f(A) → g(A), and the
 final topology is their reflexive transitive closure.  No candidate subsets
 of the carrier are scanned.
 
-The function-space neighbourhoods come from the carrier neighbourhood test,
-or, with the "materialize" strategy, from the extensional compact-open
+The function-space neighbourhoods come from the carrier's pull-back, or,
+with the "materialize" strategy, from the listed opens of the compact-open
 topology behind the size guard.  For discrete domains a restriction-based
 route makes the 3x3 square (19683 maps) tractable: every map out of a
 discrete space is continuous and its minimal compact-open neighbourhood is
@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitsets import is_subset, iter_bits, mask_of, points_of
+from .bitsets import complement, is_subset, iter_bits, mask_of, points_of
 from .errors import SizeLimitExceeded
 from .filters import enumerate_ultrafilters, points_carrier, singleton_filter
 from .funcspaces import compact_open, projection_compose
@@ -35,6 +35,7 @@ from .spaces import (
     discrete_space,
     final_from_edges,
     generate_from_subbase,
+    min_nbhds_of,
 )
 
 
@@ -54,9 +55,9 @@ def final_over_projections(
 ) -> FinalitySetup:
     """Final topology on the compacts of ``cod`` w.r.t. all f ↦ f(A) maps.
 
-    strategy: "materialize" takes the function-space neighbourhoods from the
-    extensional compact-open topology (SizeLimitExceeded suggests the other
-    route), "nbhd" and "auto" from the carrier neighbourhood test.
+    strategy: "materialize" reads the function-space neighbourhoods back from
+    the listed opens of the compact-open topology (SizeLimitExceeded suggests
+    the other route), "nbhd" and "auto" take them from the carrier.
     """
     if not sources:
         raise ValueError("need at least one source")
@@ -70,7 +71,7 @@ def final_over_projections(
         fsp = compact_open(src, cod)
         if strategy == "materialize":
             try:
-                mins = fsp.materialize().min_nbhds
+                mins = min_nbhds_of(fsp.size, fsp.materialize().opens)
             except SizeLimitExceeded as exc:
                 raise SizeLimitExceeded(
                     f"{exc}; use the nbhd strategy for this setup"
@@ -92,8 +93,10 @@ class InclusionReport:
 
 
 def check_vietoris_contained(setup: FinalitySetup) -> InclusionReport:
-    """Every Vietoris open of the hyperspace carrier is final-topology open."""
+    """Every Vietoris open of the carrier is final-open: each final minimal neighbourhood lies in its Vietoris one."""
     hyper = vietoris(setup.cod, setup.family)
+    if all(map(is_subset, setup.computed.min_nbhds, hyper.topology.min_nbhds)):
+        return InclusionReport(contained=True, violations=())
     violations = []
     for o in hyper.topology.opens:
         if setup.computed.is_open(o):
@@ -189,9 +192,7 @@ def check_finality_discrete_square(y_n: int, source_cap: int | None = None) -> S
     if y_n > 3:
         raise SizeLimitExceeded("discrete-square check is limited to y_n <= 3")
     y = discrete_space(y_n)
-    family = compacts(y)
-    k = len(family)
-    expected = vietoris(y, family).topology
+    expected = vietoris(y, compacts(y)).topology
 
     z_n = y_n * y_n
     if y_n <= 2 and source_cap is None:
@@ -212,7 +213,7 @@ def check_finality_discrete_square(y_n: int, source_cap: int | None = None) -> S
         computed=computed,
         expected=expected,
         equal=computed == expected,
-        expected_is_discrete=len(expected.opens) == 1 << k,
+        expected_is_discrete=all(u & (u - 1) == 0 for u in expected.min_nbhds),
     )
 
 
@@ -262,7 +263,7 @@ def stone_cech_finite_discrete(d_n: int) -> StoneCechReport:
     space = generate_from_subbase(len(ultras), base)
 
     def clopen(mask: int) -> bool:
-        return space.is_open(mask) and mask in space.closed_set
+        return space.is_open(mask) and space.is_open(complement(mask, space.n))
 
     w_image_mask = 0
     for x in range(d_n):
@@ -278,16 +279,10 @@ def stone_cech_finite_discrete(d_n: int) -> StoneCechReport:
             closures_clopen = False
             break
 
-    base_is_clopen = all(clopen(b) for b in base)
-    # base property: every open is a union of base sets
-    for o in space.opens:
-        u = 0
-        for b in base:
-            if is_subset(b, o):
-                u |= b
-        if u != o:
-            base_is_clopen = False
-            break
+    # base property: each point x has a base set b with x in b ⊆ U_x
+    base_is_clopen = all(clopen(b) for b in base) and all(
+        any(b >> x & 1 and is_subset(b, u) for b in base) for x, u in enumerate(space.min_nbhds)
+    )
 
     clopen_closure_form = True
     for c in range(1 << len(ultras)):

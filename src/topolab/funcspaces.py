@@ -2,11 +2,11 @@
 
 Function-space topologies blow up fast (a discrete topology on the 27 maps
 between 3-point spaces already has 2^27 opens), so a FunctionSpace keeps the
-generating data and the minimal-neighbourhood array of its carrier instead
-of a materialized open family.  Openness of a set of functions is decided by
-the point-has-basic-neighbourhood test; materialization is available behind
-the size guard, and the two strategies are asserted to agree on small
-instances in the test suite.
+generating data and the minimal-neighbourhood array of its carrier, the same
+data a FiniteSpace stores.  Openness of a set of functions is the
+neighbourhood test ``spaces.is_open_in``; ``materialize`` gives the carrier
+topology as a FiniteSpace, whose opens are listed only on demand, behind the
+size guard.
 
 A map between finite spaces is continuous exactly when it is monotone for
 the specialization preorders (Alexandroff 1937): f(U_x) ⊆ U_{f(x)} for the
@@ -46,7 +46,7 @@ from .bitsets import canon_family, full_mask, is_subset, iter_bits
 from .errors import ImageNotInFamily
 from .hyperspaces import compacts, vietoris
 from .maps import FiniteMap, all_maps
-from .spaces import FiniteSpace, _union_closure
+from .spaces import FiniteSpace, _hull, is_open_in
 
 
 def is_continuous(dom: FiniteSpace, cod: FiniteSpace, f: FiniteMap) -> bool:
@@ -204,19 +204,17 @@ class FunctionSpace:
         the kept family members (``_kept``), which gives the same sets as
         intersecting over all of them.
         """
-        mins = self.cod.min_nbhds
         slots = [self._groups[ai] for ai in self._kept]
-        hull = {v: reduce(or_, (mins[y] for y in iter_bits(v)), 0) for slot in slots for v in slot}
+        hull = {v: _hull(self.cod, v) for slot in slots for v in slot}
         return _pull_back(self.size, slots, lambda v, u: u & ~hull[v] == 0)
 
     def is_open(self, mask: int) -> bool:
         """Neighbourhood test: every member keeps its minimal neighbourhood inside."""
-        mins = self.min_nbhds
-        return all(mins[fi] & ~mask == 0 for fi in iter_bits(mask))
+        return is_open_in(self.min_nbhds, mask)
 
     def materialize(self) -> FiniteSpace:
-        """Extensional topology over the function indices (behind the guard)."""
-        return FiniteSpace(self.size, _union_closure(self.size, self.min_nbhds, "function-space topology"))
+        """The carrier topology as a FiniteSpace over the function indices; its opens are listed on demand, behind the guard."""
+        return FiniteSpace(self.size, self.min_nbhds)
 
 
 def set_open_topology(
@@ -315,7 +313,8 @@ def mu_embedding_report(
     Vietoris hyperspace, which the Vietoris topology refines, so P_f ⊆ U_f.
     It is still checked, since the embedding suite counts it.  When the
     singletons are in the family, P_f = U_f: only the singleton slots are
-    kept, and on them both pull-backs read g(x) ∈ U_{f(x)}.
+    kept, and on them both pull-backs read g(x) ∈ U_{f(x)}; U_f is then
+    reused as P_f instead of pulling back a second time.
 
     P_f and the mu-fibres are taken over the kept slots of the carrier
     (``FunctionSpace._kept``), which gives the same sets as all slots.  The
@@ -334,19 +333,23 @@ def mu_embedding_report(
     if refused:
         mu(dom, cod, fam, fs.functions[(refused & -refused).bit_length() - 1], tf)
     slots = tuple({index[img]: m for img, m in fs._groups[ai].items()} for ai in fs._kept)
-    hmins = vietoris(cod, tf).topology.min_nbhds
-    pm = _pull_back(fs.size, slots, lambda v, u: hmins[v] >> u & 1)
+    mins = fs.min_nbhds
+    singletons = all((1 << x) in fam for x in range(dom.n))
+    if singletons:
+        pm = mins
+    else:
+        hmins = vietoris(cod, tf).topology.min_nbhds
+        pm = _pull_back(fs.size, slots, lambda v, u: hmins[v] >> u & 1)
     # mu-fibres of two or more functions: sat(S) is S plus those meeting it
     fibres = [full_mask(fs.size)] if fs.size else []
     for slot in slots:
         fibres = [p & m for p in fibres for m in slot.values() if p & m]
     shared = [m for m in fibres if m & (m - 1)]
-    mins = fs.min_nbhds
     return MuEmbeddingReport(
         continuous=all(is_subset(u, p) for u, p in zip(mins, pm)),
         open_onto_image=all(is_subset(p, reduce(or_, (m for m in shared if m & u), u)) for u, p in zip(mins, pm)),
         injective=not shared,
-        family_has_singletons=all((1 << x) in fam for x in range(dom.n)),
+        family_has_singletons=singletons,
     )
 
 

@@ -1,16 +1,20 @@
 """Finite topological spaces: representation, generation, operators, predicates.
 
-A space is stored extensionally as its canonical sorted family of open masks,
-so equality of topologies is structural equality.  Generation, products and
-final topologies route through one preorder kernel, the minimal-open-
-neighbourhood array ``min_nbhds``: on a finite ground set the intersection of
-all opens containing a point is itself open, and the topology is exactly the
-family of unions of these minimal neighbourhoods (Alexandroff 1937: finite
-topologies are the preorders on the points).  ``min_nbhds_of`` computes the array from any
-family of masks (opens or a subbase); ``final_from_edges`` computes a final
-topology as the reflexive transitive closure of pushed-forward neighbourhood
-edges, with no scan over candidate subsets; the exhaustive enumerator keeps
-the candidate neighbourhood arrays that are reflexive and transitive.
+A space is stored as its minimal-neighbourhood array ``min_nbhds``: on a
+finite ground set the intersection of all opens containing a point is itself
+open, the topology is the family of unions of these minimal neighbourhoods,
+and the array is in bijection with the topology (Alexandroff 1937: finite
+topologies are the preorders on the points), so equality and hashing follow
+the topology.  The opens are listed only on demand (``FiniteSpace.opens``,
+behind the open-set guard) and counted without listing (``open_count``);
+openness, closure, interior, shrinking and the separation axioms read the
+array.
+
+``min_nbhds_of`` computes the array from any family of masks (opens or a
+subbase); ``final_from_edges`` computes a final topology as the reflexive
+transitive closure of pushed-forward neighbourhood edges, with no scan over
+candidate subsets; the exhaustive enumerator keeps the candidate
+neighbourhood arrays that are reflexive and transitive.
 
 On a finite space every subset is compact, so compactness, local compactness
 and the nested-neighbourhood property hold by theorem and their predicates
@@ -21,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from . import limits
@@ -38,23 +43,39 @@ from .errors import NotATopology, NotOpen, SizeLimitExceeded
 from .maps import FiniteMap
 
 
+def is_open_in(mins: Sequence[int], mask: int) -> bool:
+    """``mask`` is open in the topology with minimal neighbourhoods ``mins``: each point keeps its own inside."""
+    return 0 <= mask <= full_mask(len(mins)) and all(mins[x] & ~mask == 0 for x in iter_bits(mask))
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
-    """A topology on the ground set {0,...,n-1}, opens as sorted masks."""
+    """A topology on {0,...,n-1}; ``nbhds[x]`` is the minimal open neighbourhood U_x of x.
+
+    The array must be reflexive (x in U_x) and transitive (y in U_x implies
+    U_y ⊆ U_x); the constructors below guarantee it.
+    """
 
     n: int
-    opens: tuple[int, ...]
+    nbhds: tuple[int, ...]
 
     @property
     def full(self) -> int:
         return full_mask(self.n)
 
     @cached_property
+    def min_nbhds(self) -> tuple[int, ...]:
+        """min_nbhds[x] = intersection of all opens containing x (open): ``nbhds``, under the name FunctionSpace shares."""
+        return self.nbhds
+
+    @cached_property
+    def opens(self) -> tuple[int, ...]:
+        """All open masks in ascending order: the unions of the minimal neighbourhoods (behind the open-set guard)."""
+        return _union_closure(self.n, self.min_nbhds)
+
+    @cached_property
     def open_set(self) -> frozenset[int]:
         return frozenset(self.opens)
-
-    def is_open(self, mask: int) -> bool:
-        return mask in self.open_set
 
     @cached_property
     def closeds(self) -> tuple[int, ...]:
@@ -62,13 +83,31 @@ class FiniteSpace:
         return canon_family(complement(o, self.n) for o in self.opens)
 
     @cached_property
-    def closed_set(self) -> frozenset[int]:
-        return frozenset(self.closeds)
+    def open_count(self) -> int:
+        """Number of opens, counted without listing them.
 
-    @cached_property
-    def min_nbhds(self) -> tuple[int, ...]:
-        """min_nbhds[x] = intersection of all opens containing x (open)."""
-        return min_nbhds_of(self.n, self.opens)
+        An open of the points P holds x and U_x, or misses every y with x in
+        U_y: I(P) = I(P ∖ U_x) + I(P ∖ {y : x ∈ U_y}), x the lowest point of
+        P, I(∅) = 1, memoized on the masks P.
+        """
+        mins = self.min_nbhds
+        ups = [mask_of(y for y, u in enumerate(mins) if u >> x & 1) for x in range(self.n)]
+        count = {0: 1}
+        stack = [self.full]
+        while stack:
+            p = stack.pop()
+            if p in count:
+                continue
+            x = (p & -p).bit_length() - 1
+            a, b = p & ~mins[x], p & ~ups[x]
+            if a in count and b in count:
+                count[p] = count[a] + count[b]
+            else:
+                stack += (p, a, b)
+        return count[self.full]
+
+    def is_open(self, mask: int) -> bool:
+        return is_open_in(self.min_nbhds, mask)
 
 
 def min_nbhds_of(n: int, masks: Iterable[int]) -> tuple[int, ...]:
@@ -114,11 +153,11 @@ def make_space(n: int, opens: Iterable[int]) -> FiniteSpace:
         raise ValueError("ground set size must be non-negative")
     fam = canon_family(opens)
     _validate_axioms(n, fam)
-    return FiniteSpace(n, fam)
+    return FiniteSpace(n, min_nbhds_of(n, fam))
 
 
-def _union_closure(n: int, generators: Sequence[int], what: str = "topology") -> tuple[int, ...]:
-    """All unions of subfamilies of ``generators`` (empty union = 0)."""
+def _union_closure(n: int, generators: Sequence[int]) -> tuple[int, ...]:
+    """All unions of subfamilies of ``generators`` (empty union = 0), ascending."""
     seen = {0}
     frontier = [0]
     lim = limits.max_opens()
@@ -130,9 +169,7 @@ def _union_closure(n: int, generators: Sequence[int], what: str = "topology") ->
                 if v not in seen:
                     seen.add(v)
                     if len(seen) > lim:
-                        raise SizeLimitExceeded(
-                            f"{what} exceeds the open-set limit {lim}"
-                        )
+                        raise SizeLimitExceeded(f"topology on {n} points exceeds the open-set limit {lim}")
                     nxt.append(v)
         frontier = nxt
     return tuple(sorted(seen))
@@ -142,23 +179,13 @@ def generate_from_subbase(n: int, subbase: Iterable[int]) -> FiniteSpace:
     """Smallest topology containing ``subbase``.
 
     Equivalent to closing under finite intersections (empty intersection =
-    full set) and then arbitrary unions (empty union = empty set); computed
-    here via minimal neighbourhoods: the opens are exactly the unions of the
-    per-point subbase intersections.
+    full set) and then arbitrary unions (empty union = empty set); the
+    minimal neighbourhoods are the per-point subbase intersections.
     """
     fam = canon_family(subbase)
     if any(s > full_mask(n) for s in fam):
         raise ValueError("subbase mask does not fit the ground set")
-    return FiniteSpace(n, _union_closure(n, min_nbhds_of(n, fam)))
-
-
-def space_from_min_nbhds(mins: Sequence[int]) -> FiniteSpace:
-    """Space whose opens are all unions of the given neighbourhood system.
-
-    ``mins`` must be reflexive (x in mins[x]) and transitive
-    (y in mins[x] implies mins[y] subset of mins[x]); this is not re-checked.
-    """
-    return FiniteSpace(len(mins), _union_closure(len(mins), tuple(mins)))
+    return FiniteSpace(n, min_nbhds_of(n, fam))
 
 
 def final_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> FiniteSpace:
@@ -169,7 +196,7 @@ def final_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> FiniteSpace:
     f(x') for every x' in the minimal neighbourhood of x, so the final
     topology of a family of maps is this one for the pushed-forward edges
     (f(x), f(x')).  Its minimal neighbourhoods are the reflexive transitive
-    closure of the edges; its opens are their unions.
+    closure of the edges.
     """
     reach = [1 << x for x in range(n)]
     for a, b in edges:
@@ -180,66 +207,44 @@ def final_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> FiniteSpace:
         for x in range(n):
             if reach[x] & bit:
                 reach[x] |= row
-    return space_from_min_nbhds(reach)
+    return FiniteSpace(n, tuple(reach))
 
 
-@lru_cache(maxsize=None)
 def closure(space: FiniteSpace, a: int) -> int:
-    """Smallest closed superset of ``a``."""
-    out = space.full
-    for c in space.closeds:
-        if is_subset(a, c):
-            out &= c
-    return out
+    """Smallest closed superset of ``a``: the points whose minimal neighbourhood meets it."""
+    return mask_of(x for x, u in enumerate(space.min_nbhds) if u & a)
 
 
 def interior(space: FiniteSpace, a: int) -> int:
-    """Largest open subset of ``a``."""
-    out = 0
-    for o in space.opens:
-        if is_subset(o, a):
-            out |= o
-    return out
+    """Largest open subset of ``a``: the points whose minimal neighbourhood lies inside it."""
+    return mask_of(x for x, u in enumerate(space.min_nbhds) if u & ~a == 0)
 
 
-@lru_cache(maxsize=None)
+def _hull(space: FiniteSpace, a: int) -> int:
+    """Smallest open superset of ``a``: the union of its points' minimal neighbourhoods."""
+    return reduce(or_, (space.min_nbhds[x] for x in iter_bits(a)), 0)
+
+
 def is_t1(space: FiniteSpace) -> bool:
-    """Every singleton is closed."""
-    return all((1 << x) in space.closed_set for x in range(space.n))
+    """Every singleton is closed; on a finite space, exactly when it is discrete."""
+    return all(u == 1 << x for x, u in enumerate(space.min_nbhds))
 
 
-@lru_cache(maxsize=None)
 def is_t2(space: FiniteSpace) -> bool:
-    """Distinct points are separated by disjoint opens."""
-    for x in range(space.n):
-        for y in range(x + 1, space.n):
-            if not any(
-                u & (1 << x) and v & (1 << y) and not u & v
-                for u in space.opens
-                for v in space.opens
-            ):
-                return False
-    return True
+    """Distinct points are separated by disjoint opens; finite Hausdorff spaces are discrete."""
+    return is_t1(space)
 
 
-@lru_cache(maxsize=None)
 def is_t3(space: FiniteSpace) -> bool:
     """Regularity only: point and disjoint closed set split by disjoint opens.
 
-    T1 is deliberately not folded in; combine with is_t1/is_t2 when a
-    Hausdorff regular space is required.
+    On a finite space this holds exactly when every minimal neighbourhood is
+    closed, that is, when the specialization preorder is symmetric:
+    y in U_x implies x in U_y.  T1 is deliberately not folded in; combine
+    with is_t1/is_t2 when a Hausdorff regular space is required.
     """
-    for f in space.closeds:
-        for x in range(space.n):
-            if f & (1 << x):
-                continue
-            if not any(
-                u & (1 << x) and is_subset(f, v) and not u & v
-                for u in space.opens
-                for v in space.opens
-            ):
-                return False
-    return True
+    mins = space.min_nbhds
+    return all(mins[y] >> x & 1 for x, u in enumerate(mins) for y in iter_bits(u))
 
 
 def is_compact_subset(space: FiniteSpace, k: int) -> bool:
@@ -277,15 +282,17 @@ def is_nested_neighbourhood(space: FiniteSpace) -> bool:
 
 
 def shrink_between(space: FiniteSpace, k: int, o: int) -> int | None:
-    """An open u with k ⊆ u ⊆ cl(u) ⊆ o, or None when no such open exists."""
-    if o not in space.open_set:
+    """An open u with k ⊆ u ⊆ cl(u) ⊆ o, or None when no such open exists.
+
+    Every such u contains hull(k) and closure is monotone, so hull(k) is
+    one when any is, and then the first in the ascending order of the opens.
+    """
+    if not space.is_open(o):
         raise NotOpen(f"shrink target {points_of(o)} is not open")
     if not is_subset(k, o):
         raise ValueError("k must be contained in o")
-    for u in space.opens:
-        if is_subset(k, u) and is_subset(closure(space, u), o):
-            return u
-    return None
+    u = _hull(space, k)
+    return u if is_subset(closure(space, u), o) else None
 
 
 @dataclass(frozen=True)
@@ -345,8 +352,7 @@ def product_space(factors: Sequence[FiniteSpace]) -> tuple[FiniteSpace, ProductC
                 layer |= box << (y * stride)
             box, stride = layer, stride * f.n
         mins.append(box)
-    opens = _union_closure(total, mins, "product topology")
-    return FiniteSpace(total, opens), codec
+    return FiniteSpace(total, tuple(mins)), codec
 
 
 def final_topology(target_n: int, maps: Sequence[tuple[FiniteSpace, FiniteMap]]) -> FiniteSpace:
@@ -384,13 +390,7 @@ def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
         raise ValueError("n must be non-negative")
     if n > 4:
         raise SizeLimitExceeded("exhaustive enumeration is limited to n <= 4")
-    if n == 0:
-        yield FiniteSpace(0, (0,))
-        return
-    choices = []
-    for x in range(n):
-        bit = 1 << x
-        choices.append([m for m in range(1 << n) if m & bit])
+    choices = [[m for m in range(1 << n) if m >> x & 1] for x in range(n)]
     for mins in itertools.product(*choices):
         ok = True
         for x in range(n):
@@ -401,7 +401,7 @@ def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
             if not ok:
                 break
         if ok:
-            yield space_from_min_nbhds(mins)
+            yield FiniteSpace(n, mins)
 
 
 # named small spaces used all over the tests and demos
@@ -437,8 +437,3 @@ def space_report(space: FiniteSpace) -> SpaceReport:
         locally_compact=is_locally_compact(space),
         nested_neighbourhood=is_nested_neighbourhood(space),
     )
-
-
-def mask(points: Iterable[int]) -> int:
-    """Convenience re-export so demos can write mask([0, 2])."""
-    return mask_of(points)

@@ -14,13 +14,17 @@ topology built from its subbase, and the hit-and-miss identities of one
 tables of a function carrier are built map by map with ``image_of``, and
 neighbourhoods are pulled back over every family member, where the library
 builds the tables column-wise from its point table and skips the members
-its singletons already decide.  The tests freeze values computed here and
-compare the library against them.
+its singletons already decide.  Closure, interior, the shrinking lemma, the
+separation axioms and the containment of the Vietoris topology in a final
+topology are decided by scanning the listed opens and closeds, where the
+library reads minimal neighbourhoods.  The tests freeze values computed here
+and compare the library against them.
 """
 
 import itertools
 
-from topolab.bitsets import complement, full_mask, iter_bits, meets, points_of
+from topolab.bitsets import complement, full_mask, is_subset, iter_bits, meets, points_of
+from topolab.finality import InclusionReport
 from topolab.funcspaces import compact_open, projection_compose
 from topolab.hyperspaces import compacts, vietoris
 from topolab.maps import FiniteMap, all_maps
@@ -377,3 +381,80 @@ def inclusion_pair_by_scan(args) -> tuple[int, list]:
                     tag("vietoris-open-preimage-not-open", a=points_of(a), hyper_open=list(iter_bits(ovm)))
                 )
     return checked, witnesses
+
+
+def closure_by_closeds(space: FiniteSpace, a: int) -> int:
+    """Intersection of every closed set containing a."""
+    out = space.full
+    for c in space.closeds:
+        if is_subset(a, c):
+            out &= c
+    return out
+
+
+def interior_by_opens(space: FiniteSpace, a: int) -> int:
+    """Union of every open inside a."""
+    out = 0
+    for o in space.opens:
+        if is_subset(o, a):
+            out |= o
+    return out
+
+
+def shrink_between_by_opens(space: FiniteSpace, k: int, o: int):
+    """The first open u in ascending order with k ⊆ u and cl(u) ⊆ o, or None."""
+    for u in space.opens:
+        if is_subset(k, u) and is_subset(closure_by_closeds(space, u), o):
+            return u
+    return None
+
+
+def is_t1_by_closeds(space: FiniteSpace) -> bool:
+    """Every singleton is closed."""
+    closeds = set(space.closeds)
+    return all((1 << x) in closeds for x in range(space.n))
+
+
+def is_t2_by_opens(space: FiniteSpace) -> bool:
+    """Distinct points are separated by disjoint opens: scan all pairs of opens."""
+    for x in range(space.n):
+        for y in range(x + 1, space.n):
+            if not any(
+                u & (1 << x) and v & (1 << y) and not u & v for u in space.opens for v in space.opens
+            ):
+                return False
+    return True
+
+
+def is_t3_by_opens(space: FiniteSpace) -> bool:
+    """A point and a closed set missing it have disjoint open neighbourhoods: scan all pairs of opens."""
+    for f in space.closeds:
+        for x in range(space.n):
+            if f & (1 << x):
+                continue
+            if not any(
+                u & (1 << x) and is_subset(f, v) and not u & v for u in space.opens for v in space.opens
+            ):
+                return False
+    return True
+
+
+def vietoris_contained_by_opens(setup) -> InclusionReport:
+    """Each Vietoris open of the carrier, checked against the listed final opens.
+
+    A violation names the open and the first source whose function space
+    refuses its preimage.
+    """
+    final_opens = setup.computed.open_set
+    violations = []
+    for o in vietoris(setup.cod, setup.family).topology.opens:
+        if o in final_opens:
+            continue
+        witness_source = None
+        for pos, (src, a) in enumerate(setup.sources):
+            fsp = compact_open(src, setup.cod)
+            if not fsp.is_open(projection_compose(src, setup.cod, a).preimage_of(o)):
+                witness_source = pos
+                break
+        violations.append((o, witness_source))
+    return InclusionReport(contained=not violations, violations=tuple(violations))

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from topolab.cli import main
+from topolab.limits import DEFAULT_MAX_POINTS as GUARD
 from topolab.suites import SUITE_NAMES
 
 
@@ -52,6 +53,12 @@ class TestSpaceCommand:
     def test_subbase_outside_ground_set_exits_2(self, capsys):
         assert run(["space", "--generate-subbase", "[[5]]", "--n", "2"]) == 2
         assert "--generate-subbase" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", [["--n", "2000000"], ["--n", str((1 << 20) + 1)], ["--n", "9", "--limit-points", "8"]])
+    def test_n_over_the_point_guard_exits_2(self, capsys, size):
+        # refused before any mask of the ground set is built
+        assert run(["space", *size, "--generate-subbase", "[]"]) == 2
+        assert "size limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "data",
@@ -301,8 +308,8 @@ def command_lines(draw):
         max_n = draw(st.integers(-2, 2))
         jobs = draw(st.integers(-1, 1))
         return ["verify", "--suite", suite, "--max-n", str(max_n), "--jobs", str(jobs)], max_n < 1 or jobs < 1
-    n = draw(st.integers(-1, 3))
-    return ["space", "--n", str(n), f"--generate-subbase={json.dumps(draw(JSON))}"], n < 0
+    n = draw(st.integers(-1, 3) | st.integers(GUARD + 1, 1 << 40))
+    return ["space", "--n", str(n), f"--generate-subbase={json.dumps(draw(JSON))}"], n < 0 or n > GUARD
 
 
 @st.composite

@@ -1,7 +1,9 @@
 import pytest
 
+from oracles import vietoris_contained_by_opens
 from topolab.errors import SizeLimitExceeded
 from topolab.finality import (
+    FinalitySetup,
     _default_square_sources,
     check_finality_discrete_square,
     check_vietoris_contained,
@@ -10,7 +12,7 @@ from topolab.finality import (
     stone_cech_finite_discrete,
 )
 from topolab.hyperspaces import compacts
-from topolab.spaces import discrete_space, sierpinski_space
+from topolab.spaces import discrete_space, enumerate_topologies, sierpinski_space
 
 S = sierpinski_space()
 
@@ -174,6 +176,31 @@ class TestDiscreteSquare:
     def test_guard(self):
         with pytest.raises(SizeLimitExceeded):
             check_finality_discrete_square(4)
+
+
+class TestContainmentAgainstOpens:
+    """check_vietoris_contained compares neighbourhoods; the per-open scan must agree."""
+
+    def test_final_topologies(self, corpus3):
+        for _, _, cod in corpus3[:5]:
+            for _, _, dom in corpus3[:5]:
+                setup = final_over_projections(cod, [(dom, a) for a in compacts(dom)])
+                report = check_vietoris_contained(setup)
+                assert report == vietoris_contained_by_opens(setup)
+                assert report.contained
+
+    def test_every_topology_on_the_carrier(self, corpus3):
+        # any topology on the three hyperpoints of a 2-point codomain stands in
+        # for the final one, so containment fails too and names its witnesses
+        failed = 0
+        for _, _, cod in corpus3[1:5]:
+            base = final_over_projections(cod, [(S, 0b10), (cod, 0b11)])
+            for topo in enumerate_topologies(len(base.family)):
+                setup = FinalitySetup(cod, base.family, base.sources, topo, base.strategy)
+                report = check_vietoris_contained(setup)
+                assert report == vietoris_contained_by_opens(setup), (cod, topo)
+                failed += not report.contained
+        assert failed
 
 
 class TestStoneCech:

@@ -127,7 +127,7 @@ class TestCompactOpen:
         limits.set_limits(opens=1 << 20)
         try:
             with pytest.raises(SizeLimitExceeded):
-                fs.materialize()
+                fs.materialize().opens
         finally:
             limits.reset_limits()
 

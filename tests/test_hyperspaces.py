@@ -95,6 +95,12 @@ class TestVietorisVariants:
         hy = vietoris(S, (0b11,))
         assert hy.topology.opens == (0, 1)
 
+    def test_open_count_matches_the_listed_opens(self, corpus3):
+        for _, _, sp in corpus3:
+            for build in (lower_vietoris, upper_vietoris, vietoris):
+                topo = build(sp, compacts(sp)).topology
+                assert topo.open_count == len(topo.opens), (build.__name__, sp)
+
 
 class TestVietorisBasic:
     def test_examples(self):

@@ -1,12 +1,20 @@
+import random
+
 import pytest
 
 from oracles import (
     brute_force_topologies,
+    closure_by_closeds,
     finest_topology_with_continuous,
+    interior_by_opens,
     is_compact_by_covers,
     is_locally_compact_by_definition,
     is_nested_by_definition,
+    is_t1_by_closeds,
+    is_t2_by_opens,
+    is_t3_by_opens,
     product_opens_by_boxes,
+    shrink_between_by_opens,
     slow_subbase_closure,
 )
 from topolab.bitsets import complement, is_subset
@@ -266,3 +274,79 @@ def test_t2_implies_t1_and_t1_implies_discrete(corpus3):
             assert is_t1(sp)
         if is_t1(sp):
             assert len(sp.opens) == 1 << sp.n
+
+
+@pytest.fixture(scope="module")
+def checked_spaces(corpus3, corpus_n4):
+    """The empty space, every space with at most 3 points, and a seeded sample of 40 four-point spaces."""
+    return [next(enumerate_topologies(0))] + [sp for _, _, sp in corpus3] + random.Random(6).sample(corpus_n4, 40)
+
+
+class TestPreorderRoutesAgainstOpens:
+    """The operators and axioms read the minimal neighbourhoods; the scans over the opens must agree."""
+
+    def test_is_open(self, checked_spaces):
+        for sp in checked_spaces:
+            for mask in range(-2, 2 << sp.n):
+                assert sp.is_open(mask) == (mask in sp.open_set), (sp, mask)
+
+    def test_closure_and_interior(self, checked_spaces):
+        for sp in checked_spaces:
+            for a in range(1 << sp.n):
+                assert closure(sp, a) == closure_by_closeds(sp, a), (sp, a)
+                assert interior(sp, a) == interior_by_opens(sp, a), (sp, a)
+
+    def test_shrink_between(self, checked_spaces):
+        found = 0
+        for sp in checked_spaces:
+            for o in sp.opens:
+                for k in range(1 << sp.n):
+                    if is_subset(k, o):
+                        got = shrink_between(sp, k, o)
+                        assert got == shrink_between_by_opens(sp, k, o), (sp, k, o)
+                        found += got is not None
+        assert found
+
+    def test_separation_axioms(self, checked_spaces):
+        flags = set()
+        for sp in checked_spaces:
+            got = (is_t1(sp), is_t2(sp), is_t3(sp))
+            assert got == (is_t1_by_closeds(sp), is_t2_by_opens(sp), is_t3_by_opens(sp)), sp
+            flags.add(got)
+        assert flags == {(True, True, True), (False, False, True), (False, False, False)}
+
+    def test_open_count(self, corpus_n4):
+        spaces = [sp for n in range(4) for sp in enumerate_topologies(n)] + corpus_n4
+        for sp in spaces:
+            assert sp.open_count == len(sp.opens), sp
+
+    def test_open_count_needs_no_listing(self):
+        # the opens of the k-th power of the Sierpinski space are the up-sets
+        # of the Boolean lattice 2^k, counted by the Dedekind numbers
+        from topolab import limits
+
+        limits.set_limits(opens=4)
+        try:
+            assert discrete_space(40).open_count == 1 << 40
+            assert [product_space([S] * k)[0].open_count for k in range(1, 6)] == [3, 6, 20, 168, 7581]
+            with pytest.raises(SizeLimitExceeded):
+                product_space([S] * 5)[0].opens
+        finally:
+            limits.reset_limits()
+
+
+class TestEqualityFollowsTheTopology:
+    def test_equal_exactly_when_the_opens_are(self, corpus3):
+        spaces = [sp for _, _, sp in corpus3]
+        copies = [make_space(sp.n, sp.opens) for sp in spaces]
+        for a in spaces:
+            for b in copies:
+                assert (a == b) == (a.opens == b.opens)
+                if a == b:
+                    assert hash(a) == hash(b)
+        assert len(set(spaces + copies)) == len(spaces)
+
+    def test_every_route_gives_the_same_space(self, corpus3):
+        for _, _, sp in corpus3:
+            for other in (make_space(sp.n, sp.opens), generate_from_subbase(sp.n, sp.opens), product_space([sp])[0]):
+                assert other == sp and hash(other) == hash(sp)
