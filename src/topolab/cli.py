@@ -79,13 +79,13 @@ def cmd_space(args: argparse.Namespace) -> int:
             "t3": rep.t3,
             "locally_compact": rep.locally_compact,
             "nested_neighbourhood": rep.nested_neighbourhood,
-            "open_count": space.open_count,
+            "open_count": len(space.opens),
         }
         print(dumps_canonical(out), end="")
     if args.out:
         save_space(space, args.out)
     if not args.describe and not args.out:
-        print(f"valid topology on {space.n} points with {space.open_count} opens")
+        print(f"valid topology on {space.n} points with {len(space.opens)} opens")
     return 0
 
 

@@ -60,6 +60,13 @@ class TestSpaceCommand:
         assert run(["space", *size, "--generate-subbase", "[]"]) == 2
         assert "size limit" in capsys.readouterr().err
 
+    def test_generated_opens_over_the_open_guard_exit_2(self, capsys):
+        # the discrete 3-point space has 8 opens; the plain summary lists them behind the guard
+        assert run(["space", "--n", "3", "--generate-subbase", "[[0],[1],[2]]", "--limit-opens", "4"]) == 2
+        assert "size limit" in capsys.readouterr().err
+        assert run(["space", "--n", "3", "--generate-subbase", "[[0],[1],[2]]", "--limit-opens", "8"]) == 0
+        assert "with 8 opens" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "data",
         [
