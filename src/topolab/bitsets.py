@@ -58,7 +58,3 @@ def nonempty_subsets(n: int) -> Iterator[int]:
     """All non-empty subsets of an n-point ground set, ascending."""
     return iter(range(1, 1 << n))
 
-
-def family_index(family: tuple[int, ...], mask: int) -> int:
-    """Position of ``mask`` in a canonical family; ValueError if absent."""
-    return family.index(mask)

@@ -18,12 +18,13 @@ from .bitsets import is_subset, nonempty_subsets, points_of
 from .errors import SizeLimitExceeded
 from .filters import (
     FilterOnCarrier,
+    converges,
     is_countably_complete,
     is_ultrafilter,
     subsets_carrier,
 )
 from .hyperspaces import lower_vietoris
-from .spaces import FiniteSpace, closure, minimal_open_nbhd
+from .spaces import FiniteSpace, closure
 from .maps import FiniteMap
 
 
@@ -88,11 +89,8 @@ def limit_set_P(space: FiniteSpace, phi: FilterOnCarrier) -> int:
 
 def _hyper_converges(space: FiniteSpace, phi: FilterOnCarrier, target_mask: int) -> bool:
     """Convergence of a subset-carrier filter in the lower Vietoris topology."""
-    family = tuple(nonempty_subsets(space.n))
-    hyper = lower_vietoris(space, family)
-    idx = target_mask - 1  # canonical subset order makes the index mask - 1
-    m = minimal_open_nbhd(hyper.topology, idx)
-    return all(m >> i & 1 for i in phi.kernel)
+    hyper = lower_vietoris(space, tuple(nonempty_subsets(space.n)))
+    return converges(hyper.topology, phi, target_mask - 1)  # canonical subset order: index = mask - 1
 
 
 def check_lower_convergence_lemma(space: FiniteSpace, phi: FilterOnCarrier) -> bool:

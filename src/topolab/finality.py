@@ -51,20 +51,22 @@ class FinalitySetup:
 def final_over_projections(
     cod: FiniteSpace,
     sources: Sequence[tuple[FiniteSpace, int]],
-    strategy: str = "auto",
+    strategy: str = "nbhd",
 ) -> FinalitySetup:
     """Final topology on the compacts of ``cod`` w.r.t. all f ↦ f(A) maps.
 
-    strategy: "materialize" reads the function-space neighbourhoods back from
-    the listed opens of the compact-open topology (SizeLimitExceeded suggests
-    the other route), "nbhd" and "auto" take them from the carrier.
+    strategy: "nbhd" takes the function-space neighbourhoods from the
+    carrier, "materialize" reads them back from the listed opens of the
+    compact-open topology (SizeLimitExceeded suggests the other route);
+    any other value is refused with ValueError.
     """
+    if strategy not in ("nbhd", "materialize"):
+        raise ValueError(f"unknown strategy {strategy!r}; expected 'nbhd' or 'materialize'")
     if not sources:
         raise ValueError("need at least one source")
     for src, a in sources:
         if a not in compacts(src):
             raise ValueError("source subset must be a non-empty compact of its space")
-    strategy = "materialize" if strategy == "materialize" else "nbhd"
     family = compacts(cod)
     edges = set()
     for src, a in sources:
@@ -170,7 +172,7 @@ def final_from_discrete_sources(
     return final_from_edges(len(family), edges)
 
 
-def check_finality_discrete_square(y_n: int, source_cap: int | None = None) -> SquareFinalityReport:
+def check_finality_discrete_square(y_n: int) -> SquareFinalityReport:
     """Final topology from the discrete square equals the Vietoris topology.
 
     Y is the discrete space on y_n points (a finite Hausdorff regular space
@@ -195,14 +197,7 @@ def check_finality_discrete_square(y_n: int, source_cap: int | None = None) -> S
     expected = vietoris(y, compacts(y)).topology
 
     z_n = y_n * y_n
-    if y_n <= 2 and source_cap is None:
-        source_masks = compacts(discrete_space(z_n))
-    else:
-        source_masks = _default_square_sources(z_n)
-        if source_cap is not None:
-            capped = tuple(source_masks[: max(source_cap, 1)])
-            full = (1 << z_n) - 1
-            source_masks = capped if full in capped else capped + (full,)
+    source_masks = compacts(discrete_space(z_n)) if y_n <= 2 else _default_square_sources(z_n)
 
     computed = final_from_discrete_sources(y, z_n, source_masks)
 

@@ -5,6 +5,18 @@ base space (never defaulted: different theorems need the non-empty powerset,
 the compacts, or the closeds).  Hyperpoints are indexed by position in the
 canonical family order, and every hyperspace topology is an ordinary
 FiniteSpace over that index set, so all core operators apply unchanged.
+
+The lower topology is generated by the hit sets of the opens, the upper by
+the sets {B : B ⊆ O}, the Vietoris topology by both.  Their minimal
+neighbourhoods come from the base's U_x, and no open of the base is listed:
+
+* lower: U⁻_A = ⋂_{a∈A} hit(U_a), as every open meeting A contains some
+  U_a, each U_a meets A, and hit is monotone;
+* upper: U⁺_A = {B : B ⊆ hull(A)}, as hull(A) = ⋃_{a∈A} U_a is the least
+  open superset of A; x ∉ hull(A) exactly when A misses cl{x};
+* Vietoris: U⁻_A ∩ U⁺_A.
+
+These are exact; the subbase route is kept in the test oracles.
 """
 
 from __future__ import annotations
@@ -13,10 +25,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .bitsets import canon_family, is_subset, meets, nonempty_subsets
+from .bitsets import canon_family, full_mask, is_subset, iter_bits, meets, nonempty_subsets
 from .errors import NotOpen
-from .filters import FilterOnCarrier
-from .spaces import FiniteSpace, generate_from_subbase, minimal_open_nbhd
+from .filters import FilterOnCarrier, converges
+from .spaces import FiniteSpace
 
 
 @dataclass(frozen=True)
@@ -61,43 +73,49 @@ def _hit_index_mask(family: Sequence[int], m: int) -> int:
     return mask
 
 
-def _contained_index_mask(family: Sequence[int], o: int) -> int:
-    """Index mask of { A in family : A ⊆ o } (= miss of the complement)."""
-    mask = 0
-    for i, a in enumerate(family):
-        if is_subset(a, o):
-            mask |= 1 << i
-    return mask
-
-
-def _build(space: FiniteSpace, fam: tuple[int, ...], subbase: Sequence[int], variant: str) -> HyperSpace:
-    topo = generate_from_subbase(len(fam), subbase)
-    return HyperSpace(space, fam, topo, variant)
+def _hyperspace(space: FiniteSpace, family: tuple[int, ...], variant: str) -> HyperSpace:
+    """The lower, upper or Vietoris topology, intersected point by point of the base (module docstring)."""
+    fam = _check_family(space, family)
+    mins = space.min_nbhds
+    holding = [0] * space.n  # holding[x]: index mask of the members containing x
+    for i, a in enumerate(fam):
+        for x in iter_bits(a):
+            holding[x] |= 1 << i
+    everything = full_mask(len(fam))
+    nbhds = [everything] * len(fam)
+    for x in range(space.n):
+        if variant != "upper":  # the members holding x keep the members meeting U_x
+            meeting = 0
+            for y in iter_bits(mins[x]):
+                meeting |= holding[y]
+            for i in iter_bits(holding[x]):
+                nbhds[i] &= meeting
+        if variant != "lower":  # the members missing cl{x} = {y : x ∈ U_y} keep the members missing x
+            meeting = 0
+            for y, u in enumerate(mins):
+                if u >> x & 1:
+                    meeting |= holding[y]
+            for i in iter_bits(everything & ~meeting):
+                nbhds[i] &= ~holding[x]
+    return HyperSpace(space, fam, FiniteSpace(len(fam), tuple(nbhds)), variant)
 
 
 @lru_cache(maxsize=None)
 def lower_vietoris(space: FiniteSpace, family: tuple[int, ...]) -> HyperSpace:
     """Topology generated by the hit sets of opens."""
-    fam = _check_family(space, family)
-    subbase = [_hit_index_mask(fam, o) for o in space.opens]
-    return _build(space, fam, subbase, "lower")
+    return _hyperspace(space, family, "lower")
 
 
 @lru_cache(maxsize=None)
 def upper_vietoris(space: FiniteSpace, family: tuple[int, ...]) -> HyperSpace:
     """Topology generated by the miss sets of closed complements of opens."""
-    fam = _check_family(space, family)
-    subbase = [_contained_index_mask(fam, o) for o in space.opens]
-    return _build(space, fam, subbase, "upper")
+    return _hyperspace(space, family, "upper")
 
 
 @lru_cache(maxsize=None)
 def vietoris(space: FiniteSpace, family: tuple[int, ...]) -> HyperSpace:
     """Join of the lower and upper topologies (generated by both subbases)."""
-    fam = _check_family(space, family)
-    subbase = [_hit_index_mask(fam, o) for o in space.opens]
-    subbase += [_contained_index_mask(fam, o) for o in space.opens]
-    return _build(space, fam, subbase, "vietoris")
+    return _hyperspace(space, family, "vietoris")
 
 
 def vietoris_basic(space: FiniteSpace, family: Sequence[int], cover: Sequence[int]) -> tuple[int, ...]:
@@ -136,9 +154,4 @@ def lower_limits(space: FiniteSpace, family: Sequence[int], filt: FilterOnCarrie
     hy = lower_vietoris(space, canon_family(family))
     if filt.carrier.size != len(hy.family):
         raise ValueError("filter carrier does not index the family")
-    out = []
-    for i, a in enumerate(hy.family):
-        m = minimal_open_nbhd(hy.topology, i)
-        if all(m >> j & 1 for j in filt.kernel):
-            out.append(a)
-    return tuple(out)
+    return tuple(a for i, a in enumerate(hy.family) if converges(hy.topology, filt, i))

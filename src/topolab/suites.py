@@ -21,7 +21,7 @@ from multiprocessing import Pool
 from operator import or_
 from typing import Callable, Sequence
 
-from .bitsets import complement, is_subset, iter_bits, points_of
+from .bitsets import complement, full_mask, is_subset, iter_bits, points_of
 from .choice import (
     check_filterwise_refinement,
     check_locally_compact_bound,
@@ -33,7 +33,7 @@ from .errors import NotATopology, SizeLimitExceeded, TopolabError
 from .filters import enumerate_ultrafilters, subsets_carrier
 from .finality import check_finality_discrete_square, stone_cech_finite_discrete
 from .funcspaces import compact_open, continuous_maps, mu_embedding_report
-from .hyperspaces import _contained_index_mask, _hit_index_mask, compacts, vietoris
+from .hyperspaces import _hit_index_mask, compacts, vietoris
 from .spaces import FiniteSpace, enumerate_topologies, make_space
 
 SUITE_NAMES = (
@@ -147,7 +147,7 @@ def _inclusion_pair(args) -> tuple[int, list]:
     hyper = vietoris(y, ky).topology
     hmins = hyper.min_nbhds
     mins = fsp.min_nbhds
-    misses = [(fmask, _contained_index_mask(ky, complement(fmask, y.n))) for fmask in y.closeds]
+    misses = [(fmask, full_mask(len(ky)) & ~_hit_index_mask(ky, fmask)) for fmask in y.closeds]
     hits = [
         (o, _hit_index_mask(ky, o), [fsp.subbasic(1 << pt, o) for pt in range(x.n)]) for o in y.opens
     ]
@@ -320,7 +320,7 @@ def _choice_space(args) -> tuple[int, list]:
     return checked, witnesses
 
 
-def suite_choice_lemma(max_n: int = 3, jobs: int = 1, n4_sample: bool = True) -> RunReport:
+def suite_choice_lemma(max_n: int = 3, jobs: int = 1) -> RunReport:
     """Exhaustive sweep for n <= max_n plus the deterministic 4-point sample.
 
     The sample takes every N4_SPACE_STRIDE-th topology of the 355-space
@@ -329,15 +329,12 @@ def suite_choice_lemma(max_n: int = 3, jobs: int = 1, n4_sample: bool = True) ->
     run as less than was asked for.
     """
     _check_max_n("choice-lemma", max_n)
-    report = RunReport(
-        "choice-lemma",
-        {"max_n": max_n, "n4_sample": bool(n4_sample and max_n == 3)},
-    )
+    report = RunReport("choice-lemma", {"max_n": max_n, "n4_sample": max_n == 3})
     tasks = []
     for n in range(1, max_n + 1):
         for i, space in enumerate(enumerate_topologies(n)):
             tasks.append((n, i, space, None))
-    if n4_sample and max_n == 3:
+    if max_n == 3:
         for i, space in enumerate(enumerate_topologies(4)):
             if i % N4_SPACE_STRIDE == 0:
                 tasks.append((4, i, space, N4_FILTER_PAIR_CAP))

@@ -7,7 +7,10 @@ topologies, products are unions of open boxes, and compactness, local
 compactness, nestedness, ultrafilters and countable completeness are decided
 by scanning their definitions (the library returns their theorem values on
 finite spaces).  Continuous maps are the maps whose preimages of opens are
-open (the library builds monotone maps instead).  The hyperspace embedding
+open (the library builds monotone maps instead).  The lower, upper and
+Vietoris topologies are generated from the hit and miss sets of every
+listed open (the library reads them off the base's minimal
+neighbourhoods).  The hyperspace embedding
 is decided from cylinder preimages and the images of opens, over a carrier
 topology built from its subbase, and the hit-and-miss identities of one
 (X, Y) pair by scanning every open of the Vietoris hyperspace.  Image
@@ -28,7 +31,7 @@ from topolab.finality import InclusionReport
 from topolab.funcspaces import compact_open, projection_compose
 from topolab.hyperspaces import compacts, vietoris
 from topolab.maps import FiniteMap, all_maps
-from topolab.spaces import FiniteSpace
+from topolab.spaces import FiniteSpace, generate_from_subbase
 
 
 def is_topology_family(n: int, members: tuple[int, ...]) -> bool:
@@ -71,6 +74,24 @@ def slow_subbase_closure(n: int, subbase: list[int]) -> tuple[int, ...]:
                 u |= s
             opens.add(u)
     return tuple(sorted(opens))
+
+
+def hyperspace_by_subbase(space: FiniteSpace, family, variant: str) -> FiniteSpace:
+    """The lower, upper or Vietoris topology on ``family`` closed from its subbase over every listed open.
+
+    Hyperpoints are the family members in canonical order.  The lower
+    subbase is the hit set {B : B meets O} of every open O, the upper one is
+    {B : B ⊆ O}, and the Vietoris topology is generated by both.
+    """
+    fam = sorted(set(family))
+
+    def index_mask(keep) -> int:
+        return sum(1 << i for i, b in enumerate(fam) if keep(b))
+
+    hits = [index_mask(lambda b: meets(b, o)) for o in space.opens]
+    inside = [index_mask(lambda b: is_subset(b, o)) for o in space.opens]
+    subbase = {"lower": hits, "upper": inside, "vietoris": hits + inside}[variant]
+    return generate_from_subbase(len(fam), subbase)
 
 
 def finest_topology_with_continuous(

@@ -61,6 +61,13 @@ class TestFinalOverProjections:
                 compared += 1
         assert compared == 16
 
+    def test_unknown_strategy_refused(self):
+        # a misspelt strategy must not silently take the neighbourhood route
+        for strategy in ("materialise", "auto", ""):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                final_over_projections(S, [(S, 0b10)], strategy=strategy)
+        assert final_over_projections(S, [(S, 0b10)]).strategy == "nbhd"
+
     def test_maps_continuous_and_finest(self, corpus3):
         from topolab.funcspaces import compact_open
 
@@ -167,11 +174,6 @@ class TestDiscreteSquare:
             if len(got.opens) < 1 << got.n:
                 rejected_somewhere = True
         assert rejected_somewhere
-
-    def test_source_cap(self):
-        rep = check_finality_discrete_square(2, source_cap=3)
-        assert rep.source_count == 4  # capped sample plus the mandatory full set
-        assert rep.equal
 
     def test_guard(self):
         with pytest.raises(SizeLimitExceeded):

@@ -1,8 +1,10 @@
 import itertools
+import random
+import time
 
 import pytest
 
-from oracles import brute_force_topologies, is_compact_by_covers, slow_subbase_closure
+from oracles import brute_force_topologies, hyperspace_by_subbase, is_compact_by_covers, slow_subbase_closure
 from topolab.bitsets import is_subset, nonempty_subsets
 from topolab.errors import NotOpen
 from topolab.filters import FilterOnCarrier, subsets_carrier
@@ -95,11 +97,51 @@ class TestVietorisVariants:
         hy = vietoris(S, (0b11,))
         assert hy.topology.opens == (0, 1)
 
+    def test_discrete_30_points_without_listing_opens(self):
+        # the base has 2^30 opens, over the open-set guard; the family is small
+        d = discrete_space(30)
+        family = tuple(1 << x for x in range(30)) + (d.full,)
+        start = time.perf_counter()
+        hy = vietoris(d, family)
+        elapsed = time.perf_counter() - start
+        assert hy.topology == discrete_space(31)
+        assert elapsed < 0.05
+
     def test_open_count_matches_the_listed_opens(self, corpus3):
         for _, _, sp in corpus3:
             for build in (lower_vietoris, upper_vietoris, vietoris):
                 topo = build(sp, compacts(sp)).topology
                 assert topo.open_count == len(topo.opens), (build.__name__, sp)
+
+
+def _families(space, rng):
+    """The non-empty powerset, the non-empty closeds, the singletons and a seeded random family."""
+    powerset = tuple(nonempty_subsets(space.n))
+    singletons = tuple(1 << x for x in range(space.n))
+    drawn = tuple(sorted(rng.sample(powerset, rng.randint(1, len(powerset)))))
+    return powerset, closeds(space), singletons, drawn
+
+
+class TestAgainstSubbase:
+    """The closed-form neighbourhoods equal those of the subbase over every open."""
+
+    def _assert_all_variants(self, spaces, rng):
+        cases = 0
+        for sp in spaces:
+            for fam in _families(sp, rng):
+                for build in (lower_vietoris, upper_vietoris, vietoris):
+                    got = build(sp, fam)
+                    expected = hyperspace_by_subbase(sp, fam, got.variant)
+                    assert got.topology.min_nbhds == expected.min_nbhds, (sp, fam, got.variant)
+                    cases += 1
+        return cases
+
+    def test_every_space_up_to_3_points(self, corpus3):
+        assert self._assert_all_variants([sp for _, _, sp in corpus3], random.Random(3)) == 34 * 4 * 3
+
+    def test_sampled_4_point_spaces(self, corpus_n4):
+        rng = random.Random(4)
+        assert self._assert_all_variants(rng.sample(corpus_n4, 40), rng) == 40 * 4 * 3
 
 
 class TestVietorisBasic:
@@ -172,6 +214,12 @@ class TestLowerLimits:
         for i, a in enumerate(P2):
             phi = FilterOnCarrier(c, frozenset({i}))
             assert a in lower_limits(S, P2, phi)
+
+    def test_carrier_must_index_the_family(self):
+        phi = FilterOnCarrier(subsets_carrier(2), frozenset({0}))
+        for family in ((), (0b01,), tuple(nonempty_subsets(3))):
+            with pytest.raises(ValueError):
+                lower_limits(discrete_space(3), family, phi)
 
     def test_downward_closed(self, corpus3):
         for _, _, sp in corpus3:
