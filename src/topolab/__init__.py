@@ -3,7 +3,8 @@
 Everything is exact and combinatorial: subsets are int bitmasks, topologies
 are their minimal-neighbourhood arrays, filters are kernels, and the
 verification suites sweep complete corpora of labeled topologies on up to
-four points.
+four points, one pair per pair of homeomorphism classes where the checked
+statement is invariant under relabelling.
 """
 
 from .bitsets import canon_family, complement, mask_of, points_of
@@ -80,11 +81,13 @@ from .maps import FiniteMap, all_maps, compose, constant_map, identity_map
 from .spaces import (
     FiniteSpace,
     SpaceReport,
+    canonical_form,
     closure,
     discrete_space,
     enumerate_topologies,
     final_topology,
     generate_from_subbase,
+    homeomorphism_classes,
     indiscrete_space,
     interior,
     is_compact_subset,

@@ -39,7 +39,8 @@ class HyperSpace:
     variant: str
 
     def __post_init__(self):
-        if any(m == 0 or not is_subset(m, self.base.full) for m in self.family):
+        full = self.base.full
+        if any(m <= 0 or m > full for m in self.family):  # on masks, 0 < m <= full is ∅ ≠ m ⊆ full
             raise ValueError("family members must be non-empty subsets of the base")
         if self.topology.n != len(self.family):
             raise ValueError("hyperspace topology must live on the family indices")
@@ -50,7 +51,7 @@ class HyperSpace:
 
 def _check_family(space: FiniteSpace, family: Sequence[int]) -> tuple[int, ...]:
     fam = canon_family(family)
-    if any(m == 0 or not is_subset(m, space.full) for m in fam):
+    if fam and (fam[0] <= 0 or fam[-1] > space.full):  # sorted, so the least and greatest members decide
         raise ValueError("family members must be non-empty subsets of the base")
     return fam
 
@@ -74,12 +75,17 @@ def _hit_index_mask(family: Sequence[int], m: int) -> int:
 
 
 def _hyperspace(space: FiniteSpace, family: tuple[int, ...], variant: str) -> HyperSpace:
-    """The lower, upper or Vietoris topology, intersected point by point of the base (module docstring)."""
-    fam = _check_family(space, family)
+    """The lower, upper or Vietoris topology, intersected point by point of the base (module docstring).
+
+    The family is validated once, by the HyperSpace record; points outside
+    the base are masked off until then.
+    """
+    fam = canon_family(family)
     mins = space.min_nbhds
+    full = space.full
     holding = [0] * space.n  # holding[x]: index mask of the members containing x
     for i, a in enumerate(fam):
-        for x in iter_bits(a):
+        for x in iter_bits(a & full):
             holding[x] |= 1 << i
     everything = full_mask(len(fam))
     nbhds = [everything] * len(fam)

@@ -14,7 +14,9 @@ array.
 subbase); ``final_from_edges`` computes a final topology as the reflexive
 transitive closure of pushed-forward neighbourhood edges, with no scan over
 candidate subsets; the exhaustive enumerator keeps the candidate
-neighbourhood arrays that are reflexive and transitive.
+neighbourhood arrays that are reflexive and transitive, and
+``homeomorphism_classes`` groups them by ``canonical_form``, the least
+neighbourhood array over all relabellings of the points.
 
 On a finite space every subset is compact, so compactness, local compactness
 and the nested-neighbourhood property hold by theorem and their predicates
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -402,6 +404,55 @@ def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
                 break
         if ok:
             yield FiniteSpace(n, mins)
+
+
+def _relabellings(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """(p, image) for every permutation p of the n points; image[m] is the mask m relabelled by p."""
+    for perm in itertools.permutations(range(n)):
+        image = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+        yield perm, image
+
+
+def _least_form(nbhds: Sequence[int], relabellings) -> tuple[int, ...]:
+    """The least of the arrays ``nbhds`` relabelled by each (p, image) of ``_relabellings``."""
+    forms = []
+    for perm, image in relabellings:
+        form = [0] * len(nbhds)
+        for x, u in enumerate(nbhds):
+            form[perm[x]] = image[u]
+        forms.append(tuple(form))
+    return min(forms)
+
+
+def canonical_form(space: FiniteSpace) -> tuple[int, ...]:
+    """The lexicographically least neighbourhood array over all relabellings of the points.
+
+    Relabelling by a permutation p puts p(U_x) at position p(x).  Two spaces
+    are homeomorphic exactly when their forms are equal.  All n!
+    relabellings are scanned, so n is limited to 8.
+    """
+    if space.n > 8:
+        raise SizeLimitExceeded(f"the canonical form scans all n! relabellings; n = {space.n} is over 8")
+    return _least_form(space.nbhds, list(_relabellings(space.n)))
+
+
+@lru_cache(maxsize=None)
+def homeomorphism_classes(n: int) -> tuple[tuple[FiniteSpace, tuple[tuple[int, FiniteSpace], ...]], ...]:
+    """The topologies on n <= 4 points up to homeomorphism, as (representative, members).
+
+    ``enumerate_topologies(n)`` grouped by canonical form.  The members of a
+    class are the (corpus index, space) pairs of its orbit under
+    relabelling, in corpus order; the representative is the first of them,
+    and the classes come in the corpus order of their representatives.
+    """
+    relabellings = list(_relabellings(n))
+    orbits: dict[tuple[int, ...], list[tuple[int, FiniteSpace]]] = {}
+    for i, space in enumerate(enumerate_topologies(n)):
+        orbits.setdefault(_least_form(space.nbhds, relabellings), []).append((i, space))
+    return tuple((members[0][1], tuple(members)) for members in orbits.values())
 
 
 # named small spaces used all over the tests and demos

@@ -20,8 +20,12 @@ builds the tables column-wise from its point table and skips the members
 its singletons already decide.  Closure, interior, the shrinking lemma, the
 separation axioms and the containment of the Vietoris topology in a final
 topology are decided by scanning the listed opens and closeds, where the
-library reads minimal neighbourhoods.  The tests freeze values computed here
-and compare the library against them.
+library reads minimal neighbourhoods.  Homeomorphism is a search over the
+permutations that carry one list of opens onto the other (the library
+compares canonical neighbourhood arrays), and the vietoris-inclusion and
+embedding reports are rebuilt from every labelled pair (X, Y) (the library
+runs one pair per pair of homeomorphism classes).  The tests freeze values
+computed here and compare the library against them.
 """
 
 import itertools
@@ -31,7 +35,8 @@ from topolab.finality import InclusionReport
 from topolab.funcspaces import compact_open, projection_compose
 from topolab.hyperspaces import compacts, vietoris
 from topolab.maps import FiniteMap, all_maps
-from topolab.spaces import FiniteSpace, generate_from_subbase
+from topolab.spaces import FiniteSpace, enumerate_topologies, generate_from_subbase, make_space
+from topolab import suites
 
 
 def is_topology_family(n: int, members: tuple[int, ...]) -> bool:
@@ -479,3 +484,42 @@ def vietoris_contained_by_opens(setup) -> InclusionReport:
                 break
         violations.append((o, witness_source))
     return InclusionReport(contained=not violations, violations=tuple(violations))
+
+
+def relabel_by_opens(space: FiniteSpace, perm) -> FiniteSpace:
+    """The space whose opens are the images of the opens of ``space`` under the point map x ↦ perm[x]."""
+    return make_space(space.n, [sum(1 << perm[x] for x in iter_bits(o)) for o in space.opens])
+
+
+def homeomorphic_by_search(a: FiniteSpace, b: FiniteSpace) -> bool:
+    """Some permutation of the points carries the opens of a onto the opens of b."""
+    if a.n != b.n:
+        return False
+    target = set(b.opens)
+    return any(
+        {sum(1 << perm[x] for x in iter_bits(o)) for o in a.opens} == target
+        for perm in itertools.permutations(range(a.n))
+    )
+
+
+def labelled_sweep(suite: str, max_n: int) -> suites.RunReport:
+    """The vietoris-inclusion or embedding report of every labelled pair (X, Y), in corpus order.
+
+    The sweep the suites ran before the class reduction: each pair is
+    checked on its own, by the suite's own pair function, and its witnesses
+    are appended in the order of the pairs.
+    """
+    spaces = [(n, i, sp) for n in range(1, max_n + 1) for i, sp in enumerate(enumerate_topologies(n))]
+    report = suites.RunReport(suite, {"max_n": max_n})
+    for sx in spaces:
+        for sy in spaces:
+            if suite == "vietoris-inclusion":
+                checked, witnesses = suites._inclusion_pair((sx, sy))
+                failed = len(witnesses)
+            else:
+                checked, failed, witnesses = suites._embedding_pair((sx, sy))
+            report.checked += checked
+            report.passed += checked - failed
+            report.failed += failed
+            report.witnesses.extend(witnesses)
+    return report

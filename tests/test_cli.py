@@ -238,6 +238,25 @@ class TestVerifyCommand:
         d2.pop("wall_time_s")
         assert d1 == d2
 
+    def test_summary_names_the_class_pairs(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert run(["verify", "--suite", "embedding", "--max-n", "3", "--report", str(report)]) == 0
+        out = capsys.readouterr().out
+        assert "169 class pairs for 1156 labelled pairs" in out
+        assert "re-run" not in out
+        assert "class pairs" not in report.read_text()  # stdout only: the report keeps its bytes
+
+    def test_summary_counts_the_rerun_pairs(self, monkeypatch, capsys):
+        from topolab import suites
+        from topolab.funcspaces import MuEmbeddingReport
+
+        failing = MuEmbeddingReport(
+            continuous=False, open_onto_image=True, injective=True, family_has_singletons=True
+        )
+        monkeypatch.setattr(suites, "mu_embedding_report", lambda *args: failing)
+        assert run(["verify", "--suite", "embedding", "--max-n", "2"]) == 1
+        assert "16 class pairs for 25 labelled pairs, 25 labelled pairs re-run after a failure" in capsys.readouterr().out
+
 
 class TestFilterLiterals:
     def test_roundtrip(self):

@@ -9,6 +9,7 @@ from topolab.bitsets import is_subset, nonempty_subsets
 from topolab.errors import NotOpen
 from topolab.filters import FilterOnCarrier, subsets_carrier
 from topolab.hyperspaces import (
+    HyperSpace,
     closeds,
     compacts,
     hit,
@@ -206,6 +207,28 @@ class TestFamilies:
     def test_closeds(self):
         assert closeds(S) == (0b01, 0b11)
         assert closeds(discrete_space(2)) == P2
+
+
+class TestFamilyValidation:
+    BAD = ((0, 0b01), (0b01, 0b100), (-1, 0b01), (0b1000,))  # empty member, points outside, negative mask
+
+    @pytest.mark.parametrize("build", [lower_vietoris, upper_vietoris, vietoris])
+    def test_builders_refuse_bad_members(self, build):
+        for family in self.BAD:
+            with pytest.raises(ValueError, match="non-empty subsets"):
+                build(S, family)
+
+    def test_basic_sets_and_records_refuse_bad_members(self):
+        for family in self.BAD:
+            with pytest.raises(ValueError, match="non-empty subsets"):
+                vietoris_basic(S, family, [0b10])
+            with pytest.raises(ValueError, match="non-empty subsets"):
+                HyperSpace(S, family, discrete_space(len(family)), "vietoris")
+
+    def test_good_members_at_the_edges(self):
+        # the least (a singleton) and greatest (the full set) members are accepted
+        assert vietoris(S, (0b01, 0b11)).family == (0b01, 0b11)
+        assert vietoris_basic(S, (0b11, 0b01), [0b11]) == (0b01, 0b11)
 
 
 class TestLowerLimits:

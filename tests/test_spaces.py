@@ -6,6 +6,7 @@ from oracles import (
     brute_force_topologies,
     closure_by_closeds,
     finest_topology_with_continuous,
+    homeomorphic_by_search,
     interior_by_opens,
     is_compact_by_covers,
     is_locally_compact_by_definition,
@@ -14,6 +15,7 @@ from oracles import (
     is_t2_by_opens,
     is_t3_by_opens,
     product_opens_by_boxes,
+    relabel_by_opens,
     shrink_between_by_opens,
     slow_subbase_closure,
 )
@@ -21,11 +23,14 @@ from topolab.bitsets import complement, is_subset
 from topolab.errors import NotATopology, NotOpen, SizeLimitExceeded
 from topolab.maps import FiniteMap, constant_map, identity_map
 from topolab.spaces import (
+    canonical_form,
     closure,
     discrete_space,
     enumerate_topologies,
     final_topology,
+    final_from_edges,
     generate_from_subbase,
+    homeomorphism_classes,
     indiscrete_space,
     interior,
     is_compact_subset,
@@ -266,6 +271,60 @@ class TestEnumeration:
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
             list(enumerate_topologies(5))
+
+
+class TestHomeomorphismClasses:
+    # OEIS A001930 (up to homeomorphism) and A000798 (labelled)
+    @pytest.mark.parametrize("n,classes,labelled", [(0, 1, 1), (1, 1, 1), (2, 3, 4), (3, 9, 29), (4, 33, 355)])
+    def test_counts(self, n, classes, labelled):
+        found = homeomorphism_classes(n)
+        assert len(found) == classes
+        assert sum(len(members) for _, members in found) == labelled
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_members_partition_the_corpus_in_order(self, n):
+        corpus = list(enumerate_topologies(n))
+        found = homeomorphism_classes(n)
+        indices = [i for _, members in found for i, _ in members]
+        assert sorted(indices) == list(range(len(corpus)))
+        for rep, members in found:
+            assert [i for i, _ in members] == sorted(i for i, _ in members)
+            assert all(space == corpus[i] for i, space in members)
+            assert rep == members[0][1]  # the member of lowest corpus index
+            assert len({canonical_form(space) for _, space in members}) == 1
+        # classes come in the corpus order of their representatives
+        assert [members[0][0] for _, members in found] == sorted(members[0][0] for _, members in found)
+
+    def test_form_survives_random_relabelling(self, corpus3, corpus_n4):
+        rng = random.Random(9)
+        spaces = [sp for _, _, sp in corpus3] + corpus_n4
+        # and some 5-point preorders, beyond the enumerated corpus
+        for _ in range(20):
+            spaces.append(final_from_edges(5, [(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randrange(7))]))
+        for sp in spaces:
+            form = canonical_form(sp)
+            for _ in range(2):
+                perm = rng.sample(range(sp.n), sp.n)
+                assert canonical_form(relabel_by_opens(sp, perm)) == form
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equal_forms_iff_homeomorphic(self, n):
+        corpus = list(enumerate_topologies(n))
+        forms = [canonical_form(sp) for sp in corpus]
+        for a, fa in zip(corpus, forms):
+            for b, fb in zip(corpus, forms):
+                assert (fa == fb) == homeomorphic_by_search(a, b)
+
+    def test_form_is_a_relabelled_array(self):
+        # the least of the relabelled arrays: Sierpinski's open point goes first
+        assert canonical_form(S) == (0b01, 0b11)
+        assert canonical_form(discrete_space(3)) == (1, 2, 4)
+
+    def test_size_guard(self):
+        with pytest.raises(SizeLimitExceeded):
+            canonical_form(discrete_space(9))
+        with pytest.raises(SizeLimitExceeded):
+            homeomorphism_classes(5)
 
 
 def test_t2_implies_t1_and_t1_implies_discrete(corpus3):

@@ -1,14 +1,18 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 
-from oracles import inclusion_pair_by_scan
+from oracles import inclusion_pair_by_scan, labelled_sweep, relabel_by_opens
 from topolab import suites
 from topolab.cli import main
 from topolab.fileio import dumps_canonical
 from topolab.bitsets import full_mask
 from topolab.errors import SizeLimitExceeded, TopolabError
-from topolab.funcspaces import FunctionSpace
+from topolab.funcspaces import FunctionSpace, MuEmbeddingReport
+from topolab.hyperspaces import HyperSpace, compacts, vietoris
+from topolab.spaces import canonical_form, discrete_space, enumerate_topologies, sierpinski_space
 
 
 def _pairs(corpus3):
@@ -130,3 +134,118 @@ class TestPinnedReports:
         parallel = json.loads(self._report(tmp_path, "vietoris-inclusion", "--jobs", "2"))
         serial["wall_time_s"] = parallel["wall_time_s"]
         assert dumps_canonical(parallel) == dumps_canonical(serial)
+
+
+def _counts(result) -> tuple[int, Counter]:
+    checked, *_, witnesses = result
+    return checked, Counter(w["kind"] for w in witnesses)
+
+
+def _assert_same_report(report, expected):
+    """The canonical bytes of both reports agree (wall time aside); a mismatch names the first differing witness.
+
+    The texts are not compared in the assert itself, because the diff pytest
+    would render for two long reports takes minutes.
+    """
+    expected.wall_time_s = report.wall_time_s
+    if dumps_canonical(report.to_dict()) != dumps_canonical(expected.to_dict()):
+        pairs = zip(report.witnesses, expected.witnesses)
+        first = next((k for k, (got, want) in enumerate(pairs) if got != want), None)
+        pytest.fail(
+            f"report differs from the labelled sweep: totals {report.to_dict()['totals']} against "
+            f"{expected.to_dict()['totals']}, {len(report.witnesses)} against {len(expected.witnesses)} "
+            f"witnesses, first differing witness at {first}"
+        )
+
+
+class TestClassReduction:
+    """One pair of class representatives stands for its orbit: asserted, not assumed."""
+
+    @staticmethod
+    def _relabelled_pairs(seed, max_n, count):
+        rng = random.Random(seed)
+        corpus = [(n, i, sp) for n in range(1, max_n + 1) for i, sp in enumerate(enumerate_topologies(n))]
+        for _ in range(count):
+            (nx, xi, x), (ny, yi, y) = rng.choice(corpus), rng.choice(corpus)
+            px, py = rng.sample(range(nx), nx), rng.sample(range(ny), ny)
+            relabelled = ((nx, xi, relabel_by_opens(x, px)), (ny, yi, relabel_by_opens(y, py)))
+            yield ((nx, xi, x), (ny, yi, y)), relabelled
+
+    def test_pair_results_survive_relabelling(self):
+        for args, relabelled in self._relabelled_pairs(11, 4, 24):
+            assert _counts(suites._inclusion_pair(args)) == _counts(suites._inclusion_pair(relabelled))
+            assert _counts(suites._embedding_pair(args)) == _counts(suites._embedding_pair(relabelled))
+
+    def test_witness_counts_survive_relabelling(self, monkeypatch):
+        # indiscrete function spaces: a fault that relabelling X or Y leaves unchanged
+        monkeypatch.setattr(FunctionSpace, "min_nbhds", property(lambda fs: (full_mask(fs.size),) * fs.size))
+        kinds = Counter()
+        for args, relabelled in self._relabelled_pairs(12, 3, 40):
+            counts = _counts(suites._inclusion_pair(args))
+            assert counts == _counts(suites._inclusion_pair(relabelled))
+            kinds += counts[1]
+        assert set(kinds) >= {"vietoris-open-preimage-not-open", "miss-preimage-not-open", "hit-preimage-not-open"}
+
+    @pytest.mark.parametrize("suite", ["vietoris-inclusion", "embedding"])
+    def test_report_bytes_match_the_labelled_sweep(self, suite):
+        report = suites.run_suite(suite, max_n=3)
+        assert (report.class_pairs, report.labelled_pairs, report.rerun_pairs) == (169, 1156, 0)
+        _assert_same_report(report, labelled_sweep(suite, 3))
+
+    @pytest.mark.parametrize("suite", ["vietoris-inclusion", "embedding"])
+    def test_class_fault_is_rerun_on_every_labelled_pair(self, suite, monkeypatch):
+        # a fault whenever Y is a Sierpinski space, in either labelling
+        sierpinski = canonical_form(sierpinski_space())
+        real_vietoris, real_report = suites.vietoris, suites.mu_embedding_report
+
+        def fine_vietoris(space, family):
+            if canonical_form(space) != sierpinski:
+                return real_vietoris(space, family)
+            return HyperSpace(space, family, discrete_space(len(family)), "vietoris")
+
+        def failing_report(x, y, maps, family):
+            rep = real_report(x, y, maps, family)
+            if canonical_form(y) != sierpinski:
+                return rep
+            return MuEmbeddingReport(
+                continuous=False,
+                open_onto_image=rep.open_onto_image,
+                injective=rep.injective,
+                family_has_singletons=rep.family_has_singletons,
+            )
+
+        monkeypatch.setattr(suites, "vietoris", fine_vietoris)
+        monkeypatch.setattr(suites, "mu_embedding_report", failing_report)
+        report = suites.run_suite(suite, max_n=3)
+        assert report.failed > 0
+        assert report.rerun_pairs == 34 * 2  # every X against both labellings of Sierpinski
+        assert {tuple(w["y"]) for w in report.witnesses} == {(2, 1), (2, 2)}
+        _assert_same_report(report, labelled_sweep(suite, 3))
+
+
+def _labelled_spaces(max_n):
+    return [sp for n in range(1, max_n + 1) for sp in enumerate_topologies(n)]
+
+
+def _inclusion_closed_form(max_n) -> int:
+    """Σ_X (2^n_X − 1) · Σ_Y (4·|opens Y| + open_count V(Y)): per compact a of X, the miss and hit
+    identity and openness checks over the closeds and opens of Y, and one check per Vietoris open."""
+    spaces = _labelled_spaces(max_n)
+    per_y = sum(4 * y.open_count + vietoris(y, compacts(y)).topology.open_count for y in spaces)
+    return sum((1 << x.n) - 1 for x in spaces) * per_y
+
+
+class TestPinnedTotals:
+    def test_closed_form_at_max_n_3(self):
+        assert _inclusion_closed_form(3) == 242352
+
+    def test_vietoris_inclusion_at_max_n_4(self):
+        report = suites.run_suite("vietoris-inclusion", max_n=4)
+        assert (report.checked, report.failed) == (596278092, 0)
+        assert report.checked == _inclusion_closed_form(4)
+        assert (report.class_pairs, report.labelled_pairs) == (46**2, 389**2)
+
+    def test_embedding_at_max_n_4(self):
+        report = suites.run_suite("embedding", max_n=4)
+        assert (report.checked, report.failed) == (453963, 0)
+        assert report.checked == 3 * len(_labelled_spaces(4)) ** 2
