@@ -33,14 +33,21 @@ for each x ∈ A, then g(A) ⊆ hull f(A), and g(A) meets U_k for each
 k ∈ f(A); these are the upper and the Vietoris nearness of g(A) to f(A).
 On the full powerset the slots drop from 2^n − 1 to n, and when the
 singletons are in the family the Vietoris pull-back P_f equals U_f.
+
+Sharing: ``set_open_topology`` validates its arguments on every call and
+then returns the space from a small ``lru_cache`` (the last 8 spaces), so
+``compact_open`` followed by ``mu_embedding_report`` on one pair builds the
+tables once.  A shared space is read-only to its callers: ``images`` hands
+out a read-only view of its image table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from operator import and_, or_
-from typing import Callable, Sequence
+from functools import cached_property, lru_cache
+from operator import and_
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .bitsets import canon_family, full_mask, is_subset, iter_bits
 from .errors import ImageNotInFamily
@@ -67,15 +74,20 @@ def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]
     with no admissible value is dropped.
     """
     dmins, cmins = dom.min_nbhds, cod.min_nbhds
+    values = tuple(enumerate(cmins))
     images: list[tuple[int, ...]] = [()]
     for x in range(dom.n):
         below = tuple(iter_bits(dmins[x] & ((1 << x) - 1)))
         above = tuple(e for e in range(x) if dmins[e] >> x & 1)
         grown = []
         for image in images:
-            allowed = reduce(and_, (cmins[image[e]] for e in above), full_mask(cod.n))
-            need = reduce(or_, (1 << image[e] for e in below), 0)
-            grown += [image + (y,) for y in iter_bits(allowed) if is_subset(need, cmins[y])]
+            allowed = full_mask(cod.n)
+            for e in above:
+                allowed &= cmins[image[e]]
+            need = 0
+            for e in below:
+                need |= 1 << image[e]
+            grown += [image + (y,) for y, u in values if allowed >> y & 1 and need & ~u == 0]
         images = grown
     return tuple(FiniteMap(dom.n, cod.n, image) for image in images)
 
@@ -95,8 +107,10 @@ def _pull_back(size: int, groups: Sequence[dict], near: Callable[[object, object
             for u, others in items:
                 if near(v, u):
                     up |= others
-            for i in iter_bits(members):
-                out[i] &= up
+            while members:
+                low = members & -members
+                out[low.bit_length() - 1] &= up
+                members ^= low
     return tuple(out)
 
 
@@ -176,21 +190,26 @@ class FunctionSpace:
         that is, the union over y of _points[x][y] & { f : f(e) ∈ U_y }.
         """
         points, cmins = self._points, self.cod.min_nbhds
-        within = [[reduce(or_, (column[z] for z in iter_bits(u)), 0) for u in cmins] for column in points]
+        # the masks of one column are disjoint, so their union is their sum
+        within = [[sum(m for z, m in enumerate(column) if u >> z & 1) for u in cmins] for column in points]
         out = full_mask(self.size)
         for x, u in enumerate(self.dom.min_nbhds):
             for e in iter_bits(u & ~(1 << x)):
-                out &= reduce(or_, map(and_, points[x], within[e]), 0)
+                out &= sum(map(and_, points[x], within[e]))
         return out
 
-    def images(self, a: int) -> dict[int, int]:
-        """{ image f(a) : function mask of the f with that image }; ValueError unless a is in the family."""
-        return self._groups[self.family.index(a)]
+    def images(self, a: int) -> Mapping[int, int]:
+        """{ image f(a) : function mask of the f with that image }, read-only; ValueError unless a is in the family.
+
+        The view is read-only because a FunctionSpace is shared between
+        callers (see ``set_open_topology``).
+        """
+        return MappingProxyType(self._groups[self.family.index(a)])
 
     def subbasic(self, a: int, w: int) -> int:
         """Function-index mask of (a, w) = { f : f(a) ⊆ w }; ValueError unless a is in the family."""
         out = 0
-        for img, members in self.images(a).items():
+        for img, members in self._groups[self.family.index(a)].items():
             if img & ~w == 0:
                 out |= members
         return out
@@ -223,14 +242,30 @@ def set_open_topology(
     dom: FiniteSpace,
     cod: FiniteSpace,
 ) -> FunctionSpace:
-    """Topology on the carrier generated by { (A, W) : A in family, W open }."""
+    """Topology on the carrier generated by { (A, W) : A in family, W open }.
+
+    The arguments are validated on every call.  The FunctionSpace itself
+    comes from ``_function_space``, an ``lru_cache`` of the last 8 spaces
+    keyed by (carrier tuple, canonical family, dom, cod), so callers that
+    build the same space one after the other (``compact_open`` and then
+    ``mu_embedding_report`` on one pair, or final-topology sources on one
+    domain) share its tables.  The bound keeps a sweep over many pairs from
+    holding every space it built.
+    """
     fam = canon_family(family)
     if any(not is_subset(a, dom.full) for a in fam):
         raise ValueError("family members must be subsets of the domain")
     fns = tuple(carrier)
     if any(f.dom_n != dom.n or f.cod_n != cod.n for f in fns):
         raise ValueError("carrier maps must go from dom to cod")
-    return FunctionSpace(dom, cod, fns, fam)
+    return _function_space(fns, fam, dom, cod)
+
+
+@lru_cache(maxsize=8)
+def _function_space(
+    functions: tuple[FiniteMap, ...], family: tuple[int, ...], dom: FiniteSpace, cod: FiniteSpace
+) -> FunctionSpace:
+    return FunctionSpace(dom, cod, functions, family)
 
 
 def compact_open(
@@ -328,8 +363,11 @@ def mu_embedding_report(
     fs = set_open_topology(carrier, fam, dom, cod)
     tf = canon_family(target_family if target_family is not None else compacts(cod))
     index = {k: i for i, k in enumerate(tf)}
-    refused = reduce(or_, (m for slot in fs._groups for img, m in slot.items() if img not in index), 0)
-    refused |= full_mask(fs.size) & ~fs._continuous
+    refused = full_mask(fs.size) & ~fs._continuous
+    for slot in fs._groups:
+        for img, m in slot.items():
+            if img not in index:
+                refused |= m
     if refused:
         mu(dom, cod, fam, fs.functions[(refused & -refused).bit_length() - 1], tf)
     slots = tuple({index[img]: m for img, m in fs._groups[ai].items()} for ai in fs._kept)
@@ -345,9 +383,17 @@ def mu_embedding_report(
     for slot in slots:
         fibres = [p & m for p in fibres for m in slot.values() if p & m]
     shared = [m for m in fibres if m & (m - 1)]
+
+    def saturated(u: int) -> int:
+        out = u
+        for m in shared:
+            if m & u:
+                out |= m
+        return out
+
     return MuEmbeddingReport(
         continuous=all(is_subset(u, p) for u, p in zip(mins, pm)),
-        open_onto_image=all(is_subset(p, reduce(or_, (m for m in shared if m & u), u)) for u, p in zip(mins, pm)),
+        open_onto_image=all(is_subset(p, saturated(u)) for u, p in zip(mins, pm)),
         injective=not shared,
         family_has_singletons=singletons,
     )

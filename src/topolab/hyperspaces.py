@@ -69,7 +69,7 @@ def miss(family: Sequence[int], m: int) -> tuple[int, ...]:
 def _hit_index_mask(family: Sequence[int], m: int) -> int:
     mask = 0
     for i, a in enumerate(family):
-        if meets(a, m):
+        if a & m:
             mask |= 1 << i
     return mask
 

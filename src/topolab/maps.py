@@ -21,7 +21,7 @@ class FiniteMap:
     def __post_init__(self):
         if len(self.image) != self.dom_n:
             raise ValueError("image array length must equal dom_n")
-        if any(not (0 <= y < self.cod_n) for y in self.image):
+        if self.image and not (0 <= min(self.image) and max(self.image) < self.cod_n):
             raise ValueError("image entries must lie in the codomain")
 
     def __call__(self, x: int) -> int:

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import reduce
 from multiprocessing import Pool
-from operator import or_
 from typing import Callable, Sequence
 
 from .bitsets import complement, full_mask, is_subset, iter_bits, points_of
@@ -190,7 +188,9 @@ def _inclusion_pair(args) -> tuple[int, list]:
     hyper = vietoris(y, ky).topology
     hmins = hyper.min_nbhds
     mins = fsp.min_nbhds
-    misses = [(fmask, full_mask(len(ky)) & ~_hit_index_mask(ky, fmask)) for fmask in y.closeds]
+    misses = [
+        (fmask, full_mask(len(ky)) & ~_hit_index_mask(ky, fmask), complement(fmask, y.n)) for fmask in y.closeds
+    ]
     hits = [
         (o, _hit_index_mask(ky, o), [fsp.subbasic(1 << pt, o) for pt in range(x.n)]) for o in y.opens
     ]
@@ -206,18 +206,29 @@ def _inclusion_pair(args) -> tuple[int, list]:
         a_points = points_of(a)
 
         def preimage(index_mask: int) -> int:
-            return reduce(or_, [m for bit, m in groups if index_mask & bit], 0)
+            out = 0
+            for bit, m in groups:
+                if index_mask & bit:
+                    out |= m
+            return out
 
-        continuous = all(
-            is_subset(reduce(or_, [mins[i] for i in iter_bits(m)], 0), preimage(hmins[v])) for v, m in values
-        )
+        continuous = True
+        for v, m in values:
+            around = 0  # the union of U_f over the f with f(a) = ky[v]
+            while m:
+                low = m & -m
+                around |= mins[low.bit_length() - 1]
+                m ^= low
+            if not is_subset(around, preimage(hmins[v])):
+                continuous = False
+                break
 
         def pulls_back_open(index_mask: int) -> bool:
             return continuous or fsp.is_open(preimage(index_mask))
 
-        for fmask, missm in misses:
+        for fmask, missm, avoid in misses:
             lhs = preimage(missm)
-            rhs = fsp.subbasic(a, complement(fmask, y.n))
+            rhs = fsp.subbasic(a, avoid)
             checked += 2
             if lhs != rhs:
                 witnesses.append(tag("miss-identity", a=a_points, closed=points_of(fmask)))
@@ -225,7 +236,9 @@ def _inclusion_pair(args) -> tuple[int, list]:
                 witnesses.append(tag("miss-preimage-not-open", a=a_points, closed=points_of(fmask)))
         for o, hitm, by_point in hits:
             lhs = preimage(hitm)
-            rhs = reduce(or_, [by_point[pt] for pt in a_points], 0)
+            rhs = 0
+            for pt in a_points:
+                rhs |= by_point[pt]
             checked += 2
             if lhs != rhs:
                 witnesses.append(tag("hit-identity", a=a_points, open=points_of(o)))

@@ -38,6 +38,12 @@ class TestEnumeration:
         assert all(is_choice_function(3, f) for f in fns)
         assert len(set(fns)) == 24
 
+    def test_four_point_functions_build_and_are_distinct(self):
+        fns = list(enumerate_choice_functions(4))
+        assert len(fns) == 20736
+        assert all(is_choice_function(4, f) for f in fns)
+        assert len(set(fns)) == 20736
+
     def test_guard(self):
         with pytest.raises(SizeLimitExceeded):
             list(enumerate_choice_functions(5))

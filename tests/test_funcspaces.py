@@ -23,7 +23,7 @@ from topolab.funcspaces import (
     set_open_topology,
 )
 from topolab.hyperspaces import compacts, vietoris
-from topolab import limits
+from topolab import funcspaces, limits
 from topolab.maps import FiniteMap, all_maps, constant_map, identity_map
 from topolab.spaces import discrete_space, indiscrete_space, sierpinski_space
 
@@ -105,6 +105,67 @@ class TestSetOpen:
                         assert is_subset(fs.subbasic(a, w), fs.subbasic(a, w2))
 
 
+class TestSharedSpace:
+    """set_open_topology validates every call and shares one FunctionSpace per key."""
+
+    def test_validation_runs_before_the_lookup(self):
+        fns = continuous_maps(S, S)
+        cache = funcspaces._function_space
+        set_open_topology(fns, P2, S, S)
+        before = cache.cache_info()
+        with pytest.raises(ValueError, match="carrier maps must go from dom to cod"):
+            set_open_topology(fns + (FiniteMap(3, 2, (0, 0, 1)),), P2, S, S)
+        with pytest.raises(ValueError, match="carrier maps must go from dom to cod"):
+            set_open_topology(fns, P2, discrete_space(3), S)
+        with pytest.raises(ValueError, match="family members must be subsets of the domain"):
+            set_open_topology(fns, P2 + (0b100,), S, S)
+        assert cache.cache_info() == before
+        assert set_open_topology(fns, P2, S, S) is set_open_topology(list(fns), reversed(P2), S, S)
+
+    def test_cache_is_bounded(self):
+        assert funcspaces._function_space.cache_info().maxsize is not None
+
+    def test_images_is_read_only(self):
+        fs = compact_open(S, D2)
+        view = fs.images(0b11)
+        img = next(iter(view))
+        with pytest.raises(TypeError):
+            view[img] = 0
+        with pytest.raises(TypeError):
+            del view[img]
+        assert compact_open(S, D2).images(0b11) == image_groups_by_maps(fs.functions, fs.family)[-1]
+
+    @staticmethod
+    def _outcome(dom, cod, fns, fam):
+        try:
+            return mu_embedding_report(dom, cod, fns, fam)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    def _check(self, dom, cod):
+        fam = compacts(dom)
+        for carrier in ("continuous", "all"):
+            fns = compact_open(dom, cod, carrier).functions
+            funcspaces._function_space.cache_clear()
+            cold = self._outcome(dom, cod, fns, fam)
+            funcspaces._function_space.cache_clear()
+            compact_open(dom, cod, carrier).min_nbhds
+            hits = funcspaces._function_space.cache_info().hits
+            assert self._outcome(dom, cod, fns, fam) == cold, (dom, cod, carrier)
+            assert funcspaces._function_space.cache_info().hits == hits + 1
+
+    def test_report_after_compact_open_all_pairs_up_to_two_points(self, corpus3):
+        small = [space for n, _, space in corpus3 if n <= 2]
+        for dom in small:
+            for cod in small:
+                self._check(dom, cod)
+
+    def test_report_after_compact_open_seeded_four_point_sample(self, corpus_n4):
+        rng = random.Random(10)
+        for _ in range(12):
+            self._check(rng.choice(corpus_n4), rng.choice(corpus_n4))
+
+
 class TestCompactOpen:
     def test_discrete_square_is_discrete(self):
         fs = compact_open(D2, D2)
@@ -120,7 +181,7 @@ class TestCompactOpen:
         assert fs.materialize().opens == (0, (1 << fs.size) - 1)
 
     def test_materialize_guard(self):
-        from topolab import limits
+        from topolab import funcspaces, limits
 
         d3 = discrete_space(3)
         fs = compact_open(d3, d3)  # 27 maps, discrete: 2^27 opens

@@ -25,6 +25,7 @@ def _load_tracing():
 def test_traced_min_nbhds_then_restore():
     tracing = _load_tracing()
     originals = {cls: cls.__dict__["min_nbhds"] for cls in (FiniteSpace, FunctionSpace)}
+    funcspaces._function_space.cache_clear()  # start cold, as each benchmark pass does
     tracer = tracing.Tracer()
     restore = tracing.instrument(tracer)
     try:
