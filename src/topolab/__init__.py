@@ -3,7 +3,7 @@
 Everything is exact and combinatorial: subsets are int bitmasks, topologies
 are their minimal-neighbourhood arrays, filters are kernels, and the
 verification suites sweep complete corpora of labeled topologies on up to
-four points, one pair per pair of homeomorphism classes where the checked
+five points, one pair per pair of homeomorphism classes where the checked
 statement is invariant under relabelling.
 """
 

@@ -94,13 +94,12 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if args.n < 0:
         print(f"--n must be non-negative, got {args.n}", file=sys.stderr)
         return 2
+    corpus = list(enumerate_topologies(args.n))  # refuses n over 5 before the directory is made
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for i, space in enumerate(enumerate_topologies(args.n)):
+    for i, space in enumerate(corpus):
         save_space(space, outdir / f"topology_n{args.n}_{i:04d}.json")
-        count += 1
-    print(f"wrote {count} topologies to {outdir}")
+    print(f"wrote {len(corpus)} topologies to {outdir}")
     return 0
 
 
@@ -232,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help=f"all | {' | '.join(SUITE_NAMES)}")
-    p.add_argument("--max-n", type=int, default=3, dest="max_n", help="largest n (>= 1) of vietoris-inclusion, embedding, "
+    p.add_argument("--max-n", type=int, default=3, dest="max_n", help="largest n (>= 1) of vietoris-inclusion (<= 5), embedding (<= 5), "
                    "choice-lemma (<= 3), property-a (<= 3) and y of finality-square (<= 3); stone-cech keeps max_d=4; "
                    "every selected suite's bound is checked before any suite runs")
     p.add_argument("--report", default=None, help="write the RunReport JSON here")

@@ -21,9 +21,12 @@ embedding f ↦ (A ↦ f(A)) is decided against the Vietoris power.
 
 A FunctionSpace works column-wise, on function masks, never map by map.
 Its point table holds, per (x, y), the mask of the maps with f(x) = y; the
-image table of a family member A follows from the recurrence
+image table of a subset A follows from the recurrence
 table(A) = table(A − x) ⊗ table({x}), x the lowest point of A, where ⊗
 intersects the masks of every pair of entries and joins their images.
+A table is built the first time a caller reads it and is kept on the
+space, so a caller that reads only the singleton tables never pays for
+the 2^n − 1 members of a full powerset.
 Carrier continuity is one mask as well: the maps with f(e) ∈ U_{f(x)} for
 every domain edge e ∈ U_x.
 
@@ -32,13 +35,16 @@ all family members adds nothing to either pull-back.  If g(x) ∈ U_{f(x)}
 for each x ∈ A, then g(A) ⊆ hull f(A), and g(A) meets U_k for each
 k ∈ f(A); these are the upper and the Vietoris nearness of g(A) to f(A).
 On the full powerset the slots drop from 2^n − 1 to n, and when the
-singletons are in the family the Vietoris pull-back P_f equals U_f.
+singletons are in the family the Vietoris pull-back P_f equals U_f.  The
+neighbourhoods, P_f and the mu-fibres read the kept slots only, so on
+such a family they build the n singleton tables and no other.
 
-Sharing: ``set_open_topology`` validates its arguments on every call and
-then returns the space from a small ``lru_cache`` (the last 8 spaces), so
-``compact_open`` followed by ``mu_embedding_report`` on one pair builds the
-tables once.  A shared space is read-only to its callers: ``images`` hands
-out a read-only view of its image table.
+Sharing: ``set_open_topology`` validates its arguments on every call,
+before the lookup, and then returns the space from a small ``lru_cache``
+(the last 8 spaces), so ``compact_open`` followed by
+``mu_embedding_report`` on one pair builds each table at most once.  A
+shared space is read-only to its callers: ``images`` hands out a
+read-only view of an image table.
 """
 
 from __future__ import annotations
@@ -120,10 +126,11 @@ class FunctionSpace:
 
     Everything is kept as function masks (bit i for ``functions[i]``) and
     derived column-wise: the point table ``_points`` (maps with f(x) = y),
-    the image table ``_groups`` per family member by the recurrence over
-    the lowest point, the continuous maps ``_continuous`` by one mask per
-    domain edge, and the family positions ``_kept`` that a pull-back needs
-    (slot pruning, see the module docstring).
+    the image table ``_table(a)`` of a subset, built on first use by the
+    recurrence over the lowest point and kept in ``_tables``, the
+    continuous maps ``_continuous`` by one mask per domain edge, and the
+    family positions ``_kept`` that a pull-back needs (slot pruning, see
+    the module docstring).
     """
 
     dom: FiniteSpace
@@ -145,28 +152,39 @@ class FunctionSpace:
         return tuple(map(tuple, table))
 
     @cached_property
-    def _groups(self) -> tuple[dict[int, int], ...]:
-        """_groups[ai][img] = function mask of { f : f(family[ai]) = img }.
+    def _tables(self) -> dict[int, dict[int, int]]:
+        """The image tables ``_table`` has built so far, by subset; the empty set's to start."""
+        return {0: {0: full_mask(self.size)} if self.size else {}}
+
+    def _table(self, a: int) -> dict[int, int]:
+        """{ image f(a) : function mask of { f : f(a) = image } }, built on first use and kept.
 
         table(A) = table(A − x) ⊗ _points[x] for the lowest point x of A: each
         entry (img, m) of table(A − x) splits into (img | {y}, m & _points[x][y]).
-        The cost is (distinct images × |cod|) mask operations per member.
+        The cost is (distinct images × |cod|) mask operations per subset, paid
+        for A and for each of its suffixes not built before.
         """
-        columns = [[(1 << y, m) for y, m in enumerate(column) if m] for column in self._points]
-        tables = {0: {0: full_mask(self.size)} if self.size else {}}
+        tables = self._tables
+        chain = []
+        b = a
+        while b not in tables:
+            chain.append(b)
+            b &= b - 1
+        for b in reversed(chain):
+            low = b & -b
+            column = [(1 << y, m) for y, m in enumerate(self._points[low.bit_length() - 1]) if m]
+            out: dict[int, int] = {}
+            for img, members in tables[b ^ low].items():
+                for bit, m in column:
+                    if members & m:
+                        out[img | bit] = out.get(img | bit, 0) | members & m
+            tables[b] = out
+        return tables[a]
 
-        def table(a: int) -> dict[int, int]:
-            if a not in tables:
-                low = a & -a
-                out: dict[int, int] = {}
-                for img, members in table(a ^ low).items():
-                    for bit, m in columns[low.bit_length() - 1]:
-                        if members & m:
-                            out[img | bit] = out.get(img | bit, 0) | members & m
-                tables[a] = out
-            return tables[a]
-
-        return tuple(table(a) for a in self.family)
+    @cached_property
+    def _members(self) -> frozenset[int]:
+        """The family as a set, for membership tests."""
+        return frozenset(self.family)
 
     @cached_property
     def _kept(self) -> tuple[int, ...]:
@@ -175,7 +193,7 @@ class FunctionSpace:
         A member of two or more points whose singletons are all members is
         skipped: the singleton slots imply its upper and Vietoris nearness.
         """
-        fam = set(self.family)
+        fam = self._members
         return tuple(
             ai
             for ai, a in enumerate(self.family)
@@ -198,18 +216,25 @@ class FunctionSpace:
                 out &= sum(map(and_, points[x], within[e]))
         return out
 
+    def _member_table(self, a: int) -> dict[int, int]:
+        """``_table(a)``, read from ``_tables`` when built; ValueError unless a is in the family."""
+        if a not in self._members:
+            raise ValueError(f"{a:#x} is not in the family")
+        table = self._tables.get(a)
+        return self._table(a) if table is None else table
+
     def images(self, a: int) -> Mapping[int, int]:
         """{ image f(a) : function mask of the f with that image }, read-only; ValueError unless a is in the family.
 
         The view is read-only because a FunctionSpace is shared between
         callers (see ``set_open_topology``).
         """
-        return MappingProxyType(self._groups[self.family.index(a)])
+        return MappingProxyType(self._member_table(a))
 
     def subbasic(self, a: int, w: int) -> int:
         """Function-index mask of (a, w) = { f : f(a) ⊆ w }; ValueError unless a is in the family."""
         out = 0
-        for img, members in self._groups[self.family.index(a)].items():
+        for img, members in self._member_table(a).items():
             if img & ~w == 0:
                 out |= members
         return out
@@ -223,8 +248,13 @@ class FunctionSpace:
         the kept family members (``_kept``), which gives the same sets as
         intersecting over all of them.
         """
-        slots = [self._groups[ai] for ai in self._kept]
-        hull = {v: _hull(self.cod, v) for slot in slots for v in slot}
+        slots = [self._table(self.family[ai]) for ai in self._kept]
+        cmins = self.cod.min_nbhds
+        hull = {}
+        for slot in slots:
+            for v in slot:
+                # the hull of a singleton image {y} is U_y
+                hull[v] = cmins[v.bit_length() - 1] if v and not v & (v - 1) else _hull(self.cod, v)
         return _pull_back(self.size, slots, lambda v, u: u & ~hull[v] == 0)
 
     def is_open(self, mask: int) -> bool:
@@ -244,16 +274,18 @@ def set_open_topology(
 ) -> FunctionSpace:
     """Topology on the carrier generated by { (A, W) : A in family, W open }.
 
-    The arguments are validated on every call.  The FunctionSpace itself
-    comes from ``_function_space``, an ``lru_cache`` of the last 8 spaces
-    keyed by (carrier tuple, canonical family, dom, cod), so callers that
-    build the same space one after the other (``compact_open`` and then
-    ``mu_embedding_report`` on one pair, or final-topology sources on one
-    domain) share its tables.  The bound keeps a sweep over many pairs from
-    holding every space it built.
+    The arguments are validated on every call, before the lookup, so a
+    refused call leaves the cache as it was; the canonical family is sorted,
+    so its ends decide whether every member is a subset of the domain.  The
+    FunctionSpace itself comes from ``_function_space``, an ``lru_cache`` of
+    the last 8 spaces keyed by (carrier tuple, canonical family, dom, cod),
+    so callers that build the same space one after the other
+    (``compact_open`` and then ``mu_embedding_report`` on one pair, or
+    final-topology sources on one domain) share its tables.  The bound keeps
+    a sweep over many pairs from holding every space it built.
     """
     fam = canon_family(family)
-    if any(not is_subset(a, dom.full) for a in fam):
+    if fam and (fam[0] < 0 or fam[-1] > dom.full):
         raise ValueError("family members must be subsets of the domain")
     fns = tuple(carrier)
     if any(f.dom_n != dom.n or f.cod_n != cod.n for f in fns):
@@ -353,24 +385,29 @@ def mu_embedding_report(
 
     P_f and the mu-fibres are taken over the kept slots of the carrier
     (``FunctionSpace._kept``), which gives the same sets as all slots.  The
-    mu values come from the carrier's image table (``_groups``) and its
+    mu values come from the carrier's image tables (``_table``) and its
     continuity from one mask (``_continuous``), not from a call of ``mu``
     per map; the first map in carrier order that ``mu`` would refuse (not
     continuous, or an image outside the target family) raises the same
-    error.
+    error.  The tables of the other family members are read for that test
+    only when the target family lacks some non-empty subset of the
+    codomain: otherwise only the image of an empty member can be refused.
     """
     fam = canon_family(family)
     fs = set_open_topology(carrier, fam, dom, cod)
     tf = canon_family(target_family if target_family is not None else compacts(cod))
     index = {k: i for i, k in enumerate(tf)}
     refused = full_mask(fs.size) & ~fs._continuous
-    for slot in fs._groups:
-        for img, m in slot.items():
+    every_nonempty = sum(1 for k in tf if 0 < k <= cod.full) == cod.full
+    for a in fam:
+        if a and every_nonempty:
+            continue  # a non-empty image is always in the target family
+        for img, m in fs._table(a).items():
             if img not in index:
                 refused |= m
     if refused:
         mu(dom, cod, fam, fs.functions[(refused & -refused).bit_length() - 1], tf)
-    slots = tuple({index[img]: m for img, m in fs._groups[ai].items()} for ai in fs._kept)
+    slots = tuple({index[img]: m for img, m in fs._table(fam[ai]).items()} for ai in fs._kept)
     mins = fs.min_nbhds
     singletons = all((1 << x) in fam for x in range(dom.n))
     if singletons:

@@ -13,10 +13,11 @@ array.
 ``min_nbhds_of`` computes the array from any family of masks (opens or a
 subbase); ``final_from_edges`` computes a final topology as the reflexive
 transitive closure of pushed-forward neighbourhood edges, with no scan over
-candidate subsets; the exhaustive enumerator keeps the candidate
-neighbourhood arrays that are reflexive and transitive, and
-``homeomorphism_classes`` groups them by ``canonical_form``, the least
-neighbourhood array over all relabellings of the points.
+candidate subsets; the exhaustive enumerator grows the reflexive and
+transitive neighbourhood arrays point by point, and
+``homeomorphism_classes`` groups them into orbits under relabelling, the
+classes of ``canonical_form``, the least neighbourhood array over all
+relabellings of the points.
 
 On a finite space every subset is compact, so compactness, local compactness
 and the nested-neighbourhood property hold by theorem and their predicates
@@ -159,7 +160,15 @@ def make_space(n: int, opens: Iterable[int]) -> FiniteSpace:
 
 
 def _union_closure(n: int, generators: Sequence[int]) -> tuple[int, ...]:
-    """All unions of subfamilies of ``generators`` (empty union = 0), ascending."""
+    """All unions of subfamilies of ``generators`` (empty union = 0), ascending.
+
+    A generator object met again is dropped first, by identity, which costs
+    nothing per mask: the minimal-neighbourhood array of a space with few
+    distinct neighbourhoods repeats a few objects (an indiscrete space on
+    2^20 points holds one full mask 2^20 times), and OR-ing or hashing each
+    copy would cost its length.
+    """
+    generators = {id(g): g for g in generators}.values()
     seen = {0}
     frontier = [0]
     lim = limits.max_opens()
@@ -382,28 +391,41 @@ def final_topology(target_n: int, maps: Sequence[tuple[FiniteSpace, FiniteMap]])
 
 
 def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
-    """All labeled topologies on n points, exactly once, deterministic order.
+    """All labeled topologies on n <= 5 points, exactly once, in lexicographic order of their neighbourhood arrays.
 
-    Iterates candidate minimal-neighbourhood arrays (reflexive + transitive),
-    which are in bijection with topologies on a finite ground set; candidates
-    run in lexicographic order of the neighbourhood masks.
+    The arrays grow one point at a time.  Point k may take U_k when U_k
+    holds k, U_y ⊆ U_k for every earlier y in U_k, and U_k ⊆ U_x for every
+    earlier x with k in U_x; a partial array with no admissible U_k is
+    dropped.  Every pair of points is checked once both are placed, so the
+    arrays kept are the reflexive and transitive ones, which are in
+    bijection with the topologies on a finite ground set; the candidates of
+    each point run in ascending order, so the arrays come out in
+    lexicographic order.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > 4:
-        raise SizeLimitExceeded("exhaustive enumeration is limited to n <= 4")
-    choices = [[m for m in range(1 << n) if m >> x & 1] for x in range(n)]
-    for mins in itertools.product(*choices):
-        ok = True
-        for x in range(n):
-            for y in iter_bits(mins[x]):
-                if not is_subset(mins[y], mins[x]):
-                    ok = False
+    if n > 5:
+        raise SizeLimitExceeded("exhaustive enumeration is limited to n <= 5")
+    arrays: list[tuple[int, ...]] = [()]
+    for k in range(n):
+        bit = 1 << k
+        grown = []
+        for mins in arrays:
+            free = full_mask(n) ^ bit
+            for u in mins:
+                if u & bit:
+                    free &= u
+            sub = 0
+            while True:  # the subsets of ``free`` in ascending order
+                u = sub | bit
+                if all(mins[y] & ~u == 0 for y in iter_bits(u & (bit - 1))):
+                    grown.append(mins + (u,))
+                sub = (sub - free) & free
+                if not sub:
                     break
-            if not ok:
-                break
-        if ok:
-            yield FiniteSpace(n, mins)
+        arrays = grown
+    for mins in arrays:
+        yield FiniteSpace(n, mins)
 
 
 def _relabellings(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
@@ -416,15 +438,13 @@ def _relabellings(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         yield perm, image
 
 
-def _least_form(nbhds: Sequence[int], relabellings) -> tuple[int, ...]:
-    """The least of the arrays ``nbhds`` relabelled by each (p, image) of ``_relabellings``."""
-    forms = []
+def _relabelled(nbhds: Sequence[int], relabellings) -> Iterator[tuple[int, ...]]:
+    """The array ``nbhds`` relabelled by each (p, image) of ``_relabellings``."""
     for perm, image in relabellings:
         form = [0] * len(nbhds)
         for x, u in enumerate(nbhds):
             form[perm[x]] = image[u]
-        forms.append(tuple(form))
-    return min(forms)
+        yield tuple(form)
 
 
 def canonical_form(space: FiniteSpace) -> tuple[int, ...]:
@@ -436,23 +456,33 @@ def canonical_form(space: FiniteSpace) -> tuple[int, ...]:
     """
     if space.n > 8:
         raise SizeLimitExceeded(f"the canonical form scans all n! relabellings; n = {space.n} is over 8")
-    return _least_form(space.nbhds, list(_relabellings(space.n)))
+    return min(_relabelled(space.nbhds, _relabellings(space.n)))
 
 
 @lru_cache(maxsize=None)
 def homeomorphism_classes(n: int) -> tuple[tuple[FiniteSpace, tuple[tuple[int, FiniteSpace], ...]], ...]:
-    """The topologies on n <= 4 points up to homeomorphism, as (representative, members).
+    """The topologies on n <= 5 points up to homeomorphism, as (representative, members).
 
-    ``enumerate_topologies(n)`` grouped by canonical form.  The members of a
-    class are the (corpus index, space) pairs of its orbit under
-    relabelling, in corpus order; the representative is the first of them,
-    and the classes come in the corpus order of their representatives.
+    ``enumerate_topologies(n)`` grouped into orbits under relabelling, that
+    is, by canonical form.  The members of a class are the (corpus index,
+    space) pairs of its orbit, in corpus order; the representative is the
+    first of them, and the classes come in the corpus order of their
+    representatives.  The first space met of each orbit is relabelled n!
+    times to name the orbit; every later member is one lookup.
     """
+    corpus = list(enumerate_topologies(n))  # refuses n > 5 before the n! relabellings are built
     relabellings = list(_relabellings(n))
-    orbits: dict[tuple[int, ...], list[tuple[int, FiniteSpace]]] = {}
-    for i, space in enumerate(enumerate_topologies(n)):
-        orbits.setdefault(_least_form(space.nbhds, relabellings), []).append((i, space))
-    return tuple((members[0][1], tuple(members)) for members in orbits.values())
+    classes: list[list[tuple[int, FiniteSpace]]] = []
+    orbit_of: dict[tuple[int, ...], list[tuple[int, FiniteSpace]]] = {}
+    for i, space in enumerate(corpus):
+        members = orbit_of.get(space.nbhds)
+        if members is None:
+            members = []
+            classes.append(members)
+            for form in _relabelled(space.nbhds, relabellings):
+                orbit_of[form] = members
+        members.append((i, space))
+    return tuple((members[0][1], tuple(members)) for members in classes)
 
 
 # named small spaces used all over the tests and demos

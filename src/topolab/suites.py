@@ -11,10 +11,10 @@ vietoris-inclusion and embedding check statements about labelled pairs
 so they run one pair of class representatives per pair of homeomorphism
 classes and count its checks once per labelled pair of the orbit product
 (169 class pairs for 1156 labelled pairs at max_n 3, 2116 for 151321 at
-max_n 4).  A class pair with a failure is run again on each labelled pair
-of its orbit product, so counts and witnesses are those of the labelled
-sweep; the report records how many pairs stood for how many, outside the
-payload.
+max_n 4, 34225 for 53743561 at max_n 5).  A class pair with a failure is
+run again on each labelled pair of its orbit product, so counts and
+witnesses are those of the labelled sweep; the report records how many
+pairs stood for how many, outside the payload.
 
 The fault-injection hook used by the harness self-test removes the full set
 from the first corpus topology and routes the mangled family through
@@ -53,11 +53,13 @@ SUITE_NAMES = (
     "property-a",
 )
 
-# Suites that refuse max_n above 3, with the reason.
-MAX_N_3 = {
-    "finality-square": "checks y <= 3",
-    "choice-lemma": "sweeps n <= 3 exhaustively plus a fixed 4-point sample",
-    "property-a": "knows the counts for n <= 3",
+# The largest max_n of each suite, with the reason; stone-cech ignores max_n.
+MAX_N = {
+    "vietoris-inclusion": (5, "sweeps the homeomorphism classes of n <= 5"),
+    "embedding": (5, "sweeps the homeomorphism classes of n <= 5"),
+    "finality-square": (3, "checks y <= 3"),
+    "choice-lemma": (3, "sweeps n <= 3 exhaustively plus a fixed 4-point sample"),
+    "property-a": (3, "knows the counts for n <= 3"),
 }
 
 N4_SPACE_STRIDE = 30  # deterministic n=4 sample: corpus indices 0, 30, 60, ...
@@ -104,8 +106,9 @@ class RunReport:
 def _check_max_n(name: str, max_n: int) -> None:
     if max_n < 1:
         raise TopolabError(f"max_n must be at least 1, got {max_n}")
-    if name in MAX_N_3 and max_n > 3:
-        raise SizeLimitExceeded(f"{name} {MAX_N_3[name]}; max_n {max_n} is over 3")
+    if name in MAX_N and max_n > MAX_N[name][0]:
+        bound, reason = MAX_N[name]
+        raise SizeLimitExceeded(f"{name} {reason}; max_n {max_n} is over {bound}")
 
 
 def check_request(names: Sequence[str], max_n: int, jobs: int = 1) -> None:

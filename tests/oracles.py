@@ -1,11 +1,13 @@
 """Independent brute-force oracles.
 
 These deliberately avoid the library's algorithms: the topology scan checks
-the axioms over every set family, the subbase closure follows the literal
-two-stage procedure, the finest-topology search walks all candidate
-topologies, products are unions of open boxes, and compactness, local
-compactness, nestedness, ultrafilters and countable completeness are decided
-by scanning their definitions (the library returns their theorem values on
+the axioms over every set family, the candidate scan tests every
+neighbourhood array (the library grows the arrays point by point and
+drops a partial array at its first broken pair), the subbase closure
+follows the literal two-stage procedure, the finest-topology search walks
+all candidate topologies, products are unions of open boxes, and
+compactness, local compactness, nestedness, ultrafilters and countable
+completeness are decided by scanning their definitions (the library returns their theorem values on
 finite spaces).  Continuous maps are the maps whose preimages of opens are
 open (the library builds monotone maps instead).  The lower, upper and
 Vietoris topologies are generated from the hit and miss sets of every
@@ -37,6 +39,16 @@ from topolab.hyperspaces import compacts, vietoris
 from topolab.maps import FiniteMap, all_maps
 from topolab.spaces import FiniteSpace, enumerate_topologies, generate_from_subbase, make_space
 from topolab import suites
+
+
+def topologies_by_candidate_scan(n: int) -> list[FiniteSpace]:
+    """Every candidate neighbourhood array in lexicographic order, kept when it is reflexive and transitive."""
+    choices = [[m for m in range(1 << n) if m >> x & 1] for x in range(n)]
+    return [
+        FiniteSpace(n, mins)
+        for mins in itertools.product(*choices)
+        if all(is_subset(mins[y], mins[x]) for x in range(n) for y in iter_bits(mins[x]))
+    ]
 
 
 def is_topology_family(n: int, members: tuple[int, ...]) -> bool:

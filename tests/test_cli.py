@@ -60,6 +60,11 @@ class TestSpaceCommand:
         assert run(["space", *size, "--generate-subbase", "[]"]) == 2
         assert "size limit" in capsys.readouterr().err
 
+    def test_indiscrete_space_on_2_to_the_16_points(self, capsys):
+        # the summary lists the opens: one full mask repeated at every point
+        assert run(["space", "--n", str(1 << 16), "--generate-subbase", "[]"]) == 0
+        assert capsys.readouterr().out == "valid topology on 65536 points with 2 opens\n"
+
     def test_generated_opens_over_the_open_guard_exit_2(self, capsys):
         # the discrete 3-point space has 8 opens; the plain summary lists them behind the guard
         assert run(["space", "--n", "3", "--generate-subbase", "[[0],[1],[2]]", "--limit-opens", "4"]) == 2
@@ -97,6 +102,13 @@ class TestCorpusCommand:
         out = tmp_path / "c"
         assert run(["corpus", "--n", "2", "--out", str(out)]) == 0
         assert len(list(out.iterdir())) == 4
+
+    def test_n_over_5_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run(["corpus", "--n", "6", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "size limit" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestHyperCommand:
@@ -167,6 +179,17 @@ class TestVerifyCommand:
     def test_max_n_over_3_refused(self, suite, capsys):
         assert run(["verify", "--suite", suite, "--max-n", "4"]) == 2
         assert "size limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["vietoris-inclusion", "embedding"])
+    def test_pair_suites_refuse_max_n_over_5_before_any_suite_runs(self, suite, monkeypatch, capsys):
+        from topolab import suites
+
+        ran = []
+        monkeypatch.setattr(suites, "run_suite", lambda name, **kwargs: ran.append(name))
+        assert run(["verify", "--suite", suite, "--max-n", "6"]) == 2
+        err = capsys.readouterr().err
+        assert "size limit" in err and "over 5" in err and "Traceback" not in err
+        assert ran == []
 
     def test_finality_square_honours_max_n(self, tmp_path):
         report = tmp_path / "r.json"

@@ -366,7 +366,7 @@ class TestColumnTablesOracle:
     @staticmethod
     def _check(fs):
         groups = image_groups_by_maps(fs.functions, fs.family)
-        assert fs._groups == groups
+        assert tuple(fs._table(a) for a in fs.family) == groups
         for a, slot in zip(fs.family, groups):
             assert fs.images(a) == slot
             for w in fs.cod.opens:
@@ -400,6 +400,69 @@ class TestColumnTablesOracle:
 
     def test_empty_carrier(self):
         self._check(set_open_topology((), P2, S, discrete_space(0)))
+
+
+class TestLazyTables:
+    """Image tables are built when first read; the embedding report reads the singleton tables only."""
+
+    @staticmethod
+    def _cold_report(dom, cod, fam, target_family=None):
+        funcspaces._function_space.cache_clear()
+        fns = continuous_maps(dom, cod)
+        mu_embedding_report(dom, cod, fns, fam, target_family)
+        return set_open_topology(fns, fam, dom, cod)
+
+    def test_default_target_builds_only_the_singleton_tables(self, corpus3, corpus_n4):
+        pairs = [(dom, cod) for _, _, dom in corpus3 for _, _, cod in corpus3[::4]]
+        pairs += [(discrete_space(4), corpus_n4[100]), (corpus_n4[200], discrete_space(4))]
+        for dom, cod in pairs:
+            fs = self._cold_report(dom, cod, tuple(nonempty_subsets(dom.n)))
+            assert set(fs._tables) == {0} | {1 << x for x in range(dom.n)}, (dom, cod)
+
+    def test_a_target_lacking_a_subset_reads_every_member(self):
+        # a target holding every non-empty subset, and more, still reads the singletons only
+        fs = self._cold_report(S, discrete_space(3), P2, tuple(nonempty_subsets(3)) + (0b1000,))
+        assert set(fs._tables) == {0, 0b01, 0b10}
+        # the constants of an indiscrete domain never hit the missing {0, 1}, but every member is read
+        fam = tuple(nonempty_subsets(3))
+        fs = self._cold_report(indiscrete_space(3), S, fam, (0b01, 0b10))
+        assert set(fs._tables) >= set(fam)
+
+    def test_missing_target_image_refuses_the_same_first_map(self, corpus3, monkeypatch):
+        # the report must refuse through mu, on the first map in carrier order
+        # that mu refuses one by one
+        real_mu = funcspaces.mu
+        called = []
+
+        def recording_mu(dom, cod, fam, f, tf):
+            called.append(f)
+            return real_mu(dom, cod, fam, f, tf)
+
+        monkeypatch.setattr(funcspaces, "mu", recording_mu)
+        refusals = 0
+        for _, _, dom in corpus3:
+            fam = tuple(nonempty_subsets(dom.n))
+            for _, _, cod in corpus3[::2]:
+                for carrier in ("continuous", "all"):
+                    fns = compact_open(dom, cod, carrier).functions
+                    for missing in (cod.full, 0b1):
+                        tf = tuple(k for k in nonempty_subsets(cod.n) if k != missing)
+                        expected = None
+                        for f in fns:
+                            try:
+                                real_mu(dom, cod, fam, f, tf)
+                            except (ValueError, ImageNotInFamily) as exc:
+                                expected = (f, type(exc), str(exc))
+                                break
+                        called.clear()
+                        try:
+                            mu_embedding_report(dom, cod, fns, fam, tf)
+                            got = None
+                        except (ValueError, ImageNotInFamily) as exc:
+                            got = (called[-1], type(exc), str(exc))
+                        assert got == expected, (dom, cod, carrier, missing)
+                        refusals += expected is not None and expected[1] is ImageNotInFamily
+        assert refusals > 500
 
 
 class TestPruningLemma:

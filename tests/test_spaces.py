@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,11 +19,13 @@ from oracles import (
     relabel_by_opens,
     shrink_between_by_opens,
     slow_subbase_closure,
+    topologies_by_candidate_scan,
 )
 from topolab.bitsets import complement, is_subset
 from topolab.errors import NotATopology, NotOpen, SizeLimitExceeded
 from topolab.maps import FiniteMap, constant_map, identity_map
 from topolab.spaces import (
+    FiniteSpace,
     canonical_form,
     closure,
     discrete_space,
@@ -89,6 +92,21 @@ class TestSubbase:
     @pytest.mark.parametrize("subbase", [[], [0b01], [0b011, 0b110], [0b101], [0b001, 0b010, 0b100]])
     def test_matches_literal_closure_oracle(self, subbase):
         assert generate_from_subbase(3, subbase).opens == slow_subbase_closure(3, subbase)
+
+    def test_repeated_big_neighbourhoods_are_listed_once(self):
+        # 2^16 points: the indiscrete space repeats one full mask object, the
+        # other space repeats it at every point but 0
+        n = 1 << 16
+        full = (1 << n) - 1
+        assert generate_from_subbase(n, []).opens == (0, full)
+        assert generate_from_subbase(n, [0b1]).opens == (0, 0b1, full)
+
+    def test_equal_neighbourhoods_held_as_distinct_objects(self):
+        n = 1 << 12
+        full = (1 << n) - 1
+        space = FiniteSpace(n, tuple((full << 1) >> 1 for _ in range(n)))
+        assert len({id(u) for u in space.nbhds}) == n
+        assert space.opens == (0, full)
 
     def test_minimality_against_all_topologies(self):
         subbase = [0b011, 0b110]
@@ -253,9 +271,14 @@ class TestFinalTopology:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 29), (4, 355)])
+    # OEIS A000798
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 29), (4, 355), (5, 6942)])
     def test_counts(self, n, count):
         assert sum(1 for _ in enumerate_topologies(n)) == count
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_same_sequence_as_the_candidate_scan(self, n):
+        assert list(enumerate_topologies(n)) == topologies_by_candidate_scan(n)
 
     def test_matches_brute_force_oracle(self):
         for n in (1, 2, 3):
@@ -270,16 +293,23 @@ class TestEnumeration:
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
-            list(enumerate_topologies(5))
+            list(enumerate_topologies(6))
 
 
 class TestHomeomorphismClasses:
     # OEIS A001930 (up to homeomorphism) and A000798 (labelled)
-    @pytest.mark.parametrize("n,classes,labelled", [(0, 1, 1), (1, 1, 1), (2, 3, 4), (3, 9, 29), (4, 33, 355)])
+    @pytest.mark.parametrize(
+        "n,classes,labelled", [(0, 1, 1), (1, 1, 1), (2, 3, 4), (3, 9, 29), (4, 33, 355), (5, 139, 6942)]
+    )
     def test_counts(self, n, classes, labelled):
         found = homeomorphism_classes(n)
         assert len(found) == classes
         assert sum(len(members) for _, members in found) == labelled
+
+    # OEIS A000112: a space is T0 when distinct points have distinct minimal neighbourhoods
+    @pytest.mark.parametrize("n,t0", [(1, 1), (2, 2), (3, 5), (4, 16), (5, 63)])
+    def test_t0_classes(self, n, t0):
+        assert sum(len(set(rep.nbhds)) == n for rep, _ in homeomorphism_classes(n)) == t0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_members_partition_the_corpus_in_order(self, n):
@@ -293,6 +323,23 @@ class TestHomeomorphismClasses:
             assert rep == members[0][1]  # the member of lowest corpus index
             assert len({canonical_form(space) for _, space in members}) == 1
         # classes come in the corpus order of their representatives
+        assert [members[0][0] for _, members in found] == sorted(members[0][0] for _, members in found)
+
+    def test_five_point_classes_are_the_orbits_in_order(self):
+        # the members of a class are exactly the relabellings of its representative
+        corpus = list(enumerate_topologies(5))
+        found = homeomorphism_classes(5)
+        assert sorted(i for _, members in found for i, _ in members) == list(range(len(corpus)))
+        for rep, members in found:
+            orbit = set()
+            for perm in itertools.permutations(range(5)):
+                form = [0] * 5
+                for x, u in enumerate(rep.nbhds):
+                    form[perm[x]] = sum(1 << perm[y] for y in range(5) if u >> y & 1)
+                orbit.add(tuple(form))
+            assert {space.nbhds for _, space in members} == orbit
+            assert all(space == corpus[i] for i, space in members)
+            assert [i for i, _ in members] == sorted(i for i, _ in members) and rep == members[0][1]
         assert [members[0][0] for _, members in found] == sorted(members[0][0] for _, members in found)
 
     def test_form_survives_random_relabelling(self, corpus3, corpus_n4):
@@ -324,7 +371,7 @@ class TestHomeomorphismClasses:
         with pytest.raises(SizeLimitExceeded):
             canonical_form(discrete_space(9))
         with pytest.raises(SizeLimitExceeded):
-            homeomorphism_classes(5)
+            homeomorphism_classes(6)
 
 
 def test_t2_implies_t1_and_t1_implies_discrete(corpus3):

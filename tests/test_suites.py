@@ -239,6 +239,11 @@ class TestPinnedTotals:
     def test_closed_form_at_max_n_3(self):
         assert _inclusion_closed_form(3) == 242352
 
+    def test_closed_forms_at_max_n_5(self):
+        # the totals of both sweeps at --max-n 5, which tier-1 does not run
+        assert _inclusion_closed_form(5) == 535606258622994
+        assert 3 * len(_labelled_spaces(5)) ** 2 == 3 * 7331**2 == 161230683
+
     def test_vietoris_inclusion_at_max_n_4(self):
         report = suites.run_suite("vietoris-inclusion", max_n=4)
         assert (report.checked, report.failed) == (596278092, 0)
