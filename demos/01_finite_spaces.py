@@ -3,16 +3,18 @@
 A space lives on the ground set {0,...,n-1}; subsets are int bitmasks and a
 topology is the sorted tuple of its open masks.  This demo builds the
 classic two-point spaces, pokes at the standard operators, and counts all
-labeled topologies on up to four points.
+labeled topologies on up to four points and their homeomorphism classes.
 
 Run:  python demos/01_finite_spaces.py
 """
 
 from topolab import (
+    canonical_form,
     closure,
     discrete_space,
     enumerate_topologies,
     generate_from_subbase,
+    homeomorphism_classes,
     indiscrete_space,
     interior,
     make_space,
@@ -72,3 +74,10 @@ print()
 print("== exhaustive enumeration ==")
 for n in range(1, 5):
     print(f"labeled topologies on {n} points:", sum(1 for _ in enumerate_topologies(n)))
+
+print()
+print("== homeomorphism classes ==")
+mirror = make_space(2, [mask_of([]), mask_of([0]), mask_of([0, 1])])  # Sierpinski with the points swapped
+print("canonical forms of Sierpinski and its mirror:", canonical_form(S), canonical_form(mirror))
+for n in range(1, 5):
+    print(f"topologies on {n} points up to homeomorphism:", len(homeomorphism_classes(n)))

@@ -67,6 +67,6 @@ print("members covered by {0},{1} and meeting both:", show_family(basic))
 print()
 print("== lower convergence is downward closed ==")
 carrier = subsets_carrier(2)
-phi = FilterOnCarrier(carrier, frozenset({2}))  # the point filter at the full set
+phi = FilterOnCarrier(carrier, 0b100)  # kernel mask over the subset indices: the point filter at the full set
 limits = lower_limits(S, family, phi)
 print("the point filter at X lower-converges to:", show_family(limits))

@@ -39,7 +39,7 @@ for n in (2, 3, 4):
 
 S = sierpinski_space()
 carrier = subsets_carrier(2)
-phi = FilterOnCarrier(carrier, frozenset({1}))  # the point filter at {1}
+phi = FilterOnCarrier(carrier, 0b010)  # kernel mask over the subset indices: the point filter at {1}
 
 print()
 print("== the reachable-point set ==")
@@ -65,7 +65,7 @@ print(f"convergence: {checks}, closure bounds: {bounds}, filterwise refinements:
 
 print()
 print("== which filters make every choice image a point filter? ==")
-rep = has_property_A(2, FilterOnCarrier(carrier, frozenset({0, 1})))
+rep = has_property_A(2, FilterOnCarrier(carrier, 0b011))
 print("kernel {{0},{1}}: holds =", rep.holds, "- witness image:", rep.witness.image)
 for n in (2, 3):
     cls = classify_property_A(n)

@@ -1,7 +1,7 @@
 """topolab: finite-topology computation and exhaustive desk-scale verification.
 
 Everything is exact and combinatorial: subsets are int bitmasks, topologies
-are their minimal-neighbourhood arrays, filters are kernels, and the
+are their minimal-neighbourhood arrays, filters are kernel masks, and the
 verification suites sweep complete corpora of labeled topologies on up to
 five points, one pair per pair of homeomorphism classes where the checked
 statement is invariant under relabelling.
@@ -21,7 +21,6 @@ from .choice import (
     limit_set_P,
 )
 from .errors import (
-    EmptyIntersection,
     ImageNotInFamily,
     NotATopology,
     NotOpen,
@@ -35,17 +34,11 @@ from .filters import (
     converges,
     enumerate_filters,
     enumerate_ultrafilters,
-    filter_from_sets,
-    filter_image,
-    function_filter_apply,
-    functions_carrier,
     is_countably_complete,
     is_ultrafilter,
-    neighborhood_filter,
     points_carrier,
     singleton_filter,
     subsets_carrier,
-    ultrafilters_over,
 )
 from .finality import (
     FinalitySetup,
@@ -77,7 +70,7 @@ from .hyperspaces import (
     vietoris,
     vietoris_basic,
 )
-from .maps import FiniteMap, all_maps, compose, constant_map, identity_map
+from .maps import FiniteMap, all_maps
 from .spaces import (
     FiniteSpace,
     SpaceReport,
@@ -85,7 +78,6 @@ from .spaces import (
     closure,
     discrete_space,
     enumerate_topologies,
-    final_topology,
     generate_from_subbase,
     homeomorphism_classes,
     indiscrete_space,

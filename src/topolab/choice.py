@@ -28,13 +28,6 @@ from .spaces import FiniteSpace, closure
 from .maps import FiniteMap
 
 
-def choice_function_count(n: int) -> int:
-    total = 1
-    for m in nonempty_subsets(n):
-        total *= m.bit_count()
-    return total
-
-
 def enumerate_choice_functions(n: int) -> Iterator[FiniteMap]:
     """All choice functions on an n-point ground set, deterministic order.
 
@@ -50,20 +43,21 @@ def enumerate_choice_functions(n: int) -> Iterator[FiniteMap]:
         yield FiniteMap((1 << n) - 1, n, assignment)
 
 
-def is_choice_function(n: int, f: FiniteMap) -> bool:
-    """Each subset is sent to one of its own elements."""
-    if f.dom_n != (1 << n) - 1 or f.cod_n != n:
-        return False
-    return all(
-        (m >> f.image[m - 1]) & 1 for m in nonempty_subsets(n)
-    )
-
-
-def _image_kernel(f: FiniteMap, phi: FilterOnCarrier) -> int:
-    """Point mask of { f(A) : A in kernel(phi) } for a subset-carrier filter."""
+def _image_kernel(f: FiniteMap, kernel: tuple[int, ...]) -> int:
+    """Point mask of { f(A) : A in kernel } for kernel indices on the subset carrier."""
     out = 0
-    for i in phi.kernel:
+    for i in kernel:
         out |= 1 << f.image[i]
+    return out
+
+
+def _applied_kernel(functions: Sequence[FiniteMap], kernel: tuple[int, ...]) -> int:
+    """Point mask of { f(A) : f in functions, A in kernel }: the kernel of a function filter applied to a filter."""
+    out = 0
+    for f in functions:
+        image = f.image
+        for i in kernel:
+            out |= 1 << image[i]
     return out
 
 
@@ -78,9 +72,10 @@ def limit_set_P(space: FiniteSpace, phi: FilterOnCarrier) -> int:
     if phi.carrier.size != (1 << n) - 1:
         raise ValueError("filter must live on the subset carrier of the space")
     mins = space.min_nbhds
+    kernel = points_of(phi.kernel)
     p = 0
     for f in enumerate_choice_functions(n):
-        imgk = _image_kernel(f, phi)
+        imgk = _image_kernel(f, kernel)
         for x in range(n):
             if is_subset(imgk, mins[x]):
                 p |= 1 << x
@@ -156,11 +151,10 @@ def filterwise_limit_set(space: FiniteSpace, phi: FilterOnCarrier, pair_cap: int
     if pair_cap is None and n >= 4:
         pair_cap = 100
     mins = space.min_nbhds
+    kernel = points_of(phi.kernel)
     p = 0
-    for kernel in _default_function_kernels(functions, pair_cap):
-        imgk = 0
-        for f in kernel:
-            imgk |= _image_kernel(f, phi)
+    for fns in _default_function_kernels(functions, pair_cap):
+        imgk = _applied_kernel(fns, kernel)
         for x in range(n):
             if is_subset(imgk, mins[x]):
                 p |= 1 << x
@@ -202,20 +196,21 @@ def has_property_A(n: int, phi: FilterOnCarrier) -> PropertyAReport:
     """
     if phi.carrier.size != (1 << n) - 1:
         raise ValueError("filter must live on the subset carrier")
+    kernel = points_of(phi.kernel)
     holds = True
     witness = None
     for f in enumerate_choice_functions(n):
-        imgk = _image_kernel(f, phi)
+        imgk = _image_kernel(f, kernel)
         if imgk.bit_count() >= 2:
             holds = False
             witness = f
             break
     return PropertyAReport(
-        kernel_subsets=tuple(sorted(phi.carrier.elements[i] for i in phi.kernel)),
+        kernel_subsets=tuple(sorted(phi.kernel_elements())),
         holds=holds,
         witness=witness,
         is_ultrafilter=is_ultrafilter(phi),
-        is_singleton=len(phi.kernel) == 1,
+        is_singleton=phi.kernel.bit_count() == 1,
         is_countably_complete=is_countably_complete(phi),
     )
 

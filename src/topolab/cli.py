@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "choice-lemma (<= 3), property-a (<= 3) and y of finality-square (<= 3); stone-cech keeps max_d=4; "
                    "every selected suite's bound is checked before any suite runs")
     p.add_argument("--report", default=None, help="write the RunReport JSON here")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1); never more than the work items or os.cpu_count()")
     p.add_argument("--inject-fault", action="store_true", help="harness self-test: flip one open set and require a failure")
     _add_limit_flags(p)
     p.set_defaults(func=cmd_verify)

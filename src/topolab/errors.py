@@ -27,9 +27,5 @@ class NotOpen(TopolabError):
     """A set required to be open is not a member of the topology."""
 
 
-class EmptyIntersection(TopolabError):
-    """A generating family has empty intersection and generates no filter."""
-
-
 class ImageNotInFamily(TopolabError):
     """A function image landed outside the configured hyperspace family."""

@@ -1,12 +1,8 @@
-"""JSON formats for spaces, filters, and reports.
+"""JSON formats for spaces and reports.
 
 Space file: {"n": <int>, "opens": [[<point ints>], ...]}.  The empty set is
 []; member order is irrelevant on input and canonicalized on output (opens
 sorted by mask, points ascending), so re-serialization is byte-stable.
-
-Filter literal: {"carrier": "points" | "subsets" | "choice-functions",
-"n": <int>, "kernel": [<indices>]} with kernel entries in the carrier's
-canonical index space.
 """
 
 from __future__ import annotations
@@ -16,14 +12,6 @@ from typing import Any
 
 from . import limits
 from .bitsets import mask_of, points_of
-from .choice import enumerate_choice_functions
-from .filters import (
-    Carrier,
-    FilterOnCarrier,
-    functions_carrier,
-    points_carrier,
-    subsets_carrier,
-)
 from .spaces import FiniteSpace, make_space
 
 
@@ -68,33 +56,3 @@ def save_space(space: FiniteSpace, path) -> None:
 def load_space(path) -> FiniteSpace:
     with open(path) as fh:
         return space_from_dict(json.load(fh))
-
-
-_CARRIER_KINDS = ("points", "subsets", "choice-functions")
-
-
-def carrier_for(kind: str, n: int) -> Carrier:
-    if kind == "points":
-        return points_carrier(n)
-    if kind == "subsets":
-        return subsets_carrier(n)
-    if kind == "choice-functions":
-        return functions_carrier(tuple(enumerate_choice_functions(n)))
-    raise ValueError(f"unknown carrier kind {kind!r} (expected one of {_CARRIER_KINDS})")
-
-
-def filter_to_dict(filt: FilterOnCarrier, kind: str, n: int) -> dict:
-    if carrier_for(kind, n) != filt.carrier:
-        raise ValueError("carrier kind/n does not match the filter's carrier")
-    return {"carrier": kind, "n": n, "kernel": sorted(filt.kernel)}
-
-
-def filter_from_dict(data: dict) -> FilterOnCarrier:
-    for key in ("carrier", "n", "kernel"):
-        if key not in data:
-            raise ValueError(f"filter literal needs {key!r}")
-    carrier = carrier_for(data["carrier"], data["n"])
-    kernel = frozenset(data["kernel"])
-    if any(not isinstance(i, int) for i in data["kernel"]):
-        raise ValueError("kernel entries must be integers")
-    return FilterOnCarrier(carrier, kernel)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .bitsets import complement, is_subset, iter_bits, mask_of, points_of
 from .errors import SizeLimitExceeded
-from .filters import enumerate_ultrafilters, points_carrier, singleton_filter
+from .filters import contains, enumerate_ultrafilters, points_carrier, singleton_filter
 from .funcspaces import compact_open, projection_compose
 from .hyperspaces import compacts, vietoris
 from .spaces import (
@@ -250,7 +250,7 @@ def stone_cech_finite_discrete(d_n: int) -> StoneCechReport:
         """Index mask of the ultrafilters containing M (kernel inside M)."""
         out = 0
         for i, u in enumerate(ultras):
-            if all(m >> j & 1 for j in u.kernel):
+            if contains(u, m):
                 out |= 1 << i
         return out
 

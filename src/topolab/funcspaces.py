@@ -70,7 +70,7 @@ def is_continuous(dom: FiniteSpace, cod: FiniteSpace, f: FiniteMap) -> bool:
     return all(is_subset(f.image_of(u), cmins[y]) for u, y in zip(dom.min_nbhds, f.image))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]:
     """All continuous maps dom -> cod, in all_maps order.
 

@@ -50,21 +50,6 @@ class FiniteMap:
         return out
 
 
-def identity_map(n: int) -> FiniteMap:
-    return FiniteMap(n, n, tuple(range(n)))
-
-
-def constant_map(dom_n: int, cod_n: int, c: int) -> FiniteMap:
-    return FiniteMap(dom_n, cod_n, (c,) * dom_n)
-
-
-def compose(g: FiniteMap, f: FiniteMap) -> FiniteMap:
-    """g after f."""
-    if f.cod_n != g.dom_n:
-        raise ValueError("composition mismatch")
-    return FiniteMap(f.dom_n, g.cod_n, tuple(g.image[y] for y in f.image))
-
-
 def all_maps(dom_n: int, cod_n: int) -> Iterator[FiniteMap]:
     """All cod_n**dom_n total maps, in lexicographic image order."""
     for image in itertools.product(range(cod_n), repeat=dom_n):

@@ -43,7 +43,6 @@ from .bitsets import (
     points_of,
 )
 from .errors import NotATopology, NotOpen, SizeLimitExceeded
-from .maps import FiniteMap
 
 
 def is_open_in(mins: Sequence[int], mask: int) -> bool:
@@ -366,30 +365,6 @@ def product_space(factors: Sequence[FiniteSpace]) -> tuple[FiniteSpace, ProductC
     return FiniteSpace(total, tuple(mins)), codec
 
 
-def final_topology(target_n: int, maps: Sequence[tuple[FiniteSpace, FiniteMap]]) -> FiniteSpace:
-    """Finest topology on the target making all given maps continuous.
-
-    opens = { U : every f has f^-1(U) open in its source }, computed from
-    the pushed-forward neighbourhood edges (see ``final_from_edges``).
-    """
-    if not maps:
-        raise ValueError("need at least one map")
-    for src, f in maps:
-        if f.dom_n != src.n:
-            raise ValueError("map domain does not match its source space")
-        if f.cod_n != target_n:
-            raise ValueError("map codomain does not match the target")
-    return final_from_edges(
-        target_n,
-        (
-            (f.image[x], f.image[y])
-            for src, f in maps
-            for x in range(src.n)
-            for y in iter_bits(src.min_nbhds[x])
-        ),
-    )
-
-
 def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
     """All labeled topologies on n <= 5 points, exactly once, in lexicographic order of their neighbourhood arrays.
 
@@ -428,14 +403,21 @@ def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
         yield FiniteSpace(n, mins)
 
 
-def _relabellings(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """(p, image) for every permutation p of the n points; image[m] is the mask m relabelled by p."""
+@lru_cache(maxsize=1)
+def _relabellings(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(p, image) for every permutation p of the n points; image[m] is the mask m relabelled by p.
+
+    Built once per n and kept for the last n only: the tables hold n! × 2^n
+    masks, about 80 MB at n = 8.
+    """
+    out = []
     for perm in itertools.permutations(range(n)):
         image = [0] * (1 << n)
         for m in range(1, 1 << n):
             low = m & -m
             image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
-        yield perm, image
+        out.append((perm, tuple(image)))
+    return tuple(out)
 
 
 def _relabelled(nbhds: Sequence[int], relabellings) -> Iterator[tuple[int, ...]]:
@@ -471,7 +453,7 @@ def homeomorphism_classes(n: int) -> tuple[tuple[FiniteSpace, tuple[tuple[int, F
     times to name the orbit; every later member is one lookup.
     """
     corpus = list(enumerate_topologies(n))  # refuses n > 5 before the n! relabellings are built
-    relabellings = list(_relabellings(n))
+    relabellings = _relabellings(n)
     classes: list[list[tuple[int, FiniteSpace]]] = []
     orbit_of: dict[tuple[int, ...], list[tuple[int, FiniteSpace]]] = {}
     for i, space in enumerate(corpus):

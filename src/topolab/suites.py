@@ -24,6 +24,7 @@ non-zero exit.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -122,9 +123,11 @@ def check_request(names: Sequence[str], max_n: int, jobs: int = 1) -> None:
 
 
 def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
+    """``fn`` over ``items`` in order, on at most jobs, len(items) and os.cpu_count() workers."""
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    with Pool(min(jobs, len(items))) as pool:
+    with Pool(workers) as pool:
         return pool.map(fn, items)
 
 

@@ -8,7 +8,11 @@ follows the literal two-stage procedure, the finest-topology search walks
 all candidate topologies, products are unions of open boxes, and
 compactness, local compactness, nestedness, ultrafilters and countable
 completeness are decided by scanning their definitions (the library returns their theorem values on
-finite spaces).  Continuous maps are the maps whose preimages of opens are
+finite spaces).  A filter is the list of its members, every subset that
+holds its kernel; refinement, image filters and filters of functions
+applied to filters are decided on those lists (the library reads kernel
+masks), and choice functions are counted and recognised by their
+definition.  Continuous maps are the maps whose preimages of opens are
 open (the library builds monotone maps instead).  The lower, upper and
 Vietoris topologies are generated from the hit and miss sets of every
 listed open (the library reads them off the base's minimal
@@ -128,23 +132,57 @@ def finest_topology_with_continuous(
     return finest
 
 
-def explicit_function_filter_apply(
-    function_members: list[tuple[FiniteMap, ...]],
-    argument_members: list[tuple[int, ...]],
-) -> frozenset[int]:
-    """Kernel of the filter generated by all F(M) = {f(m) : f in F, m in M}.
+def filter_members(filt) -> list[int]:
+    """Every member of a filter on a finite carrier, as index masks: a scan of all subsets for those holding the kernel."""
+    return [a for a in range(1 << filt.carrier.size) if filt.kernel & ~a == 0]
 
-    Takes explicit member lists of both filters and intersects every
-    generated image set.
+
+def refines_by_members(phi, psi) -> bool:
+    """phi ⊇ psi as filters: every member of psi is a member of phi."""
+    return set(filter_members(psi)) <= set(filter_members(phi))
+
+
+def _image_mask(f: FiniteMap, mask: int) -> int:
+    return sum({1 << f.image[i] for i in _bits(mask)})
+
+
+def image_filter_kernel(f: FiniteMap, filt) -> int:
+    """Kernel of the image filter, generated by the images f(M) of every member M: their intersection."""
+    kernel = full_mask(f.cod_n)
+    for m in filter_members(filt):
+        kernel &= _image_mask(f, m)
+    return kernel
+
+
+def explicit_function_filter_apply(function_members: list[tuple[FiniteMap, ...]], argument_members: list[int]) -> int:
+    """Kernel of the filter generated by all F(M) = {f(m) : f in F, m in M}, as a point mask.
+
+    Takes explicit member lists of both filters (argument members as index
+    masks) and intersects every generated image set.
     """
-    generated = []
+    kernel = -1
     for F in function_members:
         for M in argument_members:
-            generated.append(frozenset(f.image[m] for f in F for m in M))
-    kernel = generated[0]
-    for g in generated[1:]:
-        kernel &= g
+            generated = 0
+            for f in F:
+                generated |= _image_mask(f, M)
+            kernel &= generated
     return kernel
+
+
+def choice_function_count(n: int) -> int:
+    """Product of the subset sizes over the non-empty subsets of n points."""
+    total = 1
+    for m in range(1, 1 << n):
+        total *= len(_bits(m))
+    return total
+
+
+def is_choice_function(n: int, f: FiniteMap) -> bool:
+    """f maps the subset indices (mask - 1) of n points, sending each subset to one of its own elements."""
+    if f.dom_n != (1 << n) - 1 or f.cod_n != n:
+        return False
+    return all(m >> f.image[m - 1] & 1 for m in range(1, 1 << n))
 
 
 def product_opens_by_boxes(a: FiniteSpace, b: FiniteSpace) -> tuple[int, ...]:
@@ -222,24 +260,19 @@ def is_nested_by_definition(space: FiniteSpace) -> bool:
 
 def is_ultrafilter_by_definition(filt) -> bool:
     """For every subset of the carrier, it or its complement is a member."""
-    size = filt.carrier.size
-    everything = frozenset(range(size))
-    for bits in range(1 << size):
-        a = frozenset(i for i in range(size) if bits >> i & 1)
-        if not (filt.kernel <= a or filt.kernel <= everything - a):
-            return False
-    return True
+    members = set(filter_members(filt))
+    full = full_mask(filt.carrier.size)
+    return all(a in members or full ^ a in members for a in range(1 << filt.carrier.size))
 
 
 def is_countably_complete_by_members(filt) -> bool:
     """The intersection of all members and of every pair of members is a member."""
-    members = list(filt.members())
-    total = frozenset(range(filt.carrier.size))
+    members = filter_members(filt)
+    memberset = set(members)
+    total = full_mask(filt.carrier.size)
     for m in members:
         total &= m
-    if not filt.kernel <= total:
-        return False
-    return all(filt.kernel <= (a & b) for a, b in itertools.combinations(members, 2))
+    return total in memberset and all(a & b in memberset for a, b in itertools.combinations(members, 2))
 
 
 def _bits(mask: int) -> list[int]:

@@ -12,7 +12,6 @@ import pkgutil
 import topolab
 
 UNBOUNDED_ALLOWED = {
-    "funcspaces.continuous_maps",
     "hyperspaces.lower_vietoris",
     "hyperspaces.upper_vietoris",
     "hyperspaces.vietoris",

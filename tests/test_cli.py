@@ -281,28 +281,6 @@ class TestVerifyCommand:
         assert "16 class pairs for 25 labelled pairs, 25 labelled pairs re-run after a failure" in capsys.readouterr().out
 
 
-class TestFilterLiterals:
-    def test_roundtrip(self):
-        from topolab.fileio import filter_from_dict, filter_to_dict
-
-        data = {"carrier": "subsets", "n": 2, "kernel": [0, 2]}
-        filt = filter_from_dict(data)
-        assert filt.kernel == frozenset({0, 2})
-        assert filter_to_dict(filt, "subsets", 2) == data
-
-    def test_choice_function_carrier(self):
-        from topolab.fileio import filter_from_dict
-
-        filt = filter_from_dict({"carrier": "choice-functions", "n": 2, "kernel": [0]})
-        assert filt.carrier.size == 2
-
-    def test_unknown_kind(self):
-        from topolab.fileio import filter_from_dict
-
-        with pytest.raises(ValueError):
-            filter_from_dict({"carrier": "nets", "n": 2, "kernel": [0]})
-
-
 class TestSpaceFileValidation:
     def test_point_outside_ground_set_rejected(self):
         from topolab.fileio import space_from_dict

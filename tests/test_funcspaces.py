@@ -24,7 +24,7 @@ from topolab.funcspaces import (
 )
 from topolab.hyperspaces import compacts, vietoris
 from topolab import funcspaces, limits
-from topolab.maps import FiniteMap, all_maps, constant_map, identity_map
+from topolab.maps import FiniteMap, all_maps
 from topolab.spaces import discrete_space, indiscrete_space, sierpinski_space
 
 S = sierpinski_space()
@@ -41,8 +41,8 @@ class TestCarriers:
         assert maps == sorted(maps, key=lambda f: f.image)
 
     def test_continuity(self):
-        assert is_continuous(S, S, identity_map(2))
-        assert is_continuous(S, S, constant_map(2, 2, 0))
+        assert is_continuous(S, S, FiniteMap(2, 2, (0, 1)))
+        assert is_continuous(S, S, FiniteMap(2, 2, (0, 0)))
         assert not is_continuous(S, S, FiniteMap(2, 2, (1, 0)))
 
     def test_continuous_maps(self):
@@ -234,14 +234,14 @@ class TestCompactOpen:
 class TestMu:
     def test_identity_and_constant(self):
         fam = P2
-        got = mu(S, S, fam, identity_map(2))
+        got = mu(S, S, fam, FiniteMap(2, 2, (0, 1)))
         assert got == tuple(fam.index(a) for a in fam)
-        got_const = mu(S, S, fam, constant_map(2, 2, 1))
+        got_const = mu(S, S, fam, FiniteMap(2, 2, (1, 1)))
         assert got_const == (1, 1, 1)
 
     def test_image_not_in_family(self):
         with pytest.raises(ImageNotInFamily):
-            mu(S, S, P2, identity_map(2), target_family=(0b01,))
+            mu(S, S, P2, FiniteMap(2, 2, (0, 1)), target_family=(0b01,))
 
     def test_requires_continuity(self):
         with pytest.raises(ValueError):
@@ -262,13 +262,13 @@ class TestEmbedding:
         assert a == b
 
     def test_family_without_singletons_flagged(self):
-        carrier = (constant_map(2, 2, 0), constant_map(2, 2, 1))
+        carrier = (FiniteMap(2, 2, (0, 0)), FiniteMap(2, 2, (1, 1)))
         rep = mu_embedding_report(D2, D2, carrier, (0b11,))
         assert not rep.family_has_singletons
         assert rep.injective  # constants still have distinct images of X
 
     def test_single_function_carrier(self):
-        rep = mu_embedding_report(S, S, (constant_map(2, 2, 1),), P2)
+        rep = mu_embedding_report(S, S, (FiniteMap(2, 2, (1, 1)),), P2)
         assert rep.continuous and rep.open_onto_image and rep.injective
 
     def test_three_point_sample(self, corpus_n3):
@@ -338,18 +338,18 @@ class TestEmbeddingOracle:
         with pytest.raises(ValueError):
             mu_embedding_report(S, S, (FiniteMap(2, 2, (1, 0)),), P2)
         with pytest.raises(ImageNotInFamily):
-            mu_embedding_report(S, S, (identity_map(2),), P2, target_family=(0b01, 0b11))
+            mu_embedding_report(S, S, (FiniteMap(2, 2, (0, 1)),), P2, target_family=(0b01, 0b11))
 
     def test_first_refused_map_decides_the_error(self):
         # mu refuses a discontinuous map with ValueError and an image outside
         # the target family with ImageNotInFamily; the first such map wins
         swap = FiniteMap(2, 2, (1, 0))  # not continuous on S
-        ident = identity_map(2)  # image {0} is outside (0b10, 0b11)
+        ident = FiniteMap(2, 2, (0, 1))  # image {0} is outside (0b10, 0b11)
         tf = (0b10, 0b11)
         with pytest.raises(ValueError):
-            mu_embedding_report(S, S, (constant_map(2, 2, 1), swap, ident), P2, target_family=tf)
+            mu_embedding_report(S, S, (FiniteMap(2, 2, (1, 1)), swap, ident), P2, target_family=tf)
         with pytest.raises(ImageNotInFamily):
-            mu_embedding_report(S, S, (constant_map(2, 2, 1), ident, swap), P2, target_family=tf)
+            mu_embedding_report(S, S, (FiniteMap(2, 2, (1, 1)), ident, swap), P2, target_family=tf)
 
 
 def _families_with_some_singletons(n: int) -> list[tuple[int, ...]]:
@@ -510,7 +510,7 @@ class TestProjectionCompose:
         pc = projection_compose(S, S, 0b11)
         fns = continuous_maps(S, S)
         ks = compacts(S)
-        const1 = fns.index(constant_map(2, 2, 1))
+        const1 = fns.index(FiniteMap(2, 2, (1, 1)))
         assert ks[pc.image[const1]] == 0b10
 
     def test_continuous_tau_co_to_tau_v(self, corpus3):

@@ -8,21 +8,17 @@ cheap), drawing random instances through hypothesis.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topolab.bitsets import complement, is_subset, nonempty_subsets
-from topolab.choice import enumerate_choice_functions
-from topolab.filters import (
-    FilterOnCarrier,
-    filter_image,
-    neighborhood_filter,
-    subsets_carrier,
-)
+from oracles import image_filter_kernel
+from topolab.bitsets import complement, is_subset, iter_bits, nonempty_subsets, points_of
+from topolab.choice import _image_kernel, enumerate_choice_functions
+from topolab.filters import FilterOnCarrier, converges, enumerate_filters, points_carrier, subsets_carrier
 from topolab.funcspaces import compact_open, continuous_maps, set_open_topology
 from topolab.hyperspaces import compacts, hit, lower_vietoris, miss, upper_vietoris, vietoris
 from topolab.maps import FiniteMap
 from topolab.spaces import (
     closure,
     enumerate_topologies,
-    final_topology,
+    final_from_edges,
     generate_from_subbase,
     interior,
     is_compact_subset,
@@ -118,7 +114,9 @@ class TestFinalTopology:
             )
         )
         maps = [(src, FiniteMap(src.n, target_n, img)) for img in images]
-        got = final_topology(target_n, maps)
+        # each map pushes the neighbourhood edges x -> y, y in U_x, forward
+        edges = [(f.image[x], f.image[y]) for s, f in maps for x in range(s.n) for y in iter_bits(s.min_nbhds[x])]
+        got = final_from_edges(target_n, edges)
         make_space(got.n, got.opens)  # axioms hold
         for s, f in maps:
             assert all(f.preimage_of(u) in s.open_set for u in got.opens)
@@ -175,10 +173,8 @@ class TestChoiceImageFormula:
             fam = tuple(nonempty_subsets(n))
             for f in enumerate_choice_functions(n):
                 for bits in range(1, 1 << len(fam), 3):
-                    kernel = frozenset(i for i in range(len(fam)) if bits >> i & 1)
-                    phi = FilterOnCarrier(carrier, kernel)
-                    got = filter_image(f, phi).kernel
-                    assert got == {f.image[i] for i in kernel}
+                    phi = FilterOnCarrier(carrier, bits)
+                    assert _image_kernel(f, points_of(bits)) == image_filter_kernel(f, phi)
 
     def test_choice_values_stay_inside(self):
         for n in (2, 3):
@@ -193,7 +189,6 @@ class TestConvergenceDefinitionCoincidence:
         # coincide with the filter of all neighbourhoods (supersets of opens)
         for sp in CORPUS:
             for x in range(sp.n):
-                open_kernel = neighborhood_filter(sp, x).kernel
                 nbhds = [
                     nmask
                     for nmask in range(1 << sp.n)
@@ -202,5 +197,6 @@ class TestConvergenceDefinitionCoincidence:
                 full_kernel = (1 << sp.n) - 1
                 for nmask in nbhds:
                     full_kernel &= nmask
-                assert open_kernel == {i for i in range(sp.n) if full_kernel >> i & 1}
                 assert minimal_open_nbhd(sp, x) == full_kernel
+                for phi in enumerate_filters(points_carrier(sp.n)):
+                    assert converges(sp, phi, x) == (phi.kernel & ~full_kernel == 0)

@@ -59,7 +59,9 @@ class TestInclusionPair:
 
 
 class TestRequestChecks:
-    def test_pool_never_exceeds_the_items(self, monkeypatch):
+    @staticmethod
+    def fake_pool(monkeypatch, cpus: int) -> list:
+        """Replace the worker pool by one that starts no process; returns the pool sizes asked for."""
         started = []
 
         class FakePool:
@@ -76,9 +78,20 @@ class TestRequestChecks:
                 return [fn(item) for item in items]
 
         monkeypatch.setattr(suites, "Pool", FakePool)
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
+        return started
+
+    def test_pool_never_exceeds_the_items(self, monkeypatch):
+        started = self.fake_pool(monkeypatch, cpus=64)
         assert suites._pmap(abs, [1, -2, 3], jobs=64) == [1, 2, 3]
         assert suites._pmap(abs, [1, -2, 3], jobs=2) == [1, 2, 3]
         assert started == [3, 2]
+
+    def test_pool_never_exceeds_the_cpus(self, monkeypatch):
+        started = self.fake_pool(monkeypatch, cpus=4)
+        items = list(range(-20, 20))
+        assert suites._pmap(abs, items, jobs=10**6) == [abs(i) for i in items]
+        assert started == [4]
 
     def test_bounds_are_checked_before_any_suite_runs(self, monkeypatch):
         ran = []
