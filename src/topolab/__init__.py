@@ -55,7 +55,6 @@ from .funcspaces import (
     is_continuous,
     mu,
     mu_embedding_report,
-    projection_compose,
     set_open_topology,
 )
 from .hyperspaces import (

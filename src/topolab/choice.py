@@ -85,7 +85,7 @@ def limit_set_P(space: FiniteSpace, phi: FilterOnCarrier) -> int:
 def _hyper_converges(space: FiniteSpace, phi: FilterOnCarrier, target_mask: int) -> bool:
     """Convergence of a subset-carrier filter in the lower Vietoris topology."""
     hyper = lower_vietoris(space, tuple(nonempty_subsets(space.n)))
-    return converges(hyper.topology, phi, target_mask - 1)  # canonical subset order: index = mask - 1
+    return converges(hyper.topology, phi, target_mask - 1)  # compact k sits at position k − 1 (``compacts``)
 
 
 def check_lower_convergence_lemma(space: FiniteSpace, phi: FilterOnCarrier) -> bool:
@@ -134,6 +134,12 @@ def _default_function_kernels(functions: Sequence[FiniteMap], pair_cap: int | No
     yield tuple(functions)
 
 
+def _check_pair_cap(space: FiniteSpace, pair_cap: int | None) -> None:
+    """Refuse an uncapped pair sweep on 4 points: its 20736 choice functions make 2.1e8 pairs."""
+    if pair_cap is None and space.n >= 4:
+        raise SizeLimitExceeded(f"filterwise sweeps on {space.n} points need a pair_cap: all pairs are out of reach")
+
+
 @lru_cache(maxsize=None)
 def filterwise_limit_set(space: FiniteSpace, phi: FilterOnCarrier, pair_cap: int | None = None) -> int:
     """Points reached by applying a filter of choice functions to ``phi``.
@@ -142,14 +148,13 @@ def filterwise_limit_set(space: FiniteSpace, phi: FilterOnCarrier, pair_cap: int
     deterministic kernel sample (singletons, pairs up to ``pair_cap``, the
     full carrier).  The applied filter has kernel { f(A) : f in F, A in
     kernel(phi) }, and a point is collected when that kernel sits inside its
-    minimal neighbourhood.  With pair_cap=None all pairs are swept for
-    n <= 3; on 4 points the sweep caps itself at the first 100 pairs (the
-    20736 choice functions would give 2.1e8 pairs otherwise).
+    minimal neighbourhood.  With pair_cap=None all pairs are swept; on 4
+    points, whose 20736 choice functions give 2.1e8 pairs, that is refused
+    with SizeLimitExceeded before any work, and a pair_cap must be passed.
     """
+    _check_pair_cap(space, pair_cap)
     n = space.n
     functions = tuple(enumerate_choice_functions(n))
-    if pair_cap is None and n >= 4:
-        pair_cap = 100
     mins = space.min_nbhds
     kernel = points_of(phi.kernel)
     p = 0
@@ -169,8 +174,10 @@ def check_filterwise_refinement(
     Requires the nested-neighbourhood property, which every finite space
     has via minimal neighbourhoods: if the filter converges to the
     hyperpoint ``a`` in the lower Vietoris topology then a ⊆ P, with P the
-    filterwise limit set.
+    filterwise limit set.  An uncapped pair sweep on 4 points is refused
+    before any work, as in ``filterwise_limit_set``.
     """
+    _check_pair_cap(space, pair_cap)
     if not _hyper_converges(space, phi, a):
         return True
     return is_subset(a, filterwise_limit_set(space, phi, pair_cap))

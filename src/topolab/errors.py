@@ -28,4 +28,4 @@ class NotOpen(TopolabError):
 
 
 class ImageNotInFamily(TopolabError):
-    """A function image landed outside the configured hyperspace family."""
+    """A function image landed outside the hyperspace family: ∅, the image of an empty member, is no compact."""

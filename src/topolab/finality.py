@@ -27,7 +27,7 @@ from typing import Sequence
 from .bitsets import complement, is_subset, iter_bits, mask_of, points_of
 from .errors import SizeLimitExceeded
 from .filters import contains, enumerate_ultrafilters, points_carrier, singleton_filter
-from .funcspaces import compact_open, projection_compose
+from .funcspaces import compact_open
 from .hyperspaces import compacts, vietoris
 from .spaces import (
     FiniteSpace,
@@ -80,10 +80,12 @@ def final_over_projections(
                 ) from exc
         else:
             mins = fsp.min_nbhds
-        proj = projection_compose(src, cod, a).image
-        edges.update(
-            (proj[fi], proj[gi]) for fi, m in enumerate(mins) for gi in iter_bits(m)
-        )
+        groups = fsp.images(a)
+        for k, members in groups.items():  # the edge k → j when some U_f, f(A) = k, holds a g with g(A) = j
+            reach = 0
+            for fi in iter_bits(members):
+                reach |= mins[fi]
+            edges.update((k, j) for j, others in groups.items() if reach & others)
     computed = final_from_edges(len(family), edges)
     return FinalitySetup(cod, family, tuple((s, a) for s, a in sources), computed, strategy)
 
@@ -106,7 +108,7 @@ def check_vietoris_contained(setup: FinalitySetup) -> InclusionReport:
         witness_source = None
         for pos, (src, a) in enumerate(setup.sources):
             fsp = compact_open(src, setup.cod)
-            if not fsp.is_open(projection_compose(src, setup.cod, a).preimage_of(o)):
+            if not fsp.is_open(sum(m for k, m in fsp.images(a).items() if o >> k & 1)):
                 witness_source = pos
                 break
         violations.append((o, witness_source))

@@ -14,10 +14,14 @@ minimal neighbourhood U_x of every point x.  ``is_continuous`` is that test,
 and ``continuous_maps`` builds the monotone maps point by point instead of
 filtering all cod^dom maps.
 
-Both neighbourhood computations pull minimal neighbourhoods back along the
-coordinates f ↦ f(A) (``_pull_back``): the set-open topology is the initial
-topology of these maps into the upper Vietoris hyperspace, and the
-embedding f ↦ (A ↦ f(A)) is decided against the Vietoris power.
+Every neighbourhood computation is one pull-back (``_pull_back``) along the
+coordinates f ↦ f(A) into a hyperspace on ``compacts(cod)``: the set-open
+topology is the initial topology of these maps into the upper Vietoris
+hyperspace, the embedding f ↦ (A ↦ f(A)) is decided against the Vietoris
+power, and the vietoris-inclusion suite pulls back the Vietoris
+neighbourhoods along one coordinate at a time.  Its slots are the image
+tables that ``images`` hands out, keyed by hyperpoint: the position of
+f(A) in ``compacts(cod)``.
 
 A FunctionSpace works column-wise, on function masks, never map by map.
 Its point table holds, per (x, y), the mask of the maps with f(x) = y; the
@@ -30,8 +34,9 @@ the 2^n − 1 members of a full powerset.
 Carrier continuity is one mask as well: the maps with f(e) ∈ U_{f(x)} for
 every domain edge e ∈ U_x.
 
-Slot pruning: a family member A of two or more points whose singletons are
-all family members adds nothing to either pull-back.  If g(x) ∈ U_{f(x)}
+Slot pruning: the empty member adds nothing to a pull-back, as every map
+sends it to ∅, and neither does a family member A of two or more points
+whose singletons are all family members.  If g(x) ∈ U_{f(x)}
 for each x ∈ A, then g(A) ⊆ hull f(A), and g(A) meets U_k for each
 k ∈ f(A); these are the upper and the Vietoris nearness of g(A) to f(A).
 On the full powerset the slots drop from 2^n − 1 to n, and when the
@@ -42,9 +47,9 @@ such a family they build the n singleton tables and no other.
 Sharing: ``set_open_topology`` validates its arguments on every call,
 before the lookup, and then returns the space from a small ``lru_cache``
 (the last 8 spaces), so ``compact_open`` followed by
-``mu_embedding_report`` on one pair builds each table at most once.  A
-shared space is read-only to its callers: ``images`` hands out a
-read-only view of an image table.
+``mu_embedding_report`` on one pair builds each table at most once.
+``images`` hands each caller a fresh dict, so no caller can change what
+the next one reads.
 """
 
 from __future__ import annotations
@@ -52,14 +57,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import and_
-from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 from .bitsets import canon_family, full_mask, is_subset, iter_bits
 from .errors import ImageNotInFamily
-from .hyperspaces import compacts, vietoris
+from .hyperspaces import compacts, upper_vietoris, vietoris
 from .maps import FiniteMap, all_maps
-from .spaces import FiniteSpace, _hull, is_open_in
+from .spaces import FiniteSpace, is_open_in
 
 
 def is_continuous(dom: FiniteSpace, cod: FiniteSpace, f: FiniteMap) -> bool:
@@ -98,21 +102,26 @@ def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]
     return tuple(FiniteMap(dom.n, cod.n, image) for image in images)
 
 
-def _pull_back(size: int, groups: Sequence[dict], near: Callable[[object, object], bool]) -> tuple[int, ...]:
-    """Per index i, the indices whose value lies near i's value in every slot.
+def _pull_back(size: int, slots: Sequence[dict[int, int]], nbhds: Sequence[int]) -> tuple[int, ...]:
+    """Per index i, the indices whose hyperpoint lies in the neighbourhood of i's hyperpoint in every slot.
 
-    ``groups[s]`` maps each value of slot s to the mask of indices taking it;
-    ``near(v, u)`` says u is in the target neighbourhood of v.  Cost per slot:
-    its indices plus the square of its distinct values.
+    ``slots[s]`` maps each hyperpoint (a position in ``compacts(cod)``) to the
+    mask of indices taking it; ``nbhds`` is the hyperspace's
+    minimal-neighbourhood array.  Cost per slot: its indices plus the square
+    of its distinct hyperpoints.
     """
-    out = [full_mask(size)] * size
-    for slot in groups:
+    everything = full_mask(size)
+    out = [everything] * size
+    for slot in slots:
         items = tuple(slot.items())
         for v, members in items:
+            near = nbhds[v]
             up = 0
             for u, others in items:
-                if near(v, u):
+                if near >> u & 1:
                     up |= others
+            if up == everything:
+                continue
             while members:
                 low = members & -members
                 out[low.bit_length() - 1] &= up
@@ -129,7 +138,7 @@ class FunctionSpace:
     the image table ``_table(a)`` of a subset, built on first use by the
     recurrence over the lowest point and kept in ``_tables``, the
     continuous maps ``_continuous`` by one mask per domain edge, and the
-    family positions ``_kept`` that a pull-back needs (slot pruning, see
+    family members ``_kept`` whose slots a pull-back needs (slot pruning, see
     the module docstring).
     """
 
@@ -157,14 +166,18 @@ class FunctionSpace:
         return {0: {0: full_mask(self.size)} if self.size else {}}
 
     def _table(self, a: int) -> dict[int, int]:
-        """{ image f(a) : function mask of { f : f(a) = image } }, built on first use and kept.
+        """{ image f(a) : function mask of { f : f(a) = image } }, built on first use and kept; ValueError unless a is in the family.
 
         table(A) = table(A − x) ⊗ _points[x] for the lowest point x of A: each
         entry (img, m) of table(A − x) splits into (img | {y}, m & _points[x][y]).
         The cost is (distinct images × |cod|) mask operations per subset, paid
         for A and for each of its suffixes not built before.
         """
+        if a not in self._members:
+            raise ValueError(f"{a:#x} is not in the family")
         tables = self._tables
+        if a in tables:
+            return tables[a]
         chain = []
         b = a
         while b not in tables:
@@ -188,16 +201,15 @@ class FunctionSpace:
 
     @cached_property
     def _kept(self) -> tuple[int, ...]:
-        """Family positions whose slot a pull-back needs (see the module docstring).
+        """The family members whose slot a pull-back needs (see the module docstring).
 
-        A member of two or more points whose singletons are all members is
-        skipped: the singleton slots imply its upper and Vietoris nearness.
+        The empty member is skipped, as every map sends it to ∅, and so is a
+        member of two or more points whose singletons are all members: the
+        singleton slots imply its upper and Vietoris nearness.
         """
         fam = self._members
         return tuple(
-            ai
-            for ai, a in enumerate(self.family)
-            if not (a & (a - 1) and all(1 << x in fam for x in iter_bits(a)))
+            a for a in self.family if a and not (a & (a - 1) and all(1 << x in fam for x in iter_bits(a)))
         )
 
     @cached_property
@@ -216,25 +228,18 @@ class FunctionSpace:
                 out &= sum(map(and_, points[x], within[e]))
         return out
 
-    def _member_table(self, a: int) -> dict[int, int]:
-        """``_table(a)``, read from ``_tables`` when built; ValueError unless a is in the family."""
-        if a not in self._members:
-            raise ValueError(f"{a:#x} is not in the family")
-        table = self._tables.get(a)
-        return self._table(a) if table is None else table
+    def images(self, a: int) -> dict[int, int]:
+        """{ hyperpoint of f(a) : function mask of the f with that image }, a fresh dict; ValueError unless a is in the family.
 
-    def images(self, a: int) -> Mapping[int, int]:
-        """{ image f(a) : function mask of the f with that image }, read-only; ValueError unless a is in the family.
-
-        The view is read-only because a FunctionSpace is shared between
-        callers (see ``set_open_topology``).
+        The hyperpoint of an image is its position in ``compacts(cod)``; the
+        image ∅ of an empty member gets −1.
         """
-        return MappingProxyType(self._member_table(a))
+        return {img - 1: m for img, m in self._table(a).items()}  # compact k sits at position k − 1
 
     def subbasic(self, a: int, w: int) -> int:
         """Function-index mask of (a, w) = { f : f(a) ⊆ w }; ValueError unless a is in the family."""
         out = 0
-        for img, members in self._member_table(a).items():
+        for img, members in self._table(a).items():
             if img & ~w == 0:
                 out |= members
         return out
@@ -244,18 +249,14 @@ class FunctionSpace:
         """Minimal neighbourhood of each carrier function, as function masks.
 
         The subbasic sets (A, W) containing f meet in { g : g(A) ⊆ hull(f(A)) },
-        hull being the smallest open superset in the codomain; intersect over
-        the kept family members (``_kept``), which gives the same sets as
-        intersecting over all of them.
+        hull being the smallest open superset in the codomain, which is the
+        upper Vietoris neighbourhood of f(A): the pull-back of
+        ``upper_vietoris(cod, compacts(cod))`` over the kept family members
+        (``_kept``), which gives the same sets as pulling back over all of them.
         """
-        slots = [self._table(self.family[ai]) for ai in self._kept]
-        cmins = self.cod.min_nbhds
-        hull = {}
-        for slot in slots:
-            for v in slot:
-                # the hull of a singleton image {y} is U_y
-                hull[v] = cmins[v.bit_length() - 1] if v and not v & (v - 1) else _hull(self.cod, v)
-        return _pull_back(self.size, slots, lambda v, u: u & ~hull[v] == 0)
+        slots = [self.images(a) for a in self._kept]
+        hyper = upper_vietoris(self.cod, compacts(self.cod))
+        return _pull_back(self.size, slots, hyper.topology.min_nbhds)
 
     def is_open(self, mask: int) -> bool:
         """Neighbourhood test: every member keeps its minimal neighbourhood inside."""
@@ -300,47 +301,32 @@ def _function_space(
     return FunctionSpace(dom, cod, functions, family)
 
 
-def compact_open(
-    dom: FiniteSpace,
-    cod: FiniteSpace,
-    carrier: str | Sequence[FiniteMap] = "continuous",
-) -> FunctionSpace:
-    """Set-open topology generated by the compact subsets of the domain."""
+def compact_open(dom: FiniteSpace, cod: FiniteSpace, carrier: str = "continuous") -> FunctionSpace:
+    """Set-open topology generated by the compact subsets of the domain, on the "continuous" or "all" maps."""
     if carrier == "continuous":
         fns: Sequence[FiniteMap] = continuous_maps(dom, cod)
     elif carrier == "all":
         fns = tuple(all_maps(dom.n, cod.n))
     else:
-        fns = tuple(carrier)
+        raise ValueError(f"unknown carrier {carrier!r}; expected 'continuous' or 'all'")
     return set_open_topology(fns, compacts(dom), dom, cod)
 
 
-def mu(
-    dom: FiniteSpace,
-    cod: FiniteSpace,
-    family: Sequence[int],
-    f: FiniteMap,
-    target_family: Sequence[int] | None = None,
-) -> tuple[int, ...]:
-    """The indexed family A ↦ f(A), as target-family indices per family slot.
+def mu(dom: FiniteSpace, cod: FiniteSpace, family: Sequence[int], f: FiniteMap) -> tuple[int, ...]:
+    """The indexed family A ↦ f(A), as positions in ``compacts(cod)`` per family slot.
 
-    The target family defaults to the compacts of the codomain (continuous
-    images of compacts stay compact, which on finite spaces covers every
-    image of a non-empty set); a different family may be supplied, and an
-    image landing outside it raises ImageNotInFamily.
+    Continuous images of compacts stay compact, which on finite spaces
+    covers every image of a non-empty set; the image ∅ of an empty member
+    is no compact and raises ImageNotInFamily.
     """
     if not is_continuous(dom, cod, f):
         raise ValueError("mu expects a continuous map")
-    tf = canon_family(target_family if target_family is not None else compacts(cod))
-    index = {a: i for i, a in enumerate(tf)}
     out = []
     for a in canon_family(family):
         img = f.image_of(a)
-        if img not in index:
-            raise ImageNotInFamily(
-                f"image of family member {a:#x} is not in the target family"
-            )
-        out.append(index[img])
+        if not img:
+            raise ImageNotInFamily(f"image of family member {a:#x} is not a compact of the codomain")
+        out.append(img - 1)  # compact k sits at position k − 1 (``compacts``)
     return tuple(out)
 
 
@@ -357,16 +343,15 @@ def mu_embedding_report(
     cod: FiniteSpace,
     carrier: Sequence[FiniteMap],
     family: Sequence[int],
-    target_family: Sequence[int] | None = None,
 ) -> MuEmbeddingReport:
     """Check that f ↦ (A ↦ f(A)) embeds the carrier into the hyperspace power.
 
     The carrier gets the set-open topology of ``family``; the target is the
-    product over the family of copies of the Vietoris hyperspace on
-    ``target_family`` (default: the compacts of the codomain) with the
-    pointwise product topology.  With U_f the minimal neighbourhood of f in
-    the carrier and P_f the set of g with every g(A) in the Vietoris minimal
-    neighbourhood of f(A) (the product neighbourhood of mu(f), pulled back):
+    product over the family of copies of the Vietoris hyperspace on the
+    compacts of the codomain with the pointwise product topology.  With U_f
+    the minimal neighbourhood of f in the carrier and P_f the set of g with
+    every g(A) in the Vietoris minimal neighbourhood of f(A) (the product
+    neighbourhood of mu(f), pulled back):
 
     * continuity: U_f ⊆ P_f for every f;
     * openness onto the image: P_f ⊆ sat(U_f) for every f, sat(S) being the
@@ -385,36 +370,23 @@ def mu_embedding_report(
 
     P_f and the mu-fibres are taken over the kept slots of the carrier
     (``FunctionSpace._kept``), which gives the same sets as all slots.  The
-    mu values come from the carrier's image tables (``_table``) and its
+    mu values come from the carrier's image tables (``images``) and its
     continuity from one mask (``_continuous``), not from a call of ``mu``
-    per map; the first map in carrier order that ``mu`` would refuse (not
-    continuous, or an image outside the target family) raises the same
-    error.  The tables of the other family members are read for that test
-    only when the target family lacks some non-empty subset of the
-    codomain: otherwise only the image of an empty member can be refused.
+    per map.  The first map in carrier order that ``mu`` would refuse
+    raises the same error through ``mu``: the first discontinuous map, or
+    the first map of all when the family holds ∅, whose image is no compact.
     """
     fam = canon_family(family)
     fs = set_open_topology(carrier, fam, dom, cod)
-    tf = canon_family(target_family if target_family is not None else compacts(cod))
-    index = {k: i for i, k in enumerate(tf)}
-    refused = full_mask(fs.size) & ~fs._continuous
-    every_nonempty = sum(1 for k in tf if 0 < k <= cod.full) == cod.full
-    for a in fam:
-        if a and every_nonempty:
-            continue  # a non-empty image is always in the target family
-        for img, m in fs._table(a).items():
-            if img not in index:
-                refused |= m
+    refused = full_mask(fs.size)
+    if 0 not in fam:  # otherwise every map is refused: it sends ∅ to ∅, which is no compact
+        refused &= ~fs._continuous
     if refused:
-        mu(dom, cod, fam, fs.functions[(refused & -refused).bit_length() - 1], tf)
-    slots = tuple({index[img]: m for img, m in fs._table(fam[ai]).items()} for ai in fs._kept)
+        mu(dom, cod, fam, fs.functions[(refused & -refused).bit_length() - 1])
+    slots = tuple(map(fs.images, fs._kept))
     mins = fs.min_nbhds
     singletons = all((1 << x) in fam for x in range(dom.n))
-    if singletons:
-        pm = mins
-    else:
-        hmins = vietoris(cod, tf).topology.min_nbhds
-        pm = _pull_back(fs.size, slots, lambda v, u: hmins[v] >> u & 1)
+    pm = mins if singletons else _pull_back(fs.size, slots, vietoris(cod, compacts(cod)).topology.min_nbhds)
     # mu-fibres of two or more functions: sat(S) is S plus those meeting it
     fibres = [full_mask(fs.size)] if fs.size else []
     for slot in slots:
@@ -433,21 +405,4 @@ def mu_embedding_report(
         open_onto_image=all(is_subset(p, saturated(u)) for u, p in zip(mins, pm)),
         injective=not shared,
         family_has_singletons=singletons,
-    )
-
-
-def projection_compose(dom: FiniteSpace, cod: FiniteSpace, a: int) -> FiniteMap:
-    """Index map sending a continuous f to the position of f(A) in the compacts.
-
-    The domain indices follow continuous_maps(dom, cod); the codomain indices
-    follow compacts(cod).
-    """
-    ks = compacts(dom)
-    if a not in ks:
-        raise ValueError("a must be a non-empty compact subset of the domain")
-    fns = continuous_maps(dom, cod)
-    target = compacts(cod)
-    index = {k: i for i, k in enumerate(target)}
-    return FiniteMap(
-        len(fns), len(target), tuple(index[f.image_of(a)] for f in fns)
     )

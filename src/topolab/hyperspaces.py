@@ -146,7 +146,10 @@ def vietoris_basic(space: FiniteSpace, family: Sequence[int], cover: Sequence[in
 
 
 def compacts(space: FiniteSpace) -> tuple[int, ...]:
-    """Non-empty compact subsets: by theorem, the non-empty powerset of a finite space."""
+    """Non-empty compact subsets: by theorem, the non-empty powerset of a finite space.
+
+    They come in ascending mask order, so compact k sits at position k − 1.
+    """
     return tuple(nonempty_subsets(space.n))
 
 

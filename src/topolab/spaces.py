@@ -193,7 +193,7 @@ def generate_from_subbase(n: int, subbase: Iterable[int]) -> FiniteSpace:
     minimal neighbourhoods are the per-point subbase intersections.
     """
     fam = canon_family(subbase)
-    if any(s > full_mask(n) for s in fam):
+    if fam and (fam[0] < 0 or fam[-1] > full_mask(n)):  # sorted, so the least and greatest members decide
         raise ValueError("subbase mask does not fit the ground set")
     return FiniteSpace(n, min_nbhds_of(n, fam))
 

@@ -41,7 +41,7 @@ from .choice import (
 from .errors import NotATopology, SizeLimitExceeded, TopolabError
 from .filters import enumerate_ultrafilters, subsets_carrier
 from .finality import check_finality_discrete_square, stone_cech_finite_discrete
-from .funcspaces import compact_open, continuous_maps, mu_embedding_report
+from .funcspaces import _pull_back, compact_open, continuous_maps, mu_embedding_report
 from .hyperspaces import _hit_index_mask, compacts, vietoris
 from .spaces import enumerate_topologies, homeomorphism_classes, make_space
 
@@ -63,6 +63,7 @@ MAX_N = {
     "property-a": (3, "knows the counts for n <= 3"),
 }
 
+STONE_CECH_MAX_D = 4  # stone-cech checks the discrete spaces on 1 to 4 points
 N4_SPACE_STRIDE = 30  # deterministic n=4 sample: corpus indices 0, 30, 60, ...
 N4_FILTER_PAIR_CAP = 100
 
@@ -176,23 +177,21 @@ def _inclusion_pair(args) -> tuple[int, list]:
 
     The miss and hit index masks over compacts(y) and the subbasic sets of
     the singletons depend on the pair only and are built once.  For each
-    compact a the value groups of f ↦ f(a) become (index bit, function mask)
-    pairs, from which every preimage is a union.  The map into the Vietoris
-    hyperspace is tested for continuity once per value group: the union of
-    U_f over the group lies in the pulled-back Vietoris neighbourhood of the
-    value.  When it holds, every Vietoris open, the miss and hit index masks
-    (the Vietoris subbase) among them, pulls back to an open.  The Vietoris
-    opens are counted, and listed one by one only to name the witnesses
-    when continuity fails.
+    compact a the image table ``images(a)`` gives one function mask per
+    hyperpoint, and every preimage is a union of them.  The map into the
+    Vietoris hyperspace is continuous when each U_f lies in the Vietoris
+    neighbourhood of f(a) pulled back along f ↦ f(a) (``_pull_back`` on
+    the one slot).  When it holds, every Vietoris open, the miss and hit
+    index masks (the Vietoris subbase) among them, pulls back to an open.
+    The Vietoris opens are counted, and listed one by one only to name the
+    witnesses when continuity fails.
     """
     (nx, xi, x), (ny, yi, y) = args
     checked = 0
     witnesses: list = []
     fsp = compact_open(x, y)
     ky = compacts(y)
-    index = {k: i for i, k in enumerate(ky)}
     hyper = vietoris(y, ky).topology
-    hmins = hyper.min_nbhds
     mins = fsp.min_nbhds
     misses = [
         (fmask, full_mask(len(ky)) & ~_hit_index_mask(ky, fmask), complement(fmask, y.n)) for fmask in y.closeds
@@ -207,27 +206,17 @@ def _inclusion_pair(args) -> tuple[int, list]:
         return base
 
     for a in compacts(x):
-        values = [(index[img], m) for img, m in fsp.images(a).items()]
-        groups = [(1 << v, m) for v, m in values]
+        slot = fsp.images(a)
         a_points = points_of(a)
 
         def preimage(index_mask: int) -> int:
             out = 0
-            for bit, m in groups:
-                if index_mask & bit:
+            for k, m in slot.items():
+                if index_mask >> k & 1:
                     out |= m
             return out
 
-        continuous = True
-        for v, m in values:
-            around = 0  # the union of U_f over the f with f(a) = ky[v]
-            while m:
-                low = m & -m
-                around |= mins[low.bit_length() - 1]
-                m ^= low
-            if not is_subset(around, preimage(hmins[v])):
-                continuous = False
-                break
+        continuous = all(map(is_subset, mins, _pull_back(fsp.size, [slot], hyper.min_nbhds)))
 
         def pulls_back_open(index_mask: int) -> bool:
             return continuous or fsp.is_open(preimage(index_mask))
@@ -323,9 +312,9 @@ def suite_finality_square(max_y: int = 3) -> RunReport:
 
 # ----------------------------------------------------------------- stone-cech
 
-def suite_stone_cech(max_d: int = 4) -> RunReport:
-    report = RunReport("stone-cech", {"max_d": max_d})
-    for d_n in range(1, max_d + 1):
+def suite_stone_cech() -> RunReport:
+    report = RunReport("stone-cech", {"max_d": STONE_CECH_MAX_D})
+    for d_n in range(1, STONE_CECH_MAX_D + 1):
         rep = stone_cech_finite_discrete(d_n)
         for name, ok in (
             ("w-bijective", rep.w_bijective),

@@ -20,7 +20,8 @@ neighbourhoods).  The hyperspace embedding
 is decided from cylinder preimages and the images of opens, over a carrier
 topology built from its subbase, and the hit-and-miss identities of one
 (X, Y) pair by scanning every open of the Vietoris hyperspace.  Image
-tables of a function carrier are built map by map with ``image_of``, and
+tables of a function carrier and the projections f ↦ f(A) are built map by
+map with ``image_of``, and
 neighbourhoods are pulled back over every family member, where the library
 builds the tables column-wise from its point table and skips the members
 its singletons already decide.  Closure, interior, the shrinking lemma, the
@@ -38,7 +39,7 @@ import itertools
 
 from topolab.bitsets import complement, full_mask, is_subset, iter_bits, meets, points_of
 from topolab.finality import InclusionReport
-from topolab.funcspaces import compact_open, projection_compose
+from topolab.funcspaces import compact_open, continuous_maps
 from topolab.hyperspaces import compacts, vietoris
 from topolab.maps import FiniteMap, all_maps
 from topolab.spaces import FiniteSpace, enumerate_topologies, generate_from_subbase, make_space
@@ -279,12 +280,12 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def mu_embedding_by_definition(dom, cod, carrier, family, target_family=None) -> tuple[bool, bool, bool, bool]:
+def mu_embedding_by_definition(dom, cod, carrier, family) -> tuple[bool, bool, bool, bool]:
     """(continuous, open_onto_image, injective, family_has_singletons) of f ↦ (A ↦ f(A)).
 
     The carrier topology is generated by the sets (A, W) = { f : f(A) ⊆ W };
     the target is the product over the family of the Vietoris hyperspace on
-    ``target_family`` (default: the non-empty subsets of the codomain).
+    the non-empty subsets of the codomain.
     Continuity: the preimage of every cylinder over a Vietoris open is open.
     Openness onto the image: the image of every open is open in the image,
     that is, it holds the product minimal neighbourhood of each of its points
@@ -293,7 +294,7 @@ def mu_embedding_by_definition(dom, cod, carrier, family, target_family=None) ->
     open of the carrier is scanned.
     """
     fam = sorted(set(family))
-    tf = sorted(set(target_family)) if target_family is not None else list(range(1, 1 << cod.n))
+    tf = list(range(1, 1 << cod.n))
     fns = list(carrier)
     size = len(fns)
     subbase = [
@@ -380,9 +381,9 @@ def set_open_min_nbhds_by_maps(fs) -> tuple[int, ...]:
     return pull_back_all_slots(fs.size, groups, lambda v, u: u & ~hull(v) == 0)
 
 
-def vietoris_pull_back_by_maps(fs, target_family=None) -> tuple[int, ...]:
+def vietoris_pull_back_by_maps(fs) -> tuple[int, ...]:
     """P_f = { g : g(A) lies in the Vietoris minimal neighbourhood of f(A) for every family member A }."""
-    tf = sorted(set(target_family)) if target_family is not None else list(range(1, 1 << fs.cod.n))
+    tf = list(range(1, 1 << fs.cod.n))
     index = {k: i for i, k in enumerate(tf)}
     hmins = vietoris(fs.cod, tuple(tf)).topology.min_nbhds
     groups = image_groups_by_maps(fs.functions, fs.family)
@@ -396,6 +397,20 @@ def continuous_maps_by_preimages(dom: FiniteSpace, cod: FiniteSpace) -> tuple[Fi
         for f in all_maps(dom.n, cod.n)
         if all(sum(1 << x for x, y in enumerate(f.image) if w >> y & 1) in dom.open_set for w in cod.opens)
     )
+
+
+def projection_compose(dom: FiniteSpace, cod: FiniteSpace, a: int) -> FiniteMap:
+    """Index map sending a continuous f to the position of f(A) in the non-empty subsets of cod, one image_of call per map.
+
+    The domain indices follow continuous_maps(dom, cod), the codomain
+    indices the ascending non-empty subsets of the codomain.
+    """
+    if not 0 < a < 1 << dom.n:
+        raise ValueError("a must be a non-empty subset of the domain")
+    target = list(range(1, 1 << cod.n))
+    index = {k: i for i, k in enumerate(target)}
+    fns = continuous_maps(dom, cod)
+    return FiniteMap(len(fns), len(target), tuple(index[f.image_of(a)] for f in fns))
 
 
 def inclusion_pair_by_scan(args) -> tuple[int, list]:

@@ -8,6 +8,11 @@ The re-exports of ``topolab/__init__.py`` and the tests do not count: a name
 that only they read is dead code with a test around it.  It is deleted, or
 moved into ``tests/oracles.py`` when a test checks a library route against
 it.
+
+Likewise every defaulted parameter of a public library function is passed
+by some call in the library, a demo or a benchmark script, by position or
+by keyword; a function passed as a value counts as passing all of them.  An
+option that only the tests set is a second code path nobody runs.
 """
 
 import ast
@@ -32,7 +37,8 @@ def _strings(node: ast.AST) -> set[str]:
     return {sub.value for sub in ast.walk(node) if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
 
 
-def uncalled_public_names() -> list[str]:
+def _sources() -> tuple[dict[str, ast.Module], list[ast.Module]]:
+    """The library modules by name, without ``__init__``, and the demo and benchmark scripts."""
     modules = {
         path.stem: ast.parse(path.read_text())
         for path in sorted(PACKAGE.glob("*.py"))
@@ -43,6 +49,11 @@ def uncalled_public_names() -> list[str]:
         for folder in ("demos", "benchmarks")
         for path in sorted((ROOT / folder).glob("*.py"))
     ]
+    return modules, scripts
+
+
+def uncalled_public_names() -> list[str]:
+    modules, scripts = _sources()
     read_by_scripts = set().union(*map(_reads, scripts))
     named_by_scripts = set().union(*map(_strings, scripts))
     read_by_module = {name: _reads(tree) for name, tree in modules.items()}
@@ -65,3 +76,64 @@ def test_the_library_modules_are_found():
 
 def test_every_public_name_has_a_caller():
     assert uncalled_public_names() == []
+
+
+EVERY = "*"  # a function passed as a value, or called with *args or **kwargs, may get every parameter
+
+
+def _called_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _passed(trees) -> dict[str, set]:
+    """Per function name, what the calls under ``trees`` pass: positions, keyword names or EVERY."""
+    out: dict[str, set] = {}
+    for tree in trees:
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node.func):
+                callees.add(id(node.func))
+                got = out.setdefault(_called_name(node.func), set())
+                got.update(range(len(node.args)))
+                got.update(k.arg or EVERY for k in node.keywords)
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    got.add(EVERY)
+        for node in ast.walk(tree):
+            name = _called_name(node)
+            if name and id(node) not in callees and isinstance(node.ctx, ast.Load):
+                out.setdefault(name, set()).add(EVERY)
+    return out
+
+
+def unpassed_options() -> list[str]:
+    """Defaulted parameters of public library functions that no call passes.
+
+    The calls counted are those in the library modules, the demos and the
+    benchmark scripts, by position or by keyword; the tests do not count.
+    """
+    modules, scripts = _sources()
+    passed = _passed(scripts + list(modules.values()))
+    dead = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            got = passed.get(node.name, set())
+            if EVERY in got:
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = [
+                (i, a.arg) for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)
+            ]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            dead += [f"{name}.{node.name}({arg})" for i, arg in defaulted if i not in got and arg not in got]
+    return dead
+
+
+def test_every_option_is_passed_somewhere():
+    assert unpassed_options() == []

@@ -12,6 +12,7 @@ from topolab.choice import (
     has_property_A,
     limit_set_P,
 )
+from topolab import choice
 from topolab.errors import SizeLimitExceeded
 from topolab.filters import FilterOnCarrier, enumerate_filters, enumerate_ultrafilters, subsets_carrier
 from topolab.spaces import closure, discrete_space, indiscrete_space, sierpinski_space
@@ -128,6 +129,20 @@ class TestBounds:
             carrier = subsets_carrier(sp.n)
             for phi in enumerate_ultrafilters(carrier):
                 assert is_subset(limit_set_P(sp, phi), filterwise_limit_set(sp, phi))
+
+    def test_uncapped_pair_sweep_on_four_points_is_refused(self, corpus_n4, monkeypatch):
+        # 20736 choice functions make 2.1e8 pairs: refused before any work, not silently capped
+        phi = next(iter(enumerate_ultrafilters(subsets_carrier(4))))
+
+        def no_work(*args):
+            raise AssertionError("work started before the refusal")
+
+        monkeypatch.setattr(choice, "enumerate_choice_functions", no_work)
+        monkeypatch.setattr(choice, "_hyper_converges", no_work)
+        with pytest.raises(SizeLimitExceeded, match="pair_cap"):
+            filterwise_limit_set(corpus_n4[0], phi)
+        with pytest.raises(SizeLimitExceeded, match="pair_cap"):
+            check_filterwise_refinement(corpus_n4[0], phi, 0b1)
 
     def test_vacuous_when_not_convergent(self):
         # discrete space: eps({0}) does not lower-converge to {1}

@@ -81,6 +81,11 @@ class TestSubbase:
     def test_discrete_from_singletons(self):
         assert generate_from_subbase(2, [0b01, 0b10]) == discrete_space(2)
 
+    @pytest.mark.parametrize("subbase", [[-1], [0b01, -2], [0b100]])
+    def test_masks_outside_the_ground_set_are_refused(self, subbase):
+        with pytest.raises(ValueError, match="does not fit the ground set"):
+            generate_from_subbase(2, subbase)
+
     def test_empty_subbase_is_indiscrete(self):
         assert generate_from_subbase(2, []).opens == (0, 0b11)
 
