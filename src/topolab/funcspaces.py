@@ -44,12 +44,19 @@ singletons are in the family the Vietoris pull-back P_f equals U_f.  The
 neighbourhoods, P_f and the mu-fibres read the kept slots only, so on
 such a family they build the n singleton tables and no other.
 
-Sharing: ``set_open_topology`` validates its arguments on every call,
-before the lookup, and then returns the space from a small ``lru_cache``
-(the last 8 spaces), so ``compact_open`` followed by
-``mu_embedding_report`` on one pair builds each table at most once.
-``images`` hands each caller a fresh dict, so no caller can change what
-the next one reads.
+Sharing: one ``lru_cache``, ``_function_space``, holds the last 8 spaces,
+keyed by (dom, cod, carrier, family), so ``compact_open`` followed by
+``mu_embedding_report`` on ``continuous_maps(dom, cod)`` builds each table
+at most once.  No lookup pays per map for what the library knows: the
+carrier key (``_Carrier``) hashes by the carrier's length and compares
+the same tuple at once, and other carriers map by map, so no ``FiniteMap``
+is hashed; ``compact_open`` hands over maps it built for (dom, cod) and
+validates none, while ``set_open_topology`` validates every carrier
+before the lookup, so a refused call leaves the cache as it was.  The
+maps of ``continuous_maps`` and of the "all" carrier skip ``FiniteMap``'s
+range check (``maps._unchecked_maps``), since their images are grown in
+``range(cod.n)``.  ``images`` hands each caller a fresh dict, so no caller
+can change what the next one reads.
 """
 
 from __future__ import annotations
@@ -59,11 +66,14 @@ from functools import cached_property, lru_cache
 from operator import and_
 from typing import Sequence
 
+from . import limits
 from .bitsets import canon_family, full_mask, is_subset, iter_bits
 from .errors import ImageNotInFamily
 from .hyperspaces import compacts, upper_vietoris, vietoris
-from .maps import FiniteMap, all_maps
+from .maps import FiniteMap, _unchecked_maps, all_maps
 from .spaces import FiniteSpace, is_open_in
+
+_CARRIER = "the function space's carrier"
 
 
 def is_continuous(dom: FiniteSpace, cod: FiniteSpace, f: FiniteMap) -> bool:
@@ -81,10 +91,14 @@ def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]
     The image tuples grow one point at a time in lexicographic order.  Point
     x may take value y when y lies in U_{f(x')} for every earlier x' with x in
     U_{x'}, and U_y holds f(x') for every earlier x' in U_x; a partial map
-    with no admissible value is dropped.
+    with no admissible value is dropped.  The maps are the function space's
+    ground set, so the point guard bounds the partial maps of each step:
+    SizeLimitExceeded before a step holds more.  The images are in range by
+    construction, so the maps skip ``FiniteMap``'s check.
     """
     dmins, cmins = dom.min_nbhds, cod.min_nbhds
     values = tuple(enumerate(cmins))
+    lim = limits.max_points()
     images: list[tuple[int, ...]] = [()]
     for x in range(dom.n):
         below = tuple(iter_bits(dmins[x] & ((1 << x) - 1)))
@@ -97,9 +111,12 @@ def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]
             need = 0
             for e in below:
                 need |= 1 << image[e]
-            grown += [image + (y,) for y, u in values if allowed >> y & 1 and need & ~u == 0]
+            more = [image + (y,) for y, u in values if allowed >> y & 1 and need & ~u == 0]
+            if len(grown) + len(more) > lim:
+                limits.guard_points(len(grown) + len(more), f"the continuous maps on the first {x + 1} domain points")
+            grown += more
         images = grown
-    return tuple(FiniteMap(dom.n, cod.n, image) for image in images)
+    return tuple(_unchecked_maps(dom.n, cod.n, images))
 
 
 def _pull_back(size: int, slots: Sequence[dict[int, int]], nbhds: Sequence[int]) -> tuple[int, ...]:
@@ -278,12 +295,8 @@ def set_open_topology(
     The arguments are validated on every call, before the lookup, so a
     refused call leaves the cache as it was; the canonical family is sorted,
     so its ends decide whether every member is a subset of the domain.  The
-    FunctionSpace itself comes from ``_function_space``, an ``lru_cache`` of
-    the last 8 spaces keyed by (carrier tuple, canonical family, dom, cod),
-    so callers that build the same space one after the other
-    (``compact_open`` and then ``mu_embedding_report`` on one pair, or
-    final-topology sources on one domain) share its tables.  The bound keeps
-    a sweep over many pairs from holding every space it built.
+    FunctionSpace itself comes from ``_function_space``, shared with
+    ``compact_open`` (see the module docstring).
     """
     fam = canon_family(family)
     if fam and (fam[0] < 0 or fam[-1] > dom.full):
@@ -291,25 +304,46 @@ def set_open_topology(
     fns = tuple(carrier)
     if any(f.dom_n != dom.n or f.cod_n != cod.n for f in fns):
         raise ValueError("carrier maps must go from dom to cod")
-    return _function_space(fns, fam, dom, cod)
+    return _function_space(dom, cod, _Carrier(fns), fam)
+
+
+class _Carrier:
+    """A carrier as a cache key: hashed by its length and compared as the same tuple or map by map, so no map is hashed."""
+
+    __slots__ = ("maps",)
+
+    def __init__(self, maps: tuple[FiniteMap, ...]):
+        self.maps = maps
+
+    def __hash__(self) -> int:
+        return len(self.maps)
+
+    def __eq__(self, other) -> bool:
+        return self.maps is other.maps or self.maps == other.maps
 
 
 @lru_cache(maxsize=8)
-def _function_space(
-    functions: tuple[FiniteMap, ...], family: tuple[int, ...], dom: FiniteSpace, cod: FiniteSpace
-) -> FunctionSpace:
-    return FunctionSpace(dom, cod, functions, family)
+def _function_space(dom: FiniteSpace, cod: FiniteSpace, carrier: _Carrier, family: tuple[int, ...]) -> FunctionSpace:
+    return FunctionSpace(dom, cod, carrier.maps, family)
 
 
 def compact_open(dom: FiniteSpace, cod: FiniteSpace, carrier: str = "continuous") -> FunctionSpace:
-    """Set-open topology generated by the compact subsets of the domain, on the "continuous" or "all" maps."""
+    """Set-open topology generated by the compact subsets of the domain, on the "continuous" or "all" maps.
+
+    The carrier is the space's ground set, so the point guard bounds it:
+    the "all" carrier is checked before any map is built, and
+    ``continuous_maps`` refuses while it grows.  The library built the maps
+    for (dom, cod), so they are not validated again.
+    """
     if carrier == "continuous":
-        fns: Sequence[FiniteMap] = continuous_maps(dom, cod)
+        fns = continuous_maps(dom, cod)
     elif carrier == "all":
+        limits.guard_points(cod.n ** dom.n, _CARRIER)
         fns = tuple(all_maps(dom.n, cod.n))
     else:
         raise ValueError(f"unknown carrier {carrier!r}; expected 'continuous' or 'all'")
-    return set_open_topology(fns, compacts(dom), dom, cod)
+    limits.guard_points(len(fns), _CARRIER)  # a cached carrier may predate a smaller guard
+    return _function_space(dom, cod, _Carrier(fns), compacts(dom))
 
 
 def mu(dom: FiniteSpace, cod: FiniteSpace, family: Sequence[int], f: FiniteMap) -> tuple[int, ...]:

@@ -45,9 +45,6 @@ class HyperSpace:
         if self.topology.n != len(self.family):
             raise ValueError("hyperspace topology must live on the family indices")
 
-    def index(self, member: int) -> int:
-        return self.family.index(member)
-
 
 def _check_family(space: FiniteSpace, family: Sequence[int]) -> tuple[int, ...]:
     fam = canon_family(family)

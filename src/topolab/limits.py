@@ -4,7 +4,10 @@ Any operation whose output ground set would exceed the point guard, or whose
 topology would exceed the open-set guard, fails fast with SizeLimitExceeded
 instead of hanging.  The open-set guard can be overridden by the environment
 variable TOPOLAB_LIMIT_OPENS; explicit ``set_limits`` calls (e.g. from CLI
-flags) take precedence over the environment.
+flags) take precedence over the environment.  ``OPEN_COUNT_MEMO`` is a
+fixed bound on the sub-masks ``FiniteSpace.open_count`` memoizes, with no
+flag: counting the opens of a 5-point Vietoris hyperspace memoizes 2184
+of them, and of the 64-point Sierpiński power 59542.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from .errors import SizeLimitExceeded, TopolabError
 
 DEFAULT_MAX_POINTS = 1 << 20
 DEFAULT_MAX_OPENS = 1 << 24
+OPEN_COUNT_MEMO = 1 << 20
 
 _explicit_points: int | None = None
 _explicit_opens: int | None = None

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .bitsets import iter_bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteMap:
-    """A total map {0..dom_n-1} -> {0..cod_n-1} as an image tuple."""
+    """A total map {0..dom_n-1} -> {0..cod_n-1} as an image tuple; slotted, as carriers hold thousands."""
 
     dom_n: int
     cod_n: int
@@ -27,13 +26,6 @@ class FiniteMap:
     def __call__(self, x: int) -> int:
         return self.image[x]
 
-    @cached_property
-    def _point_preimages(self) -> tuple[int, ...]:
-        pre = [0] * self.cod_n
-        for x, y in enumerate(self.image):
-            pre[y] |= 1 << x
-        return tuple(pre)
-
     def image_of(self, mask: int) -> int:
         """Image of a subset of the domain, as a codomain mask."""
         out = 0
@@ -41,16 +33,24 @@ class FiniteMap:
             out |= 1 << self.image[x]
         return out
 
-    def preimage_of(self, mask: int) -> int:
-        """Preimage of a subset of the codomain, as a domain mask."""
-        out = 0
-        for y, pre in enumerate(self._point_preimages):
-            if mask >> y & 1:
-                out |= pre
-        return out
+
+def _unchecked_maps(dom_n: int, cod_n: int, images: Iterable[tuple[int, ...]]) -> Iterator[FiniteMap]:
+    """A FiniteMap per image tuple, without the length and range check of ``FiniteMap``.
+
+    For callers whose images have dom_n entries in range(cod_n) by
+    construction.  The slot setters skip ``__init__`` and ``__post_init__``;
+    the maps equal, and hash as, those of ``FiniteMap(...)``.
+    """
+    new = object.__new__
+    put_dom, put_cod, put_image = FiniteMap.dom_n.__set__, FiniteMap.cod_n.__set__, FiniteMap.image.__set__
+    for image in images:
+        f = new(FiniteMap)
+        put_dom(f, dom_n)
+        put_cod(f, cod_n)
+        put_image(f, image)
+        yield f
 
 
 def all_maps(dom_n: int, cod_n: int) -> Iterator[FiniteMap]:
     """All cod_n**dom_n total maps, in lexicographic image order."""
-    for image in itertools.product(range(cod_n), repeat=dom_n):
-        yield FiniteMap(dom_n, cod_n, image)
+    yield from _unchecked_maps(dom_n, cod_n, itertools.product(range(cod_n), repeat=dom_n))

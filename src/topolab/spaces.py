@@ -90,7 +90,9 @@ class FiniteSpace:
 
         An open of the points P holds x and U_x, or misses every y with x in
         U_y: I(P) = I(P ∖ U_x) + I(P ∖ {y : x ∈ U_y}), x the lowest point of
-        P, I(∅) = 1, memoized on the masks P.
+        P, I(∅) = 1, memoized on the masks P.  The memo can grow
+        exponentially in n, so past ``limits.OPEN_COUNT_MEMO`` masks the
+        count stops with SizeLimitExceeded.
         """
         mins = self.min_nbhds
         ups = [mask_of(y for y, u in enumerate(mins) if u >> x & 1) for x in range(self.n)]
@@ -104,6 +106,10 @@ class FiniteSpace:
             a, b = p & ~mins[x], p & ~ups[x]
             if a in count and b in count:
                 count[p] = count[a] + count[b]
+                if len(count) > limits.OPEN_COUNT_MEMO:
+                    raise SizeLimitExceeded(
+                        f"counting the opens on {self.n} points memoizes over {limits.OPEN_COUNT_MEMO} masks"
+                    )
             else:
                 stack += (p, a, b)
         return count[self.full]

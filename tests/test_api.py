@@ -9,6 +9,12 @@ that only they read is dead code with a test around it.  It is deleted, or
 moved into ``tests/oracles.py`` when a test checks a library route against
 it.
 
+The same holds for the public methods of public library classes: a method
+whose name no library module, demo or benchmark script reads (as a name,
+an attribute, or a string the benchmark tracer looks attributes up by) is
+deleted or moved into ``tests/oracles.py``.  The test goes by name, so a
+method that shares its name with one in use escapes it.
+
 Likewise every defaulted parameter of a public library function is passed
 by some call in the library, a demo or a benchmark script, by position or
 by keyword; a function passed as a value counts as passing all of them.  An
@@ -70,12 +76,30 @@ def uncalled_public_names() -> list[str]:
     return dead
 
 
+def unread_public_methods() -> list[str]:
+    modules, scripts = _sources()
+    read = set().union(*map(_reads, scripts), *map(_strings, scripts), *map(_reads, modules.values()))
+    dead = []
+    for name, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in read:
+                    dead.append(f"{name}.{cls.name}.{node.name}")
+    return dead
+
+
 def test_the_library_modules_are_found():
     assert len(list(PACKAGE.glob("*.py"))) >= 10
 
 
 def test_every_public_name_has_a_caller():
     assert uncalled_public_names() == []
+
+
+def test_every_public_method_is_read():
+    assert unread_public_methods() == []
 
 
 EVERY = "*"  # a function passed as a value, or called with *args or **kwargs, may get every parameter

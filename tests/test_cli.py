@@ -153,6 +153,21 @@ class TestFuncspaceCommand:
         assert len(data["topology"]["opens"]) == 4
 
 
+    @pytest.mark.parametrize("carrier", ["continuous", "all"])
+    def test_carrier_over_the_point_guard_exits_2(self, tmp_path, capsys, carrier):
+        # discrete 8-point spaces: 8^8 maps, every one continuous
+        d8 = tmp_path / "d8.json"
+        d8.write_text(json.dumps({"n": 8, "opens": [[x for x in range(8) if m >> x & 1] for m in range(256)]}))
+        assert run(["funcspace", "--dom", str(d8), "--cod", str(d8), "--carrier", carrier]) == 2
+        assert "size limit" in capsys.readouterr().err
+
+    def test_limit_points_bounds_the_carrier(self, sierpinski_file, capsys):
+        args = ["funcspace", "--dom", str(sierpinski_file), "--cod", str(sierpinski_file)]
+        assert run(args + ["--limit-points", "2"]) == 2  # three continuous maps
+        assert "size limit" in capsys.readouterr().err
+        assert run(args + ["--limit-points", "3"]) == 0
+
+
 class TestVerifyCommand:
     def test_small_all(self, tmp_path, capsys):
         report = tmp_path / "r.json"

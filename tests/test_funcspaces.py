@@ -23,9 +23,9 @@ from topolab.funcspaces import (
     set_open_topology,
 )
 from topolab.hyperspaces import compacts, vietoris
-from topolab import funcspaces, limits
+from topolab import funcspaces, limits, maps, suites
 from topolab.maps import FiniteMap, all_maps
-from topolab.spaces import discrete_space, indiscrete_space, sierpinski_space
+from topolab.spaces import discrete_space, homeomorphism_classes, indiscrete_space, sierpinski_space
 
 S = sierpinski_space()
 D2 = discrete_space(2)
@@ -513,3 +513,109 @@ class TestProjectionCompose:
                             if o >> pc.image[fi] & 1:
                                 pre |= 1 << fi
                         assert fs.is_open(pre)
+
+
+@pytest.fixture()
+def map_work(monkeypatch):
+    """Counts of FiniteMap hashes and FiniteMap checks (``__post_init__``) from here on."""
+    counts = {"hash": 0, "check": 0}
+    real_hash, real_check = FiniteMap.__hash__, FiniteMap.__post_init__
+
+    def counting_hash(f):
+        counts["hash"] += 1
+        return real_hash(f)
+
+    def counting_check(f):
+        counts["check"] += 1
+        real_check(f)
+
+    monkeypatch.setattr(FiniteMap, "__hash__", counting_hash)
+    monkeypatch.setattr(FiniteMap, "__post_init__", counting_check)
+    return counts
+
+
+def _cold():
+    continuous_maps.cache_clear()
+    funcspaces._function_space.cache_clear()
+
+
+class TestNoPerMapWork:
+    """The function-space routes hash none of the library's own maps and check none of them again."""
+
+    def test_compact_open_then_report(self, map_work, corpus_n4):
+        for dom, cod in [(corpus_n4[100], corpus_n4[200]), (discrete_space(4), discrete_space(4)), (S, D2)]:
+            _cold()
+            fs = compact_open(dom, cod)
+            fs.min_nbhds
+            hits = funcspaces._function_space.cache_info().hits
+            report = mu_embedding_report(dom, cod, continuous_maps(dom, cod), compacts(dom))
+            assert funcspaces._function_space.cache_info().hits == hits + 1
+            assert report.continuous and report.injective
+        assert map_work == {"hash": 0, "check": 0}
+
+    def test_inclusion_pair(self, map_work):
+        (xi, x), (yi, y) = homeomorphism_classes(4)[20][1][0], homeomorphism_classes(3)[4][1][0]
+        _cold()
+        checked, witnesses = suites._inclusion_pair(((4, xi, x), (3, yi, y)))
+        assert checked > 0 and witnesses == []
+        assert map_work == {"hash": 0, "check": 0}
+
+    def test_maps_equal_their_public_twins(self, map_work, corpus3):
+        built = []
+        for _, _, dom in corpus3:
+            for _, _, cod in corpus3:
+                _cold()
+                built += continuous_maps(dom, cod)
+                built += compact_open(dom, cod, "all").functions
+        assert map_work["check"] == 0
+        assert len(built) > 10000
+        for f in built:
+            twin = FiniteMap(f.dom_n, f.cod_n, f.image)
+            assert f == twin and hash(f) == hash(twin)
+        assert map_work["check"] == len(built)
+
+
+class TestCarrierGuard:
+    """The carrier is the function space's ground set, so the point guard bounds it."""
+
+    def test_refused_before_any_map_is_built(self, map_work, monkeypatch):
+        built = []
+
+        def counting(real):
+            def build(dom_n, cod_n, images):
+                for f in real(dom_n, cod_n, images):
+                    built.append(f)
+                    yield f
+
+            return build
+
+        monkeypatch.setattr(maps, "_unchecked_maps", counting(maps._unchecked_maps))
+        monkeypatch.setattr(funcspaces, "_unchecked_maps", counting(funcspaces._unchecked_maps))
+        d8 = discrete_space(8)
+        _cold()
+        limits.set_limits(points=1000)
+        try:
+            for carrier in ("continuous", "all"):
+                with pytest.raises(SizeLimitExceeded, match="over the limit 1000"):
+                    compact_open(d8, d8, carrier)
+        finally:
+            limits.reset_limits()
+        assert built == [] and map_work["check"] == 0
+
+    @pytest.mark.parametrize("carrier", ["continuous", "all"])
+    def test_bound_is_the_carrier_size(self, carrier):
+        d3 = discrete_space(3)  # 27 maps, all continuous
+
+        def build(points):
+            limits.set_limits(points=points)
+            try:
+                return compact_open(d3, d3, carrier)
+            finally:
+                limits.reset_limits()
+
+        _cold()
+        with pytest.raises(SizeLimitExceeded):
+            build(26)
+        assert build(27).size == 27
+        with pytest.raises(SizeLimitExceeded):  # the carrier is cached now, built under a larger guard
+            build(26)

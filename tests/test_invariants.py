@@ -8,7 +8,7 @@ cheap), drawing random instances through hypothesis.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import image_filter_kernel
+from oracles import image_filter_kernel, preimage_of
 from topolab.bitsets import complement, is_subset, iter_bits, nonempty_subsets, points_of
 from topolab.choice import _image_kernel, enumerate_choice_functions
 from topolab.filters import FilterOnCarrier, converges, enumerate_filters, points_carrier, subsets_carrier
@@ -119,10 +119,10 @@ class TestFinalTopology:
         got = final_from_edges(target_n, edges)
         make_space(got.n, got.opens)  # axioms hold
         for s, f in maps:
-            assert all(f.preimage_of(u) in s.open_set for u in got.opens)
+            assert all(preimage_of(f, u) in s.open_set for u in got.opens)
         for u in range(1 << target_n):
             if u not in got.open_set:
-                assert any(f.preimage_of(u) not in s.open_set for s, f in maps)
+                assert any(preimage_of(f, u) not in s.open_set for s, f in maps)
 
 
 class TestHitMissLaws:

@@ -1,5 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +20,14 @@ from oracles import (
     is_t1_by_closeds,
     is_t2_by_opens,
     is_t3_by_opens,
+    preimage_of,
     product_opens_by_boxes,
     relabel_by_opens,
     shrink_between_by_opens,
     slow_subbase_closure,
     topologies_by_candidate_scan,
 )
+import topolab
 from topolab.bitsets import complement, is_subset, iter_bits
 from topolab.errors import NotATopology, NotOpen, SizeLimitExceeded
 from topolab.maps import FiniteMap
@@ -277,7 +284,7 @@ class TestFinalTopology:
         for u in range(4):
             if u in got.open_set:
                 continue
-            assert any(f.preimage_of(u) not in src.open_set for src, f in maps)
+            assert any(preimage_of(f, u) not in src.open_set for src, f in maps)
 
 
 class TestEnumeration:
@@ -449,6 +456,26 @@ class TestPreorderRoutesAgainstOpens:
                 product_space([S] * 5)[0].opens
         finally:
             limits.reset_limits()
+
+
+    def test_open_count_memo_is_bounded(self):
+        # the 7-fold power (128 points) once grew its memo to 4.2 GB; under a
+        # 1 GiB address-space limit it must refuse with SizeLimitExceeded
+        code = textwrap.dedent(
+            """
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from topolab.errors import SizeLimitExceeded
+            from topolab.spaces import product_space, sierpinski_space
+            try:
+                product_space([sierpinski_space()] * 7)[0].open_count
+            except SizeLimitExceeded:
+                raise SystemExit(3)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(topolab.__file__).parent.parent)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 3, done.stderr[-2000:]
 
 
 class TestEqualityFollowsTheTopology:
