@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .bitsets import is_subset, nonempty_subsets, points_of
 from .errors import SizeLimitExceeded
@@ -48,16 +48,6 @@ def _image_kernel(f: FiniteMap, kernel: tuple[int, ...]) -> int:
     out = 0
     for i in kernel:
         out |= 1 << f.image[i]
-    return out
-
-
-def _applied_kernel(functions: Sequence[FiniteMap], kernel: tuple[int, ...]) -> int:
-    """Point mask of { f(A) : f in functions, A in kernel }: the kernel of a function filter applied to a filter."""
-    out = 0
-    for f in functions:
-        image = f.image
-        for i in kernel:
-            out |= 1 << image[i]
     return out
 
 
@@ -118,52 +108,18 @@ def check_locally_compact_bound(space: FiniteSpace, phi: FilterOnCarrier, a: int
     return is_subset(a, closure(space, p))
 
 
-def _default_function_kernels(functions: Sequence[FiniteMap], pair_cap: int | None) -> Iterator[tuple[FiniteMap, ...]]:
-    """Deterministic kernel sample: singletons, pairs (capped), full carrier.
-
-    Larger kernels only shrink the applied image filter, so the singleton
-    kernels already realize every reachable point; the pairs and the full
-    kernel are swept to exercise the non-trivial cases anyway.
-    """
-    for f in functions:
-        yield (f,)
-    pairs = itertools.combinations(functions, 2)
-    if pair_cap is not None:
-        pairs = itertools.islice(pairs, pair_cap)
-    yield from pairs
-    yield tuple(functions)
-
-
-def _check_pair_cap(space: FiniteSpace, pair_cap: int | None) -> None:
-    """Refuse an uncapped pair sweep on 4 points: its 20736 choice functions make 2.1e8 pairs."""
-    if pair_cap is None and space.n >= 4:
-        raise SizeLimitExceeded(f"filterwise sweeps on {space.n} points need a pair_cap: all pairs are out of reach")
-
-
-@lru_cache(maxsize=None)
 def filterwise_limit_set(space: FiniteSpace, phi: FilterOnCarrier, pair_cap: int | None = None) -> int:
-    """Points reached by applying a filter of choice functions to ``phi``.
+    """Points reached by applying some filter of choice functions to ``phi``.
 
-    Filters on the function carrier are swept through the documented
-    deterministic kernel sample (singletons, pairs up to ``pair_cap``, the
-    full carrier).  The applied filter has kernel { f(A) : f in F, A in
-    kernel(phi) }, and a point is collected when that kernel sits inside its
-    minimal neighbourhood.  With pair_cap=None all pairs are swept; on 4
-    points, whose 20736 choice functions give 2.1e8 pairs, that is refused
-    with SizeLimitExceeded before any work, and a pair_cap must be passed.
+    A filter with function kernel F applied to ``phi`` has the kernel
+    ∪_{f∈F} f(kernel(phi)), which holds the kernel f(kernel(phi)) of each
+    f ∈ F.  So a point whose minimal neighbourhood holds the applied kernel
+    of F also holds that of each singleton {f}: the singleton kernels decide
+    the set, and it is ``limit_set_P``.  ``pair_cap`` is accepted and not
+    read, as no kernel larger than a singleton adds a point.  The sampled
+    kernel sweep is kept in ``tests/oracles.py``.
     """
-    _check_pair_cap(space, pair_cap)
-    n = space.n
-    functions = tuple(enumerate_choice_functions(n))
-    mins = space.min_nbhds
-    kernel = points_of(phi.kernel)
-    p = 0
-    for fns in _default_function_kernels(functions, pair_cap):
-        imgk = _applied_kernel(fns, kernel)
-        for x in range(n):
-            if is_subset(imgk, mins[x]):
-                p |= 1 << x
-    return p
+    return limit_set_P(space, phi)
 
 
 def check_filterwise_refinement(
@@ -174,13 +130,12 @@ def check_filterwise_refinement(
     Requires the nested-neighbourhood property, which every finite space
     has via minimal neighbourhoods: if the filter converges to the
     hyperpoint ``a`` in the lower Vietoris topology then a ⊆ P, with P the
-    filterwise limit set.  An uncapped pair sweep on 4 points is refused
-    before any work, as in ``filterwise_limit_set``.
+    filterwise limit set.  ``pair_cap`` is not read, as in
+    ``filterwise_limit_set``.
     """
-    _check_pair_cap(space, pair_cap)
     if not _hyper_converges(space, phi, a):
         return True
-    return is_subset(a, filterwise_limit_set(space, phi, pair_cap))
+    return is_subset(a, filterwise_limit_set(space, phi))
 
 
 @dataclass(frozen=True)

@@ -115,21 +115,6 @@ def check_vietoris_contained(setup: FinalitySetup) -> InclusionReport:
     return InclusionReport(contained=not violations, violations=tuple(violations))
 
 
-def _default_square_sources(z_n: int) -> tuple[int, ...]:
-    """Deterministic sample of compacts of the discrete square's ground set.
-
-    All singletons plus all prefixes {0..k} (the last prefix is the full
-    set, which is always included).
-    """
-    singles = [1 << z for z in range(z_n)]
-    prefixes = [(1 << (k + 1)) - 1 for k in range(z_n)]
-    seen = []
-    for m in singles + prefixes:
-        if m not in seen:
-            seen.append(m)
-    return tuple(seen)
-
-
 @dataclass(frozen=True)
 class SquareFinalityReport:
     y_n: int
@@ -180,12 +165,11 @@ def check_finality_discrete_square(y_n: int) -> SquareFinalityReport:
     Y is the discrete space on y_n points (a finite Hausdorff regular space
     is discrete, and a finite discrete space is its own Stone-Čech
     compactification, so the square Z = Y×Y with the discrete topology plays
-    the compactification's role directly).  Sources are (Z, A) for a sample
-    of compacts A of Z: all of them for y_n <= 2, the documented
-    singleton-plus-prefix sample for y_n = 3 (the full set is always
-    included).  Equality with the sampled sources implies equality with all
-    of them, because adding sources can only shrink the final topology and
-    the Vietoris topology is contained in any of these final topologies.
+    the compactification's role directly).  Sources are (Z, A) for the
+    prefixes A = {0..k−1}, k = 1..z_n, and they give the final topology of
+    all compacts of Z: on a discrete Z the restrictions of maps to A, and
+    so the pushed edges f(A) → g(A), depend only on |A|, so one compact of
+    each size contributes every edge.
 
     Every subset of the discrete Z is compact and every map out of it is
     continuous, so the scan runs over restrictions to A (the projection
@@ -199,7 +183,7 @@ def check_finality_discrete_square(y_n: int) -> SquareFinalityReport:
     expected = vietoris(y, compacts(y)).topology
 
     z_n = y_n * y_n
-    source_masks = compacts(discrete_space(z_n)) if y_n <= 2 else _default_square_sources(z_n)
+    source_masks = tuple((1 << k) - 1 for k in range(1, z_n + 1))
 
     computed = final_from_discrete_sources(y, z_n, source_masks)
 

@@ -17,11 +17,11 @@ filtering all cod^dom maps.
 Every neighbourhood computation is one pull-back (``_pull_back``) along the
 coordinates f ↦ f(A) into a hyperspace on ``compacts(cod)``: the set-open
 topology is the initial topology of these maps into the upper Vietoris
-hyperspace, the embedding f ↦ (A ↦ f(A)) is decided against the Vietoris
-power, and the vietoris-inclusion suite pulls back the Vietoris
-neighbourhoods along one coordinate at a time.  Its slots are the image
-tables that ``images`` hands out, keyed by hyperpoint: the position of
-f(A) in ``compacts(cod)``.
+hyperspace, and the embedding f ↦ (A ↦ f(A)) is decided against the
+Vietoris power.  Its slots are the image tables that ``images`` hands out,
+keyed by hyperpoint: the position of f(A) in ``compacts(cod)``.  The
+vietoris-inclusion suite reads the same tables but decides the continuity
+of one coordinate per value group itself (``suites._continuous_along``).
 
 A FunctionSpace works column-wise, on function masks, never map by map.
 Its point table holds, per (x, y), the mask of the maps with f(x) = y; the

@@ -65,7 +65,6 @@ MAX_N = {
 
 STONE_CECH_MAX_D = 4  # stone-cech checks the discrete spaces on 1 to 4 points
 N4_SPACE_STRIDE = 30  # deterministic n=4 sample: corpus indices 0, 30, 60, ...
-N4_FILTER_PAIR_CAP = 100
 
 
 @dataclass
@@ -355,7 +354,7 @@ def suite_stone_cech() -> RunReport:
 # --------------------------------------------------------------- choice lemma
 
 def _choice_space(args) -> tuple[int, list]:
-    n, si, space, pair_cap = args
+    n, si, space = args
     checked = 0
     witnesses: list = []
     carrier = subsets_carrier(n)
@@ -377,7 +376,7 @@ def _choice_space(args) -> tuple[int, list]:
                 witnesses.append(
                     {"kind": "locally-compact-bound", "n": n, "space": si, "ultrafilter": ui, "a": points_of(a)}
                 )
-            if not check_filterwise_refinement(space, phi, a, pair_cap):
+            if not check_filterwise_refinement(space, phi, a):
                 witnesses.append(
                     {"kind": "filterwise-refinement", "n": n, "space": si, "ultrafilter": ui, "a": points_of(a)}
                 )
@@ -388,7 +387,7 @@ def suite_choice_lemma(max_n: int = 3, jobs: int = 1) -> RunReport:
     """Exhaustive sweep for n <= max_n plus the deterministic 4-point sample.
 
     The sample takes every N4_SPACE_STRIDE-th topology of the 355-space
-    corpus and caps filterwise function-pair kernels at N4_FILTER_PAIR_CAP.
+    corpus, with all 15 ultrafilters each.
     The n=4 sweep is not exhaustive, so max_n above 3 is refused rather than
     run as less than was asked for.
     """
@@ -397,11 +396,11 @@ def suite_choice_lemma(max_n: int = 3, jobs: int = 1) -> RunReport:
     tasks = []
     for n in range(1, max_n + 1):
         for i, space in enumerate(enumerate_topologies(n)):
-            tasks.append((n, i, space, None))
+            tasks.append((n, i, space))
     if max_n == 3:
         for i, space in enumerate(enumerate_topologies(4)):
             if i % N4_SPACE_STRIDE == 0:
-                tasks.append((4, i, space, N4_FILTER_PAIR_CAP))
+                tasks.append((4, i, space))
     for checked, witnesses in _pmap(_choice_space, tasks, jobs):
         real = [w for w in witnesses if not w.get("informational")]
         report.checked += checked

@@ -12,8 +12,10 @@ finite spaces).  A filter is the list of its members, every subset that
 holds its kernel; refinement, image filters and filters of functions
 applied to filters are decided on those lists (the library reads kernel
 masks), and choice functions are counted and recognised by their
-definition.  Continuous maps are the maps whose preimages of opens are
-open (the library builds monotone maps instead).  The lower, upper and
+definition.  Filters of choice functions are swept through a sample of
+function kernels (the library returns the single-function limit set, which
+the singleton kernels give by theorem).  Continuous maps are the maps whose
+preimages of opens are open (the library builds monotone maps instead).  The lower, upper and
 Vietoris topologies are generated from the hit and miss sets of every
 listed open (the library reads them off the base's minimal
 neighbourhoods).  The hyperspace embedding
@@ -35,9 +37,11 @@ runs one pair per pair of homeomorphism classes).  The tests freeze values
 computed here and compare the library against them.
 """
 
+import functools
 import itertools
 
 from topolab.bitsets import complement, full_mask, is_subset, iter_bits, meets, points_of
+from topolab.choice import enumerate_choice_functions
 from topolab.finality import InclusionReport
 from topolab.funcspaces import compact_open, continuous_maps
 from topolab.hyperspaces import compacts, vietoris
@@ -189,6 +193,43 @@ def is_choice_function(n: int, f: FiniteMap) -> bool:
     if f.dom_n != (1 << n) - 1 or f.cod_n != n:
         return False
     return all(m >> f.image[m - 1] & 1 for m in range(1, 1 << n))
+
+
+@functools.lru_cache(maxsize=None)
+def _choice_functions(n: int) -> tuple[FiniteMap, ...]:
+    return tuple(enumerate_choice_functions(n))
+
+
+def applied_kernel(functions, kernel: tuple[int, ...]) -> int:
+    """Point mask of { f(A) : f in functions, A in kernel }: the kernel of a function filter applied to a filter."""
+    out = 0
+    for f in functions:
+        image = f.image
+        for i in kernel:
+            out |= 1 << image[i]
+    return out
+
+
+def filterwise_by_kernel_sample(space: FiniteSpace, phi, pair_cap: int | None) -> int:
+    """Points reached by a sample of filters of choice functions applied to ``phi``.
+
+    The function kernels swept are every singleton, the first ``pair_cap``
+    pairs (all of them for None) and the full carrier; a point is collected
+    when the applied kernel lies in its minimal neighbourhood.  The library
+    returns ``limit_set_P`` by theorem, with no sweep.
+    """
+    functions = _choice_functions(space.n)
+    pairs = itertools.combinations(functions, 2)
+    if pair_cap is not None:
+        pairs = itertools.islice(pairs, pair_cap)
+    kernel = points_of(phi.kernel)
+    p = 0
+    for fns in itertools.chain(((f,) for f in functions), pairs, (functions,)):
+        imgk = applied_kernel(fns, kernel)
+        for x, u in enumerate(space.min_nbhds):
+            if is_subset(imgk, u):
+                p |= 1 << x
+    return p
 
 
 def product_opens_by_boxes(a: FiniteSpace, b: FiniteSpace) -> tuple[int, ...]:

@@ -17,7 +17,6 @@ UNBOUNDED_ALLOWED = {
     "hyperspaces.vietoris",
     "spaces.homeomorphism_classes",
     "choice.limit_set_P",
-    "choice.filterwise_limit_set",
 }
 
 

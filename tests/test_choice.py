@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import choice_function_count, is_choice_function
+from oracles import choice_function_count, filterwise_by_kernel_sample, is_choice_function
 from topolab.bitsets import is_subset, nonempty_subsets, points_of
 from topolab.choice import (
     check_filterwise_refinement,
@@ -16,6 +16,7 @@ from topolab import choice
 from topolab.errors import SizeLimitExceeded
 from topolab.filters import FilterOnCarrier, enumerate_filters, enumerate_ultrafilters, subsets_carrier
 from topolab.spaces import closure, discrete_space, indiscrete_space, sierpinski_space
+from topolab.suites import suite_choice_lemma
 
 S = sierpinski_space()
 C2 = subsets_carrier(2)
@@ -130,19 +131,20 @@ class TestBounds:
             for phi in enumerate_ultrafilters(carrier):
                 assert is_subset(limit_set_P(sp, phi), filterwise_limit_set(sp, phi))
 
-    def test_uncapped_pair_sweep_on_four_points_is_refused(self, corpus_n4, monkeypatch):
-        # 20736 choice functions make 2.1e8 pairs: refused before any work, not silently capped
+    def test_uncapped_sweep_on_four_points_is_the_limit_set(self, corpus_n4):
+        # the cap is not read: every kernel's points are its singletons' points
         phi = next(iter(enumerate_ultrafilters(subsets_carrier(4))))
+        for sp in corpus_n4[::118]:
+            assert filterwise_limit_set(sp, phi, None) == limit_set_P(sp, phi)
+            assert check_filterwise_refinement(sp, phi, 0b1, None)
 
-        def no_work(*args):
-            raise AssertionError("work started before the refusal")
-
-        monkeypatch.setattr(choice, "enumerate_choice_functions", no_work)
-        monkeypatch.setattr(choice, "_hyper_converges", no_work)
-        with pytest.raises(SizeLimitExceeded, match="pair_cap"):
-            filterwise_limit_set(corpus_n4[0], phi)
-        with pytest.raises(SizeLimitExceeded, match="pair_cap"):
-            check_filterwise_refinement(corpus_n4[0], phi, 0b1)
+    def test_filter_off_the_subset_carrier_is_refused(self):
+        # a filter on the 7 subsets of 3 points does not apply to a 2-point space
+        phi = FilterOnCarrier(C3, 1)
+        with pytest.raises(ValueError, match="subset carrier"):
+            limit_set_P(discrete_space(2), phi)
+        with pytest.raises(ValueError, match="subset carrier"):
+            filterwise_limit_set(discrete_space(2), phi)
 
     def test_vacuous_when_not_convergent(self):
         # discrete space: eps({0}) does not lower-converge to {1}
@@ -195,3 +197,37 @@ class TestN4Sample:
                 for a in list(nonempty_subsets(4))[::4]:
                     assert check_locally_compact_bound(sp, phi, a)
                     assert check_filterwise_refinement(sp, phi, a, pair_cap=20)
+
+
+class TestFilterwiseAgainstKernelSample:
+    """The filterwise set is ``limit_set_P``; the sampled kernel sweep of the oracle agrees."""
+
+    def test_every_filter_up_to_three_points_uncapped(self, corpus3):
+        pairs = 0
+        for _, _, sp in corpus3:
+            for phi in enumerate_filters(subsets_carrier(sp.n)):
+                assert filterwise_limit_set(sp, phi) == filterwise_by_kernel_sample(sp, phi, None)
+                pairs += 1
+        assert pairs == 3712
+
+    def test_four_point_ultrafilters_with_a_pair_cap(self, corpus_n4):
+        ultras = list(enumerate_ultrafilters(subsets_carrier(4)))
+        for sp in (corpus_n4[0], corpus_n4[-1]):
+            for phi in ultras:
+                assert filterwise_limit_set(sp, phi, 20) == filterwise_by_kernel_sample(sp, phi, 20)
+
+    def test_suite_enumerates_once_per_space_and_filter(self, monkeypatch):
+        # 1 + 4 spaces on 1 and 2 points, with 1 and 3 ultrafilters: 13 pairs
+        calls = []
+        enumerate_all = choice.enumerate_choice_functions
+
+        def counted(n):
+            calls.append(n)
+            return enumerate_all(n)
+
+        monkeypatch.setattr(choice, "enumerate_choice_functions", counted)
+        limit_set_P.cache_clear()
+        report = suite_choice_lemma(max_n=2)
+        limit_set_P.cache_clear()
+        assert report.failed == 0
+        assert len(calls) == 13

@@ -4,13 +4,13 @@ from oracles import vietoris_contained_by_opens
 from topolab.errors import SizeLimitExceeded
 from topolab.finality import (
     FinalitySetup,
-    _default_square_sources,
     check_finality_discrete_square,
     check_vietoris_contained,
     final_from_discrete_sources,
     final_over_projections,
     stone_cech_finite_discrete,
 )
+from topolab import finality
 from topolab.hyperspaces import compacts
 from topolab.spaces import discrete_space, enumerate_topologies, sierpinski_space
 
@@ -134,21 +134,48 @@ class TestDiscreteSquare:
     def test_y1(self):
         rep = check_finality_discrete_square(1)
         assert rep.equal and rep.z_n == 1
+        assert rep.source_count == 1
 
     def test_y2_exact_equality(self):
         rep = check_finality_discrete_square(2)
         assert rep.equal
         assert rep.expected_is_discrete
         assert len(rep.computed.opens) == 8 and rep.computed.n == 3
-        assert rep.source_count == 15  # all compacts of the 4-point square
+        assert rep.source_count == 4  # one prefix of each size of the 4-point square
 
     def test_y3_exact_equality(self):
         rep = check_finality_discrete_square(3)
         assert rep.equal
         assert rep.expected_is_discrete
         assert len(rep.computed.opens) == 128 and rep.computed.n == 7
-        full = (1 << 9) - 1
-        assert full in _default_square_sources(9)
+        assert rep.source_count == 9
+
+    @pytest.mark.parametrize("y_n", [1, 2, 3])
+    def test_one_prefix_of_each_size_with_the_full_set(self, y_n, monkeypatch):
+        seen = []
+        route = finality.final_from_discrete_sources
+
+        def recorded(cod, z_n, source_masks):
+            seen.append((z_n, tuple(source_masks)))
+            return route(cod, z_n, source_masks)
+
+        monkeypatch.setattr(finality, "final_from_discrete_sources", recorded)
+        rep = check_finality_discrete_square(y_n)
+        ((z_n, masks),) = seen
+        assert masks == tuple((1 << k) - 1 for k in range(1, z_n + 1))
+        assert (1 << z_n) - 1 in masks and rep.source_count == len(masks)
+
+    def test_prefix_sources_give_every_compact(self, corpus3):
+        # on a discrete source the pushed edges depend on |A| only, so one
+        # prefix of each size gives the final topology of all compacts
+        cases = 0
+        for _, _, cod in corpus3:
+            for m in range(1, 5):
+                prefixes = [(1 << k) - 1 for k in range(1, m + 1)]
+                every = compacts(discrete_space(m))
+                assert final_from_discrete_sources(cod, m, prefixes) == final_from_discrete_sources(cod, m, every)
+                cases += 1
+        assert cases == 136
 
     def test_y2_restriction_route_matches_general_strategy(self):
         # the discrete-square scan must agree with final_over_projections
