@@ -15,13 +15,18 @@ and ``continuous_maps`` builds the monotone maps point by point instead of
 filtering all cod^dom maps.
 
 Every neighbourhood computation is one pull-back (``_pull_back``) along the
-coordinates f ↦ f(A) into a hyperspace on ``compacts(cod)``: the set-open
-topology is the initial topology of these maps into the upper Vietoris
-hyperspace, and the embedding f ↦ (A ↦ f(A)) is decided against the
-Vietoris power.  Its slots are the image tables that ``images`` hands out,
-keyed by hyperpoint: the position of f(A) in ``compacts(cod)``.  The
-vietoris-inclusion suite reads the same tables but decides the continuity
-of one coordinate per value group itself (``suites._continuous_along``).
+coordinates f ↦ f(A), and none builds a hyperspace.  The set-open topology
+is the initial topology of these maps into the upper Vietoris hyperspace
+on ``compacts(cod)``, and the embedding f ↦ (A ↦ f(A)) is decided against
+the Vietoris power; yet the minimal neighbourhood of a hyperpoint B is
+read off the codomain's U_y (README "Notes on definitions"): the upper one
+holds the C ⊆ hull(B) = ⋃_{y∈B} U_y, and the Vietoris one those that also
+meet U_y for each y ∈ B.  So a pull-back costs the square of the distinct
+images of each slot, not the 4^|cod| of a hyperspace on the 2^|cod| − 1
+compacts.  Its slots are the image tables that ``images`` hands out, keyed
+by hyperpoint: the position of f(A) in ``compacts(cod)``.  The inclusion
+suite reads the same tables but decides the continuity of one coordinate
+per value group itself (``suites._continuous_along``).
 
 A FunctionSpace works column-wise, on function masks, never map by map.
 Its point table holds, per (x, y), the mask of the maps with f(x) = y; the
@@ -41,8 +46,12 @@ for each x ∈ A, then g(A) ⊆ hull f(A), and g(A) meets U_k for each
 k ∈ f(A); these are the upper and the Vietoris nearness of g(A) to f(A).
 On the full powerset the slots drop from 2^n − 1 to n, and when the
 singletons are in the family the Vietoris pull-back P_f equals U_f.  The
-neighbourhoods, P_f and the mu-fibres read the kept slots only, so on
-such a family they build the n singleton tables and no other.
+neighbourhoods, P_f and the mu-fibres read the kept slots only.  A
+singleton slot {x} needs no image table: the maps with f(x) = y are near
+exactly the maps in ``_within[x][y]``, those with f(x) ∈ U_y, so on the
+compacts U_f is the box { g : g(x) ∈ U_{f(x)} for every x }, one AND per
+value group.  On a family holding the singletons the report builds the n
+singleton tables for its mu-fibres and no other.
 
 Sharing: one ``lru_cache``, ``_function_space``, holds the last 8 spaces,
 keyed by (dom, cod, carrier, family), so ``compact_open`` followed by
@@ -62,14 +71,14 @@ can change what the next one reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import and_
+from functools import cached_property, lru_cache, reduce
+from operator import and_, or_
 from typing import Sequence
 
 from . import limits
 from .bitsets import canon_family, full_mask, is_subset, iter_bits
 from .errors import ImageNotInFamily
-from .hyperspaces import compacts, upper_vietoris, vietoris
+from .hyperspaces import compacts
 from .maps import FiniteMap, _unchecked_maps, all_maps
 from .spaces import FiniteSpace, is_open_in
 
@@ -119,40 +128,14 @@ def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]
     return tuple(_unchecked_maps(dom.n, cod.n, images))
 
 
-def _pull_back(size: int, slots: Sequence[dict[int, int]], nbhds: Sequence[int]) -> tuple[int, ...]:
-    """Per index i, the indices whose hyperpoint lies in the neighbourhood of i's hyperpoint in every slot.
-
-    ``slots[s]`` maps each hyperpoint (a position in ``compacts(cod)``) to the
-    mask of indices taking it; ``nbhds`` is the hyperspace's
-    minimal-neighbourhood array.  Cost per slot: its indices plus the square
-    of its distinct hyperpoints.
-    """
-    everything = full_mask(size)
-    out = [everything] * size
-    for slot in slots:
-        items = tuple(slot.items())
-        for v, members in items:
-            near = nbhds[v]
-            up = 0
-            for u, others in items:
-                if near >> u & 1:
-                    up |= others
-            if up == everything:
-                continue
-            while members:
-                low = members & -members
-                out[low.bit_length() - 1] &= up
-                members ^= low
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class FunctionSpace:
     """A carrier of maps dom -> cod with the set-open topology of ``family``.
 
     Everything is kept as function masks (bit i for ``functions[i]``) and
-    derived column-wise: the point table ``_points`` (maps with f(x) = y),
-    the image table ``_table(a)`` of a subset, built on first use by the
+    derived column-wise: the point table ``_points`` (maps with f(x) = y)
+    and its neighbourhood table ``_within`` (maps with f(x) ∈ U_y), the
+    image table ``_table(a)`` of a subset, built on first use by the
     recurrence over the lowest point and kept in ``_tables``, the
     continuous maps ``_continuous`` by one mask per domain edge, and the
     family members ``_kept`` whose slots a pull-back needs (slot pruning, see
@@ -230,20 +213,64 @@ class FunctionSpace:
         )
 
     @cached_property
+    def _within(self) -> tuple[tuple[int, ...], ...]:
+        """_within[x][y] = function mask of { f : f(x) ∈ U_y }."""
+        # the masks of one column are disjoint, so their union is their sum
+        cmins = self.cod.min_nbhds
+        return tuple(tuple(sum(column[z] for z in iter_bits(u)) for u in cmins) for column in self._points)
+
+    @cached_property
     def _continuous(self) -> int:
         """Function mask of the continuous carrier maps.
 
         One mask per domain edge (x, e), e ∈ U_x: the maps with f(e) ∈ U_{f(x)},
-        that is, the union over y of _points[x][y] & { f : f(e) ∈ U_y }.
+        that is, the union over y of _points[x][y] & _within[e][y].
         """
-        points, cmins = self._points, self.cod.min_nbhds
-        # the masks of one column are disjoint, so their union is their sum
-        within = [[sum(m for z, m in enumerate(column) if u >> z & 1) for u in cmins] for column in points]
+        points, within = self._points, self._within
         out = full_mask(self.size)
         for x, u in enumerate(self.dom.min_nbhds):
             for e in iter_bits(u & ~(1 << x)):
                 out &= sum(map(and_, points[x], within[e]))
         return out
+
+    def _pull_back(self, slots: Sequence[int], lower: bool) -> tuple[int, ...]:
+        """Per function f, the mask of the g with g(A) near f(A) for every A in ``slots``.
+
+        Nearness is read off the codomain's minimal neighbourhoods (module
+        docstring): g(A) is upper-near f(A) when g(A) ⊆ hull f(A), and with
+        ``lower`` it must also meet U_y for each y ∈ f(A), which makes it
+        Vietoris-near.  On a singleton {x} both read g(x) ∈ U_{f(x)}, so the
+        maps with f(x) = y get ``_within[x][y]`` and no image table is
+        built.  A larger member pairs the entries of its image table: the
+        square of its distinct images.  Each value group is scattered to its
+        maps once, with no work per map beyond that.
+        """
+        everything = full_mask(self.size)
+        out = [everything] * self.size
+        cmins = self.cod.min_nbhds
+        for a in slots:
+            if a & (a - 1) == 0:
+                x = a.bit_length() - 1
+                groups = zip(self._points[x], self._within[x])
+            else:
+                items = tuple(self._table(a).items())
+                groups = []
+                for v, members in items:
+                    nbhds = [cmins[y] for y in iter_bits(v)]
+                    hull = reduce(or_, nbhds)
+                    up = 0
+                    for u, others in items:
+                        if u & ~hull == 0 and (not lower or all(u & w for w in nbhds)):
+                            up |= others
+                    groups.append((members, up))
+            for members, up in groups:
+                if up == everything:
+                    continue
+                while members:
+                    low = members & -members
+                    out[low.bit_length() - 1] &= up
+                    members ^= low
+        return tuple(out)
 
     def images(self, a: int) -> dict[int, int]:
         """{ hyperpoint of f(a) : function mask of the f with that image }, a fresh dict; ValueError unless a is in the family.
@@ -266,14 +293,12 @@ class FunctionSpace:
         """Minimal neighbourhood of each carrier function, as function masks.
 
         The subbasic sets (A, W) containing f meet in { g : g(A) ⊆ hull(f(A)) },
-        hull being the smallest open superset in the codomain, which is the
-        upper Vietoris neighbourhood of f(A): the pull-back of
-        ``upper_vietoris(cod, compacts(cod))`` over the kept family members
-        (``_kept``), which gives the same sets as pulling back over all of them.
+        hull being the smallest open superset in the codomain: the upper
+        pull-back over the kept family members (``_kept``), which gives the
+        same sets as pulling back over all of them.  On the compacts this is
+        the box { g : g(x) ∈ U_{f(x)} for every x }.
         """
-        slots = [self.images(a) for a in self._kept]
-        hyper = upper_vietoris(self.cod, compacts(self.cod))
-        return _pull_back(self.size, slots, hyper.topology.min_nbhds)
+        return self._pull_back(self._kept, lower=False)
 
     def is_open(self, mask: int) -> bool:
         """Neighbourhood test: every member keeps its minimal neighbourhood inside."""
@@ -420,7 +445,7 @@ def mu_embedding_report(
     slots = tuple(map(fs.images, fs._kept))
     mins = fs.min_nbhds
     singletons = all((1 << x) in fam for x in range(dom.n))
-    pm = mins if singletons else _pull_back(fs.size, slots, vietoris(cod, compacts(cod)).topology.min_nbhds)
+    pm = mins if singletons else fs._pull_back(fs._kept, lower=True)
     # mu-fibres of two or more functions: sat(S) is S plus those meeting it
     fibres = [full_mask(fs.size)] if fs.size else []
     for slot in slots:

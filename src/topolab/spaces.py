@@ -72,7 +72,21 @@ class FiniteSpace:
 
     @cached_property
     def opens(self) -> tuple[int, ...]:
-        """All open masks in ascending order: the unions of the minimal neighbourhoods (behind the open-set guard)."""
+        """All open masks in ascending order: the unions of the minimal neighbourhoods (behind the open-set guard).
+
+        g distinct neighbourhoods have at most 2^g unions.  When that could
+        pass the guard, ``open_count`` is read first, so a topology over the
+        guard is refused before any open is listed; if the count stops at
+        its memo bound, the listing decides as before.
+        """
+        lim = limits.max_opens()
+        if 1 << len({id(u) for u in self.min_nbhds}) > lim:
+            try:
+                count = self.open_count
+            except SizeLimitExceeded:
+                count = 0
+            if count > lim:
+                raise SizeLimitExceeded(f"topology on {self.n} points exceeds the open-set limit {lim}")
         return _union_closure(self.n, self.min_nbhds)
 
     @cached_property
@@ -92,10 +106,11 @@ class FiniteSpace:
         U_y: I(P) = I(P ∖ U_x) + I(P ∖ {y : x ∈ U_y}), x the lowest point of
         P, I(∅) = 1, memoized on the masks P.  The memo can grow
         exponentially in n, so past ``limits.OPEN_COUNT_MEMO`` masks the
-        count stops with SizeLimitExceeded.
+        count stops with SizeLimitExceeded.  The up-set {y : x ∈ U_y} is
+        built for the points the recursion pivots on only.
         """
         mins = self.min_nbhds
-        ups = [mask_of(y for y, u in enumerate(mins) if u >> x & 1) for x in range(self.n)]
+        ups = {}
         count = {0: 1}
         stack = [self.full]
         while stack:
@@ -103,6 +118,8 @@ class FiniteSpace:
             if p in count:
                 continue
             x = (p & -p).bit_length() - 1
+            if x not in ups:
+                ups[x] = mask_of(y for y, u in enumerate(mins) if u >> x & 1)
             a, b = p & ~mins[x], p & ~ups[x]
             if a in count and b in count:
                 count[p] = count[a] + count[b]

@@ -24,12 +24,15 @@ topology built from its subbase, and the hit-and-miss identities of one
 (X, Y) pair by scanning every open of the Vietoris hyperspace.  Image
 tables of a function carrier and the projections f ↦ f(A) are built map by
 map with ``image_of``, and
-neighbourhoods are pulled back over every family member, where the library
-builds the tables column-wise from its point table and skips the members
-its singletons already decide.  Closure, interior, the shrinking lemma, the
-separation axioms and the containment of the Vietoris topology in a final
-topology are decided by scanning the listed opens and closeds, where the
-library reads minimal neighbourhoods.  Homeomorphism is a search over the
+neighbourhoods are pulled back over every family member, through the upper
+Vietoris or the Vietoris hyperspace on every non-empty subset of the
+codomain, where the library builds the tables column-wise from its point
+table, skips the members its singletons already decide, and reads the
+nearness of two images off the codomain's minimal neighbourhoods.
+Closure, interior, the shrinking lemma, the separation axioms and the
+containment of the Vietoris topology in a final topology are decided by
+scanning the listed opens and closeds, where the library reads minimal
+neighbourhoods.  Homeomorphism is a search over the
 permutations that carry one list of opens onto the other (the library
 compares canonical neighbourhood arrays), and the vietoris-inclusion and
 embedding reports are rebuilt from every labelled pair (X, Y) (the library
@@ -44,7 +47,7 @@ from topolab.bitsets import complement, full_mask, is_subset, iter_bits, meets, 
 from topolab.choice import enumerate_choice_functions
 from topolab.finality import InclusionReport
 from topolab.funcspaces import compact_open, continuous_maps
-from topolab.hyperspaces import compacts, vietoris
+from topolab.hyperspaces import compacts, upper_vietoris, vietoris
 from topolab.maps import FiniteMap, all_maps
 from topolab.spaces import FiniteSpace, enumerate_topologies, generate_from_subbase, make_space
 from topolab import suites
@@ -323,7 +326,13 @@ def is_countably_complete_by_members(filt) -> bool:
 
 
 def _bits(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The set bits of ``mask``, ascending, one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def mu_embedding_by_definition(dom, cod, carrier, family) -> tuple[bool, bool, bool, bool]:
@@ -427,13 +436,30 @@ def set_open_min_nbhds_by_maps(fs) -> tuple[int, ...]:
     return pull_back_all_slots(fs.size, groups, lambda v, u: u & ~hull(v) == 0)
 
 
+def hyperspace_pull_back(builder, cod: FiniteSpace, size: int, groups) -> tuple[int, ...]:
+    """Per index i, the indices whose image lies in the minimal neighbourhood of i's image in every slot.
+
+    The hyperspace route: ``builder`` (``upper_vietoris`` or ``vietoris``)
+    on the non-empty subsets of the codomain, pulled back along the image
+    groups of every slot (the library reads the nearness off the
+    codomain's U_y instead).
+    """
+    tf = list(range(1, 1 << cod.n))
+    index = {k: i for i, k in enumerate(tf)}
+    hmins = builder(cod, tuple(tf)).topology.min_nbhds
+    return pull_back_all_slots(size, groups, lambda v, u: hmins[index[v]] >> index[u] & 1)
+
+
+def upper_vietoris_pull_back_by_maps(fs) -> tuple[int, ...]:
+    """U_f = { g : g(A) lies in the upper Vietoris minimal neighbourhood of f(A) for every non-empty member A }."""
+    groups = image_groups_by_maps(fs.functions, [a for a in fs.family if a])
+    return hyperspace_pull_back(upper_vietoris, fs.cod, fs.size, groups)
+
+
 def vietoris_pull_back_by_maps(fs) -> tuple[int, ...]:
     """P_f = { g : g(A) lies in the Vietoris minimal neighbourhood of f(A) for every family member A }."""
-    tf = list(range(1, 1 << fs.cod.n))
-    index = {k: i for i, k in enumerate(tf)}
-    hmins = vietoris(fs.cod, tuple(tf)).topology.min_nbhds
     groups = image_groups_by_maps(fs.functions, fs.family)
-    return pull_back_all_slots(fs.size, groups, lambda v, u: hmins[index[v]] >> index[u] & 1)
+    return hyperspace_pull_back(vietoris, fs.cod, fs.size, groups)
 
 
 def continuous_maps_by_preimages(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -376,6 +377,17 @@ class TestExitCodeContract:
         assert code in (0, 1, 2)
         if must_refuse:
             assert code == 2, argv
+
+    def test_hyperspace_over_the_open_guard_exits_2_at_once(self, tmp_path, capsys):
+        # the Vietoris hyperspace on the 63 compacts of a discrete 6-point
+        # space is discrete: its 2^63 opens are counted and refused, not listed
+        path = tmp_path / "d6.json"
+        path.write_text(json.dumps({"n": 6, "opens": [[x for x in range(6) if m >> x & 1] for m in range(64)]}))
+        start = time.perf_counter()
+        assert main(["hyper", "--space", str(path), "--family", "compacts"]) == 2
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert "open-set limit" in err and "Traceback" not in err
 
     @settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(body=space_bodies())

@@ -5,11 +5,13 @@ import pytest
 
 from oracles import (
     continuous_maps_by_preimages,
+    hyperspace_pull_back,
     image_groups_by_maps,
     mu_embedding_by_definition,
     projection_compose,
     set_open_min_nbhds_by_maps,
     slow_subbase_closure,
+    upper_vietoris_pull_back_by_maps,
     vietoris_pull_back_by_maps,
 )
 from topolab.bitsets import is_subset, nonempty_subsets
@@ -22,8 +24,8 @@ from topolab.funcspaces import (
     mu_embedding_report,
     set_open_topology,
 )
-from topolab.hyperspaces import compacts, vietoris
-from topolab import funcspaces, limits, maps, suites
+from topolab.hyperspaces import closeds, compacts, upper_vietoris, vietoris
+from topolab import funcspaces, hyperspaces, limits, maps, suites
 from topolab.maps import FiniteMap, all_maps
 from topolab.spaces import discrete_space, homeomorphism_classes, indiscrete_space, sierpinski_space
 
@@ -296,9 +298,12 @@ class TestEmbeddingOracle:
                 assert got == mu_embedding_by_definition(dom, cod, fns, fam), (dom, cod)
 
     def test_families_without_singletons(self, corpus3):
+        # with the non-empty opens and closeds: where a family lacks a
+        # singleton, P_f is pulled back by the Vietoris nearness, not U_f
         non_injective = 0
         for _, _, dom in corpus3:
-            for fam in _families_without_singletons(dom.n):
+            opens = tuple(o for o in dom.opens if o)
+            for fam in dict.fromkeys(_families_without_singletons(dom.n) + [opens, closeds(dom)]):
                 for _, _, cod in corpus3:
                     fns = continuous_maps(dom, cod)
                     got = astuple(mu_embedding_report(dom, cod, fns, fam))
@@ -459,6 +464,54 @@ class TestPruningLemma:
                         fs = set_open_topology(fns, fam, dom, cod)
                         assert fs._kept == singletons
                         assert vietoris_pull_back_by_maps(fs) == fs.min_nbhds, (dom, cod, fam)
+
+
+class TestHyperspaceRoute:
+    """The box against the pull-back through the upper Vietoris hyperspace."""
+
+    def test_labelled_pairs_up_to_three_points(self, corpus3):
+        for _, _, dom in corpus3:
+            for _, _, cod in corpus3:
+                for carrier in ("continuous", "all"):
+                    fs = compact_open(dom, cod, carrier)
+                    assert fs.min_nbhds == upper_vietoris_pull_back_by_maps(fs), (dom, cod, carrier)
+
+    def test_class_pairs_up_to_four_points(self):
+        # the "all" carrier and the compacts depend on the sizes only, and so
+        # do their image groups, which are built map by map once per sizes
+        reps = [rep for n in range(1, 5) for rep, _ in homeomorphism_classes(n)]
+        all_groups = {}
+        for dom in reps:
+            for cod in reps:
+                fs = compact_open(dom, cod)
+                assert fs.min_nbhds == upper_vietoris_pull_back_by_maps(fs), (dom, cod)
+                fs = compact_open(dom, cod, "all")
+                key = dom.n, cod.n
+                if key not in all_groups:
+                    all_groups[key] = image_groups_by_maps(fs.functions, compacts(dom))
+                assert fs.min_nbhds == hyperspace_pull_back(upper_vietoris, cod, fs.size, all_groups[key]), (dom, cod)
+
+
+class TestNoHyperspace:
+    """Neighbourhoods and P_f read the codomain's U_y and build no hyperspace on its subsets."""
+
+    @pytest.fixture(autouse=True)
+    def no_hyperspace(self, monkeypatch):
+        def refuse(space, family, variant):
+            raise AssertionError(f"built a {variant} hyperspace on {len(family)} subsets")
+
+        monkeypatch.setattr(hyperspaces, "_hyperspace", refuse)
+
+    def test_box_on_a_twenty_point_codomain(self):
+        fs = compact_open(discrete_space(1), discrete_space(20))
+        assert fs.min_nbhds == tuple(1 << i for i in range(20))
+
+    def test_singleton_free_report_on_a_sixteen_point_codomain(self):
+        # {X} gives g(X) ⊆ f(X) around f and P_f = { g : g(X) = f(X) }, so mu
+        # is not continuous; f and f after the swap of the points share f(X)
+        d2, d16 = discrete_space(2), discrete_space(16)
+        report = mu_embedding_report(d2, d16, continuous_maps(d2, d16), [0b11])
+        assert astuple(report) == (False, True, False, False)
 
 
 class TestContinuityMask:

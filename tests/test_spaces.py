@@ -28,6 +28,7 @@ from oracles import (
     topologies_by_candidate_scan,
 )
 import topolab
+from topolab import limits, spaces
 from topolab.bitsets import complement, is_subset, iter_bits
 from topolab.errors import NotATopology, NotOpen, SizeLimitExceeded
 from topolab.maps import FiniteMap
@@ -249,8 +250,6 @@ class TestProduct:
             assert codec.encode(codec.decode(i)) == i
 
     def test_points_guard(self):
-        from topolab import limits
-
         limits.set_limits(points=8)
         try:
             with pytest.raises(SizeLimitExceeded):
@@ -446,8 +445,6 @@ class TestPreorderRoutesAgainstOpens:
     def test_open_count_needs_no_listing(self):
         # the opens of the k-th power of the Sierpinski space are the up-sets
         # of the Boolean lattice 2^k, counted by the Dedekind numbers
-        from topolab import limits
-
         limits.set_limits(opens=4)
         try:
             assert discrete_space(40).open_count == 1 << 40
@@ -476,6 +473,35 @@ class TestPreorderRoutesAgainstOpens:
         env = {**os.environ, "PYTHONPATH": str(Path(topolab.__file__).parent.parent)}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 3, done.stderr[-2000:]
+
+
+class TestOpensGuard:
+    """``opens`` reads ``open_count`` first when the unions of its distinct neighbourhoods could pass the guard."""
+
+    def test_refused_before_any_open_is_listed(self, monkeypatch):
+        def listing(n, generators):
+            raise AssertionError("the opens were listed")
+
+        monkeypatch.setattr(spaces, "_union_closure", listing)
+        with pytest.raises(SizeLimitExceeded):
+            discrete_space(30).opens
+
+    def test_few_opens_are_listed(self):
+        chain = FiniteSpace(30, tuple((1 << (x + 1)) - 1 for x in range(30)))  # U_x = {0, ..., x}
+        assert chain.opens == tuple((1 << k) - 1 for k in range(31))
+
+    def test_a_count_past_its_memo_bound_lists(self, monkeypatch):
+        chain = FiniteSpace(4, (0b1, 0b11, 0b111, 0b1111))
+        monkeypatch.setattr(limits, "OPEN_COUNT_MEMO", 2)
+        limits.set_limits(opens=8)
+        try:
+            with pytest.raises(SizeLimitExceeded):
+                chain.open_count
+            assert chain.opens == (0, 0b1, 0b11, 0b111, 0b1111)
+            with pytest.raises(SizeLimitExceeded):
+                discrete_space(4).opens
+        finally:
+            limits.reset_limits()
 
 
 class TestEqualityFollowsTheTopology:
