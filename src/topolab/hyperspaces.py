@@ -7,25 +7,34 @@ canonical family order, and every hyperspace topology is an ordinary
 FiniteSpace over that index set, so all core operators apply unchanged.
 
 The lower topology is generated by the hit sets of the opens, the upper by
-the sets {B : B ⊆ O}, the Vietoris topology by both.  Their minimal
-neighbourhoods come from the base's U_x, and no open of the base is listed:
+the sets {B : B ⊆ O}, the Vietoris topology by both: it is the join of the
+other two (Michael 1951, "Topologies on spaces of subsets", Trans. AMS 71),
+so its minimal neighbourhoods are the meet of theirs.  They come from the
+base's U_x, and no open of the base is listed:
 
 * lower: U⁻_A = ⋂_{a∈A} hit(U_a), as every open meeting A contains some
   U_a, each U_a meets A, and hit is monotone;
 * upper: U⁺_A = {B : B ⊆ hull(A)}, as hull(A) = ⋃_{a∈A} U_a is the least
-  open superset of A; x ∉ hull(A) exactly when A misses cl{x};
+  open superset of A; these are the members that miss every point outside
+  hull(A);
 * Vietoris: U⁻_A ∩ U⁺_A.
 
-These are exact; the subbase route is kept in the test oracles.
+``_hyperspace`` builds all three in one pass over the family, by the
+recurrences L(A) = L(A − a) ∩ hit(U_a) and hull(A) = hull(A − a) ∪ U_a
+over the lowest point a of A, and keeps them in one cache of 256 (space,
+family) pairs, which ``lower_vietoris``, ``upper_vietoris`` and
+``vietoris`` share.  These are exact; the subbase route is kept in the
+test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import and_
 from typing import Sequence
 
-from .bitsets import canon_family, full_mask, is_subset, iter_bits, meets, nonempty_subsets
+from .bitsets import canon_family, is_subset, meets, nonempty_subsets
 from .errors import NotOpen
 from .filters import FilterOnCarrier, converges
 from .spaces import FiniteSpace
@@ -39,10 +48,10 @@ class HyperSpace:
     variant: str
 
     def __post_init__(self):
-        full = self.base.full
-        if any(m <= 0 or m > full for m in self.family):  # on masks, 0 < m <= full is ∅ ≠ m ⊆ full
+        fam = self.family
+        if fam and (min(fam) <= 0 or max(fam) >> self.base.n):  # on masks, 0 < m < 2^n is ∅ ≠ m ⊆ the base
             raise ValueError("family members must be non-empty subsets of the base")
-        if self.topology.n != len(self.family):
+        if self.topology.n != len(fam):
             raise ValueError("hyperspace topology must live on the family indices")
 
 
@@ -71,54 +80,86 @@ def _hit_index_mask(family: Sequence[int], m: int) -> int:
     return mask
 
 
-def _hyperspace(space: FiniteSpace, family: tuple[int, ...], variant: str) -> HyperSpace:
-    """The lower, upper or Vietoris topology, intersected point by point of the base (module docstring).
+@lru_cache(maxsize=256)
+def _hyperspace(space: FiniteSpace, family: tuple[int, ...]) -> tuple[HyperSpace, HyperSpace, HyperSpace]:
+    """The lower, upper and Vietoris hyperspaces of ``family``, in one pass (module docstring).
 
-    The family is validated once, by the HyperSpace record; points outside
-    the base are masked off until then.
+    Each member A is reached from A − a, a its lowest point: L(A) = L(A − a)
+    ∧ hit(U_a) and H(A) = H(A − a) ∨ U_a, memoized on the masks with the
+    chain walked down to a memo hit, as ``FunctionSpace._table`` does, so any
+    family works.  hit(M), the index mask of the members meeting M, is
+    memoized the same way: hit(M) = hit(M − x) ∨ holding(x).  The upper
+    neighbourhood of A is every member outside hit(X ∖ H(A)), and the
+    Vietoris one is the meet of the lower and the upper.
     """
-    fam = canon_family(family)
-    mins = space.min_nbhds
-    full = space.full
+    fam = _check_family(space, family)
+    mins, full = space.min_nbhds, space.full
     holding = [0] * space.n  # holding[x]: index mask of the members containing x
-    for i, a in enumerate(fam):
-        for x in iter_bits(a & full):
-            holding[x] |= 1 << i
-    everything = full_mask(len(fam))
-    nbhds = [everything] * len(fam)
-    for x in range(space.n):
-        if variant != "upper":  # the members holding x keep the members meeting U_x
-            meeting = 0
-            for y in iter_bits(mins[x]):
-                meeting |= holding[y]
-            for i in iter_bits(holding[x]):
-                nbhds[i] &= meeting
-        if variant != "lower":  # the members missing cl{x} = {y : x ∈ U_y} keep the members missing x
-            meeting = 0
-            for y, u in enumerate(mins):
-                if u >> x & 1:
-                    meeting |= holding[y]
-            for i in iter_bits(everything & ~meeting):
-                nbhds[i] &= ~holding[x]
-    return HyperSpace(space, fam, FiniteSpace(len(fam), tuple(nbhds)), variant)
+    bit = 1
+    for a in fam:
+        while a:
+            low = a & -a
+            holding[low.bit_length() - 1] |= bit
+            a ^= low
+        bit <<= 1
+    everything = bit - 1
+    meeting = {0: 0}  # M -> hit(M)
+
+    def hit(m: int) -> int:
+        chain = []
+        while m not in meeting:
+            chain.append(m)
+            m &= m - 1
+        for m in reversed(chain):
+            low = m & -m
+            meeting[m] = meeting[m ^ low] | holding[low.bit_length() - 1]
+        return meeting[m]
+
+    hits = [hit(u) for u in mins]
+    lows, hulls = {0: everything}, {0: 0}  # A -> L(A), A -> H(A)
+
+    def fill(b: int) -> None:
+        chain = []
+        while b not in hulls:
+            chain.append(b)
+            b &= b - 1
+        for b in reversed(chain):
+            rest, x = b & (b - 1), (b & -b).bit_length() - 1
+            lows[b] = lows[rest] & hits[x]
+            hulls[b] = hulls[rest] | mins[x]
+
+    lower, upper = [], []
+    for a in fam:
+        rest, x = a & (a - 1), (a & -a).bit_length() - 1
+        if rest not in hulls:  # A − a is no earlier member
+            fill(rest)
+        lows[a] = below = lows[rest] & hits[x]
+        hulls[a] = hull = hulls[rest] | mins[x]
+        lower.append(below)
+        out = full & ~hull
+        upper.append(everything & ~(meeting[out] if out in meeting else hit(out)))
+    both = tuple(map(and_, lower, upper))
+    n = len(fam)
+    return (
+        HyperSpace(space, fam, FiniteSpace(n, tuple(lower)), "lower"),
+        HyperSpace(space, fam, FiniteSpace(n, tuple(upper)), "upper"),
+        HyperSpace(space, fam, FiniteSpace(n, both), "vietoris"),
+    )
 
 
-@lru_cache(maxsize=None)
 def lower_vietoris(space: FiniteSpace, family: tuple[int, ...]) -> HyperSpace:
     """Topology generated by the hit sets of opens."""
-    return _hyperspace(space, family, "lower")
+    return _hyperspace(space, family)[0]
 
 
-@lru_cache(maxsize=None)
 def upper_vietoris(space: FiniteSpace, family: tuple[int, ...]) -> HyperSpace:
     """Topology generated by the miss sets of closed complements of opens."""
-    return _hyperspace(space, family, "upper")
+    return _hyperspace(space, family)[1]
 
 
-@lru_cache(maxsize=None)
 def vietoris(space: FiniteSpace, family: tuple[int, ...]) -> HyperSpace:
     """Join of the lower and upper topologies (generated by both subbases)."""
-    return _hyperspace(space, family, "vietoris")
+    return _hyperspace(space, family)[2]
 
 
 def vietoris_basic(space: FiniteSpace, family: Sequence[int], cover: Sequence[int]) -> tuple[int, ...]:

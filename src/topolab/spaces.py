@@ -72,7 +72,7 @@ class FiniteSpace:
 
     @cached_property
     def opens(self) -> tuple[int, ...]:
-        """All open masks in ascending order: the unions of the minimal neighbourhoods (behind the open-set guard).
+        """All open masks in ascending order, listed by ``_list_opens`` (behind the open-set guard).
 
         g distinct neighbourhoods have at most 2^g unions.  When that could
         pass the guard, ``open_count`` is read first, so a topology over the
@@ -87,7 +87,7 @@ class FiniteSpace:
                 count = 0
             if count > lim:
                 raise SizeLimitExceeded(f"topology on {self.n} points exceeds the open-set limit {lim}")
-        return _union_closure(self.n, self.min_nbhds)
+        return tuple(_list_opens(self))
 
     @cached_property
     def open_set(self) -> frozenset[int]:
@@ -119,7 +119,7 @@ class FiniteSpace:
                 continue
             x = (p & -p).bit_length() - 1
             if x not in ups:
-                ups[x] = mask_of(y for y, u in enumerate(mins) if u >> x & 1)
+                ups[x] = _holding(mins, x)
             a, b = p & ~mins[x], p & ~ups[x]
             if a in count and b in count:
                 count[p] = count[a] + count[b]
@@ -181,31 +181,50 @@ def make_space(n: int, opens: Iterable[int]) -> FiniteSpace:
     return FiniteSpace(n, min_nbhds_of(n, fam))
 
 
-def _union_closure(n: int, generators: Sequence[int]) -> tuple[int, ...]:
-    """All unions of subfamilies of ``generators`` (empty union = 0), ascending.
+def _holding(mins: Sequence[int], x: int) -> int:
+    """The mask of the points y with x ∈ U_y, in time linear in the number of points.
 
-    A generator object met again is dropped first, by identity, which costs
-    nothing per mask: the minimal-neighbourhood array of a space with few
-    distinct neighbourhoods repeats a few objects (an indiscrete space on
-    2^20 points holds one full mask 2^20 times), and OR-ing or hashing each
-    copy would cost its length.
+    Bit x of a wide U_y is read from its nearer end: u & (1 << x) reads the
+    low x bits, u >> x copies the bits above x.  The mask is read as a
+    binary numeral, one digit a point, since OR-ing each point into a
+    growing int would cost its length: quadratic on 2^20 points.
     """
-    generators = {id(g): g for g in generators}.values()
-    seen = {0}
-    frontier = [0]
+    if 2 * x < len(mins):
+        bit = 1 << x
+        digits = ["1" if u & bit else "0" for u in reversed(mins)]
+    else:
+        digits = ["1" if u >> x & 1 else "0" for u in reversed(mins)]
+    return int("".join(digits), 2)
+
+
+def _list_opens(space: FiniteSpace) -> list[int]:
+    """All opens of ``space`` in ascending order; SizeLimitExceeded past the open-set guard.
+
+    The split of ``open_count`` at the highest point x of the points P left,
+    without a memo: the opens of P that miss x, which miss every y with
+    x ∈ U_y, all come before those that hold x and so U_x ∩ P, and OR-ing
+    the disjoint U_x ∩ P into the opens of P ∖ U_x keeps their order.  Each
+    open is one leaf of the split, so the work and the memory are linear in
+    the number of opens.  The up-set {y : x ∈ U_y} is built for the points
+    the split pivots on only.
+    """
+    mins = space.min_nbhds
     lim = limits.max_opens()
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in generators:
-                v = u | g
-                if v not in seen:
-                    seen.add(v)
-                    if len(seen) > lim:
-                        raise SizeLimitExceeded(f"topology on {n} points exceeds the open-set limit {lim}")
-                    nxt.append(v)
-        frontier = nxt
-    return tuple(sorted(seen))
+    ups = {}
+    out = []
+    stack = [(space.full, 0)]  # (points left, the open's points decided so far)
+    while stack:
+        p, held = stack.pop()
+        while p:  # take the branch that misses x now and the one that holds it later
+            x = p.bit_length() - 1
+            if x not in ups:
+                ups[x] = _holding(mins, x)
+            stack.append((p & ~mins[x], held | p & mins[x]))
+            p &= ~ups[x]
+        out.append(held)
+        if len(out) > lim:
+            raise SizeLimitExceeded(f"topology on {space.n} points exceeds the open-set limit {lim}")
+    return out
 
 
 def generate_from_subbase(n: int, subbase: Iterable[int]) -> FiniteSpace:

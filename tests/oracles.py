@@ -18,7 +18,9 @@ the singleton kernels give by theorem).  Continuous maps are the maps whose
 preimages of opens are open (the library builds monotone maps instead).  The lower, upper and
 Vietoris topologies are generated from the hit and miss sets of every
 listed open (the library reads them off the base's minimal
-neighbourhoods).  The hyperspace embedding
+neighbourhoods), and the opens of a space are the breadth-first union
+closure of its minimal neighbourhoods (the library splits at a point).
+The hyperspace embedding
 is decided from cylinder preimages and the images of opens, over a carrier
 topology built from its subbase, and the hit-and-miss identities of one
 (X, Y) pair by scanning every open of the Vietoris hyperspace.  Image
@@ -103,6 +105,26 @@ def slow_subbase_closure(n: int, subbase: list[int]) -> tuple[int, ...]:
                 u |= s
             opens.add(u)
     return tuple(sorted(opens))
+
+
+def union_closure(generators) -> tuple[int, ...]:
+    """All unions of subfamilies of ``generators`` (empty union = 0), ascending, by breadth-first closure.
+
+    Every union found is OR-ed with every generator until nothing new
+    appears; the library lists the opens by their split at a point instead.
+    """
+    generators = set(generators)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in generators:
+                if u | g not in seen:
+                    seen.add(u | g)
+                    nxt.append(u | g)
+        frontier = nxt
+    return tuple(sorted(seen))
 
 
 def preimage_of(f: FiniteMap, mask: int) -> int:

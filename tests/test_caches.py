@@ -10,11 +10,10 @@ import importlib
 import pkgutil
 
 import topolab
+from topolab import hyperspaces
+from topolab.spaces import sierpinski_space
 
 UNBOUNDED_ALLOWED = {
-    "hyperspaces.lower_vietoris",
-    "hyperspaces.upper_vietoris",
-    "hyperspaces.vietoris",
     "spaces.homeomorphism_classes",
     "choice.limit_set_P",
 }
@@ -39,3 +38,14 @@ def test_unbounded_caches_are_on_the_list():
 def test_the_function_space_cache_is_found_and_small():
     info = _caches()["funcspaces._function_space"].cache_info()
     assert info.maxsize is not None and info.maxsize <= 16
+
+
+def test_the_three_hyperspaces_share_one_build():
+    space = sierpinski_space()
+    family = hyperspaces.compacts(space)
+    hyperspaces._hyperspace.cache_clear()
+    built = [build(space, family) for build in (hyperspaces.lower_vietoris, hyperspaces.upper_vietoris, hyperspaces.vietoris)]
+    info = hyperspaces._hyperspace.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert [hy.variant for hy in built] == ["lower", "upper", "vietoris"]
+    assert info.maxsize == 256

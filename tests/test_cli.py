@@ -389,6 +389,19 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert "open-set limit" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("variant", ["lower", "upper"])
+    def test_dedekind_hyperspace_over_the_open_guard_exits_2_at_once(self, tmp_path, capsys, variant):
+        # the lower and upper hyperspaces on the 63 compacts of a discrete
+        # 6-point space have 7828353 opens, a Dedekind number less one; they
+        # are counted and refused, as writing them would take gigabytes
+        path = tmp_path / "d6.json"
+        path.write_text(json.dumps({"n": 6, "opens": [[x for x in range(6) if m >> x & 1] for m in range(64)]}))
+        start = time.perf_counter()
+        assert main(["hyper", "--space", str(path), "--family", "compacts", "--variant", variant]) == 2
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert "open-set limit" in err and "Traceback" not in err
+
     @settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(body=space_bodies())
     def test_space_files_keep_the_contract(self, tmp_path, capsys, body):

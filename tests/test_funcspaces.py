@@ -497,8 +497,8 @@ class TestNoHyperspace:
 
     @pytest.fixture(autouse=True)
     def no_hyperspace(self, monkeypatch):
-        def refuse(space, family, variant):
-            raise AssertionError(f"built a {variant} hyperspace on {len(family)} subsets")
+        def refuse(space, family):
+            raise AssertionError(f"built a hyperspace on {len(family)} subsets")
 
         monkeypatch.setattr(hyperspaces, "_hyperspace", refuse)
 

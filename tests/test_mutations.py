@@ -7,19 +7,33 @@ within a time bound (mutation testing after DeMillo, Lipton and Sayward
 suite catches is a finding: either a check is missing, or the mutant is
 equivalent to the kernel and README should say why.
 
-Known survivor: the ``embedding`` suite passes all 3468 checks at max-n 3
-under the box mutant, since its family holds the singletons, so P_f is
-taken as U_f and continuity and openness compare the mutant with itself.
+Known survivors, pinned in ``SURVIVORS`` with their check counts:
+
+* the ``embedding`` suite passes all 3468 checks at max-n 3 under the box
+  mutant, since its family holds the singletons, so P_f is taken as U_f
+  and continuity and openness compare the mutant with itself;
+* ``vietoris-inclusion`` passes under ``vietoris-as-lower``, with 0
+  failures: only its check count moves, 988 → 923 at max-n 2 and
+  242352 → 163944 at max-n 3, as it counts the opens of a coarser target.
+  A coarser target keeps every f ↦ f(A) continuous, so the suite cannot
+  see a topology that is too coarse (ROADMAP item 4);
+* ``finality-square`` passes under ``hull-without-last-point``: on a
+  discrete Y every U_a is {a}, so the mutant equals the kernel there.
 """
 
 import json
 import time
+from functools import reduce
+from operator import and_, or_
 
 import pytest
 
-from topolab import funcspaces
+from topolab import funcspaces, hyperspaces
+from topolab.bitsets import iter_bits
 from topolab.cli import main
 from topolab.funcspaces import FunctionSpace
+from topolab.hyperspaces import HyperSpace
+from topolab.spaces import FiniteSpace
 
 
 def _box_without_last_coordinate(monkeypatch):
@@ -27,24 +41,82 @@ def _box_without_last_coordinate(monkeypatch):
     monkeypatch.setattr(FunctionSpace, "min_nbhds", property(lambda fs: fs._pull_back(fs._kept[:-1], lower=False)))
 
 
+def _vietoris_as_lower(monkeypatch):
+    """``_hyperspace`` hands out its lower topology as the Vietoris one."""
+    real = hyperspaces._hyperspace
+
+    def mutant(space, family):
+        lower, upper, _ = real(space, family)
+        return lower, upper, lower
+
+    monkeypatch.setattr(hyperspaces, "_hyperspace", mutant)
+
+
+def _hull_without_last_point(monkeypatch):
+    """``_hyperspace`` takes the hull of A without U_a for the last point a of A, keeping a itself.
+
+    The upper and Vietoris neighbourhoods shrink, so the mutant's topologies
+    are finer than the kernel's, except on a discrete base.
+    """
+    real = hyperspaces._hyperspace
+
+    def mutant(space, family):
+        lower, _, _ = real(space, family)
+        fam, mins = lower.family, space.min_nbhds
+
+        def hull(a):
+            last = 1 << a.bit_length() - 1
+            return reduce(or_, (mins[x] for x in iter_bits(a ^ last)), last)
+
+        upper = tuple(sum(1 << j for j, b in enumerate(fam) if b & ~hull(a) == 0) for a in fam)
+        both = tuple(map(and_, lower.topology.min_nbhds, upper))
+        return (
+            lower,
+            HyperSpace(space, fam, FiniteSpace(len(fam), upper), "upper"),
+            HyperSpace(space, fam, FiniteSpace(len(fam), both), "vietoris"),
+        )
+
+    monkeypatch.setattr(hyperspaces, "_hyperspace", mutant)
+
+
 # (name, patch, suite, max_n, seconds)
 MUTANTS = [
     ("box-without-last-coordinate", _box_without_last_coordinate, "vietoris-inclusion", 2, 30),
+    ("vietoris-as-lower", _vietoris_as_lower, "finality-square", 2, 30),
+    ("hull-without-last-point", _hull_without_last_point, "vietoris-inclusion", 2, 30),
+]
+
+# (name, patch, suite, max_n, checks): mutants the suite cannot see, with its check count under them
+SURVIVORS = [
+    ("box-without-last-coordinate", _box_without_last_coordinate, "embedding", 3, 3468),
+    ("vietoris-as-lower", _vietoris_as_lower, "vietoris-inclusion", 2, 923),
+    ("hull-without-last-point", _hull_without_last_point, "finality-square", 3, 5),
 ]
 
 
-@pytest.mark.parametrize("name, patch, suite, max_n, seconds", MUTANTS, ids=[row[0] for row in MUTANTS])
-def test_mutant_is_caught(name, patch, suite, max_n, seconds, monkeypatch, tmp_path, capsys):
+def _verify(patch, suite, max_n, monkeypatch, tmp_path) -> tuple[int, dict]:
     funcspaces._function_space.cache_clear()  # cached spaces hold the kernel's own neighbourhoods
     patch(monkeypatch)
     report = tmp_path / "report.json"
-    start = time.perf_counter()
     try:
         code = main(["verify", "--suite", suite, "--max-n", str(max_n), "--report", str(report)])
     finally:
         funcspaces._function_space.cache_clear()
+    return code, json.loads(report.read_text())
+
+
+@pytest.mark.parametrize("name, patch, suite, max_n, seconds", MUTANTS, ids=[row[0] for row in MUTANTS])
+def test_mutant_is_caught(name, patch, suite, max_n, seconds, monkeypatch, tmp_path, capsys):
+    start = time.perf_counter()
+    code, data = _verify(patch, suite, max_n, monkeypatch, tmp_path)
     assert time.perf_counter() - start < seconds
     assert code == 1, name
     assert "Traceback" not in capsys.readouterr().err
-    data = json.loads(report.read_text())
     assert data["totals"]["failed"] > 0 and data["witnesses"], name
+
+
+@pytest.mark.parametrize("name, patch, suite, max_n, checks", SURVIVORS, ids=[f"{row[0]}-{row[2]}" for row in SURVIVORS])
+def test_known_survivor_passes(name, patch, suite, max_n, checks, monkeypatch, tmp_path):
+    code, data = _verify(patch, suite, max_n, monkeypatch, tmp_path)
+    assert code == 0, name
+    assert data["totals"] == {"checked": checks, "failed": 0, "passed": checks}

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from oracles import (
     shrink_between_by_opens,
     slow_subbase_closure,
     topologies_by_candidate_scan,
+    union_closure,
 )
 import topolab
 from topolab import limits, spaces
@@ -112,6 +114,14 @@ class TestSubbase:
         full = (1 << n) - 1
         assert generate_from_subbase(n, []).opens == (0, full)
         assert generate_from_subbase(n, [0b1]).opens == (0, 0b1, full)
+
+    def test_indiscrete_space_on_2_to_the_20_points(self):
+        # the listing builds the up-set of its one pivot over all 2^20 points,
+        # which must take time linear in the points
+        n = 1 << 20
+        start = time.perf_counter()
+        assert indiscrete_space(n).opens == (0, (1 << n) - 1)
+        assert time.perf_counter() - start < 3
 
     def test_equal_neighbourhoods_held_as_distinct_objects(self):
         n = 1 << 12
@@ -441,6 +451,7 @@ class TestPreorderRoutesAgainstOpens:
         spaces = [sp for n in range(4) for sp in enumerate_topologies(n)] + corpus_n4
         for sp in spaces:
             assert sp.open_count == len(sp.opens), sp
+            assert sp.opens == union_closure(sp.min_nbhds), sp
 
     def test_open_count_needs_no_listing(self):
         # the opens of the k-th power of the Sierpinski space are the up-sets
@@ -479,10 +490,10 @@ class TestOpensGuard:
     """``opens`` reads ``open_count`` first when the unions of its distinct neighbourhoods could pass the guard."""
 
     def test_refused_before_any_open_is_listed(self, monkeypatch):
-        def listing(n, generators):
+        def listing(space):
             raise AssertionError("the opens were listed")
 
-        monkeypatch.setattr(spaces, "_union_closure", listing)
+        monkeypatch.setattr(spaces, "_list_opens", listing)
         with pytest.raises(SizeLimitExceeded):
             discrete_space(30).opens
 
