@@ -10,9 +10,8 @@ through choice-function images.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .bitsets import is_subset, nonempty_subsets, points_of
 from .errors import SizeLimitExceeded
@@ -51,7 +50,7 @@ def _image_kernel(f: FiniteMap, kernel: tuple[int, ...]) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # a choice-lemma run at max-n 3 reads 396 keys
 def limit_set_P(space: FiniteSpace, phi: FilterOnCarrier) -> int:
     """Points some choice function's image filter converges to.
 
@@ -138,8 +137,7 @@ def check_filterwise_refinement(
     return is_subset(a, filterwise_limit_set(space, phi))
 
 
-@dataclass(frozen=True)
-class PropertyAReport:
+class PropertyAReport(NamedTuple):
     """Outcome of the every-choice-image-is-a-point-filter test."""
 
     kernel_subsets: tuple[int, ...]  # the filter kernel, as subset masks
@@ -177,8 +175,7 @@ def has_property_A(n: int, phi: FilterOnCarrier) -> PropertyAReport:
     )
 
 
-@dataclass(frozen=True)
-class PropertyAClassification:
+class PropertyAClassification(NamedTuple):
     n: int
     filter_count: int
     property_a_count: int

@@ -10,25 +10,33 @@ such as the non-empty powerset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
 from .bitsets import iter_bits, nonempty_subsets
+from .frozen import Frozen
 from .spaces import FiniteSpace, minimal_open_nbhd
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(Frozen):
     """An indexed finite set of hashable elements."""
 
-    elements: tuple
+    _fields = ("elements",)
 
-    def __post_init__(self):
-        if not self.elements:
+    def __init__(self, elements: tuple):
+        if not elements:
             raise ValueError("carrier must be non-empty")
-        if len(set(self.elements)) != len(self.elements):
+        if len(set(elements)) != len(elements):
             raise ValueError("carrier elements must be distinct")
+        self.__dict__["elements"] = elements
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.elements,))
 
     @property
     def size(self) -> int:
@@ -52,17 +60,24 @@ def subsets_carrier(n: int) -> Carrier:
     return Carrier(tuple(nonempty_subsets(n)))
 
 
-@dataclass(frozen=True)
-class FilterOnCarrier:
+class FilterOnCarrier(Frozen):
     """A (necessarily principal) filter, stored by its non-empty kernel mask."""
 
-    carrier: Carrier
-    kernel: int
+    _fields = ("carrier", "kernel")
 
-    def __post_init__(self):
-        k = self.kernel
-        if isinstance(k, bool) or not isinstance(k, int) or not 0 < k < 1 << self.carrier.size:
+    def __init__(self, carrier: Carrier, kernel: int):
+        if isinstance(kernel, bool) or not isinstance(kernel, int) or not 0 < kernel < 1 << carrier.size:
             raise ValueError("filter kernel must be a non-empty mask over the carrier's indices")
+        fields = self.__dict__
+        fields["carrier"], fields["kernel"] = carrier, kernel
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.carrier == other.carrier and self.kernel == other.kernel
+
+    def __hash__(self) -> int:
+        return hash((self.carrier, self.kernel))
 
     def kernel_elements(self) -> tuple:
         return tuple(self.carrier.elements[i] for i in iter_bits(self.kernel))

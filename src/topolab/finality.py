@@ -21,8 +21,7 @@ restriction of the map to A.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bitsets import complement, is_subset, iter_bits, mask_of, points_of
 from .errors import SizeLimitExceeded
@@ -39,8 +38,7 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class FinalitySetup:
+class FinalitySetup(NamedTuple):
     cod: FiniteSpace
     family: tuple[int, ...]  # hyperspace carrier: compacts of cod
     sources: tuple[tuple[FiniteSpace, int], ...]
@@ -90,8 +88,7 @@ def final_over_projections(
     return FinalitySetup(cod, family, tuple((s, a) for s, a in sources), computed, strategy)
 
 
-@dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(NamedTuple):
     contained: bool
     violations: tuple  # (vietoris open mask, source position) pairs
 
@@ -115,8 +112,7 @@ def check_vietoris_contained(setup: FinalitySetup) -> InclusionReport:
     return InclusionReport(contained=not violations, violations=tuple(violations))
 
 
-@dataclass(frozen=True)
-class SquareFinalityReport:
+class SquareFinalityReport(NamedTuple):
     y_n: int
     z_n: int
     source_count: int
@@ -198,8 +194,7 @@ def check_finality_discrete_square(y_n: int) -> SquareFinalityReport:
     )
 
 
-@dataclass(frozen=True)
-class StoneCechReport:
+class StoneCechReport(NamedTuple):
     d_n: int
     ultrafilter_count: int
     w_bijective: bool

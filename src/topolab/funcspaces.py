@@ -70,14 +70,14 @@ can change what the next one reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import limits
 from .bitsets import canon_family, full_mask, is_subset, iter_bits
 from .errors import ImageNotInFamily
+from .frozen import Frozen
 from .hyperspaces import compacts
 from .maps import FiniteMap, _unchecked_maps, all_maps
 from .spaces import FiniteSpace, is_open_in
@@ -128,8 +128,7 @@ def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]
     return tuple(_unchecked_maps(dom.n, cod.n, images))
 
 
-@dataclass(frozen=True)
-class FunctionSpace:
+class FunctionSpace(Frozen):
     """A carrier of maps dom -> cod with the set-open topology of ``family``.
 
     Everything is kept as function masks (bit i for ``functions[i]``) and
@@ -142,10 +141,24 @@ class FunctionSpace:
     the module docstring).
     """
 
-    dom: FiniteSpace
-    cod: FiniteSpace
-    functions: tuple[FiniteMap, ...]
-    family: tuple[int, ...]
+    _fields = ("dom", "cod", "functions", "family")
+
+    def __init__(self, dom: FiniteSpace, cod: FiniteSpace, functions: tuple[FiniteMap, ...], family: tuple[int, ...]):
+        fields = self.__dict__
+        fields["dom"], fields["cod"], fields["functions"], fields["family"] = dom, cod, functions, family
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.dom == other.dom
+            and self.cod == other.cod
+            and self.functions == other.functions
+            and self.family == other.family
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod, self.functions, self.family))
 
     @property
     def size(self) -> int:
@@ -389,8 +402,7 @@ def mu(dom: FiniteSpace, cod: FiniteSpace, family: Sequence[int], f: FiniteMap) 
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MuEmbeddingReport:
+class MuEmbeddingReport(NamedTuple):
     continuous: bool
     open_onto_image: bool
     injective: bool

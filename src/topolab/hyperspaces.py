@@ -29,7 +29,6 @@ test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import and_
 from typing import Sequence
@@ -37,22 +36,35 @@ from typing import Sequence
 from .bitsets import canon_family, is_subset, meets, nonempty_subsets
 from .errors import NotOpen
 from .filters import FilterOnCarrier, converges
+from .frozen import Frozen
 from .spaces import FiniteSpace
 
 
-@dataclass(frozen=True)
-class HyperSpace:
-    base: FiniteSpace
-    family: tuple[int, ...]
-    topology: FiniteSpace  # over range(len(family))
-    variant: str
+class HyperSpace(Frozen):
+    """A family of non-empty subsets of ``base`` with a ``topology`` over the family indices; ``variant`` names it."""
 
-    def __post_init__(self):
-        fam = self.family
-        if fam and (min(fam) <= 0 or max(fam) >> self.base.n):  # on masks, 0 < m < 2^n is ∅ ≠ m ⊆ the base
+    _fields = ("base", "family", "topology", "variant")
+
+    def __init__(self, base: FiniteSpace, family: tuple[int, ...], topology: FiniteSpace, variant: str):
+        if family and (min(family) <= 0 or max(family) >> base.n):  # on masks, 0 < m < 2^n is ∅ ≠ m ⊆ the base
             raise ValueError("family members must be non-empty subsets of the base")
-        if self.topology.n != len(fam):
+        if topology.n != len(family):
             raise ValueError("hyperspace topology must live on the family indices")
+        fields = self.__dict__
+        fields["base"], fields["family"], fields["topology"], fields["variant"] = base, family, topology, variant
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.base == other.base
+            and self.family == other.family
+            and self.topology == other.topology
+            and self.variant == other.variant
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.family, self.topology, self.variant))
 
 
 def _check_family(space: FiniteSpace, family: Sequence[int]) -> tuple[int, ...]:

@@ -3,25 +3,39 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .bitsets import iter_bits
+from .frozen import Frozen
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteMap:
+class FiniteMap(Frozen):
     """A total map {0..dom_n-1} -> {0..cod_n-1} as an image tuple; slotted, as carriers hold thousands."""
 
-    dom_n: int
-    cod_n: int
-    image: tuple[int, ...]
+    __slots__ = _fields = ("dom_n", "cod_n", "image")
+
+    def __init__(self, dom_n: int, cod_n: int, image: tuple[int, ...]):
+        _put_dom(self, dom_n)
+        _put_cod(self, cod_n)
+        _put_image(self, image)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.image) != self.dom_n:
             raise ValueError("image array length must equal dom_n")
         if self.image and not (0 <= min(self.image) and max(self.image) < self.cod_n):
             raise ValueError("image entries must lie in the codomain")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dom_n == other.dom_n and self.cod_n == other.cod_n and self.image == other.image
+
+    def __hash__(self) -> int:
+        return hash((self.dom_n, self.cod_n, self.image))
+
+    def __reduce__(self):
+        return FiniteMap, (self.dom_n, self.cod_n, self.image)
 
     def __call__(self, x: int) -> int:
         return self.image[x]
@@ -34,6 +48,10 @@ class FiniteMap:
         return out
 
 
+# the slot setters, which skip the refusal of ``Frozen.__setattr__``
+_put_dom, _put_cod, _put_image = FiniteMap.dom_n.__set__, FiniteMap.cod_n.__set__, FiniteMap.image.__set__
+
+
 def _unchecked_maps(dom_n: int, cod_n: int, images: Iterable[tuple[int, ...]]) -> Iterator[FiniteMap]:
     """A FiniteMap per image tuple, without the length and range check of ``FiniteMap``.
 
@@ -41,8 +59,7 @@ def _unchecked_maps(dom_n: int, cod_n: int, images: Iterable[tuple[int, ...]]) -
     construction.  The slot setters skip ``__init__`` and ``__post_init__``;
     the maps equal, and hash as, those of ``FiniteMap(...)``.
     """
-    new = object.__new__
-    put_dom, put_cod, put_image = FiniteMap.dom_n.__set__, FiniteMap.cod_n.__set__, FiniteMap.image.__set__
+    new, put_dom, put_cod, put_image = object.__new__, _put_dom, _put_cod, _put_image
     for image in images:
         f = new(FiniteMap)
         put_dom(f, dom_n)

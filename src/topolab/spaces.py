@@ -27,10 +27,9 @@ return that value; the definitional scans live in the test oracles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import limits
 from .bitsets import (
@@ -43,6 +42,7 @@ from .bitsets import (
     points_of,
 )
 from .errors import NotATopology, NotOpen, SizeLimitExceeded
+from .frozen import Frozen
 
 
 def is_open_in(mins: Sequence[int], mask: int) -> bool:
@@ -50,16 +50,27 @@ def is_open_in(mins: Sequence[int], mask: int) -> bool:
     return 0 <= mask <= full_mask(len(mins)) and all(mins[x] & ~mask == 0 for x in iter_bits(mask))
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(Frozen):
     """A topology on {0,...,n-1}; ``nbhds[x]`` is the minimal open neighbourhood U_x of x.
 
     The array must be reflexive (x in U_x) and transitive (y in U_x implies
-    U_y ⊆ U_x); the constructors below guarantee it.
+    U_y ⊆ U_x); the constructors below guarantee it.  Equal arrays make
+    equal spaces, which hash alike.
     """
 
-    n: int
-    nbhds: tuple[int, ...]
+    _fields = ("n", "nbhds")
+
+    def __init__(self, n: int, nbhds: tuple[int, ...]):
+        fields = self.__dict__
+        fields["n"], fields["nbhds"] = n, nbhds
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.nbhds == other.nbhds
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.nbhds))
 
     @property
     def full(self) -> int:
@@ -75,12 +86,22 @@ class FiniteSpace:
         """All open masks in ascending order, listed by ``_list_opens`` (behind the open-set guard).
 
         g distinct neighbourhoods have at most 2^g unions.  When that could
-        pass the guard, ``open_count`` is read first, so a topology over the
-        guard is refused before any open is listed; if the count stops at
-        its memo bound, the listing decides as before.
+        pass the guard, the k points with U_x = {x} are counted: every union
+        of them is open, so 2^k over the guard refuses at once.  Otherwise
+        ``open_count`` is read first, so a topology over the guard is
+        refused before any open is listed; if the count stops at its memo
+        bound, the listing decides as before.
         """
         lim = limits.max_opens()
-        if 1 << len({id(u) for u in self.min_nbhds}) > lim:
+        mins = self.min_nbhds
+        if 1 << len({id(u) for u in mins}) > lim:
+            # U_x = {x} exactly when U_x, which holds x, has no higher point and no other bit
+            isolated = sum(1 for x, u in enumerate(mins) if u.bit_length() == x + 1 and u & (u - 1) == 0)
+            if 1 << isolated > lim:
+                raise SizeLimitExceeded(
+                    f"topology on {self.n} points exceeds the open-set limit {lim}: "
+                    f"its {isolated} open points have 2^{isolated} unions"
+                )
             try:
                 count = self.open_count
             except SizeLimitExceeded:
@@ -347,11 +368,21 @@ def shrink_between(space: FiniteSpace, k: int, o: int) -> int | None:
     return u if is_subset(closure(space, u), o) else None
 
 
-@dataclass(frozen=True)
-class ProductCodec:
+class ProductCodec(Frozen):
     """Mixed-radix point codec: index = sum(coord[i] * prod(sizes[:i]))."""
 
-    sizes: tuple[int, ...]
+    _fields = ("sizes",)
+
+    def __init__(self, sizes: tuple[int, ...]):
+        self.__dict__["sizes"] = sizes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sizes == other.sizes
+
+    def __hash__(self) -> int:
+        return hash((self.sizes,))
 
     @property
     def total(self) -> int:
@@ -483,7 +514,7 @@ def canonical_form(space: FiniteSpace) -> tuple[int, ...]:
     return min(_relabelled(space.nbhds, _relabellings(space.n)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def homeomorphism_classes(n: int) -> tuple[tuple[FiniteSpace, tuple[tuple[int, FiniteSpace], ...]], ...]:
     """The topologies on n <= 5 points up to homeomorphism, as (representative, members).
 
@@ -523,8 +554,7 @@ def sierpinski_space() -> FiniteSpace:
     return make_space(2, [0, 0b10, 0b11])
 
 
-@dataclass(frozen=True)
-class SpaceReport:
+class SpaceReport(NamedTuple):
     """Separation and compactness flags used as preconditions elsewhere."""
 
     t1: bool

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import Callable, Sequence
 
 from .bitsets import complement, full_mask, iter_bits, points_of
@@ -67,19 +65,43 @@ STONE_CECH_MAX_D = 4  # stone-cech checks the discrete spaces on 1 to 4 points
 N4_SPACE_STRIDE = 30  # deterministic n=4 sample: corpus indices 0, 30, 60, ...
 
 
-@dataclass
 class RunReport:
-    suite: str
-    parameters: dict
-    checked: int = 0
-    passed: int = 0
-    failed: int = 0
-    witnesses: list = field(default_factory=list)
-    wall_time_s: float = 0.0
-    # how a class-pair sweep covered its labelled pairs; not part of the payload
-    class_pairs: int = 0
-    labelled_pairs: int = 0
-    rerun_pairs: int = 0
+    """The counts and witnesses of one suite run; equal when every field is, and unhashable, as it mutates."""
+
+    def __init__(
+        self,
+        suite: str,
+        parameters: dict,
+        checked: int = 0,
+        passed: int = 0,
+        failed: int = 0,
+        witnesses: list | None = None,
+        wall_time_s: float = 0.0,
+        class_pairs: int = 0,
+        labelled_pairs: int = 0,
+        rerun_pairs: int = 0,
+    ):
+        self.suite = suite
+        self.parameters = parameters
+        self.checked = checked
+        self.passed = passed
+        self.failed = failed
+        self.witnesses = [] if witnesses is None else witnesses
+        self.wall_time_s = wall_time_s
+        # how a class-pair sweep covered its labelled pairs; not part of the payload
+        self.class_pairs = class_pairs
+        self.labelled_pairs = labelled_pairs
+        self.rerun_pairs = rerun_pairs
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"RunReport({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
 
     def record(self, ok: bool, witness: dict | None = None) -> None:
         self.checked += 1
@@ -127,6 +149,8 @@ def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
+    from multiprocessing import Pool  # imported here, so a run without workers leaves multiprocessing unloaded
+
     with Pool(workers) as pool:
         return pool.map(fn, items)
 

@@ -1,9 +1,10 @@
-"""Every ``lru_cache`` of the library is bounded, or named on a short list.
+"""Every ``lru_cache`` of the library is bounded.
 
 The caches are found the way ``benchmarks/run.py`` finds the ones it clears
 before each pass: every attribute of a ``topolab.*`` module that has
-``cache_clear`` and was defined in that module.  A new memo must either
-carry a bound or be added here on purpose, with its README entry.
+``cache_clear`` and was defined in that module.  A new memo carries a bound
+and a README entry; an unbounded one would have to be added to the empty
+list below on purpose.
 """
 
 import importlib
@@ -13,10 +14,7 @@ import topolab
 from topolab import hyperspaces
 from topolab.spaces import sierpinski_space
 
-UNBOUNDED_ALLOWED = {
-    "spaces.homeomorphism_classes",
-    "choice.limit_set_P",
-}
+UNBOUNDED_ALLOWED: set[str] = set()
 
 
 def _caches() -> dict:

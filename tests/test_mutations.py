@@ -18,7 +18,14 @@ Known survivors, pinned in ``SURVIVORS`` with their check counts:
   A coarser target keeps every f ↦ f(A) continuous, so the suite cannot
   see a topology that is too coarse (ROADMAP item 4);
 * ``finality-square`` passes under ``hull-without-last-point``: on a
-  discrete Y every U_a is {a}, so the mutant equals the kernel there.
+  discrete Y every U_a is {a}, so the mutant equals the kernel there;
+* every suite passes under ``canonical-form-as-identity``, as none reads
+  ``canonical_form``: ``homeomorphism_classes`` names each orbit by
+  relabelling its first member itself.
+
+Before and after each run the caches of results built from the kernels
+(``CACHES``) are emptied, so the kernel's results do not serve the mutant
+and the mutant's do not outlive it.
 """
 
 import json
@@ -28,12 +35,15 @@ from operator import and_, or_
 
 import pytest
 
-from topolab import funcspaces, hyperspaces
+from topolab import choice, filters, funcspaces, hyperspaces, spaces
 from topolab.bitsets import iter_bits
 from topolab.cli import main
 from topolab.funcspaces import FunctionSpace
 from topolab.hyperspaces import HyperSpace
 from topolab.spaces import FiniteSpace
+
+# the memos of results built from the kernels; the enumerations read no kernel a mutant patches
+CACHES = (funcspaces._function_space, hyperspaces._hyperspace, choice.limit_set_P)
 
 
 def _box_without_last_coordinate(monkeypatch):
@@ -79,11 +89,29 @@ def _hull_without_last_point(monkeypatch):
     monkeypatch.setattr(hyperspaces, "_hyperspace", mutant)
 
 
+def _converges_reversed(monkeypatch):
+    """``converges`` asks U_x ⊆ kernel instead of kernel ⊆ U_x, in every module that reads it."""
+
+    def mutant(space, filt, x):
+        if filt.carrier.size != space.n:
+            raise ValueError("filter carrier does not index the space's points")
+        return space.min_nbhds[x] & ~filt.kernel == 0
+
+    for module in (filters, choice, hyperspaces):
+        monkeypatch.setattr(module, "converges", mutant)
+
+
+def _canonical_form_as_identity(monkeypatch):
+    """``canonical_form`` returns the neighbourhood array as it is, relabelling nothing."""
+    monkeypatch.setattr(spaces, "canonical_form", lambda space: space.nbhds)
+
+
 # (name, patch, suite, max_n, seconds)
 MUTANTS = [
     ("box-without-last-coordinate", _box_without_last_coordinate, "vietoris-inclusion", 2, 30),
     ("vietoris-as-lower", _vietoris_as_lower, "finality-square", 2, 30),
     ("hull-without-last-point", _hull_without_last_point, "vietoris-inclusion", 2, 30),
+    ("converges-reversed", _converges_reversed, "choice-lemma", 2, 30),
 ]
 
 # (name, patch, suite, max_n, checks): mutants the suite cannot see, with its check count under them
@@ -91,17 +119,20 @@ SURVIVORS = [
     ("box-without-last-coordinate", _box_without_last_coordinate, "embedding", 3, 3468),
     ("vietoris-as-lower", _vietoris_as_lower, "vietoris-inclusion", 2, 923),
     ("hull-without-last-point", _hull_without_last_point, "finality-square", 3, 5),
+    ("canonical-form-as-identity", _canonical_form_as_identity, "vietoris-inclusion", 2, 988),
 ]
 
 
 def _verify(patch, suite, max_n, monkeypatch, tmp_path) -> tuple[int, dict]:
-    funcspaces._function_space.cache_clear()  # cached spaces hold the kernel's own neighbourhoods
+    for cache in CACHES:
+        cache.cache_clear()
     patch(monkeypatch)
     report = tmp_path / "report.json"
     try:
         code = main(["verify", "--suite", suite, "--max-n", str(max_n), "--report", str(report)])
     finally:
-        funcspaces._function_space.cache_clear()
+        for cache in CACHES:
+            cache.cache_clear()
     return code, json.loads(report.read_text())
 
 

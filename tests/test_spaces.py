@@ -497,6 +497,18 @@ class TestOpensGuard:
         with pytest.raises(SizeLimitExceeded):
             discrete_space(30).opens
 
+    def test_open_points_refuse_at_once(self, monkeypatch):
+        # its 8192 open points have 2^8192 unions, so neither a count nor a
+        # listing starts: both build an up-set with ``_holding`` first
+        def holding(mins, x):
+            raise AssertionError("the opens were counted or listed")
+
+        monkeypatch.setattr(spaces, "_holding", holding)
+        space = discrete_space(1 << 13)
+        with pytest.raises(SizeLimitExceeded, match="open-set limit"):
+            space.opens
+        assert "open_count" not in vars(space)
+
     def test_few_opens_are_listed(self):
         chain = FiniteSpace(30, tuple((1 << (x + 1)) - 1 for x in range(30)))  # U_x = {0, ..., x}
         assert chain.opens == tuple((1 << k) - 1 for k in range(31))

@@ -77,7 +77,7 @@ class TestRequestChecks:
             def map(self, fn, items):
                 return [fn(item) for item in items]
 
-        monkeypatch.setattr(suites, "Pool", FakePool)
+        monkeypatch.setattr("multiprocessing.Pool", FakePool)
         monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
         return started
 
