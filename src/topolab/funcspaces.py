@@ -23,21 +23,24 @@ read off the codomain's U_y (README "Notes on definitions"): the upper one
 holds the C ⊆ hull(B) = ⋃_{y∈B} U_y, and the Vietoris one those that also
 meet U_y for each y ∈ B.  So a pull-back costs the square of the distinct
 images of each slot, not the 4^|cod| of a hyperspace on the 2^|cod| − 1
-compacts.  Its slots are the image tables that ``images`` hands out, keyed
-by hyperpoint: the position of f(A) in ``compacts(cod)``.  The inclusion
-suite reads the same tables but decides the continuity of one coordinate
-per value group itself (``suites._continuous_along``).
+compacts.  The image tables that ``images`` hands out are keyed by
+hyperpoint: the position of f(A) in ``compacts(cod)``.  The inclusion
+suite reads them but decides the continuity of one coordinate per value
+group itself (``suites._continuous_along``).
 
-A FunctionSpace works column-wise, on function masks, never map by map.
-Its point table holds, per (x, y), the mask of the maps with f(x) = y; the
-image table of a subset A follows from the recurrence
-table(A) = table(A − x) ⊗ table({x}), x the lowest point of A, where ⊗
-intersects the masks of every pair of entries and joins their images.
-A table is built the first time a caller reads it and is kept on the
-space, so a caller that reads only the singleton tables never pays for
-the 2^n − 1 members of a full powerset.
-Carrier continuity is one mask as well: the maps with f(e) ∈ U_{f(x)} for
-every domain edge e ∈ U_x.
+A FunctionSpace works on whole image columns and function masks, never
+map by map in Python.  ``_columns[x]`` holds f(x) for every carrier map,
+zipped from the image tuples when the space is built; the point table
+``_points[x][y]``, the mask of the maps with f(x) = y, is read off that
+column as bytes, one ``bytes.translate`` and one ``int(…, 2)`` per value
+y the column holds (``_value_masks``).  The image table of
+a subset A follows from the recurrence table(A) = table(A − x) ⊗
+table({x}), x the lowest point of A, where ⊗ intersects the masks of every
+pair of entries and joins their images.  A table is built the first time
+a caller reads it and is kept on the space, so a caller that reads only
+the singleton tables never pays for the 2^n − 1 members of a full
+powerset.  Carrier continuity is one mask as well: the maps with
+f(e) ∈ U_{f(x)} for every domain edge e ∈ U_x.
 
 Slot pruning: the empty member adds nothing to a pull-back, as every map
 sends it to ∅, and neither does a family member A of two or more points
@@ -49,9 +52,11 @@ singletons are in the family the Vietoris pull-back P_f equals U_f.  The
 neighbourhoods, P_f and the mu-fibres read the kept slots only.  A
 singleton slot {x} needs no image table: the maps with f(x) = y are near
 exactly the maps in ``_within[x][y]``, those with f(x) ∈ U_y, so on the
-compacts U_f is the box { g : g(x) ∈ U_{f(x)} for every x }, one AND per
-value group.  On a family holding the singletons the report builds the n
-singleton tables for its mu-fibres and no other.
+compacts U_f is the box { g : g(x) ∈ U_{f(x)} for every x }, built level
+by level as ``map(and_, box, map(_within[x].__getitem__, _columns[x]))``
+and skipping a coordinate whose values are near every map.  On a family
+holding the singletons the report builds no image table: its verdicts and
+its injectivity read the box and the columns.
 
 Sharing: one ``lru_cache``, ``_function_space``, holds the last 8 spaces,
 keyed by (dom, cod, carrier, family), so ``compact_open`` followed by
@@ -70,8 +75,9 @@ can change what the next one reads.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
-from operator import and_, or_
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import compress, repeat
+from operator import and_, attrgetter, invert, itemgetter, or_
 from typing import NamedTuple, Sequence
 
 from . import limits
@@ -98,33 +104,43 @@ def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]
     """All continuous maps dom -> cod, in all_maps order.
 
     The image tuples grow one point at a time in lexicographic order.  Point
-    x may take value y when y lies in U_{f(x')} for every earlier x' with x in
-    U_{x'}, and U_y holds f(x') for every earlier x' in U_x; a partial map
-    with no admissible value is dropped.  The maps are the function space's
+    x may take value y when y lies in U_{f(e)} for every earlier e with x in
+    U_e, and y lies in the closure of f(e) (f(e) ∈ U_y) for every earlier e
+    in U_x.  So the admissible values of a partial map are the AND of one
+    table entry per related earlier point e, looked up by f(e) a whole image
+    column at a time; each distinct mask is listed once, and a partial map
+    with an empty mask is dropped.  The maps are the function space's
     ground set, so the point guard bounds the partial maps of each step:
     SizeLimitExceeded before a step holds more.  The images are in range by
     construction, so the maps skip ``FiniteMap``'s check.
     """
     dmins, cmins = dom.min_nbhds, cod.min_nbhds
-    values = tuple(enumerate(cmins))
     lim = limits.max_points()
+    everything = full_mask(cod.n)
+    closures = None
+    listed = {everything: tuple(range(cod.n))}  # admissible mask -> its values
     images: list[tuple[int, ...]] = [()]
     for x in range(dom.n):
-        below = tuple(iter_bits(dmins[x] & ((1 << x) - 1)))
-        above = tuple(e for e in range(x) if dmins[e] >> x & 1)
-        grown = []
-        for image in images:
-            allowed = full_mask(cod.n)
-            for e in above:
-                allowed &= cmins[image[e]]
-            need = 0
-            for e in below:
-                need |= 1 << image[e]
-            more = [image + (y,) for y, u in values if allowed >> y & 1 and need & ~u == 0]
-            if len(grown) + len(more) > lim:
-                limits.guard_points(len(grown) + len(more), f"the continuous maps on the first {x + 1} domain points")
-            grown += more
-        images = grown
+        lookups = []
+        for e in range(x):
+            table = cmins if dmins[e] >> x & 1 else None
+            if dmins[x] >> e & 1:
+                if closures is None:  # closures[v]: the y with v ∈ U_y
+                    closures = [sum(1 << y for y, u in enumerate(cmins) if u >> v & 1) for v in range(cod.n)]
+                table = closures if table is None else list(map(and_, cmins, closures))
+            if table is not None:
+                lookups.append(map(table.__getitem__, map(itemgetter(e), images)))
+        if lookups:
+            masks = list(reduce(partial(map, and_), lookups))
+            for m in set(masks).difference(listed):
+                listed[m] = tuple(iter_bits(m))
+            picks = list(map(listed.__getitem__, masks))
+        else:
+            picks = [listed[everything]] * len(images)
+        count = sum(map(len, picks))
+        if count > lim:
+            limits.guard_points(count, f"the continuous maps on the first {x + 1} domain points")
+        images = [image + (y,) for image, ys in zip(images, picks) for y in ys]
     return tuple(_unchecked_maps(dom.n, cod.n, images))
 
 
@@ -132,13 +148,13 @@ class FunctionSpace(Frozen):
     """A carrier of maps dom -> cod with the set-open topology of ``family``.
 
     Everything is kept as function masks (bit i for ``functions[i]``) and
-    derived column-wise: the point table ``_points`` (maps with f(x) = y)
-    and its neighbourhood table ``_within`` (maps with f(x) ∈ U_y), the
-    image table ``_table(a)`` of a subset, built on first use by the
-    recurrence over the lowest point and kept in ``_tables``, the
-    continuous maps ``_continuous`` by one mask per domain edge, and the
-    family members ``_kept`` whose slots a pull-back needs (slot pruning, see
-    the module docstring).
+    derived from the image columns ``_columns``: the point table
+    ``_points`` (maps with f(x) = y) and its neighbourhood table ``_within``
+    (maps with f(x) ∈ U_y), the image table ``_table(a)`` of a subset, built
+    on first use by the recurrence over the lowest point and kept in
+    ``_tables``, the continuous maps ``_continuous`` by one mask per domain
+    edge, and the family members ``_kept`` whose slots a pull-back needs
+    (slot pruning, see the module docstring).
     """
 
     _fields = ("dom", "cod", "functions", "family")
@@ -146,6 +162,9 @@ class FunctionSpace(Frozen):
     def __init__(self, dom: FiniteSpace, cod: FiniteSpace, functions: tuple[FiniteMap, ...], family: tuple[int, ...]):
         fields = self.__dict__
         fields["dom"], fields["cod"], fields["functions"], fields["family"] = dom, cod, functions, family
+        # _columns[x][i] = functions[i](x), the image tuples transposed: every
+        # table reads them, and a cached_property would cost a lock per space
+        fields["_columns"] = (*zip(*map(attrgetter("image"), functions)),) or ((),) * dom.n
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -166,12 +185,8 @@ class FunctionSpace(Frozen):
 
     @cached_property
     def _points(self) -> tuple[tuple[int, ...], ...]:
-        """_points[x][y] = function mask of { f : f(x) = y }."""
-        table = [[0] * self.cod.n for _ in range(self.dom.n)]
-        for i, f in enumerate(self.functions):
-            for column, y in zip(table, f.image):
-                column[y] |= 1 << i
-        return tuple(map(tuple, table))
+        """_points[x][y] = function mask of { f : f(x) = y }, read off the column of x (``_value_masks``)."""
+        return tuple(_value_masks(column, self.cod.n) for column in self._columns)
 
     @cached_property
     def _tables(self) -> dict[int, dict[int, int]]:
@@ -229,8 +244,8 @@ class FunctionSpace(Frozen):
     def _within(self) -> tuple[tuple[int, ...], ...]:
         """_within[x][y] = function mask of { f : f(x) ∈ U_y }."""
         # the masks of one column are disjoint, so their union is their sum
-        cmins = self.cod.min_nbhds
-        return tuple(tuple(sum(column[z] for z in iter_bits(u)) for u in cmins) for column in self._points)
+        members = [tuple(iter_bits(u)) for u in self.cod.min_nbhds]
+        return tuple(tuple(map(sum, map(map, repeat(column.__getitem__), members))) for column in self._points)
 
     @cached_property
     def _continuous(self) -> int:
@@ -246,6 +261,12 @@ class FunctionSpace(Frozen):
                 out &= sum(map(and_, points[x], within[e]))
         return out
 
+    def _slot_column(self, a: int) -> tuple[int, ...]:
+        """Per map, its value on the family member a: f(x) for a singleton {x}, else the image mask f(a)."""
+        if a & (a - 1) == 0:
+            return self._columns[a.bit_length() - 1]
+        return tuple(reduce(partial(map, or_), (map((1).__lshift__, self._columns[x]) for x in iter_bits(a))))
+
     def _pull_back(self, slots: Sequence[int], lower: bool) -> tuple[int, ...]:
         """Per function f, the mask of the g with g(A) near f(A) for every A in ``slots``.
 
@@ -253,37 +274,36 @@ class FunctionSpace(Frozen):
         docstring): g(A) is upper-near f(A) when g(A) ⊆ hull f(A), and with
         ``lower`` it must also meet U_y for each y ∈ f(A), which makes it
         Vietoris-near.  On a singleton {x} both read g(x) ∈ U_{f(x)}, so the
-        maps with f(x) = y get ``_within[x][y]`` and no image table is
-        built.  A larger member pairs the entries of its image table: the
-        square of its distinct images.  Each value group is scattered to its
-        maps once, with no work per map beyond that.
+        maps near a map with f(x) = y are ``_within[x][y]`` and no image
+        table is built.  A larger member pairs the entries of its image
+        table: the square of its distinct images.  Each slot is one column,
+        the near mask of every map looked up by its value on the slot
+        (``_slot_column``), and the columns are ANDed map by map in C; a
+        slot whose values are all near every map is skipped.
         """
         everything = full_mask(self.size)
-        out = [everything] * self.size
         cmins = self.cod.min_nbhds
+        ups = []
         for a in slots:
             if a & (a - 1) == 0:
                 x = a.bit_length() - 1
-                groups = zip(self._points[x], self._within[x])
+                near, column = self._within[x], self._columns[x]
+                seen = compress(near, self._points[x])
             else:
                 items = tuple(self._table(a).items())
-                groups = []
-                for v, members in items:
+                near = {}
+                for v, _ in items:
                     nbhds = [cmins[y] for y in iter_bits(v)]
                     hull = reduce(or_, nbhds)
                     up = 0
                     for u, others in items:
                         if u & ~hull == 0 and (not lower or all(u & w for w in nbhds)):
                             up |= others
-                    groups.append((members, up))
-            for members, up in groups:
-                if up == everything:
-                    continue
-                while members:
-                    low = members & -members
-                    out[low.bit_length() - 1] &= up
-                    members ^= low
-        return tuple(out)
+                    near[v] = up
+                column, seen = self._slot_column(a), near.values()
+            if not all(map(everything.__eq__, seen)):
+                ups.append(map(near.__getitem__, column))
+        return tuple(reduce(partial(map, and_), ups)) if ups else (everything,) * self.size
 
     def images(self, a: int) -> dict[int, int]:
         """{ hyperpoint of f(a) : function mask of the f with that image }, a fresh dict; ValueError unless a is in the family.
@@ -322,6 +342,33 @@ class FunctionSpace(Frozen):
         return FiniteSpace(self.size, self.min_nbhds)
 
 
+def _value_masks(column: Sequence[int], n: int) -> tuple[int, ...]:
+    """Per y in range(n), the mask of the positions i with column[i] = y.
+
+    The reversed column is read as bytes, one per value, and for each value
+    y it holds, ``_marking(y)`` translates byte y to "1" and every other
+    byte to "0", which ``int(…, 2)`` reads as the mask: two C calls per
+    value, none per position.  A codomain of more than 256 points has its
+    values split into base-256 digits, one byte string per digit, and the
+    masks of the digits of y are ANDed.
+    """
+    if n <= 256:
+        plane = bytes(column[::-1])
+        row = [0] * n
+        for y in set(plane):
+            row[y] = int(plane.translate(_marking(y)), 2)
+        return tuple(row)
+    shifts = range(0, (n - 1).bit_length(), 8)
+    digits = [_value_masks([v >> s & 255 for v in column], 256) for s in shifts]
+    return tuple(reduce(and_, (d[y >> s & 255] for s, d in zip(shifts, digits))) for y in range(n))
+
+
+@lru_cache(maxsize=256)
+def _marking(y: int) -> bytes:
+    """The ``bytes.translate`` table sending byte y to "1" and every other byte to "0"; built on first use."""
+    return b"0" * y + b"1" + b"0" * (255 - y)
+
+
 def set_open_topology(
     carrier: Sequence[FiniteMap],
     family: Sequence[int],
@@ -340,8 +387,10 @@ def set_open_topology(
     if fam and (fam[0] < 0 or fam[-1] > dom.full):
         raise ValueError("family members must be subsets of the domain")
     fns = tuple(carrier)
-    if any(f.dom_n != dom.n or f.cod_n != cod.n for f in fns):
-        raise ValueError("carrier maps must go from dom to cod")
+    dom_n, cod_n = dom.n, cod.n
+    for f in fns:  # a plain loop: half the time of any() over a generator, a third of set(map(attrgetter(…)))
+        if f.dom_n != dom_n or f.cod_n != cod_n:
+            raise ValueError("carrier maps must go from dom to cod")
     return _function_space(dom, cod, _Carrier(fns), fam)
 
 
@@ -441,9 +490,13 @@ def mu_embedding_report(
 
     P_f and the mu-fibres are taken over the kept slots of the carrier
     (``FunctionSpace._kept``), which gives the same sets as all slots.  The
-    mu values come from the carrier's image tables (``images``) and its
-    continuity from one mask (``_continuous``), not from a call of ``mu``
-    per map.  The first map in carrier order that ``mu`` would refuse
+    verdicts are whole-sequence tests run in C: U_f ⊆ P_f for every f is
+    ``not any(map(and_, mins, map(invert, pm)))``, and mu is injective when
+    the mu values, zipped from the slot columns (``_slot_column``), are
+    pairwise distinct.  Only a non-injective mu splits the carrier into its
+    fibres, by the image tables of the kept slots, to saturate U_f.  The
+    carrier's continuity is one mask (``_continuous``), not a call of
+    ``mu`` per map.  The first map in carrier order that ``mu`` would refuse
     raises the same error through ``mu``: the first discontinuous map, or
     the first map of all when the family holds ∅, whose image is no compact.
     """
@@ -454,26 +507,21 @@ def mu_embedding_report(
         refused &= ~fs._continuous
     if refused:
         mu(dom, cod, fam, fs.functions[(refused & -refused).bit_length() - 1])
-    slots = tuple(map(fs.images, fs._kept))
     mins = fs.min_nbhds
     singletons = all((1 << x) in fam for x in range(dom.n))
     pm = mins if singletons else fs._pull_back(fs._kept, lower=True)
-    # mu-fibres of two or more functions: sat(S) is S plus those meeting it
-    fibres = [full_mask(fs.size)] if fs.size else []
-    for slot in slots:
-        fibres = [p & m for p in fibres for m in slot.values() if p & m]
-    shared = [m for m in fibres if m & (m - 1)]
-
-    def saturated(u: int) -> int:
-        out = u
-        for m in shared:
-            if m & u:
-                out |= m
-        return out
-
+    values = zip(*map(fs._slot_column, fs._kept)) if fs._kept else [()] * fs.size  # mu(f) over the kept slots
+    injective = len(set(values)) == fs.size
+    sat = mins
+    if not injective:  # sat(U_f) adds the mu-fibres of two or more maps that meet U_f
+        fibres = [full_mask(fs.size)]
+        for a in fs._kept:
+            fibres = [p & m for p in fibres for m in fs._table(a).values() if p & m]
+        shared = [m for m in fibres if m & (m - 1)]
+        sat = [reduce(or_, (m for m in shared if m & u), u) for u in mins]
     return MuEmbeddingReport(
-        continuous=all(is_subset(u, p) for u, p in zip(mins, pm)),
-        open_onto_image=all(is_subset(p, saturated(u)) for u, p in zip(mins, pm)),
-        injective=not shared,
+        continuous=not any(map(and_, mins, map(invert, pm))),
+        open_onto_image=not any(map(and_, pm, map(invert, sat))),
+        injective=injective,
         family_has_singletons=singletons,
     )

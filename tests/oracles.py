@@ -363,7 +363,11 @@ def mu_embedding_by_definition(dom, cod, carrier, family) -> tuple[bool, bool, b
     The carrier topology is generated by the sets (A, W) = { f : f(A) ⊆ W };
     the target is the product over the family of the Vietoris hyperspace on
     the non-empty subsets of the codomain.
-    Continuity: the preimage of every cylinder over a Vietoris open is open.
+    Continuity: the preimage of every cylinder over a subbasic Vietoris
+    open, { C : C ⊆ W } or { C : C ∩ W ≠ ∅ } for W open in the codomain, is
+    open; preimages commute with unions and finite intersections, so these
+    decide it for every Vietoris open (there are 2^15 on a discrete 4-point
+    codomain, against 32 subbasic ones).
     Openness onto the image: the image of every open is open in the image,
     that is, it holds the product minimal neighbourhood of each of its points
     cut down to the image.  For an injective map the subbasic opens suffice
@@ -389,11 +393,13 @@ def mu_embedding_by_definition(dom, cod, carrier, family) -> tuple[bool, bool, b
         return all(nbhd[fi] & ~mask == 0 for fi in _bits(mask))
 
     hyper = vietoris(cod, tuple(tf)).topology
+    vietoris_subbase = [sum(1 << i for i, c in enumerate(tf) if c & ~w == 0) for w in cod.opens]
+    vietoris_subbase += [sum(1 << i for i, c in enumerate(tf) if c & w) for w in cod.opens]
     tuples = [tuple(tf.index(f.image_of(a)) for a in fam) for f in fns]
     continuous = all(
         is_open(sum(1 << fi for fi, t in enumerate(tuples) if v >> t[ai] & 1))
         for ai in range(len(fam))
-        for v in hyper.opens
+        for v in vietoris_subbase
     )
     box = [
         sum(

@@ -13,7 +13,7 @@ from oracles import (
     upper_vietoris_pull_back_by_maps,
     vietoris_pull_back_by_maps,
 )
-from topolab.bitsets import is_subset, nonempty_subsets
+from topolab.bitsets import full_mask, is_subset, nonempty_subsets
 from topolab.errors import ImageNotInFamily, SizeLimitExceeded
 from topolab.funcspaces import (
     compact_open,
@@ -315,6 +315,35 @@ class TestEmbeddingOracle:
                     non_injective += not got[2]
         assert non_injective > 1000  # the fibres of a non-injective mu are exercised
 
+    def test_shuffled_carriers(self, corpus3):
+        # the columns must not assume the order of all_maps; an "all"
+        # carrier holding a discontinuous map is refused through mu
+        rng = random.Random(91)
+        for _, _, dom in corpus3[::2]:
+            fams = [tuple(nonempty_subsets(dom.n))] + _families_without_singletons(dom.n)
+            for _, _, cod in corpus3[::2]:
+                every = len(continuous_maps(dom, cod)) == cod.n ** dom.n
+                for carrier in ("continuous", "all"):
+                    fns = list(compact_open(dom, cod, carrier).functions)
+                    rng.shuffle(fns)
+                    for fam in fams:
+                        if carrier == "all" and not every:
+                            with pytest.raises(ValueError, match="continuous map"):
+                                mu_embedding_report(dom, cod, fns, fam)
+                        else:
+                            got = _flags(mu_embedding_report(dom, cod, fns, fam))
+                            assert got == mu_embedding_by_definition(dom, cod, fns, fam), (dom, cod, fam)
+
+    def test_discrete_four_point_square(self):
+        # the families whose mu is injective: the definition lists no carrier opens then
+        d4 = discrete_space(4)
+        fns = list(continuous_maps(d4, d4))
+        singletons = (1, 2, 4, 8)
+        for carrier in (fns, random.Random(256).sample(fns, len(fns))):
+            for fam in (singletons, singletons + (15,), tuple(nonempty_subsets(4))):
+                got = _flags(mu_embedding_report(d4, d4, carrier, fam))
+                assert got == mu_embedding_by_definition(d4, d4, carrier, fam) == (True, True, True, True)
+
     def test_non_injective_needs_no_materialized_topology(self):
         # the carrier topology of the 27 maps has 24930 opens; the report
         # compares neighbourhoods and stays under a guard of 1000 opens
@@ -360,10 +389,15 @@ def _families_with_some_singletons(n: int) -> list[tuple[int, ...]]:
 
 
 class TestColumnTablesOracle:
-    """Point-table image groups and pruned pull-backs against the per-map, all-slots route."""
+    """Column-built point tables, image groups, continuity masks and pruned pull-backs against the per-map, all-slots route."""
 
     @staticmethod
     def _check(fs):
+        dom, cod = fs.dom, fs.cod
+        points = image_groups_by_maps(fs.functions, [1 << x for x in range(dom.n)])
+        assert fs._points == tuple(tuple(slot.get(1 << y, 0) for y in range(cod.n)) for slot in points)
+        expected = sum(1 << i for i, f in enumerate(fs.functions) if is_continuous(dom, cod, f))
+        assert fs._continuous == expected
         groups = image_groups_by_maps(fs.functions, fs.family)
         assert tuple(fs._table(a) for a in fs.family) == groups
         for a, slot in zip(fs.family, groups):
@@ -400,9 +434,44 @@ class TestColumnTablesOracle:
     def test_empty_carrier(self):
         self._check(set_open_topology((), P2, S, discrete_space(0)))
 
+    def test_shuffled_carriers(self, corpus3, corpus_n4):
+        # the columns must not assume the order of all_maps
+        rng = random.Random(19)
+        pairs = [(dom, cod) for _, _, dom in corpus3[::3] for _, _, cod in corpus3[::3]]
+        pairs += [(rng.choice(corpus_n4), rng.choice(corpus_n4)) for _ in range(4)]
+        for dom, cod in pairs:
+            for carrier in ("continuous", "all"):
+                fns = list(compact_open(dom, cod, carrier).functions)
+                rng.shuffle(fns)
+                for fam in self._families(dom.n):
+                    self._check(set_open_topology(fns, fam, dom, cod))
+
+    def test_discrete_four_point_square(self):
+        d4 = discrete_space(4)
+        fns = list(compact_open(d4, d4).functions)
+        shuffled = random.Random(256).sample(fns, len(fns))
+        assert len(fns) == 256 and shuffled != fns
+        for carrier in (fns, shuffled):
+            for fam in self._families(4):
+                self._check(set_open_topology(carrier, fam, d4, d4))
+
+    def test_codomain_past_one_byte(self):
+        # a value of 256 points or more is read as two base-256 digits; the
+        # 2^300 opens of the codomain are not listed
+        d2, d300 = discrete_space(2), discrete_space(300)
+        rng = random.Random(300)
+        fns = [FiniteMap(2, 300, (rng.randrange(300), rng.randrange(300))) for _ in range(400)]
+        for fam in ((1, 2, 3), (3,)):
+            fs = set_open_topology(fns, fam, d2, d300)
+            points = image_groups_by_maps(fns, (1, 2))
+            assert fs._points == tuple(tuple(slot.get(1 << y, 0) for y in range(300)) for slot in points)
+            assert fs._continuous == full_mask(400)
+            assert tuple(fs._table(a) for a in fam) == image_groups_by_maps(fns, fam)
+            assert fs.min_nbhds == set_open_min_nbhds_by_maps(fs)
+
 
 class TestLazyTables:
-    """Image tables are built when first read; the embedding report reads the singleton tables only."""
+    """Image tables are built when first read; on a family holding the singletons the embedding report reads none."""
 
     @staticmethod
     def _cold_report(dom, cod, fam):
@@ -411,12 +480,13 @@ class TestLazyTables:
         mu_embedding_report(dom, cod, fns, fam)
         return set_open_topology(fns, fam, dom, cod)
 
-    def test_default_target_builds_only_the_singleton_tables(self, corpus3, corpus_n4):
+    def test_default_target_builds_no_image_table(self, corpus3, corpus_n4):
+        # the box, P_f = U_f and the mu values all read the image columns
         pairs = [(dom, cod) for _, _, dom in corpus3 for _, _, cod in corpus3[::4]]
         pairs += [(discrete_space(4), corpus_n4[100]), (corpus_n4[200], discrete_space(4))]
         for dom, cod in pairs:
             fs = self._cold_report(dom, cod, tuple(nonempty_subsets(dom.n)))
-            assert set(fs._tables) == {0} | {1 << x for x in range(dom.n)}, (dom, cod)
+            assert set(fs._tables) == {0}, (dom, cod)
 
     def test_missing_target_image_refuses_the_same_first_map(self, corpus3, monkeypatch):
         # the report must refuse through mu, on the first map in carrier order

@@ -12,6 +12,10 @@ Known survivors, pinned in ``SURVIVORS`` with their check counts:
 * the ``embedding`` suite passes all 3468 checks at max-n 3 under the box
   mutant, since its family holds the singletons, so P_f is taken as U_f
   and continuity and openness compare the mutant with itself;
+* it passes them under ``points-on-the-next-map`` too, for the same
+  reason: the box and P_f are the one wrong array, the mu values are read
+  off the image columns, not the point table, and the continuity mask is
+  the full mask moved by one map, so no map is refused;
 * ``vietoris-inclusion`` passes under ``vietoris-as-lower``, with 0
   failures: only its check count moves, 988 → 923 at max-n 2 and
   242352 → 163944 at max-n 3, as it counts the opens of a coarser target.
@@ -30,13 +34,13 @@ and the mutant's do not outlive it.
 
 import json
 import time
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, or_
 
 import pytest
 
 from topolab import choice, filters, funcspaces, hyperspaces, spaces
-from topolab.bitsets import iter_bits
+from topolab.bitsets import full_mask, iter_bits
 from topolab.cli import main
 from topolab.funcspaces import FunctionSpace
 from topolab.hyperspaces import HyperSpace
@@ -49,6 +53,23 @@ CACHES = (funcspaces._function_space, hyperspaces._hyperspace, choice.limit_set_
 def _box_without_last_coordinate(monkeypatch):
     """``FunctionSpace.min_nbhds`` pulls back over every kept slot but the last."""
     monkeypatch.setattr(FunctionSpace, "min_nbhds", property(lambda fs: fs._pull_back(fs._kept[:-1], lower=False)))
+
+
+def _points_on_the_next_map(monkeypatch):
+    """``FunctionSpace._points`` records f(x) = y on the map after f, and the last map's value on the first.
+
+    Every column stays a partition of the carrier, but the point table no
+    longer agrees with the image columns that the box looks values up by.
+    """
+    real = FunctionSpace._points.func
+
+    def mutant(fs):
+        full, last = full_mask(fs.size), fs.size - 1
+        return tuple(tuple((m << 1 | m >> last) & full for m in row) for row in real(fs)) if fs.size else real(fs)
+
+    table = cached_property(mutant)
+    table.__set_name__(FunctionSpace, "_points")
+    monkeypatch.setattr(FunctionSpace, "_points", table)
 
 
 def _vietoris_as_lower(monkeypatch):
@@ -109,6 +130,7 @@ def _canonical_form_as_identity(monkeypatch):
 # (name, patch, suite, max_n, seconds)
 MUTANTS = [
     ("box-without-last-coordinate", _box_without_last_coordinate, "vietoris-inclusion", 2, 30),
+    ("points-on-the-next-map", _points_on_the_next_map, "vietoris-inclusion", 2, 30),
     ("vietoris-as-lower", _vietoris_as_lower, "finality-square", 2, 30),
     ("hull-without-last-point", _hull_without_last_point, "vietoris-inclusion", 2, 30),
     ("converges-reversed", _converges_reversed, "choice-lemma", 2, 30),
@@ -117,6 +139,7 @@ MUTANTS = [
 # (name, patch, suite, max_n, checks): mutants the suite cannot see, with its check count under them
 SURVIVORS = [
     ("box-without-last-coordinate", _box_without_last_coordinate, "embedding", 3, 3468),
+    ("points-on-the-next-map", _points_on_the_next_map, "embedding", 3, 3468),
     ("vietoris-as-lower", _vietoris_as_lower, "vietoris-inclusion", 2, 923),
     ("hull-without-last-point", _hull_without_last_point, "finality-square", 3, 5),
     ("canonical-form-as-identity", _canonical_form_as_identity, "vietoris-inclusion", 2, 988),
