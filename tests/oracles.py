@@ -12,7 +12,10 @@ finite spaces).  A filter is the list of its members, every subset that
 holds its kernel; refinement, image filters and filters of functions
 applied to filters are decided on those lists (the library reads kernel
 masks), and choice functions are counted and recognised by their
-definition.  Filters of choice functions are swept through a sample of
+definition, built by the checked ``FiniteMap`` constructor, and swept map
+by map: one image kernel and a subset test per point for each (the library
+reads each map's kernel values once and tests each distinct image once).
+Filters of choice functions are swept through a sample of
 function kernels (the library returns the single-function limit set, which
 the singleton kernels give by theorem).  Continuous maps are the maps whose
 preimages of opens are open (the library builds monotone maps instead).  The lower, upper and
@@ -46,7 +49,6 @@ import functools
 import itertools
 
 from topolab.bitsets import complement, full_mask, is_subset, iter_bits, meets, points_of
-from topolab.choice import enumerate_choice_functions
 from topolab.finality import InclusionReport
 from topolab.funcspaces import compact_open, continuous_maps
 from topolab.hyperspaces import compacts, upper_vietoris, vietoris
@@ -221,8 +223,10 @@ def is_choice_function(n: int, f: FiniteMap) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _choice_functions(n: int) -> tuple[FiniteMap, ...]:
-    return tuple(enumerate_choice_functions(n))
+def checked_choice_functions(n: int) -> tuple[FiniteMap, ...]:
+    """Every choice function on n points, in the library's order, each built by the checked constructor."""
+    per_subset = [_bits(m) for m in range(1, 1 << n)]
+    return tuple(FiniteMap((1 << n) - 1, n, values) for values in itertools.product(*per_subset))
 
 
 def applied_kernel(functions, kernel: tuple[int, ...]) -> int:
@@ -235,6 +239,27 @@ def applied_kernel(functions, kernel: tuple[int, ...]) -> int:
     return out
 
 
+def limit_set_by_enumeration(space: FiniteSpace, phi) -> int:
+    """Points x with f(kernel) ⊆ U_x for some choice function f: one image kernel and n subset tests a function."""
+    kernel = points_of(phi.kernel)
+    p = 0
+    for f in checked_choice_functions(space.n):
+        imgk = applied_kernel((f,), kernel)
+        for x, u in enumerate(space.min_nbhds):
+            if is_subset(imgk, u):
+                p |= 1 << x
+    return p
+
+
+def property_a_by_enumeration(n: int, phi) -> tuple[bool, FiniteMap | None]:
+    """Whether every choice function's image kernel is one point, with the first function whose is not."""
+    kernel = points_of(phi.kernel)
+    for f in checked_choice_functions(n):
+        if applied_kernel((f,), kernel).bit_count() >= 2:
+            return False, f
+    return True, None
+
+
 def filterwise_by_kernel_sample(space: FiniteSpace, phi, pair_cap: int | None) -> int:
     """Points reached by a sample of filters of choice functions applied to ``phi``.
 
@@ -243,7 +268,7 @@ def filterwise_by_kernel_sample(space: FiniteSpace, phi, pair_cap: int | None) -
     when the applied kernel lies in its minimal neighbourhood.  The library
     returns ``limit_set_P`` by theorem, with no sweep.
     """
-    functions = _choice_functions(space.n)
+    functions = checked_choice_functions(space.n)
     pairs = itertools.combinations(functions, 2)
     if pair_cap is not None:
         pairs = itertools.islice(pairs, pair_cap)

@@ -1,6 +1,15 @@
+import inspect
+
 import pytest
 
-from oracles import choice_function_count, filterwise_by_kernel_sample, is_choice_function
+from oracles import (
+    checked_choice_functions,
+    choice_function_count,
+    filterwise_by_kernel_sample,
+    is_choice_function,
+    limit_set_by_enumeration,
+    property_a_by_enumeration,
+)
 from topolab.bitsets import is_subset, nonempty_subsets, points_of
 from topolab.choice import (
     check_filterwise_refinement,
@@ -16,7 +25,7 @@ from topolab import choice
 from topolab.errors import SizeLimitExceeded
 from topolab.filters import FilterOnCarrier, enumerate_filters, enumerate_ultrafilters, subsets_carrier
 from topolab.spaces import closure, discrete_space, indiscrete_space, sierpinski_space
-from topolab.suites import suite_choice_lemma
+from topolab.suites import N4_SPACE_STRIDE, suite_choice_lemma
 
 S = sierpinski_space()
 C2 = subsets_carrier(2)
@@ -217,17 +226,74 @@ class TestFilterwiseAgainstKernelSample:
                 assert filterwise_limit_set(sp, phi, 20) == filterwise_by_kernel_sample(sp, phi, 20)
 
     def test_suite_enumerates_once_per_space_and_filter(self, monkeypatch):
+        # the benchmark's tracer counts choice.enumerate_choice_functions.items only through generator functions
+        enumerate_all = choice.enumerate_choice_functions
+        assert inspect.isgeneratorfunction(enumerate_all)
         # 1 + 4 spaces on 1 and 2 points, with 1 and 3 ultrafilters: 13 pairs
         calls = []
-        enumerate_all = choice.enumerate_choice_functions
+        drawn = []
 
         def counted(n):
             calls.append(n)
-            return enumerate_all(n)
+            for f in enumerate_all(n):
+                drawn.append(f)
+                yield f
 
         monkeypatch.setattr(choice, "enumerate_choice_functions", counted)
         limit_set_P.cache_clear()
         report = suite_choice_lemma(max_n=2)
-        limit_set_P.cache_clear()
         assert report.failed == 0
         assert len(calls) == 13
+        # a cold 4-point call reads every choice function once, each equal to its checked twin
+        drawn.clear()
+        limit_set_P(discrete_space(4), next(iter(enumerate_ultrafilters(subsets_carrier(4)))))
+        limit_set_P.cache_clear()
+        twins = checked_choice_functions(4)
+        assert len(drawn) == len(twins) == 20736
+        assert drawn == list(twins)
+        assert list(map(hash, drawn)) == list(map(hash, twins))
+
+
+class TestAgainstEnumerationOracle:
+    """One read of each map's kernel values agrees with the per-function route of the oracle."""
+
+    def test_limit_set_on_every_filter_up_to_three_points(self, corpus3):
+        pairs = 0
+        for _, _, sp in corpus3:
+            for phi in enumerate_filters(subsets_carrier(sp.n)):
+                assert limit_set_P(sp, phi) == limit_set_by_enumeration(sp, phi)
+                pairs += 1
+        assert pairs == 3712
+
+    def test_limit_set_on_the_four_point_sample_of_the_suite(self, corpus_n4):
+        spaces = corpus_n4[::N4_SPACE_STRIDE]
+        ultras = list(enumerate_ultrafilters(subsets_carrier(4)))
+        assert (len(spaces), len(ultras)) == (12, 15)
+        for sp in spaces:
+            for phi in ultras:
+                assert limit_set_P(sp, phi) == limit_set_by_enumeration(sp, phi)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_property_a_flag_and_witness(self, n):
+        # every filter up to 3 points; on 4 points the kernels of one or two subsets
+        kernels = range(1, 1 << (1 << n) - 1) if n < 4 else [k for k in range(1, 1 << 15) if k.bit_count() <= 2]
+        for kernel in kernels:
+            phi = FilterOnCarrier(subsets_carrier(n), kernel)
+            report = has_property_A(n, phi)
+            holds, witness = property_a_by_enumeration(n, phi)
+            assert (report.holds, report.witness) == (holds, witness)
+            assert hash(report.witness) == hash(witness)
+
+
+class TestChoiceLemmaTotals:
+    @pytest.mark.parametrize("max_n, checks", [(1, 3), (2, 87), (3, 8712)])
+    def test_pinned_totals(self, max_n, checks):
+        # per space: each ultrafilter (2^n − 1 of them) gives one convergence
+        # check and two bound checks per non-empty subset; T(n) = 1, 4, 29
+        # spaces, plus the 4-point sample of 12 spaces × 15 ultrafilters × 31
+        spaces = (1, 4, 29)
+        closed = sum(spaces[n - 1] * ((1 << n) - 1) * ((1 << n + 1) - 1) for n in range(1, max_n + 1))
+        assert closed + (max_n == 3) * 12 * 15 * 31 == checks
+        report = suite_choice_lemma(max_n=max_n)
+        assert (report.checked, report.passed, report.failed) == (checks, checks, 0)
+        assert report.witnesses == []

@@ -11,8 +11,8 @@ from oracles import (
     is_ultrafilter_by_definition,
     refines_by_members,
 )
-from topolab.bitsets import points_of
-from topolab.choice import _image_kernel
+from topolab.bitsets import mask_of, points_of
+from topolab.choice import _kernel_values
 from topolab.filters import (
     Carrier,
     FilterOnCarrier,
@@ -39,7 +39,7 @@ def all_filters(carrier):
 
 def image_kernel(f, filt):
     """The library's image kernel of a filter under an index map."""
-    return _image_kernel(f, points_of(filt.kernel))
+    return mask_of(_kernel_values(points_of(filt.kernel))(f.image))
 
 
 class TestBasics:

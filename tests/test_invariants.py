@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import image_filter_kernel, preimage_of
-from topolab.bitsets import complement, is_subset, iter_bits, nonempty_subsets, points_of
-from topolab.choice import _image_kernel, enumerate_choice_functions
+from topolab.bitsets import complement, is_subset, iter_bits, mask_of, nonempty_subsets, points_of
+from topolab.choice import _kernel_values, enumerate_choice_functions
 from topolab.filters import FilterOnCarrier, converges, enumerate_filters, points_carrier, subsets_carrier
 from topolab.funcspaces import compact_open, continuous_maps, set_open_topology
 from topolab.hyperspaces import compacts, hit, lower_vietoris, miss, upper_vietoris, vietoris
@@ -174,7 +174,7 @@ class TestChoiceImageFormula:
             for f in enumerate_choice_functions(n):
                 for bits in range(1, 1 << len(fam), 3):
                     phi = FilterOnCarrier(carrier, bits)
-                    assert _image_kernel(f, points_of(bits)) == image_filter_kernel(f, phi)
+                    assert mask_of(_kernel_values(points_of(bits))(f.image)) == image_filter_kernel(f, phi)
 
     def test_choice_values_stay_inside(self):
         for n in (2, 3):

@@ -39,9 +39,10 @@ from operator import and_, or_
 
 import pytest
 
-from topolab import choice, filters, funcspaces, hyperspaces, spaces
+from topolab import choice, filters, funcspaces, hyperspaces, spaces, suites
 from topolab.bitsets import full_mask, iter_bits
 from topolab.cli import main
+from topolab.filters import FilterOnCarrier
 from topolab.funcspaces import FunctionSpace
 from topolab.hyperspaces import HyperSpace
 from topolab.spaces import FiniteSpace
@@ -122,6 +123,18 @@ def _converges_reversed(monkeypatch):
         monkeypatch.setattr(module, "converges", mutant)
 
 
+def _limit_set_reads_the_next_subset(monkeypatch):
+    """``limit_set_P`` reads each map's value on subset i + 1 (mod 2^n − 1) for a kernel index i, in every module that reads it."""
+    real = choice.limit_set_P
+
+    def mutant(space, phi):
+        size = phi.carrier.size
+        return real(space, FilterOnCarrier(phi.carrier, sum(1 << (i + 1) % size for i in iter_bits(phi.kernel))))
+
+    for module in (choice, suites):
+        monkeypatch.setattr(module, "limit_set_P", mutant)
+
+
 def _canonical_form_as_identity(monkeypatch):
     """``canonical_form`` returns the neighbourhood array as it is, relabelling nothing."""
     monkeypatch.setattr(spaces, "canonical_form", lambda space: space.nbhds)
@@ -134,6 +147,7 @@ MUTANTS = [
     ("vietoris-as-lower", _vietoris_as_lower, "finality-square", 2, 30),
     ("hull-without-last-point", _hull_without_last_point, "vietoris-inclusion", 2, 30),
     ("converges-reversed", _converges_reversed, "choice-lemma", 2, 30),
+    ("limit-set-reads-the-next-subset", _limit_set_reads_the_next_subset, "choice-lemma", 2, 30),
 ]
 
 # (name, patch, suite, max_n, checks): mutants the suite cannot see, with its check count under them
