@@ -104,9 +104,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _resolve_family(space, spec: str):
-    if spec == "all":
-        return tuple(range(1, 1 << space.n))
-    if spec == "compacts":
+    if spec in ("all", "compacts"):  # on a finite space every subset is compact
         return compacts(space)
     if spec == "closeds":
         return closeds(space)

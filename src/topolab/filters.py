@@ -30,14 +30,6 @@ class Carrier(Frozen):
             raise ValueError("carrier elements must be distinct")
         self.__dict__["elements"] = elements
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((self.elements,))
-
     @property
     def size(self) -> int:
         return len(self.elements)
@@ -70,14 +62,6 @@ class FilterOnCarrier(Frozen):
             raise ValueError("filter kernel must be a non-empty mask over the carrier's indices")
         fields = self.__dict__
         fields["carrier"], fields["kernel"] = carrier, kernel
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.carrier == other.carrier and self.kernel == other.kernel
-
-    def __hash__(self) -> int:
-        return hash((self.carrier, self.kernel))
 
     def kernel_elements(self) -> tuple:
         return tuple(self.carrier.elements[i] for i in iter_bits(self.kernel))

@@ -5,9 +5,9 @@ sources are pairs (X, A) of a domain space and a compact subset, each
 contributing the map f ↦ f(A) from the compact-open function space to the
 hyperspace carrier.  Every final topology here comes from one kernel,
 ``spaces.final_from_edges``: each source pushes the minimal-neighbourhood
-edges f → g of its function space forward to the edges f(A) → g(A), and the
-final topology is their reflexive transitive closure.  No candidate subsets
-of the carrier are scanned.
+edges f → g of its function space forward to the edges f(A) → g(A)
+(``pushed_edges``), and the final topology is their reflexive transitive
+closure.  No candidate subsets of the carrier are scanned.
 
 The function-space neighbourhoods come from the carrier's pull-back, or,
 with the "materialize" strategy, from the listed opens of the compact-open
@@ -21,7 +21,7 @@ restriction of the map to A.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .bitsets import complement, is_subset, iter_bits, mask_of, points_of
 from .errors import SizeLimitExceeded
@@ -44,6 +44,29 @@ class FinalitySetup(NamedTuple):
     sources: tuple[tuple[FiniteSpace, int], ...]
     computed: FiniteSpace  # final topology over the family indices
     strategy: str
+
+
+def pushed_edges(groups: dict[int, int], mins: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The edges v → u where some U_f with f ↦ v holds a g ↦ u.
+
+    ``groups`` maps each value v of a coordinate f ↦ v on a function space
+    to the mask of the maps sent to v, and ``mins`` is the space's
+    minimal-neighbourhood array.  A map between finite spaces is continuous
+    iff it is monotone for the specialization preorders, so the coordinate
+    is continuous into a topology T on the values iff every edge v → u lies
+    in T's preorder, u ∈ U_v; and the final topology of such coordinates is
+    the reflexive transitive closure of their edges (``final_from_edges``).
+    """
+    items = groups.items()
+    for v, members in items:
+        reach = 0
+        while members:  # iter_bits inlined: the inclusion suite calls this once per (pair, compact)
+            low = members & -members
+            reach |= mins[low.bit_length() - 1]
+            members ^= low
+        for u, others in items:
+            if reach & others:
+                yield v, u
 
 
 def final_over_projections(
@@ -78,12 +101,7 @@ def final_over_projections(
                 ) from exc
         else:
             mins = fsp.min_nbhds
-        groups = fsp.images(a)
-        for k, members in groups.items():  # the edge k → j when some U_f, f(A) = k, holds a g with g(A) = j
-            reach = 0
-            for fi in iter_bits(members):
-                reach |= mins[fi]
-            edges.update((k, j) for j, others in groups.items() if reach & others)
+        edges.update(pushed_edges(fsp.images(a), mins))
     computed = final_from_edges(len(family), edges)
     return FinalitySetup(cod, family, tuple((s, a) for s, a in sources), computed, strategy)
 

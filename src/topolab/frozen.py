@@ -1,19 +1,44 @@
 """The base of the library's immutable value classes.
 
-Each value class writes its own ``__init__``, ``__eq__`` and ``__hash__``
-over its fields, as a frozen record would, with no code generated when the
-class is defined; the base refuses assignment and deletion and prints the
-fields.  ``__init__`` writes the fields into the instance ``__dict__`` or
-through the slot descriptors, and ``functools.cached_property`` writes its
-value into ``__dict__``, so neither goes through ``__setattr__``.
+Each value class writes its own ``__init__``, with its checks, and names
+its fields in ``_fields``.  The base does the rest, as a frozen record
+would, with no code generated: when a subclass is defined it gets one
+getter for the field tuple, and the base's ``__eq__`` (same class, equal
+field tuples), ``__hash__`` (the hash of the field tuple) and
+``__reduce__`` (the class and its field tuple, so unpickling re-runs the
+checking constructor) read it.  The base refuses assignment and deletion
+and prints the fields.  ``__init__`` writes the fields into the instance
+``__dict__`` or through the slot descriptors, and
+``functools.cached_property`` writes its value into ``__dict__``, so
+neither goes through ``__setattr__``.
 """
+
+from operator import attrgetter
 
 
 class Frozen:
-    """Assigning or deleting an attribute raises AttributeError; the repr names the ``_fields``."""
+    """Equality, hashing and pickling over the ``_fields``; assigning or deleting an attribute raises AttributeError."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # attrgetter of one name returns the value itself, not a 1-tuple
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")

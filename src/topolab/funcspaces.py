@@ -25,8 +25,8 @@ meet U_y for each y ∈ B.  So a pull-back costs the square of the distinct
 images of each slot, not the 4^|cod| of a hyperspace on the 2^|cod| − 1
 compacts.  The image tables that ``images`` hands out are keyed by
 hyperpoint: the position of f(A) in ``compacts(cod)``.  The inclusion
-suite reads them but decides the continuity of one coordinate per value
-group itself (``suites._continuous_along``).
+suite reads them and decides the continuity of a coordinate from the
+edges they push forward (``finality.pushed_edges``).
 
 A FunctionSpace works on whole image columns and function masks, never
 map by map in Python.  ``_columns[x]`` holds f(x) for every carrier map,
@@ -165,19 +165,6 @@ class FunctionSpace(Frozen):
         # _columns[x][i] = functions[i](x), the image tuples transposed: every
         # table reads them, and a cached_property would cost a lock per space
         fields["_columns"] = (*zip(*map(attrgetter("image"), functions)),) or ((),) * dom.n
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.dom == other.dom
-            and self.cod == other.cod
-            and self.functions == other.functions
-            and self.family == other.family
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dom, self.cod, self.functions, self.family))
 
     @property
     def size(self) -> int:

@@ -23,8 +23,9 @@ base's U_x, and no open of the base is listed:
 recurrences L(A) = L(A − a) ∩ hit(U_a) and hull(A) = hull(A − a) ∪ U_a
 over the lowest point a of A, and keeps them in one cache of 256 (space,
 family) pairs, which ``lower_vietoris``, ``upper_vietoris`` and
-``vietoris`` share.  These are exact; the subbase route is kept in the
-test oracles.
+``vietoris`` share.  The family is the ground set of each, so its size is
+checked against the point guard before a build and again on a cache
+hit.  These are exact; the subbase route is kept in the test oracles.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from functools import lru_cache
 from operator import and_
 from typing import Sequence
 
+from . import limits
 from .bitsets import canon_family, is_subset, meets, nonempty_subsets
 from .errors import NotOpen
 from .filters import FilterOnCarrier, converges
@@ -53,22 +55,10 @@ class HyperSpace(Frozen):
         fields = self.__dict__
         fields["base"], fields["family"], fields["topology"], fields["variant"] = base, family, topology, variant
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.base == other.base
-            and self.family == other.family
-            and self.topology == other.topology
-            and self.variant == other.variant
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.family, self.topology, self.variant))
-
 
 def _check_family(space: FiniteSpace, family: Sequence[int]) -> tuple[int, ...]:
     fam = canon_family(family)
+    limits.guard_points(len(fam), "the hyperspace")  # the family is its ground set
     if fam and (fam[0] <= 0 or fam[-1] > space.full):  # sorted, so the least and greatest members decide
         raise ValueError("family members must be non-empty subsets of the base")
     return fam
@@ -159,19 +149,26 @@ def _hyperspace(space: FiniteSpace, family: tuple[int, ...]) -> tuple[HyperSpace
     )
 
 
+def _guarded(space: FiniteSpace, family: tuple[int, ...]) -> tuple[HyperSpace, HyperSpace, HyperSpace]:
+    """``_hyperspace``, its family checked against the point guard again, as a cached build may predate a smaller guard."""
+    built = _hyperspace(space, family)
+    limits.guard_points(len(built[0].family), "the hyperspace")
+    return built
+
+
 def lower_vietoris(space: FiniteSpace, family: tuple[int, ...]) -> HyperSpace:
     """Topology generated by the hit sets of opens."""
-    return _hyperspace(space, family)[0]
+    return _guarded(space, family)[0]
 
 
 def upper_vietoris(space: FiniteSpace, family: tuple[int, ...]) -> HyperSpace:
     """Topology generated by the miss sets of closed complements of opens."""
-    return _hyperspace(space, family)[1]
+    return _guarded(space, family)[1]
 
 
 def vietoris(space: FiniteSpace, family: tuple[int, ...]) -> HyperSpace:
     """Join of the lower and upper topologies (generated by both subbases)."""
-    return _hyperspace(space, family)[2]
+    return _guarded(space, family)[2]
 
 
 def vietoris_basic(space: FiniteSpace, family: Sequence[int], cover: Sequence[int]) -> tuple[int, ...]:
@@ -199,7 +196,10 @@ def compacts(space: FiniteSpace) -> tuple[int, ...]:
     """Non-empty compact subsets: by theorem, the non-empty powerset of a finite space.
 
     They come in ascending mask order, so compact k sits at position k − 1.
+    Their count 2^n − 1 is checked against the point guard before any is
+    listed.
     """
+    limits.guard_points((1 << space.n) - 1, "the compacts")
     return tuple(nonempty_subsets(space.n))
 
 

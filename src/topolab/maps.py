@@ -26,17 +26,6 @@ class FiniteMap(Frozen):
         if self.image and not (0 <= min(self.image) and max(self.image) < self.cod_n):
             raise ValueError("image entries must lie in the codomain")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.dom_n == other.dom_n and self.cod_n == other.cod_n and self.image == other.image
-
-    def __hash__(self) -> int:
-        return hash((self.dom_n, self.cod_n, self.image))
-
-    def __reduce__(self):
-        return FiniteMap, (self.dom_n, self.cod_n, self.image)
-
     def __call__(self, x: int) -> int:
         return self.image[x]
 

@@ -64,14 +64,6 @@ class FiniteSpace(Frozen):
         fields = self.__dict__
         fields["n"], fields["nbhds"] = n, nbhds
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.nbhds == other.nbhds
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.nbhds))
-
     @property
     def full(self) -> int:
         return full_mask(self.n)
@@ -375,14 +367,6 @@ class ProductCodec(Frozen):
 
     def __init__(self, sizes: tuple[int, ...]):
         self.__dict__["sizes"] = sizes
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sizes == other.sizes
-
-    def __hash__(self) -> int:
-        return hash((self.sizes,))
 
     @property
     def total(self) -> int:

@@ -38,7 +38,7 @@ from .choice import (
 )
 from .errors import NotATopology, SizeLimitExceeded, TopolabError
 from .filters import enumerate_ultrafilters, subsets_carrier
-from .finality import check_finality_discrete_square, stone_cech_finite_discrete
+from .finality import check_finality_discrete_square, pushed_edges, stone_cech_finite_discrete
 from .funcspaces import compact_open, continuous_maps, mu_embedding_report
 from .hyperspaces import _hit_index_mask, compacts, vietoris
 from .spaces import enumerate_topologies, homeomorphism_classes, make_space
@@ -196,27 +196,9 @@ def _class_pair_sweep(name: str, pair: Callable, max_n: int, jobs: int) -> RunRe
 # ---------------------------------------------------------------- inclusion
 
 def _continuous_along(slot: dict[int, int], hmins, mins) -> bool:
-    """f ↦ f(a) is continuous: the U_f of each value group lie in its pulled-back neighbourhood.
-
-    ``slot`` maps each hyperpoint v to the mask of the maps with f(a) = v,
-    ``hmins`` is the hyperspace's and ``mins`` the carrier's
-    minimal-neighbourhood array.  The maps g with g(a) in the
-    neighbourhood of v are the union of the groups whose hyperpoint lies
-    in it, and the union of U_f over the group of v must lie inside them.
-    """
-    items = tuple(slot.items())
-    for v, members in items:
-        near = hmins[v]
-        up = 0
-        for u, others in items:
-            if near >> u & 1:
-                up |= others
-        reach = 0
-        while members:
-            low = members & -members
-            reach |= mins[low.bit_length() - 1]
-            members ^= low
-        if reach & ~up:
+    """f ↦ f(a) is continuous into the hyperspace of ``hmins``: every pushed edge v → u has u ∈ U_v (``pushed_edges``)."""
+    for v, u in pushed_edges(slot, mins):  # a loop: all() over a generator expression resumes a second generator per edge
+        if not hmins[v] >> u & 1:
             return False
     return True
 
@@ -228,12 +210,12 @@ def _inclusion_pair(args) -> tuple[int, list]:
     the singletons depend on the pair only and are built once.  For each
     compact a the image table ``images(a)`` gives one function mask per
     hyperpoint, and every preimage is a union of them.  The map into the
-    Vietoris hyperspace is continuous when each U_f lies in the Vietoris
-    neighbourhood of f(a) pulled back along f ↦ f(a), decided once per
-    value group (``_continuous_along``).  When it holds, every Vietoris
-    open, the miss and hit index masks (the Vietoris subbase) among them,
-    pulls back to an open.  The Vietoris opens are counted, and listed one
-    by one only to name the witnesses when continuity fails.
+    Vietoris hyperspace is continuous when every edge it pushes forward
+    lies in the Vietoris preorder (``_continuous_along``).  When it holds,
+    every Vietoris open, the miss and hit index masks (the Vietoris
+    subbase) among them, pulls back to an open.  The Vietoris opens are
+    counted, and listed one by one only to name the witnesses when
+    continuity fails.
     """
     (nx, xi, x), (ny, yi, y) = args
     checked = 0

@@ -27,8 +27,8 @@ The hyperspace embedding
 is decided from cylinder preimages and the images of opens, over a carrier
 topology built from its subbase, and the hit-and-miss identities of one
 (X, Y) pair by scanning every open of the Vietoris hyperspace.  Image
-tables of a function carrier and the projections f ↦ f(A) are built map by
-map with ``image_of``, and
+tables of a function carrier, the projections f ↦ f(A) and the edges
+f(A) → g(A) they push forward are built map by map with ``image_of``, and
 neighbourhoods are pulled back over every family member, through the upper
 Vietoris or the Vietoris hyperspace on every non-empty subset of the
 codomain, where the library builds the tables column-wise from its point
@@ -487,6 +487,12 @@ def set_open_min_nbhds_by_maps(fs) -> tuple[int, ...]:
 
     groups = image_groups_by_maps(fs.functions, fs.family)
     return pull_back_all_slots(fs.size, groups, lambda v, u: u & ~hull(v) == 0)
+
+
+def pushed_edges_by_maps(fs, a: int) -> set[tuple[int, int]]:
+    """The edges (f(a), g(a)) for each carrier map f and each g ∈ U_f, as positions in the non-empty subsets of the codomain, one image_of call per map."""
+    position = [f.image_of(a) - 1 for f in fs.functions]
+    return {(position[i], position[j]) for i, u in enumerate(fs.min_nbhds) for j in _bits(u)}
 
 
 def hyperspace_pull_back(builder, cod: FiniteSpace, size: int, groups) -> tuple[int, ...]:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import topolab
 from topolab.cli import main
 from topolab.limits import DEFAULT_MAX_POINTS as GUARD
 from topolab.suites import SUITE_NAMES
@@ -401,6 +406,46 @@ class TestExitCodeContract:
         assert time.perf_counter() - start < 2
         err = capsys.readouterr().err
         assert "open-set limit" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("family", ["compacts", "all", "@file"])
+    def test_hyperspace_over_the_point_guard_exits_2(self, tmp_path, capsys, family):
+        # the family is the hyperspace's ground set: the 127 non-empty
+        # subsets of an indiscrete 7-point space pass a guard of 100 points
+        path = tmp_path / "i7.json"
+        path.write_text(json.dumps({"n": 7, "opens": [[], list(range(7))]}))
+        if family == "@file":
+            members = tmp_path / "family.json"
+            members.write_text(json.dumps([[x for x in range(7) if m >> x & 1] for m in range(1, 128)]))
+            family = f"@{members}"
+        assert main(["hyper", "--space", str(path), "--family", family, "--limit-points", "100"]) == 2
+        err = capsys.readouterr().err
+        assert "size limit" in err and "127 points" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["hyper", "--family", "compacts"], ["hyper", "--family", "all"], ["funcspace", "--cod", "{point}"]],
+        ids=["hyper-compacts", "hyper-all", "funcspace"],
+    )
+    def test_thirty_points_exit_2_in_bounded_memory(self, tmp_path, command):
+        # the 2^30 − 1 compacts of a 30-point space are refused before one is
+        # listed; the child's address space is capped, so listing them would
+        # end in a MemoryError traceback, not in swap
+        space = tmp_path / "i30.json"
+        space.write_text(json.dumps({"n": 30, "opens": [[], list(range(30))]}))
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"n": 1, "opens": [[], [0]]}))
+        flag = "--space" if command[0] == "hyper" else "--dom"
+        argv = [arg.replace("{point}", str(point)) for arg in command] + [flag, str(space)]
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from topolab.cli import main\n"
+            "raise SystemExit(main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(topolab.__file__).parent.parent)}
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr[-2000:]
+        assert "size limit" in done.stderr and "Traceback" not in done.stderr
 
     @settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(body=space_bodies())

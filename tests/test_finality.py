@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import vietoris_contained_by_opens
+from oracles import pushed_edges_by_maps, vietoris_contained_by_opens
 from topolab.errors import SizeLimitExceeded
 from topolab.finality import (
     FinalitySetup,
@@ -8,13 +8,44 @@ from topolab.finality import (
     check_vietoris_contained,
     final_from_discrete_sources,
     final_over_projections,
+    pushed_edges,
     stone_cech_finite_discrete,
 )
-from topolab import finality
-from topolab.hyperspaces import compacts
-from topolab.spaces import discrete_space, enumerate_topologies, sierpinski_space
+from topolab import finality, suites
+from topolab.funcspaces import compact_open
+from topolab.hyperspaces import compacts, vietoris
+from topolab.spaces import discrete_space, enumerate_topologies, homeomorphism_classes, sierpinski_space
 
 S = sierpinski_space()
+
+
+class TestPushedEdges:
+    def test_against_the_map_by_map_edges_and_the_continuity_theorem(self):
+        # every class pair with n <= 3 and every compact a: the edges match
+        # the map-by-map oracle, and f ↦ f(a) is continuous into the Vietoris
+        # and the discrete topology on the compacts exactly when every edge
+        # lies in the target's preorder, decided here by pulling back opens
+        reps = [rep for n in (1, 2, 3) for rep, _ in homeomorphism_classes(n)]
+        checked = discrete_targets = 0
+        for x in reps:
+            for y in reps:
+                fsp = compact_open(x, y)
+                hyper = vietoris(y, compacts(y)).topology
+                for a in compacts(x):
+                    slot = fsp.images(a)
+                    edges = set(pushed_edges(slot, fsp.min_nbhds))
+                    assert edges == pushed_edges_by_maps(fsp, a), (x, y, a)
+
+                    def preimage(index_mask):
+                        return sum(m for v, m in slot.items() if index_mask >> v & 1)
+
+                    continuous = all(fsp.is_open(preimage(o)) for o in hyper.opens)
+                    assert suites._continuous_along(slot, hyper.min_nbhds, fsp.min_nbhds) == continuous
+                    into_discrete = all(fsp.is_open(m) for m in slot.values())
+                    assert into_discrete == all(v == u for v, u in edges)
+                    checked += 1
+                    discrete_targets += into_discrete
+        assert (checked, discrete_targets) == (949, 219)  # both verdicts occur
 
 
 class TestFinalOverProjections:

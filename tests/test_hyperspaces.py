@@ -11,8 +11,9 @@ from oracles import (
     slow_subbase_closure,
     union_closure,
 )
+from topolab import limits
 from topolab.bitsets import is_subset, nonempty_subsets
-from topolab.errors import NotOpen
+from topolab.errors import NotOpen, SizeLimitExceeded
 from topolab.filters import FilterOnCarrier, subsets_carrier
 from topolab.hyperspaces import (
     HyperSpace,
@@ -30,6 +31,34 @@ from topolab.spaces import discrete_space, indiscrete_space, sierpinski_space
 
 S = sierpinski_space()
 P2 = tuple(nonempty_subsets(2))  # {0},{1},X as masks 1,2,3
+
+
+class TestPointGuard:
+    # the family is the hyperspace's ground set
+    def test_compacts_are_counted_before_they_are_listed(self):
+        limits.set_limits(points=6)
+        try:
+            with pytest.raises(SizeLimitExceeded, match="the compacts would have 7 points"):
+                compacts(indiscrete_space(3))
+        finally:
+            limits.reset_limits()
+
+    @pytest.mark.parametrize("builder", [lower_vietoris, upper_vietoris, vietoris])
+    def test_bound_is_the_family_size(self, builder):
+        space, family = indiscrete_space(3), tuple(nonempty_subsets(3))
+
+        def build(points):
+            limits.set_limits(points=points)
+            try:
+                return builder(space, family)
+            finally:
+                limits.reset_limits()
+
+        with pytest.raises(SizeLimitExceeded, match="the hyperspace would have 7 points"):
+            build(6)
+        assert build(7).topology.n == 7
+        with pytest.raises(SizeLimitExceeded):  # the build is cached now, made under a larger guard
+            build(6)
 
 
 class TestHitMiss:

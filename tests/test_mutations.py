@@ -25,7 +25,15 @@ Known survivors, pinned in ``SURVIVORS`` with their check counts:
   discrete Y every U_a is {a}, so the mutant equals the kernel there;
 * every suite passes under ``canonical-form-as-identity``, as none reads
   ``canonical_form``: ``homeomorphism_classes`` names each orbit by
-  relabelling its first member itself.
+  relabelling its first member itself;
+* every suite passes under ``final-from-edges-without-closure``.  Only
+  ``finality-square`` builds a final topology, and on its discrete Y every
+  pushed edge f(A) → g(A) is a loop, so there is nothing to close;
+* every suite passes under ``continuous-along-always-true``: it is
+  equivalent to the kernel on a correct library.  Every f ↦ f(a) from the
+  compact-open space into the Vietoris hyperspace is continuous, so the
+  Vietoris opens that the shortcut skips all pull back to opens, and the
+  suite counts them either way.
 
 Before and after each run the caches of results built from the kernels
 (``CACHES``) are emptied, so the kernel's results do not serve the mutant
@@ -39,7 +47,7 @@ from operator import and_, or_
 
 import pytest
 
-from topolab import choice, filters, funcspaces, hyperspaces, spaces, suites
+from topolab import choice, filters, finality, funcspaces, hyperspaces, spaces, suites
 from topolab.bitsets import full_mask, iter_bits
 from topolab.cli import main
 from topolab.filters import FilterOnCarrier
@@ -140,6 +148,24 @@ def _canonical_form_as_identity(monkeypatch):
     monkeypatch.setattr(spaces, "canonical_form", lambda space: space.nbhds)
 
 
+def _final_from_edges_without_closure(monkeypatch):
+    """``final_from_edges`` adds the loops and the edges but skips Warshall's transitive closure, in every module that reads it."""
+
+    def mutant(n, edges):
+        reach = [1 << x for x in range(n)]
+        for a, b in edges:
+            reach[a] |= 1 << b
+        return FiniteSpace(n, tuple(reach))
+
+    for module in (spaces, finality):
+        monkeypatch.setattr(module, "final_from_edges", mutant)
+
+
+def _continuous_along_always_true(monkeypatch):
+    """``suites._continuous_along`` reads no edge from ``pushed_edges``, so every coordinate counts as continuous."""
+    monkeypatch.setattr(suites, "pushed_edges", lambda groups, mins: iter(()))
+
+
 # (name, patch, suite, max_n, seconds)
 MUTANTS = [
     ("box-without-last-coordinate", _box_without_last_coordinate, "vietoris-inclusion", 2, 30),
@@ -157,6 +183,8 @@ SURVIVORS = [
     ("vietoris-as-lower", _vietoris_as_lower, "vietoris-inclusion", 2, 923),
     ("hull-without-last-point", _hull_without_last_point, "finality-square", 3, 5),
     ("canonical-form-as-identity", _canonical_form_as_identity, "vietoris-inclusion", 2, 988),
+    ("final-from-edges-without-closure", _final_from_edges_without_closure, "finality-square", 3, 5),
+    ("continuous-along-always-true", _continuous_along_always_true, "vietoris-inclusion", 2, 988),
 ]
 
 

@@ -3,14 +3,15 @@
 A fresh import of ``topolab`` and ``topolab.cli`` loads no code generator
 and no numpy, and builds no lookup table at module level.
 
-Each value class writes its constructor, equality and hash by hand on the
-base ``topolab.frozen.Frozen``; the report records are named tuples.  The
-tests pin what a frozen record gives: the positional and keyword
+Each value class writes its constructor by hand and names its fields on
+the base ``topolab.frozen.Frozen``, which alone writes the equality, the
+hash and the ``__reduce__`` over them; the report records are named tuples.
+The tests pin what a frozen record gives: the positional and keyword
 constructors, equality and hashing over the fields, a repr that names them,
-AttributeError on assignment, and a pickle round trip, for which a slotted
-class that refuses assignment needs its own ``__reduce__``.  The hash is
-that of the field tuple, as a frozen record's is, so sets of spaces iterate
-in the same order as ever.
+AttributeError on assignment, and a pickle round trip, which re-runs the
+constructor.  The hash is that of the field tuple, as a frozen record's is,
+so sets of spaces iterate in the same order as ever.  No value class
+writes its own copy of the protocol.
 """
 
 import os
@@ -25,6 +26,7 @@ import topolab
 from topolab.choice import PropertyAClassification, PropertyAReport
 from topolab.filters import Carrier, FilterOnCarrier
 from topolab.finality import FinalitySetup, InclusionReport, SquareFinalityReport, StoneCechReport
+from topolab.frozen import Frozen
 from topolab.funcspaces import FunctionSpace, MuEmbeddingReport
 from topolab.hyperspaces import HyperSpace
 from topolab.maps import FiniteMap
@@ -104,6 +106,22 @@ class TestValueClasses:
         with pytest.raises(AttributeError):
             value.extra = 1
         assert value == cls(*args)
+
+
+def test_only_the_base_writes_the_record_protocol():
+    classes, found = [], [Frozen]
+    while found:
+        cls = found.pop()
+        classes.append(cls)
+        found.extend(cls.__subclasses__())
+    assert {cls for cls, _, _ in VALUES} <= set(classes)
+    assert [
+        (cls.__name__, name)
+        for cls in classes[1:]
+        for name in ("__eq__", "__hash__", "__reduce__")
+        if name in vars(cls)
+    ] == []
+    assert {"__eq__", "__hash__", "__reduce__"} <= set(vars(Frozen))
 
 
 def test_maps_are_slotted():
