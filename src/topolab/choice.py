@@ -6,20 +6,21 @@ ground points.  The checks in this module sweep filters on the subset
 carrier and relate their lower-Vietoris limits to the points reachable
 through choice-function images.
 
-A sweep generates every choice function (20736 on 4 points) and reads each
-once: one ``itemgetter`` over its image tuple takes its values on the
+A sweep generates the image tuple of every choice function (20736 on 4
+points) and reads each once: one ``itemgetter`` takes its values on the
 filter's kernel indices.  ``limit_set_P`` collects the distinct value
 tuples in a set and tests each distinct kernel image against the minimal
-neighbourhoods once; ``has_property_A`` stops at the first map whose values
-differ.  A 4-point ``limit_set_P`` takes about 9 ms this way, where a
-per-map image mask and n subset tests took about 33 ms (2-core host).
+neighbourhoods once; ``has_property_A`` stops at the first tuple whose
+values differ, and builds a ``FiniteMap`` only for that witness.  A
+4-point ``limit_set_P`` takes about 2.1 ms this way, where building a
+``FiniteMap`` per tuple first took about 11 ms (2-core host).
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .bitsets import is_subset, mask_of, nonempty_subsets, points_of
@@ -27,6 +28,7 @@ from .errors import SizeLimitExceeded
 from .filters import (
     FilterOnCarrier,
     converges,
+    enumerate_filters,
     is_countably_complete,
     is_ultrafilter,
     subsets_carrier,
@@ -36,22 +38,25 @@ from .spaces import FiniteSpace, closure
 from .maps import FiniteMap, _unchecked_maps
 
 
-def enumerate_choice_functions(n: int) -> Iterator[FiniteMap]:
-    """All choice functions on an n-point ground set, deterministic order.
+def _choice_images(n: int) -> Iterator[tuple[int, ...]]:
+    """The image tuples of all choice functions on n points, deterministic order.
 
-    The image tuple is indexed by the canonical subset order (mask - 1) and
-    runs lexicographically over the per-subset element choices.  Each value
-    is a point of its own subset, so the maps skip the range check.
+    Each tuple is indexed by the canonical subset order (mask - 1) and the
+    tuples run lexicographically over the per-subset element choices.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > 4:
         raise SizeLimitExceeded("choice-function enumeration is limited to n <= 4")
-    per_subset = [points_of(m) for m in nonempty_subsets(n)]
-    yield from _unchecked_maps((1 << n) - 1, n, itertools.product(*per_subset))
+    return itertools.product(*map(points_of, nonempty_subsets(n)))
 
 
-_image = attrgetter("image")
+def enumerate_choice_functions(n: int) -> Iterator[FiniteMap]:
+    """All choice functions on an n-point ground set, in the order of their image tuples.
+
+    Each value is a point of its own subset, so the maps skip the range check.
+    """
+    yield from _unchecked_maps((1 << n) - 1, n, _choice_images(n))
 
 
 def _kernel_values(kernel: tuple[int, ...]) -> itemgetter:
@@ -75,7 +80,7 @@ def limit_set_P(space: FiniteSpace, phi: FilterOnCarrier) -> int:
     if phi.carrier.size != (1 << n) - 1:
         raise ValueError("filter must live on the subset carrier of the space")
     read = _kernel_values(points_of(phi.kernel))
-    values = set(map(read, map(_image, enumerate_choice_functions(n))))
+    values = set(map(read, _choice_images(n)))
     p = 0
     for image in set(map(mask_of, values)):
         for x, u in enumerate(space.min_nbhds):
@@ -170,11 +175,11 @@ def has_property_A(n: int, phi: FilterOnCarrier) -> PropertyAReport:
     if phi.carrier.size != (1 << n) - 1:
         raise ValueError("filter must live on the subset carrier")
     read = _kernel_values(points_of(phi.kernel))
-    witness = next((f for f in enumerate_choice_functions(n) if len(set(read(f.image))) > 1), None)
+    witness = next((image for image in _choice_images(n) if len(set(read(image))) > 1), None)
     return PropertyAReport(
         kernel_subsets=tuple(sorted(phi.kernel_elements())),
         holds=witness is None,
-        witness=witness,
+        witness=None if witness is None else FiniteMap((1 << n) - 1, n, witness),
         is_ultrafilter=is_ultrafilter(phi),
         is_singleton=phi.kernel.bit_count() == 1,
         is_countably_complete=is_countably_complete(phi),
@@ -198,8 +203,6 @@ def classify_property_A(n: int) -> PropertyAClassification:
     if n > 3:
         raise SizeLimitExceeded("filter sweep is limited to n <= 3")
     carrier = subsets_carrier(n)
-    from .filters import enumerate_filters
-
     total = 0
     prop_a = []
     singleton = 0

@@ -24,6 +24,7 @@ from topolab.choice import (
 from topolab import choice
 from topolab.errors import SizeLimitExceeded
 from topolab.filters import FilterOnCarrier, enumerate_filters, enumerate_ultrafilters, subsets_carrier
+from topolab.maps import FiniteMap
 from topolab.spaces import closure, discrete_space, indiscrete_space, sierpinski_space
 from topolab.suites import N4_SPACE_STRIDE, suite_choice_lemma
 
@@ -227,31 +228,98 @@ class TestFilterwiseAgainstKernelSample:
 
     def test_suite_enumerates_once_per_space_and_filter(self, monkeypatch):
         # the benchmark's tracer counts choice.enumerate_choice_functions.items only through generator functions
-        enumerate_all = choice.enumerate_choice_functions
-        assert inspect.isgeneratorfunction(enumerate_all)
-        # 1 + 4 spaces on 1 and 2 points, with 1 and 3 ultrafilters: 13 pairs
+        assert inspect.isgeneratorfunction(choice.enumerate_choice_functions)
+        twins = checked_choice_functions(4)
+        drawn = list(enumerate_choice_functions(4))
+        assert drawn == list(twins)
+        assert list(map(hash, drawn)) == list(map(hash, twins))
+        # the sweeps read image tuples: 1 + 4 spaces on 1 and 2 points, with 1 and 3 ultrafilters, 13 pairs
+        images_of = choice._choice_images
         calls = []
-        drawn = []
+        read = []
 
         def counted(n):
             calls.append(n)
-            for f in enumerate_all(n):
-                drawn.append(f)
-                yield f
+            for image in images_of(n):
+                read.append(image)
+                yield image
 
-        monkeypatch.setattr(choice, "enumerate_choice_functions", counted)
+        monkeypatch.setattr(choice, "_choice_images", counted)
         limit_set_P.cache_clear()
         report = suite_choice_lemma(max_n=2)
         assert report.failed == 0
         assert len(calls) == 13
-        # a cold 4-point call reads every choice function once, each equal to its checked twin
-        drawn.clear()
+        # a cold 4-point call reads every choice function's image tuple once, in the order of the checked maps
+        read.clear()
         limit_set_P(discrete_space(4), next(iter(enumerate_ultrafilters(subsets_carrier(4)))))
         limit_set_P.cache_clear()
-        twins = checked_choice_functions(4)
-        assert len(drawn) == len(twins) == 20736
-        assert drawn == list(twins)
-        assert list(map(hash, drawn)) == list(map(hash, twins))
+        assert len(read) == 20736
+        assert read == [f.image for f in twins]
+
+
+class TestSweepsBuildNoMaps:
+    """The sweeps read image tuples; ``has_property_A`` builds one ``FiniteMap``, its witness, and only on failure."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        unchecked, init = choice._unchecked_maps, FiniteMap.__init__
+
+        def counted_unchecked(dom_n, cod_n, images):
+            for f in unchecked(dom_n, cod_n, images):
+                built.append(f)
+                yield f
+
+        def counted_init(f, *args):
+            built.append(f)
+            init(f, *args)
+
+        monkeypatch.setattr(choice, "_unchecked_maps", counted_unchecked)
+        monkeypatch.setattr(FiniteMap, "__init__", counted_init)
+        # both counters see the maps they build: two choice functions and one checked map
+        list(enumerate_choice_functions(2))
+        FiniteMap(1, 1, (0,))
+        assert len(built) == 3
+        built.clear()
+        return built
+
+    def test_cold_four_point_limit_set_builds_no_map(self, built):
+        carrier = subsets_carrier(4)
+        limit_set_P.cache_clear()
+        try:
+            for sp in (discrete_space(4), indiscrete_space(4)):
+                for phi in (next(iter(enumerate_ultrafilters(carrier))), FilterOnCarrier(carrier, 0b101)):
+                    limit_set_P(sp, phi)
+        finally:
+            limit_set_P.cache_clear()
+        assert built == []
+
+    def test_property_a_builds_at_most_its_witness(self, built):
+        assert has_property_A(4, subset_filter(4, 0b0110)).holds
+        assert built == []
+        report = has_property_A(4, subset_filter(4, 0b0001, 0b0010))
+        assert not report.holds
+        assert len(built) == 1 and built[0] is report.witness
+
+
+class TestUltrafilterClosedForm:
+    """For an ultrafilter with kernel {S}, ``limit_set_P`` is cl(S) (ROADMAP item 2); the library keeps the sweep."""
+
+    def test_every_space_up_to_three_points(self, corpus3):
+        pairs = 0
+        for _, _, sp in corpus3:
+            for phi in enumerate_ultrafilters(subsets_carrier(sp.n)):
+                assert limit_set_P(sp, phi) == closure(sp, phi.kernel.bit_length())
+                pairs += 1
+        assert pairs == 1 * 1 + 4 * 3 + 29 * 7
+
+    def test_the_four_point_sample_of_the_suite(self, corpus_n4):
+        spaces = corpus_n4[::N4_SPACE_STRIDE]
+        ultras = list(enumerate_ultrafilters(subsets_carrier(4)))
+        assert (len(spaces), len(ultras)) == (12, 15)
+        for sp in spaces:
+            for phi in ultras:
+                assert limit_set_P(sp, phi) == closure(sp, phi.kernel.bit_length())
 
 
 class TestAgainstEnumerationOracle:

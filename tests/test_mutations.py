@@ -33,7 +33,16 @@ Known survivors, pinned in ``SURVIVORS`` with their check counts:
   equivalent to the kernel on a correct library.  Every f ↦ f(a) from the
   compact-open space into the Vietoris hyperspace is continuous, so the
   Vietoris opens that the shortcut skips all pull back to opens, and the
-  suite counts them either way.
+  suite counts them either way;
+* ``finality-square`` passes under ``compacts-one-place-on``: on its
+  discrete Y the final and the Vietoris topology on the compacts are both
+  discrete, and a discrete space relabelled is itself.  ``embedding`` and
+  ``choice-lemma`` read no ``compacts`` listing at all;
+* every suite passes under ``orbit-weight-one-more``, and only the check
+  counts of the pair suites move (988 → 1632 at max-n 2 and 3468 → 4107
+  at max-n 3), since a weight multiplies checks that pass: no suite
+  compares its totals with the labelled sweep.  The tests do, through
+  ``oracles.labelled_sweep`` and the pinned totals.
 
 Before and after each run the caches of results built from the kernels
 (``CACHES``) are emptied, so the kernel's results do not serve the mutant
@@ -47,7 +56,7 @@ from operator import and_, or_
 
 import pytest
 
-from topolab import choice, filters, finality, funcspaces, hyperspaces, spaces, suites
+from topolab import choice, cli, filters, finality, funcspaces, hyperspaces, spaces, suites
 from topolab.bitsets import full_mask, iter_bits
 from topolab.cli import main
 from topolab.filters import FilterOnCarrier
@@ -143,6 +152,31 @@ def _limit_set_reads_the_next_subset(monkeypatch):
         monkeypatch.setattr(module, "limit_set_P", mutant)
 
 
+def _compacts_one_place_on(monkeypatch):
+    """``compacts`` lists the last subset first, so compact k sits at position k, not k − 1, in every module that reads it."""
+    real = hyperspaces.compacts
+
+    def mutant(space):
+        family = real(space)
+        return family[-1:] + family[:-1]
+
+    for module in (hyperspaces, funcspaces, finality, suites, cli):
+        monkeypatch.setattr(module, "compacts", mutant)
+
+
+def _orbit_weight_one_more(monkeypatch):
+    """``homeomorphism_classes`` lists the first member of each size's last class twice, so that orbit weighs one more."""
+    real = spaces.homeomorphism_classes
+
+    def mutant(n):
+        classes = real(n)
+        rep, members = classes[-1]
+        return classes[:-1] + ((rep, members + members[:1]),)
+
+    for module in (spaces, suites):
+        monkeypatch.setattr(module, "homeomorphism_classes", mutant)
+
+
 def _canonical_form_as_identity(monkeypatch):
     """``canonical_form`` returns the neighbourhood array as it is, relabelling nothing."""
     monkeypatch.setattr(spaces, "canonical_form", lambda space: space.nbhds)
@@ -174,6 +208,7 @@ MUTANTS = [
     ("hull-without-last-point", _hull_without_last_point, "vietoris-inclusion", 2, 30),
     ("converges-reversed", _converges_reversed, "choice-lemma", 2, 30),
     ("limit-set-reads-the-next-subset", _limit_set_reads_the_next_subset, "choice-lemma", 2, 30),
+    ("compacts-one-place-on", _compacts_one_place_on, "vietoris-inclusion", 2, 30),
 ]
 
 # (name, patch, suite, max_n, checks): mutants the suite cannot see, with its check count under them
@@ -185,6 +220,9 @@ SURVIVORS = [
     ("canonical-form-as-identity", _canonical_form_as_identity, "vietoris-inclusion", 2, 988),
     ("final-from-edges-without-closure", _final_from_edges_without_closure, "finality-square", 3, 5),
     ("continuous-along-always-true", _continuous_along_always_true, "vietoris-inclusion", 2, 988),
+    ("compacts-one-place-on", _compacts_one_place_on, "finality-square", 3, 5),
+    ("orbit-weight-one-more", _orbit_weight_one_more, "vietoris-inclusion", 2, 1632),
+    ("orbit-weight-one-more", _orbit_weight_one_more, "embedding", 3, 4107),
 ]
 
 
