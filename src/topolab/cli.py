@@ -20,7 +20,7 @@ from .fileio import dumps_canonical, is_point, load_space, save_space, space_to_
 from .funcspaces import compact_open, set_open_topology
 from .hyperspaces import closeds, compacts, lower_vietoris, upper_vietoris, vietoris
 from .spaces import enumerate_topologies, generate_from_subbase, space_report
-from .suites import SUITE_NAMES, run_suites
+from .suites import SUITE_NAMES, SUITES, run_suites
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
@@ -229,9 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help=f"all | {' | '.join(SUITE_NAMES)}")
-    p.add_argument("--max-n", type=int, default=3, dest="max_n", help="largest n (>= 1) of vietoris-inclusion (<= 5), embedding (<= 5), "
-                   "choice-lemma (<= 3), property-a (<= 3) and y of finality-square (<= 3); stone-cech keeps max_d=4; "
-                   "every selected suite's bound is checked before any suite runs")
+    bounds = ", ".join(f"{name} (<= {suite.max_n})" for name, suite in SUITES.items() if suite.max_n is not None)
+    unread = ", ".join(name for name, suite in SUITES.items() if suite.max_n is None)
+    p.add_argument("--max-n", type=int, default=3, dest="max_n", help=f"largest n (>= 1), y for finality-square: {bounds}; "
+                   f"not read by {unread}; every selected suite's bound is checked before any suite runs")
     p.add_argument("--report", default=None, help="write the RunReport JSON here")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1); never more than the work items or os.cpu_count()")
     p.add_argument("--inject-fault", action="store_true", help="harness self-test: flip one open set and require a failure")

@@ -86,7 +86,7 @@ from .errors import ImageNotInFamily
 from .frozen import Frozen
 from .hyperspaces import compacts
 from .maps import FiniteMap, _unchecked_maps, all_maps
-from .spaces import FiniteSpace, is_open_in
+from .spaces import FiniteSpace, _holding, is_open_in
 
 _CARRIER = "the function space's carrier"
 
@@ -126,7 +126,7 @@ def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]
             table = cmins if dmins[e] >> x & 1 else None
             if dmins[x] >> e & 1:
                 if closures is None:  # closures[v]: the y with v ∈ U_y
-                    closures = [sum(1 << y for y, u in enumerate(cmins) if u >> v & 1) for v in range(cod.n)]
+                    closures = [_holding(cmins, v) for v in range(cod.n)]
                 table = closures if table is None else list(map(and_, cmins, closures))
             if table is not None:
                 lookups.append(map(table.__getitem__, map(itemgetter(e), images)))

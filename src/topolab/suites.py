@@ -6,15 +6,25 @@ smallest failing instance in sweep order, which makes regressions pinnable).
 A RunReport serializes to canonical JSON; identical inputs give byte-identical
 reports except for the single wall_time_s field.
 
+``SUITES`` is the registry: for each suite name, its runner
+(max_n, jobs) -> RunReport, its largest max_n (None where max_n is not
+read) and the reason for that bound.  The CLI reads its suite names and its
+``--max-n`` help from it.  Each per-item check returns one triple, (checks,
+failed checks, witnesses), and ``RunReport.add`` folds such triples into a
+report.
+
 vietoris-inclusion and embedding check statements about labelled pairs
 (X, Y) that a relabelling of X or of Y carries onto the same statements,
 so they run one pair of class representatives per pair of homeomorphism
 classes and count its checks once per labelled pair of the orbit product
 (169 class pairs for 1156 labelled pairs at max_n 3, 2116 for 151321 at
-max_n 4, 34225 for 53743561 at max_n 5).  A class pair with a failure is
-run again on each labelled pair of its orbit product, so counts and
-witnesses are those of the labelled sweep; the report records how many
-pairs stood for how many, outside the payload.
+max_n 4, 34225 for 53743561 at max_n 5).  Before the sweep, the orbits of
+each size must cover the corpus indices 0 .. T(n) − 1 once each (T from
+OEIS A000798); otherwise one failed check with an ``orbit-weights``
+witness is recorded.  A class pair with a failure is run again on each
+labelled pair of its orbit product, so counts and witnesses are those of
+the labelled sweep; the report records how many pairs stood for how many,
+outside the payload.
 
 The fault-injection hook used by the harness self-test removes the full set
 from the first corpus topology and routes the mangled family through
@@ -26,7 +36,8 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bitsets import complement, full_mask, iter_bits, points_of
 from .choice import (
@@ -43,74 +54,35 @@ from .funcspaces import compact_open, continuous_maps, mu_embedding_report
 from .hyperspaces import _hit_index_mask, compacts, vietoris
 from .spaces import enumerate_topologies, homeomorphism_classes, make_space
 
-SUITE_NAMES = (
-    "vietoris-inclusion",
-    "embedding",
-    "finality-square",
-    "stone-cech",
-    "choice-lemma",
-    "property-a",
-)
-
-# The largest max_n of each suite, with the reason; stone-cech ignores max_n.
-MAX_N = {
-    "vietoris-inclusion": (5, "sweeps the homeomorphism classes of n <= 5"),
-    "embedding": (5, "sweeps the homeomorphism classes of n <= 5"),
-    "finality-square": (3, "checks y <= 3"),
-    "choice-lemma": (3, "sweeps n <= 3 exhaustively plus a fixed 4-point sample"),
-    "property-a": (3, "knows the counts for n <= 3"),
-}
-
 STONE_CECH_MAX_D = 4  # stone-cech checks the discrete spaces on 1 to 4 points
 N4_SPACE_STRIDE = 30  # deterministic n=4 sample: corpus indices 0, 30, 60, ...
+ORBIT_SUMS = (1, 4, 29, 355, 6942)  # the labelled topologies on 1 to 5 points (OEIS A000798)
 
 
-class RunReport:
-    """The counts and witnesses of one suite run; equal when every field is, and unhashable, as it mutates."""
+class RunReport(SimpleNamespace):
+    """The counts and witnesses of one suite run; equal when every field is, and unhashable, as it mutates.
 
-    def __init__(
-        self,
-        suite: str,
-        parameters: dict,
-        checked: int = 0,
-        passed: int = 0,
-        failed: int = 0,
-        witnesses: list | None = None,
-        wall_time_s: float = 0.0,
-        class_pairs: int = 0,
-        labelled_pairs: int = 0,
-        rerun_pairs: int = 0,
-    ):
-        self.suite = suite
-        self.parameters = parameters
-        self.checked = checked
-        self.passed = passed
-        self.failed = failed
-        self.witnesses = [] if witnesses is None else witnesses
-        self.wall_time_s = wall_time_s
-        # how a class-pair sweep covered its labelled pairs; not part of the payload
-        self.class_pairs = class_pairs
-        self.labelled_pairs = labelled_pairs
-        self.rerun_pairs = rerun_pairs
+    class_pairs, labelled_pairs and rerun_pairs say how a class-pair sweep
+    covered its labelled pairs; they are not part of the payload.
+    """
 
-    __hash__ = None
+    def __init__(self, suite: str, parameters: dict):
+        super().__init__(
+            suite=suite, parameters=parameters, checked=0, passed=0, failed=0, witnesses=[], wall_time_s=0.0,
+            class_pairs=0, labelled_pairs=0, rerun_pairs=0,
+        )
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
+    def add(self, results: Iterable[tuple[int, int, Sequence[dict]]]) -> None:
+        """Fold (checks, failed checks, witnesses) triples into the totals, witnesses in order."""
+        for checked, failed, witnesses in results:
+            self.checked += checked
+            self.passed += checked - failed
+            self.failed += failed
+            self.witnesses.extend(witnesses)
 
-    def __repr__(self) -> str:
-        return f"RunReport({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
-
-    def record(self, ok: bool, witness: dict | None = None) -> None:
-        self.checked += 1
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
-            if witness is not None:
-                self.witnesses.append(witness)
+    def record(self, ok: bool, witness: dict) -> None:
+        """One check, and ``witness`` when it fails."""
+        self.add([(1, 0, ())] if ok else [(1, 1, (witness,))])
 
     def to_dict(self) -> dict:
         return {
@@ -129,15 +101,15 @@ class RunReport:
 def _check_max_n(name: str, max_n: int) -> None:
     if max_n < 1:
         raise TopolabError(f"max_n must be at least 1, got {max_n}")
-    if name in MAX_N and max_n > MAX_N[name][0]:
-        bound, reason = MAX_N[name]
-        raise SizeLimitExceeded(f"{name} {reason}; max_n {max_n} is over {bound}")
+    bound, why = SUITES[name].max_n, SUITES[name].why
+    if bound is not None and max_n > bound:
+        raise SizeLimitExceeded(f"{name} {why}; max_n {max_n} is over {bound}")
 
 
 def check_request(names: Sequence[str], max_n: int, jobs: int = 1) -> None:
     """Refuse unknown suites, max_n or jobs below 1, and a max_n over any selected suite's bound."""
     for name in names:
-        if name not in SUITE_NAMES:
+        if name not in SUITES:
             raise TopolabError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
         _check_max_n(name, max_n)
     if jobs < 1:
@@ -161,32 +133,31 @@ def _class_pair_sweep(name: str, pair: Callable, max_n: int, jobs: int) -> RunRe
     ``pair`` maps ((nx, xi, x), (ny, yi, y)) to (checks, failed checks,
     witnesses) and is invariant under relabelling X and Y independently.  It
     runs once on each pair of class representatives, and its checks count
-    |orbit X|·|orbit Y| times.  A class pair with a failure is run again on
-    every labelled pair of its orbit product, and those results are added in
-    the labelled sweep's order, so the report is the labelled sweep's.
+    |orbit X|·|orbit Y| times, once the orbits are checked to cover the
+    corpus.  A class pair with a failure is run again on every labelled pair
+    of its orbit product, and those results are added in the labelled
+    sweep's order, so the report is the labelled sweep's.
     """
     _check_max_n(name, max_n)
     report = RunReport(name, {"max_n": max_n})
-    classes = [
-        [(n, i, space) for i, space in members]
-        for n in range(1, max_n + 1)
-        for _, members in homeomorphism_classes(n)
-    ]
+    classes = []
+    for n in range(1, max_n + 1):
+        orbits = [[(n, i, space) for i, space in members] for _, members in homeomorphism_classes(n)]
+        found = sorted(i for orbit in orbits for _, i, _ in orbit)
+        if found != list(range(ORBIT_SUMS[n - 1])):
+            witness = {"kind": "orbit-weights", "n": n, "found": len(found), "expected": ORBIT_SUMS[n - 1]}
+            report.add([(1, 1, [witness])])
+        classes += orbits
     class_pairs = [(cx, cy) for cx in classes for cy in classes]
     results = _pmap(pair, [(cx[0], cy[0]) for cx, cy in class_pairs], jobs)
-    failing = []
-    for (cx, cy), (checked, failed, _) in zip(class_pairs, results):
-        if failed:
-            failing += [(sx, sy) for sx in cx for sy in cy]
-        else:
-            report.checked += checked * len(cx) * len(cy)
-            report.passed += checked * len(cx) * len(cy)
+    report.add(
+        (checked * len(cx) * len(cy), 0, ())
+        for (cx, cy), (checked, failed, _) in zip(class_pairs, results)
+        if not failed
+    )
+    failing = [(sx, sy) for (cx, cy), (_, failed, _) in zip(class_pairs, results) if failed for sx in cx for sy in cy]
     failing.sort(key=lambda args: (args[0][:2], args[1][:2]))  # (nx, xi, ny, yi): the labelled order
-    for checked, failed, witnesses in _pmap(pair, failing, jobs):
-        report.checked += checked
-        report.passed += checked - failed
-        report.failed += failed
-        report.witnesses.extend(witnesses)
+    report.add(_pmap(pair, failing, jobs))
     report.class_pairs = len(class_pairs)
     report.labelled_pairs = sum(map(len, classes)) ** 2
     report.rerun_pairs = len(failing)
@@ -203,7 +174,7 @@ def _continuous_along(slot: dict[int, int], hmins, mins) -> bool:
     return True
 
 
-def _inclusion_pair(args) -> tuple[int, list]:
+def _inclusion_pair(args) -> tuple[int, int, list]:
     """Hit-and-miss identities and Vietoris openness of the maps f ↦ f(a).
 
     The miss and hit index masks over compacts(y) and the subbasic sets of
@@ -215,7 +186,7 @@ def _inclusion_pair(args) -> tuple[int, list]:
     every Vietoris open, the miss and hit index masks (the Vietoris
     subbase) among them, pulls back to an open.  The Vietoris opens are
     counted, and listed one by one only to name the witnesses when
-    continuity fails.
+    continuity fails.  Each witness is one failed check.
     """
     (nx, xi, x), (ny, yi, y) = args
     checked = 0
@@ -278,16 +249,11 @@ def _inclusion_pair(args) -> tuple[int, list]:
                 witnesses.append(
                     tag("vietoris-open-preimage-not-open", a=a_points, hyper_open=list(iter_bits(ovm)))
                 )
-    return checked, witnesses
-
-
-def _inclusion_counts(args) -> tuple[int, int, list]:
-    checked, witnesses = _inclusion_pair(args)
     return checked, len(witnesses), witnesses
 
 
 def suite_vietoris_inclusion(max_n: int = 3, jobs: int = 1) -> RunReport:
-    return _class_pair_sweep("vietoris-inclusion", _inclusion_counts, max_n, jobs)
+    return _class_pair_sweep("vietoris-inclusion", _inclusion_pair, max_n, jobs)
 
 
 # ---------------------------------------------------------------- embedding
@@ -322,22 +288,18 @@ def suite_finality_square(max_y: int = 3) -> RunReport:
     report = RunReport("finality-square", {"max_y": max_y})
     for y_n in range(1, max_y + 1):
         rep = check_finality_discrete_square(y_n)
-        witness = None
-        if not rep.equal:
-            extra = sorted(set(rep.computed.opens) - set(rep.expected.opens))
-            missing = sorted(set(rep.expected.opens) - set(rep.computed.opens))
-            witness = {
+        computed, expected = set(rep.computed.opens), set(rep.expected.opens)
+        report.record(
+            rep.equal,
+            {
                 "kind": "finality-square",
                 "y_n": y_n,
-                "final_only_opens": extra[:4],
-                "vietoris_only_opens": missing[:4],
-            }
-        report.record(rep.equal, witness)
+                "final_only_opens": sorted(computed - expected)[:4],
+                "vietoris_only_opens": sorted(expected - computed)[:4],
+            },
+        )
         if y_n >= 2:
-            report.record(
-                rep.expected_is_discrete,
-                None if rep.expected_is_discrete else {"kind": "vietoris-not-discrete", "y_n": y_n},
-            )
+            report.record(rep.expected_is_discrete, {"kind": "vietoris-not-discrete", "y_n": y_n})
     return report
 
 
@@ -353,13 +315,14 @@ def suite_stone_cech() -> RunReport:
             ("base-clopen", rep.base_is_clopen),
             ("clopen-closure-form", rep.clopen_closure_form),
         ):
-            report.record(ok, None if ok else {"kind": name, "d_n": d_n})
+            report.record(ok, {"kind": name, "d_n": d_n})
     return report
 
 
 # --------------------------------------------------------------- choice lemma
 
-def _choice_space(args) -> tuple[int, list]:
+def _choice_space(args) -> tuple[int, int, list]:
+    """(checks, failed checks, witnesses) of one space; a vacuous-limit-set witness is informational, not a failure."""
     n, si, space = args
     checked = 0
     witnesses: list = []
@@ -386,7 +349,7 @@ def _choice_space(args) -> tuple[int, list]:
                 witnesses.append(
                     {"kind": "filterwise-refinement", "n": n, "space": si, "ultrafilter": ui, "a": points_of(a)}
                 )
-    return checked, witnesses
+    return checked, sum("informational" not in w for w in witnesses), witnesses
 
 
 def suite_choice_lemma(max_n: int = 3, jobs: int = 1) -> RunReport:
@@ -407,12 +370,7 @@ def suite_choice_lemma(max_n: int = 3, jobs: int = 1) -> RunReport:
         for i, space in enumerate(enumerate_topologies(4)):
             if i % N4_SPACE_STRIDE == 0:
                 tasks.append((4, i, space))
-    for checked, witnesses in _pmap(_choice_space, tasks, jobs):
-        real = [w for w in witnesses if not w.get("informational")]
-        report.checked += checked
-        report.passed += checked - len(real)
-        report.failed += len(real)
-        report.witnesses.extend(witnesses)
+    report.add(_pmap(_choice_space, tasks, jobs))
     return report
 
 
@@ -434,19 +392,38 @@ def suite_property_a(max_n: int = 3) -> RunReport:
         for name, ok in checks:
             report.record(
                 ok,
-                None
-                if ok
-                else {
-                    "kind": name,
-                    "n": n,
-                    "property_a_count": cls.property_a_count,
-                    "filter_count": cls.filter_count,
-                },
+                {"kind": name, "n": n, "property_a_count": cls.property_a_count, "filter_count": cls.filter_count},
             )
     return report
 
 
 # ------------------------------------------------------------------- harness
+
+class Suite(NamedTuple):
+    run: Callable[[int, int], RunReport]  # (max_n, jobs) -> the suite's report
+    max_n: int | None  # the largest max_n, or None where max_n is not read
+    why: str  # the reason for that bound
+
+
+# The runners call the suite functions by their module names, so a patched or wrapped suite function is the one run.
+SUITES = {
+    "vietoris-inclusion": Suite(
+        lambda max_n, jobs: suite_vietoris_inclusion(max_n, jobs), 5, "sweeps the homeomorphism classes of n <= 5"
+    ),
+    "embedding": Suite(lambda max_n, jobs: suite_embedding(max_n, jobs), 5, "sweeps the homeomorphism classes of n <= 5"),
+    "finality-square": Suite(lambda max_n, jobs: suite_finality_square(max_n), 3, "checks y <= 3"),
+    "stone-cech": Suite(
+        lambda max_n, jobs: suite_stone_cech(), None, f"checks the discrete spaces on 1 to {STONE_CECH_MAX_D} points"
+    ),
+    "choice-lemma": Suite(
+        lambda max_n, jobs: suite_choice_lemma(max_n, jobs),
+        3,
+        "sweeps n <= 3 exhaustively plus a fixed 4-point sample",
+    ),
+    "property-a": Suite(lambda max_n, jobs: suite_property_a(max_n), 3, "knows the counts for n <= 3"),
+}
+SUITE_NAMES = tuple(SUITES)
+
 
 def _fault_self_test(report: RunReport, max_n: int) -> None:
     """Flip one open set in the first corpus topology and expect detection."""
@@ -455,18 +432,15 @@ def _fault_self_test(report: RunReport, max_n: int) -> None:
     try:
         make_space(first.n, mangled)
     except NotATopology as exc:
-        report.record(
-            False,
-            {
-                "kind": "injected-fault",
-                "space": {"n": first.n, "opens": [list(points_of(o)) for o in mangled]},
-                "violated_axiom": exc.axiom,
-                "axiom_witness": exc.witness,
-            },
-        )
-        return
-    # validation failed to notice the flip: that is itself a failure
-    report.record(False, {"kind": "injected-fault-not-detected"})
+        witness = {
+            "kind": "injected-fault",
+            "space": {"n": first.n, "opens": [list(points_of(o)) for o in mangled]},
+            "violated_axiom": exc.axiom,
+            "axiom_witness": exc.witness,
+        }
+    else:  # validation failed to notice the flip: that is itself a failure
+        witness = {"kind": "injected-fault-not-detected"}
+    report.add([(1, 1, [witness])])
 
 
 def run_suite(
@@ -477,18 +451,7 @@ def run_suite(
 ) -> RunReport:
     check_request([name], max_n, jobs)
     start = time.perf_counter()
-    if name == "vietoris-inclusion":
-        report = suite_vietoris_inclusion(max_n, jobs)
-    elif name == "embedding":
-        report = suite_embedding(max_n, jobs)
-    elif name == "finality-square":
-        report = suite_finality_square(max_n)
-    elif name == "stone-cech":
-        report = suite_stone_cech()
-    elif name == "choice-lemma":
-        report = suite_choice_lemma(max_n, jobs)
-    else:
-        report = suite_property_a(max_n)
+    report = SUITES[name].run(max_n, jobs)
     if inject_fault:
         report.parameters["inject_fault"] = True
         _fault_self_test(report, max_n)

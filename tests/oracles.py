@@ -544,7 +544,7 @@ def projection_compose(dom: FiniteSpace, cod: FiniteSpace, a: int) -> FiniteMap:
     return FiniteMap(len(fns), len(target), tuple(index[f.image_of(a)] for f in fns))
 
 
-def inclusion_pair_by_scan(args) -> tuple[int, list]:
+def inclusion_pair_by_scan(args) -> tuple[int, int, list]:
     """The vietoris-inclusion checks of one pair with per-compact masks and every Vietoris open scanned.
 
     Same input and output as ``suites._inclusion_pair``: the miss and hit
@@ -597,7 +597,7 @@ def inclusion_pair_by_scan(args) -> tuple[int, list]:
                 witnesses.append(
                     tag("vietoris-open-preimage-not-open", a=points_of(a), hyper_open=list(iter_bits(ovm)))
                 )
-    return checked, witnesses
+    return checked, len(witnesses), witnesses
 
 
 def closure_by_closeds(space: FiniteSpace, a: int) -> int:
@@ -701,16 +701,7 @@ def labelled_sweep(suite: str, max_n: int) -> suites.RunReport:
     are appended in the order of the pairs.
     """
     spaces = [(n, i, sp) for n in range(1, max_n + 1) for i, sp in enumerate(enumerate_topologies(n))]
+    pair = {"vietoris-inclusion": suites._inclusion_pair, "embedding": suites._embedding_pair}[suite]
     report = suites.RunReport(suite, {"max_n": max_n})
-    for sx in spaces:
-        for sy in spaces:
-            if suite == "vietoris-inclusion":
-                checked, witnesses = suites._inclusion_pair((sx, sy))
-                failed = len(witnesses)
-            else:
-                checked, failed, witnesses = suites._embedding_pair((sx, sy))
-            report.checked += checked
-            report.passed += checked - failed
-            report.failed += failed
-            report.witnesses.extend(witnesses)
+    report.add(pair((sx, sy)) for sx in spaces for sy in spaces)
     return report

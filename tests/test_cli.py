@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import topolab
 from topolab.cli import main
 from topolab.limits import DEFAULT_MAX_POINTS as GUARD
-from topolab.suites import SUITE_NAMES
+from topolab.suites import SUITE_NAMES, SUITES
 
 
 def run(args):
@@ -186,31 +186,26 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         assert run(["verify", "--suite", "bogus"]) == 2
 
-    def test_choice_lemma_refuses_max_n_over_3(self, capsys):
-        # the n=4 sweep is only a sample, so asking for n=4 must not run less
-        assert run(["verify", "--suite", "choice-lemma", "--max-n", "4"]) == 2
-        assert "size limit" in capsys.readouterr().err
-
     def test_bad_opens_limit_in_environment_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("TOPOLAB_LIMIT_OPENS", "abc")
         assert run(["verify", "--suite", "finality-square"]) == 2
         assert "TOPOLAB_LIMIT_OPENS" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suite", ["finality-square", "property-a"])
-    def test_max_n_over_3_refused(self, suite, capsys):
-        assert run(["verify", "--suite", suite, "--max-n", "4"]) == 2
-        assert "size limit" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("suite", ["vietoris-inclusion", "embedding"])
-    def test_pair_suites_refuse_max_n_over_5_before_any_suite_runs(self, suite, monkeypatch, capsys):
+    @pytest.mark.parametrize("suite", [name for name, suite in SUITES.items() if suite.max_n is not None])
+    def test_one_over_the_bound_is_refused_before_any_suite_runs(self, suite, monkeypatch, capsys):
+        # the refusal names the bound and its reason, and comes before any suite runs
         from topolab import suites
 
+        bound = SUITES[suite].max_n
         ran = []
         monkeypatch.setattr(suites, "run_suite", lambda name, **kwargs: ran.append(name))
-        assert run(["verify", "--suite", suite, "--max-n", "6"]) == 2
+        assert run(["verify", "--suite", suite, "--max-n", str(bound + 1)]) == 2
         err = capsys.readouterr().err
-        assert "size limit" in err and "over 5" in err and "Traceback" not in err
-        assert ran == []
+        assert "size limit" in err and f"over {bound}" in err and SUITES[suite].why in err
+        assert "Traceback" not in err and ran == []
+        with pytest.raises(SystemExit):
+            run(["verify", "--help"])
+        assert f"{suite}(<={bound})" in "".join(capsys.readouterr().out.split())
 
     def test_finality_square_honours_max_n(self, tmp_path):
         report = tmp_path / "r.json"

@@ -3,9 +3,12 @@
 Each row of ``MUTANTS`` patches one kernel of the library and names the
 suite and the max-n whose ``verify`` run must then exit 1 with a witness,
 within a time bound (mutation testing after DeMillo, Lipton and Sayward
-1978, "Hints on test data selection", Computer 11).  A mutant that no
-suite catches is a finding: either a check is missing, or the mutant is
-equivalent to the kernel and README should say why.
+1978, "Hints on test data selection", Computer 11).  A mutant caught by
+two suites has a row for each; ``orbit-weight-one-more`` is caught by both
+pair suites, whose orbits of n points must cover the corpus indices
+0 .. T(n) − 1 once each.  A mutant that no suite catches is a finding:
+either a check is missing, or the mutant is equivalent to the kernel and
+README should say why.
 
 Known survivors, pinned in ``SURVIVORS`` with their check counts:
 
@@ -38,11 +41,6 @@ Known survivors, pinned in ``SURVIVORS`` with their check counts:
   discrete Y the final and the Vietoris topology on the compacts are both
   discrete, and a discrete space relabelled is itself.  ``embedding`` and
   ``choice-lemma`` read no ``compacts`` listing at all;
-* every suite passes under ``orbit-weight-one-more``, and only the check
-  counts of the pair suites move (988 → 1632 at max-n 2 and 3468 → 4107
-  at max-n 3), since a weight multiplies checks that pass: no suite
-  compares its totals with the labelled sweep.  The tests do, through
-  ``oracles.labelled_sweep`` and the pinned totals.
 
 Before and after each run the caches of results built from the kernels
 (``CACHES``) are emptied, so the kernel's results do not serve the mutant
@@ -209,6 +207,8 @@ MUTANTS = [
     ("converges-reversed", _converges_reversed, "choice-lemma", 2, 30),
     ("limit-set-reads-the-next-subset", _limit_set_reads_the_next_subset, "choice-lemma", 2, 30),
     ("compacts-one-place-on", _compacts_one_place_on, "vietoris-inclusion", 2, 30),
+    ("orbit-weight-one-more", _orbit_weight_one_more, "vietoris-inclusion", 2, 30),
+    ("orbit-weight-one-more", _orbit_weight_one_more, "embedding", 3, 30),
 ]
 
 # (name, patch, suite, max_n, checks): mutants the suite cannot see, with its check count under them
@@ -221,8 +221,6 @@ SURVIVORS = [
     ("final-from-edges-without-closure", _final_from_edges_without_closure, "finality-square", 3, 5),
     ("continuous-along-always-true", _continuous_along_always_true, "vietoris-inclusion", 2, 988),
     ("compacts-one-place-on", _compacts_one_place_on, "finality-square", 3, 5),
-    ("orbit-weight-one-more", _orbit_weight_one_more, "vietoris-inclusion", 2, 1632),
-    ("orbit-weight-one-more", _orbit_weight_one_more, "embedding", 3, 4107),
 ]
 
 
@@ -239,7 +237,11 @@ def _verify(patch, suite, max_n, monkeypatch, tmp_path) -> tuple[int, dict]:
     return code, json.loads(report.read_text())
 
 
-@pytest.mark.parametrize("name, patch, suite, max_n, seconds", MUTANTS, ids=[row[0] for row in MUTANTS])
+# a mutant caught by more than one suite is named with the suite
+MUTANT_IDS = [row[0] if [r[0] for r in MUTANTS].count(row[0]) == 1 else f"{row[0]}-{row[2]}" for row in MUTANTS]
+
+
+@pytest.mark.parametrize("name, patch, suite, max_n, seconds", MUTANTS, ids=MUTANT_IDS)
 def test_mutant_is_caught(name, patch, suite, max_n, seconds, monkeypatch, tmp_path, capsys):
     start = time.perf_counter()
     code, data = _verify(patch, suite, max_n, monkeypatch, tmp_path)
@@ -254,3 +256,14 @@ def test_known_survivor_passes(name, patch, suite, max_n, checks, monkeypatch, t
     code, data = _verify(patch, suite, max_n, monkeypatch, tmp_path)
     assert code == 0, name
     assert data["totals"] == {"checked": checks, "failed": 0, "passed": checks}
+
+
+def test_orbit_weights_witness_leaves_the_sweep_as_it_was(monkeypatch):
+    # each duplicated member weighs its class one more, as before, and one failed check names its size
+    _orbit_weight_one_more(monkeypatch)
+    report = suites.run_suite("vietoris-inclusion", max_n=2)
+    assert (report.checked, report.failed) == (1632 + 2, 2)
+    assert report.witnesses == [
+        {"kind": "orbit-weights", "n": 1, "found": 2, "expected": 1},
+        {"kind": "orbit-weights", "n": 2, "found": 5, "expected": 4},
+    ]

@@ -41,9 +41,9 @@ class TestInclusionPair:
         monkeypatch.setattr(FunctionSpace, "min_nbhds", property(coarse))
         kinds = set()
         for args in _pairs(corpus3):
-            checked, witnesses = suites._inclusion_pair(args)
-            assert (checked, witnesses) == inclusion_pair_by_scan(args)
-            kinds |= {w["kind"] for w in witnesses}
+            result = suites._inclusion_pair(args)
+            assert result == inclusion_pair_by_scan(args)
+            kinds |= {w["kind"] for w in result[2]}
         assert {"vietoris-open-preimage-not-open", "miss-preimage-not-open", "hit-preimage-not-open"} <= kinds
 
     def test_failed_identities_give_the_scan_witnesses(self, corpus3, monkeypatch):
@@ -52,9 +52,9 @@ class TestInclusionPair:
         monkeypatch.setattr(FunctionSpace, "subbasic", lambda fs, a, w: original(fs, a, w) & ~1)
         kinds = set()
         for args in _pairs(corpus3):
-            checked, witnesses = suites._inclusion_pair(args)
-            assert (checked, witnesses) == inclusion_pair_by_scan(args)
-            kinds |= {w["kind"] for w in witnesses}
+            result = suites._inclusion_pair(args)
+            assert result == inclusion_pair_by_scan(args)
+            kinds |= {w["kind"] for w in result[2]}
         assert {"miss-identity", "hit-identity"} <= kinds
 
 
