@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from . import limits
-from .bitsets import mask_of, points_of
+from .bitsets import points_of
 from .errors import NotATopology, SizeLimitExceeded, TopolabError
-from .fileio import dumps_canonical, is_point, load_space, save_space, space_to_dict
+from .fileio import load_space, point_masks, read_json, space_to_dict, write_canonical
 from .funcspaces import compact_open, set_open_topology
 from .hyperspaces import closeds, compacts, lower_vietoris, upper_vietoris, vietoris
 from .spaces import enumerate_topologies, generate_from_subbase, space_report
@@ -33,13 +33,6 @@ def _apply_limits(args: argparse.Namespace) -> None:
     limits.max_opens()  # a malformed TOPOLAB_LIMIT_OPENS is refused before any work
 
 
-def _load_space(path: str):
-    try:
-        return load_space(path)
-    except ValueError as exc:
-        raise TopolabError(f"malformed space file {path}: {exc}") from exc
-
-
 def cmd_space(args: argparse.Namespace) -> int:
     """Validate, generate, or describe a space file."""
     if args.generate_subbase is not None:
@@ -50,23 +43,16 @@ def cmd_space(args: argparse.Namespace) -> int:
             print(f"--n must be non-negative, got {args.n}", file=sys.stderr)
             return 2
         limits.guard_points(args.n, "--n")
-        try:
-            entries = json.loads(args.generate_subbase)
-        except ValueError as exc:
-            print(f"bad --generate-subbase: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(entries, list) or not all(
-            isinstance(entry, list) and all(is_point(p, args.n) for p in entry) for entry in entries
-        ):
-            print(f"bad --generate-subbase: need a JSON list of point lists on {args.n} points", file=sys.stderr)
-            return 2
-        space = generate_from_subbase(args.n, [mask_of(entry) for entry in entries])
+        subbase = read_json(
+            args.generate_subbase, "--generate-subbase", lambda v: point_masks(v, args.n, "the subbase"), literal=True
+        )
+        space = generate_from_subbase(args.n, subbase)
     else:
         if args.file is None:
             print("need a space file or --generate-subbase", file=sys.stderr)
             return 2
         try:
-            space = _load_space(args.file)
+            space = load_space(args.file)
         except NotATopology as exc:
             print(f"invalid: {exc}", file=sys.stderr)
             return 1
@@ -81,9 +67,9 @@ def cmd_space(args: argparse.Namespace) -> int:
             "nested_neighbourhood": rep.nested_neighbourhood,
             "open_count": len(space.opens),
         }
-        print(dumps_canonical(out), end="")
+        write_canonical(out)
     if args.out:
-        save_space(space, args.out)
+        write_canonical(space_to_dict(space), args.out)
     if not args.describe and not args.out:
         print(f"valid topology on {space.n} points with {len(space.opens)} opens")
     return 0
@@ -98,7 +84,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for i, space in enumerate(corpus):
-        save_space(space, outdir / f"topology_n{args.n}_{i:04d}.json")
+        write_canonical(space_to_dict(space), outdir / f"topology_n{args.n}_{i:04d}.json")
     print(f"wrote {len(corpus)} topologies to {outdir}")
     return 0
 
@@ -109,43 +95,29 @@ def _resolve_family(space, spec: str):
     if spec == "closeds":
         return closeds(space)
     if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            try:
-                entries = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise TopolabError(f"family file {spec[1:]} is not JSON: {exc}") from exc
-        if not isinstance(entries, list) or not all(
-            isinstance(entry, list) and entry and all(is_point(p, space.n) for p in entry)
-            for entry in entries
-        ):
-            raise TopolabError(
-                f"family file {spec[1:]} must hold a JSON list of non-empty point lists on {space.n} points"
-            )
-        return tuple(mask_of(entry) for entry in entries)
+        return read_json(
+            spec[1:], f"family file {spec[1:]}", lambda v: point_masks(v, space.n, "the family", nonempty=True)
+        )
     raise TopolabError(f"unknown family spec {spec!r}")
 
 
 def cmd_hyper(args: argparse.Namespace) -> int:
     """Emit a hyperspace as a space file plus the hyperpoint index table."""
-    space = _load_space(args.space)
+    space = load_space(args.space)
     family = _resolve_family(space, args.family)
     builder = {"lower": lower_vietoris, "upper": upper_vietoris, "vietoris": vietoris}[args.variant]
     hyper = builder(space, family)
     out = space_to_dict(hyper.topology)
     out["hyperpoints"] = [list(points_of(m)) for m in hyper.family]
     out["variant"] = args.variant
-    text = dumps_canonical(out)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text, end="")
+    write_canonical(out, args.out)
     return 0
 
 
 def cmd_funcspace(args: argparse.Namespace) -> int:
     """Emit the function carrier and optionally its materialized topology."""
-    dom = _load_space(args.dom)
-    cod = _load_space(args.cod)
+    dom = load_space(args.dom)
+    cod = load_space(args.cod)
     fns = compact_open(dom, cod, carrier=args.carrier).functions
     fsp = set_open_topology(fns, _resolve_family(dom, args.family), dom, cod)
     out = {
@@ -157,25 +129,17 @@ def cmd_funcspace(args: argparse.Namespace) -> int:
     }
     if args.materialize:
         out["topology"] = space_to_dict(fsp.materialize())
-    text = dumps_canonical(out)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text, end="")
+    write_canonical(out, args.out)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run verification suites and emit a RunReport per suite."""
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    if args.suite != "all" and args.suite not in SUITE_NAMES:
-        print(f"unknown suite {args.suite!r}; choose from {('all',) + SUITE_NAMES}", file=sys.stderr)
-        return 2
     reports = run_suites(names, max_n=args.max_n, jobs=args.jobs, inject_fault=args.inject_fault)
-    payload = [r.to_dict() for r in reports]
-    text = dumps_canonical(payload if len(payload) > 1 else payload[0])
     if args.report:
-        Path(args.report).write_text(text)
+        payload = [r.to_dict() for r in reports]
+        write_canonical(payload if len(payload) > 1 else payload[0], args.report)
     for r in reports:
         status = "ok" if r.failed == 0 else "FAILED"
         print(f"{r.suite}: {r.passed}/{r.checked} checks passed [{status}] ({r.wall_time_s}s)")

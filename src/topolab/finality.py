@@ -86,7 +86,7 @@ def final_over_projections(
     if not sources:
         raise ValueError("need at least one source")
     for src, a in sources:
-        if a not in compacts(src):
+        if not 0 < a <= src.full:
             raise ValueError("source subset must be a non-empty compact of its space")
     family = compacts(cod)
     edges = set()

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -365,6 +366,27 @@ def space_bodies(draw):
     return {"n": n, "opens": opens}, not isinstance(opens, list)
 
 
+POINT_LISTS = st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=4)
+
+DEEP = "[" * 5000 + "]" * 5000  # nested past the recursion limit
+
+
+def is_point_lists(value, n: int, nonempty: bool = False) -> bool:
+    """value is a JSON list of lists of points 0..n−1, JSON booleans excluded (each list non-empty when ``nonempty``)."""
+    return isinstance(value, list) and all(
+        isinstance(entry, list) and (len(entry) > 0 or not nonempty) and all(type(p) is int and 0 <= p < n for p in entry)
+        for entry in value
+    )
+
+
+def subbase_value(text: str):
+    """The JSON value of a --generate-subbase string, or None when it is not JSON."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return None
+
+
 class TestExitCodeContract:
     """main returns 0, 1 or 2 and never raises; bad sizes and counts give 2."""
 
@@ -460,3 +482,97 @@ class TestExitCodeContract:
             assert code in (0, 1, 2), argv
             if must_refuse:
                 assert code == 2, (argv, data)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=POINT_LISTS | JSON)
+    def test_family_files_keep_the_contract(self, tmp_path, capsys, sierpinski_file, body):
+        # a list of non-empty point lists on the 2 points of the space gives 0, anything else 2
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(body))
+        expected = 0 if is_point_lists(body, 2, nonempty=True) else 2
+        for argv in (
+            ["hyper", "--space", str(sierpinski_file), "--family", f"@{path}"],
+            ["funcspace", "--dom", str(sierpinski_file), "--cod", str(sierpinski_file), "--family", f"@{path}"],
+        ):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == expected, (argv, body, err)
+            assert "Traceback" not in err
+            if expected == 2:
+                assert "family file" in err
+
+    @settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.text(max_size=6) | JSON.map(json.dumps) | POINT_LISTS.map(json.dumps))
+    def test_subbase_strings_keep_the_contract(self, capsys, text):
+        # a list of point lists on the 3 points gives 0, anything else 2
+        code = main(["space", "--n", "3", f"--generate-subbase={text}"])
+        err = capsys.readouterr().err
+        assert code == (0 if is_point_lists(subbase_value(text), 3) else 2), (text, err)
+        if code == 2:
+            assert "--generate-subbase" in err
+
+    @pytest.mark.parametrize(
+        "argv, role",
+        [
+            (["space", "{deep space}"], "malformed space file"),
+            (["hyper", "--space", "{deep space}"], "malformed space file"),
+            (["funcspace", "--dom", "{deep space}", "--cod", "{s}"], "malformed space file"),
+            (["funcspace", "--dom", "{s}", "--cod", "{deep space}"], "malformed space file"),
+            (["hyper", "--space", "{s}", "--family", "@{deep}"], "family file"),
+            (["funcspace", "--dom", "{s}", "--cod", "{s}", "--family", "@{deep}"], "family file"),
+            (["space", "--n", "2", "--generate-subbase", DEEP], "--generate-subbase"),
+            (["hyper", "--space", "{s}", "--family", "@{not utf}"], "family file"),
+            (["funcspace", "--dom", "{s}", "--cod", "{s}", "--family", "@{not utf}"], "family file"),
+        ],
+        ids=[
+            "deep-space", "deep-hyper-space", "deep-funcspace-dom", "deep-funcspace-cod", "deep-hyper-family",
+            "deep-funcspace-family", "deep-subbase", "non-utf8-hyper-family", "non-utf8-funcspace-family",
+        ],
+    )
+    def test_undecodable_input_exits_2(self, tmp_path, sierpinski_file, capsys, argv, role):
+        bodies = {
+            "{deep}": DEEP.encode(),
+            "{deep space}": b'{"n": 2, "opens": ' + DEEP.encode() + b"}",
+            "{not utf}": b"\xff[[0], [1]]",  # neither UTF-8 nor a UTF-16 or -32 pattern
+        }
+        argv = [arg.replace("{s}", str(sierpinski_file)) for arg in argv]
+        for key, body in bodies.items():
+            path = tmp_path / f"{key.strip('{}').replace(' ', '-')}.json"
+            path.write_bytes(body)
+            argv = [arg.replace(key, str(path)) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert role in err and "Traceback" not in err
+
+    def test_undecodable_input_exits_2_in_a_child(self, tmp_path):
+        # the real stderr of the command line, not only main's return value
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"n": 2, "opens": ' + DEEP + "}")
+        env = {**os.environ, "PYTHONPATH": str(Path(topolab.__file__).parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-m", "topolab.cli", "space", str(deep)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 2, done.stderr[-2000:]
+        assert "malformed space file" in done.stderr and "Traceback" not in done.stderr
+
+
+class TestFileBoundary:
+    """The command line reads and writes JSON only through topolab.fileio."""
+
+    def test_cli_opens_and_parses_no_file_itself(self):
+        tree = ast.parse((Path(topolab.__file__).parent / "cli.py").read_text())
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [alias.name for alias in node.names if alias.name in ("load", "loads")]
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                found.append("open")
+            elif isinstance(func, ast.Attribute):
+                if func.attr in ("open", "read_text", "read_bytes", "write_text"):
+                    found.append(func.attr)
+                elif func.attr in ("load", "loads") and isinstance(func.value, ast.Name) and func.value.id == "json":
+                    found.append(f"json.{func.attr}")
+        assert found == []

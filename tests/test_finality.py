@@ -11,10 +11,16 @@ from topolab.finality import (
     pushed_edges,
     stone_cech_finite_discrete,
 )
-from topolab import finality, suites
+from topolab import finality, limits, suites
 from topolab.funcspaces import compact_open
 from topolab.hyperspaces import compacts, vietoris
-from topolab.spaces import discrete_space, enumerate_topologies, homeomorphism_classes, sierpinski_space
+from topolab.spaces import (
+    discrete_space,
+    enumerate_topologies,
+    homeomorphism_classes,
+    indiscrete_space,
+    sierpinski_space,
+)
 
 S = sierpinski_space()
 
@@ -236,6 +242,23 @@ class TestDiscreteSquare:
     def test_guard(self):
         with pytest.raises(SizeLimitExceeded):
             check_finality_discrete_square(4)
+
+
+class TestSourceCheck:
+    @pytest.mark.parametrize("a", [0, -1, 0b100])
+    def test_source_outside_the_non_empty_subsets_is_refused(self, a):
+        with pytest.raises(ValueError, match="non-empty compact of its space"):
+            final_over_projections(S, [(S, 0b1), (S, a)])
+
+    def test_too_large_source_is_refused_by_the_point_guard(self):
+        # the 7 compacts of an indiscrete 3-point source pass a guard of 6
+        # points when compact_open builds its family; its 2 maps into S do not
+        limits.set_limits(points=6)
+        try:
+            with pytest.raises(SizeLimitExceeded, match="the compacts"):
+                final_over_projections(S, [(indiscrete_space(3), 0b1)])
+        finally:
+            limits.reset_limits()
 
 
 class TestContainmentAgainstOpens:

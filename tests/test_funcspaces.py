@@ -256,6 +256,14 @@ class TestMu:
         with pytest.raises(ValueError):
             mu(S, S, P2, FiniteMap(2, 2, (1, 0)))
 
+    @pytest.mark.parametrize("member", [0b100, -1])
+    def test_member_outside_the_domain_is_refused(self, member):
+        # refused by the sorted-ends check of set_open_topology, not by an
+        # IndexError from reading the image of a point the map does not have
+        f = continuous_maps(S, D2)[0]
+        with pytest.raises(ValueError, match="subsets of the domain"):
+            mu(S, D2, [member], f)
+
 
 class TestEmbedding:
     def test_sierpinski_pair(self):
