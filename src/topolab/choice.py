@@ -6,14 +6,15 @@ ground points.  The checks in this module sweep filters on the subset
 carrier and relate their lower-Vietoris limits to the points reachable
 through choice-function images.
 
-A sweep generates the image tuple of every choice function (20736 on 4
-points) and reads each once: one ``itemgetter`` takes its values on the
-filter's kernel indices.  ``limit_set_P`` collects the distinct value
-tuples in a set and tests each distinct kernel image against the minimal
-neighbourhoods once; ``has_property_A`` stops at the first tuple whose
-values differ, and builds a ``FiniteMap`` only for that witness.  A
-4-point ``limit_set_P`` takes about 2.1 ms this way, where building a
-``FiniteMap`` per tuple first took about 11 ms (2-core host).
+The kernel images f(K) that ``limit_set_P`` tests depend only on n and the
+filter's kernel K, not on the space.  ``_kernel_images`` generates the
+image tuple of every choice function (20736 on 4 points), reads each once
+with one ``itemgetter`` of its values on the kernel indices, and keeps the
+distinct value masks, once per (n, kernel) behind a bounded cache;
+``limit_set_P`` then tests each mask against the space's minimal
+neighbourhoods.  ``has_property_A`` generates the tuples on each call,
+stops at the first tuple whose values differ, and builds a ``FiniteMap``
+only for that witness.
 """
 
 from __future__ import annotations
@@ -69,7 +70,13 @@ def _kernel_values(kernel: tuple[int, ...]) -> itemgetter:
     return itemgetter(*kernel, kernel[0])
 
 
-@lru_cache(maxsize=512)  # a choice-lemma run at max-n 3 reads 396 keys
+@lru_cache(maxsize=512)  # a choice-lemma run reads one key per ultrafilter kernel, 1 + 3 + 7 + 15 = 26 at max-n 4
+def _kernel_images(n: int, kernel: int) -> frozenset[int]:
+    """The point masks f(K) over every choice function f on n points, K the subset indices in ``kernel``."""
+    read = _kernel_values(points_of(kernel))
+    return frozenset(map(mask_of, set(map(read, _choice_images(n)))))
+
+
 def limit_set_P(space: FiniteSpace, phi: FilterOnCarrier) -> int:
     """Points some choice function's image filter converges to.
 
@@ -79,10 +86,8 @@ def limit_set_P(space: FiniteSpace, phi: FilterOnCarrier) -> int:
     n = space.n
     if phi.carrier.size != (1 << n) - 1:
         raise ValueError("filter must live on the subset carrier of the space")
-    read = _kernel_values(points_of(phi.kernel))
-    values = set(map(read, _choice_images(n)))
     p = 0
-    for image in set(map(mask_of, values)):
+    for image in _kernel_images(n, phi.kernel):
         for x, u in enumerate(space.min_nbhds):
             if is_subset(image, u):
                 p |= 1 << x

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import limits
 from .bitsets import points_of
 from .errors import NotATopology, SizeLimitExceeded, TopolabError
-from .fileio import load_space, point_masks, read_json, space_to_dict, write_canonical
+from .fileio import check_writable, load_space, point_masks, read_json, space_to_dict, write_canonical
 from .funcspaces import compact_open, set_open_topology
 from .hyperspaces import closeds, compacts, lower_vietoris, upper_vietoris, vietoris
 from .spaces import enumerate_topologies, generate_from_subbase, space_report
@@ -29,12 +29,16 @@ def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_limits(args: argparse.Namespace) -> None:
+    for flag, value in (("--limit-points", args.limit_points), ("--limit-opens", args.limit_opens)):
+        if value is not None and value < 1:
+            raise TopolabError(f"{flag} must be at least 1, got {value}")
     limits.set_limits(points=args.limit_points, opens=args.limit_opens)
     limits.max_opens()  # a malformed TOPOLAB_LIMIT_OPENS is refused before any work
 
 
 def cmd_space(args: argparse.Namespace) -> int:
     """Validate, generate, or describe a space file."""
+    check_writable(args.out)
     if args.generate_subbase is not None:
         if args.n is None:
             print("--generate-subbase needs --n", file=sys.stderr)
@@ -103,6 +107,7 @@ def _resolve_family(space, spec: str):
 
 def cmd_hyper(args: argparse.Namespace) -> int:
     """Emit a hyperspace as a space file plus the hyperpoint index table."""
+    check_writable(args.out)
     space = load_space(args.space)
     family = _resolve_family(space, args.family)
     builder = {"lower": lower_vietoris, "upper": upper_vietoris, "vietoris": vietoris}[args.variant]
@@ -116,6 +121,7 @@ def cmd_hyper(args: argparse.Namespace) -> int:
 
 def cmd_funcspace(args: argparse.Namespace) -> int:
     """Emit the function carrier and optionally its materialized topology."""
+    check_writable(args.out)
     dom = load_space(args.dom)
     cod = load_space(args.cod)
     fns = compact_open(dom, cod, carrier=args.carrier).functions
@@ -135,6 +141,7 @@ def cmd_funcspace(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run verification suites and emit a RunReport per suite."""
+    check_writable(args.report)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = run_suites(names, max_n=args.max_n, jobs=args.jobs, inject_fault=args.inject_fault)
     if args.report:

@@ -6,12 +6,13 @@ sorted by mask, points ascending), so re-serialization is byte-stable.
 
 Every JSON input of the command line (space files, family files, the
 ``--generate-subbase`` string) goes through ``read_json``, and every output
-through ``write_canonical``.
+through ``write_canonical``, its file first probed by ``check_writable``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -79,6 +80,19 @@ def load_space(path) -> FiniteSpace:
 
 def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def check_writable(path=None) -> None:
+    """Open file ``path``, if given, for appending, so an unwritable output raises OSError before the work.
+
+    A file the probe makes is removed, and an existing one is not truncated.
+    """
+    if not path:
+        return
+    existed = os.path.lexists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def write_canonical(obj: Any, path=None) -> None:

@@ -3,6 +3,7 @@ import inspect
 import pytest
 
 from oracles import (
+    applied_kernel,
     checked_choice_functions,
     choice_function_count,
     filterwise_by_kernel_sample,
@@ -226,14 +227,15 @@ class TestFilterwiseAgainstKernelSample:
             for phi in ultras:
                 assert filterwise_limit_set(sp, phi, 20) == filterwise_by_kernel_sample(sp, phi, 20)
 
-    def test_suite_enumerates_once_per_space_and_filter(self, monkeypatch):
+    def test_suite_enumerates_once_per_n_and_kernel(self, monkeypatch):
         # the benchmark's tracer counts choice.enumerate_choice_functions.items only through generator functions
         assert inspect.isgeneratorfunction(choice.enumerate_choice_functions)
         twins = checked_choice_functions(4)
         drawn = list(enumerate_choice_functions(4))
         assert drawn == list(twins)
         assert list(map(hash, drawn)) == list(map(hash, twins))
-        # the sweeps read image tuples: 1 + 4 spaces on 1 and 2 points, with 1 and 3 ultrafilters, 13 pairs
+        # the sweeps read image tuples once per (n, kernel): 1 + 3 ultrafilter kernels on 1 and 2 points,
+        # not once for each of the 1 + 4 · 3 = 13 (space, ultrafilter) pairs
         images_of = choice._choice_images
         calls = []
         read = []
@@ -245,14 +247,16 @@ class TestFilterwiseAgainstKernelSample:
                 yield image
 
         monkeypatch.setattr(choice, "_choice_images", counted)
-        limit_set_P.cache_clear()
+        choice._kernel_images.cache_clear()
         report = suite_choice_lemma(max_n=2)
         assert report.failed == 0
-        assert len(calls) == 13
+        assert calls == [1, 2, 2, 2]
         # a cold 4-point call reads every choice function's image tuple once, in the order of the checked maps
         read.clear()
-        limit_set_P(discrete_space(4), next(iter(enumerate_ultrafilters(subsets_carrier(4)))))
-        limit_set_P.cache_clear()
+        phi = next(iter(enumerate_ultrafilters(subsets_carrier(4))))
+        limit_set_P(discrete_space(4), phi)
+        limit_set_P(indiscrete_space(4), phi)
+        choice._kernel_images.cache_clear()
         assert len(read) == 20736
         assert read == [f.image for f in twins]
 
@@ -285,13 +289,13 @@ class TestSweepsBuildNoMaps:
 
     def test_cold_four_point_limit_set_builds_no_map(self, built):
         carrier = subsets_carrier(4)
-        limit_set_P.cache_clear()
+        choice._kernel_images.cache_clear()
         try:
             for sp in (discrete_space(4), indiscrete_space(4)):
                 for phi in (next(iter(enumerate_ultrafilters(carrier))), FilterOnCarrier(carrier, 0b101)):
                     limit_set_P(sp, phi)
         finally:
-            limit_set_P.cache_clear()
+            choice._kernel_images.cache_clear()
         assert built == []
 
     def test_property_a_builds_at_most_its_witness(self, built):
@@ -342,6 +346,16 @@ class TestAgainstEnumerationOracle:
                 assert limit_set_P(sp, phi) == limit_set_by_enumeration(sp, phi)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kernel_images(self, n):
+        # every filter up to 3 points; on 4 points every ultrafilter
+        carrier = subsets_carrier(n)
+        phis = enumerate_filters(carrier) if n < 4 else enumerate_ultrafilters(carrier)
+        for phi in phis:
+            kernel = points_of(phi.kernel)
+            expected = {applied_kernel((f,), kernel) for f in checked_choice_functions(n)}
+            assert choice._kernel_images(n, phi.kernel) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_property_a_flag_and_witness(self, n):
         # every filter up to 3 points; on 4 points the kernels of one or two subsets
         kernels = range(1, 1 << (1 << n) - 1) if n < 4 else [k for k in range(1, 1 << 15) if k.bit_count() <= 2]
@@ -354,14 +368,15 @@ class TestAgainstEnumerationOracle:
 
 
 class TestChoiceLemmaTotals:
-    @pytest.mark.parametrize("max_n, checks", [(1, 3), (2, 87), (3, 8712)])
+    @pytest.mark.parametrize("max_n, checks", [(1, 3), (2, 87), (3, 8712), (4, 168207)])
     def test_pinned_totals(self, max_n, checks):
         # per space: each ultrafilter (2^n − 1 of them) gives one convergence
-        # check and two bound checks per non-empty subset; T(n) = 1, 4, 29
-        # spaces, plus the 4-point sample of 12 spaces × 15 ultrafilters × 31
-        spaces = (1, 4, 29)
+        # check and two bound checks per non-empty subset; T(n) = 1, 4, 29, 355
+        # spaces, plus at max-n 3 the 4-point sample of 12 spaces × 15 ultrafilters × 31
+        spaces = (1, 4, 29, 355)
         closed = sum(spaces[n - 1] * ((1 << n) - 1) * ((1 << n + 1) - 1) for n in range(1, max_n + 1))
         assert closed + (max_n == 3) * 12 * 15 * 31 == checks
         report = suite_choice_lemma(max_n=max_n)
         assert (report.checked, report.passed, report.failed) == (checks, checks, 0)
         assert report.witnesses == []
+        assert report.parameters == {"max_n": max_n, "n4_sample": max_n == 3}

@@ -400,6 +400,48 @@ class TestExitCodeContract:
         if must_refuse:
             assert code == 2, argv
 
+    @pytest.mark.parametrize("where", ["missing/r.json", "."], ids=["no-directory", "a-directory"])
+    def test_unwritable_report_exits_2_before_any_suite_runs(self, tmp_path, monkeypatch, capsys, where):
+        from topolab import suites
+
+        ran = []
+        monkeypatch.setattr(suites, "run_suite", lambda name, **kwargs: ran.append(name))
+        assert run(["verify", "--suite", "choice-lemma", "--report", str(tmp_path / where)]) == 2
+        err = capsys.readouterr().err
+        assert "i/o error" in err and str(tmp_path) in err and "Traceback" not in err and ran == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["space", "{s}"], ["hyper", "--space", "{s}"], ["funcspace", "--dom", "{s}", "--cod", "{s}"]],
+        ids=["space", "hyper", "funcspace"],
+    )
+    def test_unwritable_out_exits_2(self, tmp_path, sierpinski_file, capsys, argv):
+        argv = [arg.replace("{s}", str(sierpinski_file)) for arg in argv]
+        assert run([*argv, "--out", str(tmp_path / "missing" / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "o.json" in err and "Traceback" not in err
+
+    def test_the_report_probe_leaves_no_file_and_truncates_none(self, tmp_path, capsys):
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_text("earlier report\n")
+        for path in (fresh, kept):
+            assert run(["verify", "--suite", "choice-lemma", "--max-n", "5", "--report", str(path)]) == 2
+        assert not fresh.exists() and kept.read_text() == "earlier report\n"
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--limit-points", "--limit-opens"])
+    def test_nonpositive_limit_flags_are_refused_by_name(self, tmp_path, sierpinski_file, capsys, flag, value):
+        corpus = tmp_path / "corpus"
+        for argv in (
+            ["space", str(sierpinski_file)],
+            ["corpus", "--n", "0", "--out", str(corpus)],
+            ["verify", "--suite", "stone-cech"],
+        ):
+            assert run([*argv, flag, value]) == 2, argv
+            err = capsys.readouterr().err
+            assert f"{flag} must be at least 1, got {value}" in err and "Traceback" not in err
+        assert not corpus.exists()
+
     def test_hyperspace_over_the_open_guard_exits_2_at_once(self, tmp_path, capsys):
         # the Vietoris hyperspace on the 63 compacts of a discrete 6-point
         # space is discrete: its 2^63 opens are counted and refused, not listed

@@ -63,7 +63,7 @@ from topolab.hyperspaces import HyperSpace
 from topolab.spaces import FiniteSpace
 
 # the memos of results built from the kernels; the enumerations read no kernel a mutant patches
-CACHES = (funcspaces._function_space, hyperspaces._hyperspace, choice.limit_set_P)
+CACHES = (funcspaces._function_space, hyperspaces._hyperspace, choice._kernel_images)
 
 
 def _box_without_last_coordinate(monkeypatch):
