@@ -24,9 +24,11 @@ holds the C ⊆ hull(B) = ⋃_{y∈B} U_y, and the Vietoris one those that also
 meet U_y for each y ∈ B.  So a pull-back costs the square of the distinct
 images of each slot, not the 4^|cod| of a hyperspace on the 2^|cod| − 1
 compacts.  The image tables that ``images`` hands out are keyed by
-hyperpoint: the position of f(A) in ``compacts(cod)``.  The inclusion
-suite reads them and decides the continuity of a coordinate from the
-edges they push forward (``finality.pushed_edges``).
+hyperpoint: the position of f(A) in ``compacts(cod)``, which is the image
+mask less one.  The inclusion suite reads the tables themselves
+(``_table``), keyed by image mask, and decides the continuity of a
+coordinate once per image group, from the union of the U_f over the group
+that ``finality.pushed_edges`` gives.
 
 A FunctionSpace works on whole image columns and function masks, never
 map by map in Python.  ``_columns[x]`` holds f(x) for every carrier map,
@@ -67,8 +69,10 @@ the same tuple at once, and other carriers map by map, so no ``FiniteMap``
 is hashed; ``compact_open`` hands over maps it built for (dom, cod) and
 validates none, while ``set_open_topology`` validates every carrier
 before the lookup, so a refused call leaves the cache as it was.  The
-maps of ``continuous_maps`` and of the "all" carrier skip ``FiniteMap``'s
-range check (``maps._unchecked_maps``), since their images are grown in
+maps of ``continuous_maps`` and of the "all" carrier come as a
+``_Built`` tuple, whose maps share one shape, so ``set_open_topology``
+checks its first map only.  They skip ``FiniteMap``'s range check
+(``maps._unchecked_maps``), since their images are grown in
 ``range(cod.n)``.  ``images`` hands each caller a fresh dict, so no caller
 can change what the next one reads.
 """
@@ -83,7 +87,7 @@ from typing import NamedTuple, Sequence
 from . import limits
 from .bitsets import canon_family, full_mask, is_subset, iter_bits
 from .errors import ImageNotInFamily
-from .frozen import Frozen
+from .frozen import Frozen, memo
 from .hyperspaces import compacts
 from .maps import FiniteMap, _unchecked_maps, all_maps
 from .spaces import FiniteSpace, _holding, is_open_in
@@ -141,7 +145,7 @@ def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]
         if count > lim:
             limits.guard_points(count, f"the continuous maps on the first {x + 1} domain points")
         images = [image + (y,) for image, ys in zip(images, picks) for y in ys]
-    return tuple(_unchecked_maps(dom.n, cod.n, images))
+    return _Built(_unchecked_maps(dom.n, cod.n, images))
 
 
 class FunctionSpace(Frozen):
@@ -154,7 +158,9 @@ class FunctionSpace(Frozen):
     on first use by the recurrence over the lowest point and kept in
     ``_tables``, the continuous maps ``_continuous`` by one mask per domain
     edge, and the family members ``_kept`` whose slots a pull-back needs
-    (slot pruning, see the module docstring).
+    (slot pruning, see the module docstring).  The tables are ``memo``
+    attributes, built on first read without the lock of a
+    ``cached_property``; ``min_nbhds`` is a ``cached_property``.
     """
 
     _fields = ("dom", "cod", "functions", "family")
@@ -162,20 +168,19 @@ class FunctionSpace(Frozen):
     def __init__(self, dom: FiniteSpace, cod: FiniteSpace, functions: tuple[FiniteMap, ...], family: tuple[int, ...]):
         fields = self.__dict__
         fields["dom"], fields["cod"], fields["functions"], fields["family"] = dom, cod, functions, family
-        # _columns[x][i] = functions[i](x), the image tuples transposed: every
-        # table reads them, and a cached_property would cost a lock per space
+        # _columns[x][i] = functions[i](x), the image tuples transposed: every table reads them
         fields["_columns"] = (*zip(*map(attrgetter("image"), functions)),) or ((),) * dom.n
 
     @property
     def size(self) -> int:
         return len(self.functions)
 
-    @cached_property
+    @memo
     def _points(self) -> tuple[tuple[int, ...], ...]:
         """_points[x][y] = function mask of { f : f(x) = y }, read off the column of x (``_value_masks``)."""
         return tuple(_value_masks(column, self.cod.n) for column in self._columns)
 
-    @cached_property
+    @memo
     def _tables(self) -> dict[int, dict[int, int]]:
         """The image tables ``_table`` has built so far, by subset; the empty set's to start."""
         return {0: {0: full_mask(self.size)} if self.size else {}}
@@ -209,12 +214,12 @@ class FunctionSpace(Frozen):
             tables[b] = out
         return tables[a]
 
-    @cached_property
+    @memo
     def _members(self) -> frozenset[int]:
         """The family as a set, for membership tests."""
         return frozenset(self.family)
 
-    @cached_property
+    @memo
     def _kept(self) -> tuple[int, ...]:
         """The family members whose slot a pull-back needs (see the module docstring).
 
@@ -223,18 +228,17 @@ class FunctionSpace(Frozen):
         singleton slots imply its upper and Vietoris nearness.
         """
         fam = self._members
-        return tuple(
-            a for a in self.family if a and not (a & (a - 1) and all(1 << x in fam for x in iter_bits(a)))
-        )
+        singles = sum(1 << x for x in range(self.dom.n) if 1 << x in fam)  # the points whose singleton is a member
+        return tuple(a for a in self.family if a and not (a & (a - 1) and a & ~singles == 0))
 
-    @cached_property
+    @memo
     def _within(self) -> tuple[tuple[int, ...], ...]:
         """_within[x][y] = function mask of { f : f(x) ∈ U_y }."""
         # the masks of one column are disjoint, so their union is their sum
         members = [tuple(iter_bits(u)) for u in self.cod.min_nbhds]
         return tuple(tuple(map(sum, map(map, repeat(column.__getitem__), members))) for column in self._points)
 
-    @cached_property
+    @memo
     def _continuous(self) -> int:
         """Function mask of the continuous carrier maps.
 
@@ -302,9 +306,9 @@ class FunctionSpace(Frozen):
 
     def subbasic(self, a: int, w: int) -> int:
         """Function-index mask of (a, w) = { f : f(a) ⊆ w }; ValueError unless a is in the family."""
-        out = 0
+        out, outside = 0, ~w
         for img, members in self._table(a).items():
-            if img & ~w == 0:
+            if not img & outside:
                 out |= members
         return out
 
@@ -373,17 +377,26 @@ def set_open_topology(
     """Topology on the carrier generated by { (A, W) : A in family, W open }.
 
     The arguments are validated on every call, before the lookup, so a
-    refused call leaves the cache as it was (``_domain_family``).  The
-    FunctionSpace itself comes from ``_function_space``, shared with
-    ``compact_open`` (see the module docstring).
+    refused call leaves the cache as it was (``_domain_family``).  A
+    carrier the library built (``_Built``) has one shape, so its first map
+    stands for all of them.  The FunctionSpace itself comes from
+    ``_function_space``, shared with ``compact_open`` (see the module
+    docstring).
     """
     fam = _domain_family(family, dom)
-    fns = tuple(carrier)
+    built = type(carrier) is _Built
+    fns = carrier if built else tuple(carrier)
     dom_n, cod_n = dom.n, cod.n
-    for f in fns:  # a plain loop: half the time of any() over a generator, a third of set(map(attrgetter(…)))
+    for f in fns[:1] if built else fns:  # a plain loop: half the time of any() over a generator
         if f.dom_n != dom_n or f.cod_n != cod_n:
             raise ValueError("carrier maps must go from dom to cod")
     return _function_space(dom, cod, _Carrier(fns), fam)
+
+
+class _Built(tuple):
+    """The maps of ``continuous_maps`` or of the "all" carrier: every map has the dom_n and cod_n of the first."""
+
+    __slots__ = ()
 
 
 class _Carrier:
@@ -418,7 +431,7 @@ def compact_open(dom: FiniteSpace, cod: FiniteSpace, carrier: str = "continuous"
         fns = continuous_maps(dom, cod)
     elif carrier == "all":
         limits.guard_points(cod.n ** dom.n, _CARRIER)
-        fns = tuple(all_maps(dom.n, cod.n))
+        fns = _Built(all_maps(dom.n, cod.n))
     else:
         raise ValueError(f"unknown carrier {carrier!r}; expected 'continuous' or 'all'")
     limits.guard_points(len(fns), _CARRIER)  # a cached carrier may predate a smaller guard

@@ -3,8 +3,8 @@
 Any operation whose output ground set would exceed the point guard, or whose
 topology would exceed the open-set guard, fails fast with SizeLimitExceeded
 instead of hanging.  The open-set guard can be overridden by the environment
-variable TOPOLAB_LIMIT_OPENS; explicit ``set_limits`` calls (e.g. from CLI
-flags) take precedence over the environment.  The open-set default, 2^20,
+variable TOPOLAB_LIMIT_OPENS, a positive integer; explicit ``set_limits``
+calls (e.g. from CLI flags) take precedence over the environment.  The open-set default, 2^20,
 bounds what the command line writes: a space file lists every open as its
 points, and the 2^20 opens of the discrete 20-point space take about 13 s
 and 1.1 GiB to write on a 2-core host.  ``OPEN_COUNT_MEMO`` is a fixed
@@ -52,9 +52,12 @@ def max_opens() -> int:
     env = os.environ.get("TOPOLAB_LIMIT_OPENS")
     if env:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise TopolabError(f"TOPOLAB_LIMIT_OPENS must be an integer, not {env!r}") from None
+        if value < 1:
+            raise TopolabError(f"TOPOLAB_LIMIT_OPENS must be at least 1, got {value}")
+        return value
     return DEFAULT_MAX_OPENS
 
 

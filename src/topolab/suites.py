@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import os
 import time
+from itertools import repeat
+from operator import or_
 from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -52,7 +54,7 @@ from .filters import enumerate_ultrafilters, subsets_carrier
 from .finality import check_finality_discrete_square, pushed_edges, stone_cech_finite_discrete
 from .funcspaces import compact_open, continuous_maps, mu_embedding_report
 from .hyperspaces import _hit_index_mask, compacts, vietoris
-from .spaces import enumerate_topologies, homeomorphism_classes, make_space
+from .spaces import FiniteSpace, enumerate_topologies, homeomorphism_classes, make_space
 
 STONE_CECH_MAX_D = 4  # stone-cech checks the discrete spaces on 1 to 4 points
 N4_SPACE_STRIDE = 30  # deterministic n=4 sample: corpus indices 0, 30, 60, ...
@@ -166,94 +168,163 @@ def _class_pair_sweep(name: str, pair: Callable, max_n: int, jobs: int) -> RunRe
 
 # ---------------------------------------------------------------- inclusion
 
-def _continuous_along(slot: dict[int, int], hmins, mins) -> bool:
-    """f ↦ f(a) is continuous into the hyperspace of ``hmins``: every pushed edge v → u has u ∈ U_v (``pushed_edges``)."""
-    for v, u in pushed_edges(slot, mins):  # a loop: all() over a generator expression resumes a second generator per edge
-        if not hmins[v] >> u & 1:
-            return False
+class _Codomain(NamedTuple):
+    """What ``_inclusion_pair`` reads of Y, built once per Y in a run (``_codomain``).
+
+    ``near``, ``miss_at`` and ``hit_at`` are indexed by image mask: entry
+    img is about the hyperpoint at position img − 1 of ``compacts(y)``, as
+    in ``FunctionSpace.images``.
+    """
+
+    hyper: FiniteSpace  # the Vietoris topology on compacts(y), over the positions
+    near: tuple[int, ...]  # near[img]: the Vietoris neighbourhood of img's hyperpoint, as image-mask bits
+    avoids: tuple[int, ...]  # Y ∖ F for each closed F of Y
+    miss_at: tuple[tuple[int, ...], ...]  # miss_at[img]: the positions j of the closeds whose miss mask holds img
+    hit_at: tuple[tuple[int, ...], ...]  # hit_at[img]: the positions j of the opens whose hit mask holds img
+
+
+def _codomain(y: FiniteSpace, memo: dict | None = None) -> _Codomain:
+    """Y's side of the inclusion checks: the Vietoris topology and the miss and hit index masks over ``compacts(y)``.
+
+    The index masks are stored per hyperpoint, as the positions of the sets
+    whose mask holds it.  A run keeps each Y's side in ``memo``
+    (``_InclusionRun``); without one it is built on each call.
+    """
+    if memo is not None and y in memo:
+        return memo[y]
+    ky = compacts(y)
+    hyper = vietoris(y, ky).topology
+    everything = full_mask(len(ky))
+    misses = [everything & ~_hit_index_mask(ky, fmask) for fmask in y.closeds]
+    hits = [_hit_index_mask(ky, o) for o in y.opens]
+
+    def by_hyperpoint(masks: list[int]) -> tuple[tuple[int, ...], ...]:
+        return ((), *(tuple(j for j, m in enumerate(masks) if m >> k & 1) for k in range(len(ky))))
+
+    side = _Codomain(
+        hyper=hyper,
+        near=(0, *(u << 1 for u in hyper.min_nbhds)),
+        avoids=tuple(complement(fmask, y.n) for fmask in y.closeds),
+        miss_at=by_hyperpoint(misses),
+        hit_at=by_hyperpoint(hits),
+    )
+    if memo is not None:
+        memo[y] = side
+    return side
+
+
+def _continuous_along(groups: dict[int, int], near: Sequence[int], mins: Sequence[int]) -> bool:
+    """f ↦ f(a) is continuous into the hyperspace whose neighbourhoods are ``near``, one test per image group.
+
+    ``groups`` maps each value v to the mask of the maps f ↦ v, and
+    ``pushed_edges`` gives each group's reach, the union of its U_f.  The
+    coordinate is continuous when every pushed edge v → u has u ∈ U_v, that
+    is, when the reach of each group v meets no group outside U_v.  The
+    groups are non-empty and disjoint, so testing group by group is testing
+    the reach against the union of the groups inside U_v.
+    """
+    items = groups.items()
+    for v, reach in pushed_edges(groups, mins):  # a loop: all() over a generator expression resumes a second generator
+        inside = near[v]
+        for u, others in items:
+            if reach & others and not inside >> u & 1:
+                return False
     return True
 
 
-def _inclusion_pair(args) -> tuple[int, int, list]:
+def _inclusion_pair(args, codomains: dict | None = None) -> tuple[int, int, list]:
     """Hit-and-miss identities and Vietoris openness of the maps f ↦ f(a).
 
-    The miss and hit index masks over compacts(y) and the subbasic sets of
-    the singletons depend on the pair only and are built once.  For each
-    compact a the image table ``images(a)`` gives one function mask per
-    hyperpoint, and every preimage is a union of them.  The map into the
-    Vietoris hyperspace is continuous when every edge it pushes forward
-    lies in the Vietoris preorder (``_continuous_along``).  When it holds,
-    every Vietoris open, the miss and hit index masks (the Vietoris
-    subbase) among them, pulls back to an open.  The Vietoris opens are
-    counted, and listed one by one only to name the witnesses when
-    continuity fails.  Each witness is one failed check.
+    Y's side, the Vietoris topology and the miss and hit index masks over
+    compacts(y), comes from ``_codomain``, kept in ``codomains`` if given.
+    For each compact a the image table ``fsp._table(a)`` gives one function
+    mask per image, and every preimage is a union of them: one pass over
+    the entries adds each mask to the preimages of every closed set its
+    hyperpoint misses and every open set it meets.  The right-hand routes
+    are ``fsp.subbasic(a, Y ∖ F)`` for the miss identity and the union of
+    the singleton subbasic sets over a for the hit identity, grown over the
+    subsets b of X in mask order from b − x, x the lowest point of b.  The
+    map into the Vietoris hyperspace is continuous when every edge it
+    pushes forward lies in the Vietoris preorder (``_continuous_along``),
+    tested per image group: the entries are non-empty and disjoint, so a
+    union of groups holds a group's reach exactly when the groups it meets
+    are among them.  When it holds, every Vietoris open, the miss and hit
+    index masks (the Vietoris subbase) among them, pulls back to an open.
+    The Vietoris opens are counted, and listed one by one only to name the
+    witnesses when continuity fails.  Each witness is one failed check; a
+    compact whose identities hold and whose map is continuous adds none,
+    and the rest are checked set by set, in the order of the witnesses.
     """
     (nx, xi, x), (ny, yi, y) = args
-    checked = 0
     witnesses: list = []
     fsp = compact_open(x, y)
-    ky = compacts(y)
-    hyper = vietoris(y, ky).topology
+    side = _codomain(y, codomains)
     mins = fsp.min_nbhds
-    misses = [
-        (fmask, full_mask(len(ky)) & ~_hit_index_mask(ky, fmask), complement(fmask, y.n)) for fmask in y.closeds
-    ]
-    hits = [
-        (o, _hit_index_mask(ky, o), [fsp.subbasic(1 << pt, o) for pt in range(x.n)]) for o in y.opens
-    ]
+    subbasic = fsp.subbasic
+    closeds, opens, avoids, miss_at, hit_at = y.closeds, y.opens, side.avoids, side.miss_at, side.hit_at
+    by_point = [list(map(subbasic, repeat(1 << pt, len(opens)), opens)) for pt in range(x.n)]
+    hit_rhs = [[0] * len(opens)]  # hit_rhs[a]: the union of by_point[pt] over pt ∈ a, per open
+    for b in range(1, 1 << x.n):
+        hit_rhs.append(list(map(or_, hit_rhs[b & b - 1], by_point[(b & -b).bit_length() - 1])))
+    compacts_x = compacts(x)
 
     def tag(kind: str, **extra) -> dict:
         base = {"x": (nx, xi), "y": (ny, yi), "kind": kind}
         base.update(extra)
         return base
 
-    for a in compacts(x):
-        slot = fsp.images(a)
+    for a in compacts_x:
+        table = fsp._table(a)
+        lhs_miss, lhs_hit = [0] * len(closeds), [0] * len(opens)
+        for img, m in table.items():
+            for j in miss_at[img]:
+                lhs_miss[j] |= m
+            for j in hit_at[img]:
+                lhs_hit[j] |= m
+        rhs_miss = list(map(subbasic, repeat(a, len(avoids)), avoids))
+        rhs_hit = hit_rhs[a]
+        continuous = _continuous_along(table, side.near, mins)
+        if continuous and lhs_miss == rhs_miss and lhs_hit == rhs_hit:
+            continue
         a_points = points_of(a)
-
-        def preimage(index_mask: int) -> int:
-            out = 0
-            for k, m in slot.items():
-                if index_mask >> k & 1:
-                    out |= m
-            return out
-
-        continuous = _continuous_along(slot, hyper.min_nbhds, mins)
-
-        def pulls_back_open(index_mask: int) -> bool:
-            return continuous or fsp.is_open(preimage(index_mask))
-
-        for fmask, missm, avoid in misses:
-            lhs = preimage(missm)
-            rhs = fsp.subbasic(a, avoid)
-            checked += 2
+        for fmask, lhs, rhs in zip(closeds, lhs_miss, rhs_miss):
             if lhs != rhs:
                 witnesses.append(tag("miss-identity", a=a_points, closed=points_of(fmask)))
-            if not pulls_back_open(missm):
+            if not (continuous or fsp.is_open(lhs)):
                 witnesses.append(tag("miss-preimage-not-open", a=a_points, closed=points_of(fmask)))
-        for o, hitm, by_point in hits:
-            lhs = preimage(hitm)
-            rhs = 0
-            for pt in a_points:
-                rhs |= by_point[pt]
-            checked += 2
+        for o, lhs, rhs in zip(opens, lhs_hit, rhs_hit):
             if lhs != rhs:
                 witnesses.append(tag("hit-identity", a=a_points, open=points_of(o)))
-            if not pulls_back_open(hitm):
+            if not (continuous or fsp.is_open(lhs)):
                 witnesses.append(tag("hit-preimage-not-open", a=a_points, open=points_of(o)))
-        checked += hyper.open_count
         if continuous:
             continue
-        for ovm in hyper.opens:
-            if not fsp.is_open(preimage(ovm)):
+        for ovm in side.hyper.opens:
+            if not fsp.is_open(sum(m for img, m in table.items() if ovm >> img - 1 & 1)):
                 witnesses.append(
                     tag("vietoris-open-preimage-not-open", a=a_points, hyper_open=list(iter_bits(ovm)))
                 )
+    checked = len(compacts_x) * (2 * len(closeds) + 2 * len(opens) + side.hyper.open_count)
     return checked, len(witnesses), witnesses
 
 
+class _InclusionRun:
+    """``_inclusion_pair`` for one suite run, keeping each Y's side (``_codomain``) for the pairs it checks.
+
+    Each run makes a new one, so no side built before a patch of the
+    library serves a run, and none outlives it; a worker process checks
+    its share of the pairs with a copy of its own.
+    """
+
+    def __init__(self):
+        self.codomains: dict = {}
+
+    def __call__(self, args) -> tuple[int, int, list]:
+        return _inclusion_pair(args, self.codomains)
+
+
 def suite_vietoris_inclusion(max_n: int = 3, jobs: int = 1) -> RunReport:
-    return _class_pair_sweep("vietoris-inclusion", _inclusion_pair, max_n, jobs)
+    return _class_pair_sweep("vietoris-inclusion", _InclusionRun(), max_n, jobs)
 
 
 # ---------------------------------------------------------------- embedding

@@ -442,6 +442,18 @@ class TestExitCodeContract:
             assert f"{flag} must be at least 1, got {value}" in err and "Traceback" not in err
         assert not corpus.exists()
 
+    @pytest.mark.parametrize(
+        "value, argv", [("0", ["verify", "--suite", "stone-cech"]), ("-5", ["space", "{s}"])], ids=["verify", "space"]
+    )
+    def test_nonpositive_opens_limit_in_environment_is_refused_by_name(
+        self, sierpinski_file, monkeypatch, capsys, value, argv
+    ):
+        # next to the malformed value "abc" (TestVerifyCommand): refused before any work, not read as a size limit
+        monkeypatch.setenv("TOPOLAB_LIMIT_OPENS", value)
+        assert run([arg.replace("{s}", str(sierpinski_file)) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert f"TOPOLAB_LIMIT_OPENS must be at least 1, got {value}" in err and "Traceback" not in err
+
     def test_hyperspace_over_the_open_guard_exits_2_at_once(self, tmp_path, capsys):
         # the Vietoris hyperspace on the 63 compacts of a discrete 6-point
         # space is discrete: its 2^63 opens are counted and refused, not listed

@@ -39,7 +39,8 @@ class TestPushedEdges:
                 hyper = vietoris(y, compacts(y)).topology
                 for a in compacts(x):
                     slot = fsp.images(a)
-                    edges = set(pushed_edges(slot, fsp.min_nbhds))
+                    reaches = pushed_edges(slot, fsp.min_nbhds)
+                    edges = {(v, u) for v, reach in reaches for u, m in slot.items() if reach & m}
                     assert edges == pushed_edges_by_maps(fsp, a), (x, y, a)
 
                     def preimage(index_mask):

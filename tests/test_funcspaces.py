@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 
 import pytest
 
@@ -16,6 +17,7 @@ from oracles import (
 from topolab.bitsets import full_mask, is_subset, nonempty_subsets
 from topolab.errors import ImageNotInFamily, SizeLimitExceeded
 from topolab.funcspaces import (
+    FunctionSpace,
     compact_open,
     continuous_maps,
     is_continuous,
@@ -25,6 +27,7 @@ from topolab.funcspaces import (
 )
 from topolab.hyperspaces import closeds, compacts, upper_vietoris, vietoris
 from topolab import funcspaces, hyperspaces, limits, maps, suites
+from topolab.frozen import memo
 from topolab.maps import FiniteMap, all_maps
 from topolab.spaces import discrete_space, homeomorphism_classes, indiscrete_space, sierpinski_space
 
@@ -128,8 +131,27 @@ class TestSharedSpace:
         assert cache.cache_info() == before
         assert set_open_topology(fns, P2, S, S) is set_open_topology(list(fns), reversed(P2), S, S)
 
+    def test_a_built_carrier_is_checked_by_its_first_map(self):
+        # the library's own carriers have one shape, so their first map stands for all of them
+        fns = continuous_maps(S, S)
+        assert type(fns) is funcspaces._Built and type(compact_open(S, S, "all").functions) is funcspaces._Built
+        odd = fns + (FiniteMap(3, 2, (0, 0, 1)),)
+        with pytest.raises(ValueError, match="carrier maps must go from dom to cod"):
+            set_open_topology(odd, P2, S, S)
+        assert set_open_topology(funcspaces._Built(odd), P2, S, S).size == len(odd)
+
     def test_cache_is_bounded(self):
         assert funcspaces._function_space.cache_info().maxsize is not None
+
+    def test_tables_are_lock_free_memos(self):
+        # min_nbhds stays a cached_property; the tables are memos that keep .func, as cached_property does
+        assert isinstance(vars(FunctionSpace)["min_nbhds"], cached_property)
+        fs = compact_open(S, D2)
+        for name in ("_points", "_tables", "_members", "_kept", "_within", "_continuous"):
+            field = getattr(FunctionSpace, name)
+            assert type(field) is memo and callable(field.func)
+            value = getattr(fs, name)
+            assert getattr(fs, name) is value and vars(fs)[name] is value
 
     def test_images_is_a_fresh_dict(self):
         fs = compact_open(S, D2)

@@ -32,11 +32,12 @@ Known survivors, pinned in ``SURVIVORS`` with their check counts:
 * every suite passes under ``final-from-edges-without-closure``.  Only
   ``finality-square`` builds a final topology, and on its discrete Y every
   pushed edge f(A) → g(A) is a loop, so there is nothing to close;
-* every suite passes under ``continuous-along-always-true``: it is
-  equivalent to the kernel on a correct library.  Every f ↦ f(a) from the
-  compact-open space into the Vietoris hyperspace is continuous, so the
-  Vietoris opens that the shortcut skips all pull back to opens, and the
-  suite counts them either way;
+* every suite passes under ``continuous-along-always-true``, where
+  ``pushed_edges`` yields no group's reach to ``suites._continuous_along``:
+  it is equivalent to the kernel on a correct library.  Every f ↦ f(a)
+  from the compact-open space into the Vietoris hyperspace is continuous,
+  so the Vietoris opens that the shortcut skips all pull back to opens,
+  and the suite counts them either way;
 * ``finality-square`` passes under ``compacts-one-place-on``: on its
   discrete Y the final and the Vietoris topology on the compacts are both
   discrete, and a discrete space relabelled is itself.  ``embedding`` and
@@ -44,7 +45,9 @@ Known survivors, pinned in ``SURVIVORS`` with their check counts:
 
 Before and after each run the caches of results built from the kernels
 (``CACHES``) are emptied, so the kernel's results do not serve the mutant
-and the mutant's do not outlive it.
+and the mutant's do not outlive it.  The memo of each Y's side of the
+inclusion checks is no cache of the list: each ``vietoris-inclusion`` run
+makes a new one (``suites._InclusionRun``).
 """
 
 import json
@@ -194,7 +197,7 @@ def _final_from_edges_without_closure(monkeypatch):
 
 
 def _continuous_along_always_true(monkeypatch):
-    """``suites._continuous_along`` reads no edge from ``pushed_edges``, so every coordinate counts as continuous."""
+    """``suites._continuous_along`` reads no group's reach from ``pushed_edges``, so every coordinate counts as continuous."""
     monkeypatch.setattr(suites, "pushed_edges", lambda groups, mins: iter(()))
 
 
@@ -267,3 +270,21 @@ def test_orbit_weights_witness_leaves_the_sweep_as_it_was(monkeypatch):
         {"kind": "orbit-weights", "n": 1, "found": 2, "expected": 1},
         {"kind": "orbit-weights", "n": 2, "found": 5, "expected": 4},
     ]
+
+
+def test_the_codomain_memo_lives_for_one_run(monkeypatch):
+    # a run of the kernel, then one of a mutant: each run checks its pairs with a new, empty memo
+    runs = []
+    real = suites._class_pair_sweep
+
+    def sweep(name, pair, max_n, jobs):
+        runs.append((pair, dict(pair.codomains)))
+        return real(name, pair, max_n, jobs)
+
+    monkeypatch.setattr(suites, "_class_pair_sweep", sweep)
+    hyperspaces._hyperspace.cache_clear()
+    assert suites.run_suite("vietoris-inclusion", max_n=2).failed == 0
+    _hull_without_last_point(monkeypatch)
+    assert suites.run_suite("vietoris-inclusion", max_n=2).failed == 62
+    (first, at_first), (second, at_second) = runs
+    assert first is not second and at_first == at_second == {} and len(first.codomains) == 4  # the Y classes of n <= 2

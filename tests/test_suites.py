@@ -10,25 +10,36 @@ from topolab.cli import main
 from topolab.fileio import dumps_canonical
 from topolab.bitsets import full_mask
 from topolab.errors import SizeLimitExceeded, TopolabError
-from topolab.funcspaces import FunctionSpace, MuEmbeddingReport
+from topolab.funcspaces import FunctionSpace, MuEmbeddingReport, compact_open
 from topolab.hyperspaces import HyperSpace, compacts, vietoris
-from topolab.spaces import canonical_form, discrete_space, enumerate_topologies, sierpinski_space
+from topolab.spaces import canonical_form, discrete_space, enumerate_topologies, homeomorphism_classes, sierpinski_space
 
 
-def _pairs(corpus3):
-    """All pairs of spaces with at most 2 points, plus a spread of 3-point pairs."""
-    small = [entry for entry in corpus3 if entry[0] <= 2]
-    sample = small + corpus3[5::7]
-    return [(sx, sy) for sx in sample for sy in sample]
+# 4-point class pairs (X, Y) by position in homeomorphism_classes(4): X runs from the discrete
+# space (class 0) to the indiscrete one (class 32), and each Y has at most 648 Vietoris opens
+FOUR_POINT_CLASS_PAIRS = ((0, 26), (7, 5), (20, 12), (32, 2), (3, 8), (12, 20))
+
+
+def _class_pairs():
+    """The 169 pairs of class representatives with at most 3 points, then the 4-point class pairs."""
+
+    def rep(n, k):
+        i, space = homeomorphism_classes(n)[k][1][0]
+        return n, i, space
+
+    reps = [rep(n, k) for n in (1, 2, 3) for k in range(len(homeomorphism_classes(n)))]
+    return [(sx, sy) for sx in reps for sy in reps] + [(rep(4, kx), rep(4, ky)) for kx, ky in FOUR_POINT_CLASS_PAIRS]
 
 
 class TestInclusionPair:
-    def test_matches_the_per_open_scan(self, corpus3):
-        for args in _pairs(corpus3):
+    def test_matches_the_per_open_scan(self):
+        pairs = _class_pairs()
+        assert len(pairs) == 169 + len(FOUR_POINT_CLASS_PAIRS)
+        for args in pairs:
             assert suites._inclusion_pair(args) == inclusion_pair_by_scan(args)
 
     @pytest.mark.parametrize("coarsen", ["indiscrete", "merge-next"])
-    def test_failed_continuity_gives_the_scan_witnesses(self, corpus3, monkeypatch, coarsen):
+    def test_failed_continuity_gives_the_scan_witnesses(self, monkeypatch, coarsen):
         # coarser carrier neighbourhoods break the continuity of f -> f(a);
         # the witnesses must then be those of the per-open scan
         original = FunctionSpace.__dict__["min_nbhds"].func
@@ -40,22 +51,61 @@ class TestInclusionPair:
 
         monkeypatch.setattr(FunctionSpace, "min_nbhds", property(coarse))
         kinds = set()
-        for args in _pairs(corpus3):
+        for args in _class_pairs():
             result = suites._inclusion_pair(args)
             assert result == inclusion_pair_by_scan(args)
             kinds |= {w["kind"] for w in result[2]}
         assert {"vietoris-open-preimage-not-open", "miss-preimage-not-open", "hit-preimage-not-open"} <= kinds
 
-    def test_failed_identities_give_the_scan_witnesses(self, corpus3, monkeypatch):
+    def test_failed_identities_give_the_scan_witnesses(self, monkeypatch):
         # a subbasic set that loses its first function breaks both identities
         original = FunctionSpace.subbasic
         monkeypatch.setattr(FunctionSpace, "subbasic", lambda fs, a, w: original(fs, a, w) & ~1)
         kinds = set()
-        for args in _pairs(corpus3):
+        for args in _class_pairs():
             result = suites._inclusion_pair(args)
             assert result == inclusion_pair_by_scan(args)
             kinds |= {w["kind"] for w in result[2]}
         assert {"miss-identity", "hit-identity"} <= kinds
+
+    def test_a_fault_in_the_hit_route_alone_gives_the_scan_witnesses(self, monkeypatch):
+        # singleton subbasic sets that lose their first function break the hit identity
+        # on compacts of two or more points, whose miss identity still holds
+        original = FunctionSpace.subbasic
+
+        def lose_first(fs, a, w):
+            return original(fs, a, w) & (~1 if a & a - 1 == 0 else -1)
+
+        monkeypatch.setattr(FunctionSpace, "subbasic", lose_first)
+        hit_alone = 0
+        for args in _class_pairs():
+            result = suites._inclusion_pair(args)
+            assert result == inclusion_pair_by_scan(args)
+            by_compact = Counter((tuple(w["a"]), w["kind"]) for w in result[2])
+            hits = [a for a, kind in by_compact if kind == "hit-identity"]
+            hit_alone += sum((a, "miss-identity") not in by_compact for a in hits)
+        assert hit_alone > 0
+
+    @pytest.mark.parametrize("coarsen", [None, "indiscrete", "merge-next"])
+    def test_continuity_on_the_codomain_side_is_the_scan_verdict(self, monkeypatch, coarsen):
+        # _continuous_along over the image tables and the memoized neighbourhoods of Y
+        # holds exactly when every Vietoris open pulls back to an open
+        if coarsen == "indiscrete":
+            monkeypatch.setattr(FunctionSpace, "min_nbhds", property(lambda fs: (full_mask(fs.size),) * fs.size))
+        elif coarsen == "merge-next":
+            original = FunctionSpace.__dict__["min_nbhds"].func
+            merged = property(lambda fs: tuple(m | 1 << (i + 1) % fs.size for i, m in enumerate(original(fs))))
+            monkeypatch.setattr(FunctionSpace, "min_nbhds", merged)
+        verdicts = Counter()
+        for (_, _, x), (_, _, y) in _class_pairs():
+            fsp, side = compact_open(x, y), suites._codomain(y)
+            hyper = vietoris(y, compacts(y)).topology
+            for a in compacts(x):
+                table = fsp._table(a)
+                scan = all(fsp.is_open(sum(m for img, m in table.items() if o >> img - 1 & 1)) for o in hyper.opens)
+                assert suites._continuous_along(table, side.near, fsp.min_nbhds) == scan, (x, y, a)
+                verdicts[scan] += 1
+        assert verdicts[False] > 0 if coarsen else not verdicts[False]
 
 
 class TestRequestChecks:
