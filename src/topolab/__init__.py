@@ -34,7 +34,6 @@ from .filters import (
     converges,
     enumerate_filters,
     enumerate_ultrafilters,
-    is_countably_complete,
     is_ultrafilter,
     points_carrier,
     singleton_filter,
@@ -73,7 +72,6 @@ from .maps import FiniteMap, all_maps
 from .spaces import (
     FiniteSpace,
     SpaceReport,
-    canonical_form,
     closure,
     discrete_space,
     enumerate_topologies,
@@ -81,11 +79,7 @@ from .spaces import (
     homeomorphism_classes,
     indiscrete_space,
     interior,
-    is_compact_subset,
-    is_locally_compact,
-    is_nested_neighbourhood,
     is_t1,
-    is_t2,
     is_t3,
     make_space,
     minimal_open_nbhd,

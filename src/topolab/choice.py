@@ -30,7 +30,6 @@ from .filters import (
     FilterOnCarrier,
     converges,
     enumerate_filters,
-    is_countably_complete,
     is_ultrafilter,
     subsets_carrier,
 )
@@ -108,8 +107,9 @@ def check_lower_convergence_lemma(space: FiniteSpace, phi: FilterOnCarrier) -> b
     the filter converges to that closure in the lower Vietoris topology.
     When P is empty (possible only for non-ultrafilter inputs) the closure
     is not a hyperpoint and lower convergence to the empty set imposes no
-    constraint, so the check is vacuously true; suites flag those instances
-    via limit_set_P.
+    constraint, so the check is vacuously true.  An ultrafilter with kernel
+    {S} has P = cl(S) ⊇ S ≠ ∅, so the sweeps, which run ultrafilters only,
+    meet no vacuous instance.
     """
     p = limit_set_P(space, phi)
     if p == 0:
@@ -187,7 +187,7 @@ def has_property_A(n: int, phi: FilterOnCarrier) -> PropertyAReport:
         witness=None if witness is None else FiniteMap((1 << n) - 1, n, witness),
         is_ultrafilter=is_ultrafilter(phi),
         is_singleton=phi.kernel.bit_count() == 1,
-        is_countably_complete=is_countably_complete(phi),
+        is_countably_complete=True,  # a finite carrier's filters are principal (README, "Notes on definitions")
     )
 
 

@@ -96,15 +96,6 @@ def converges(space: FiniteSpace, filt: FilterOnCarrier, x: int) -> bool:
     return filt.kernel & ~minimal_open_nbhd(space, x) == 0
 
 
-def is_countably_complete(filt: FilterOnCarrier) -> bool:
-    """Intersections of countable member subfamilies stay in the filter.
-
-    True by theorem on a finite carrier: every such intersection contains the
-    kernel.
-    """
-    return True
-
-
 def enumerate_filters(carrier: Carrier) -> Iterator[FilterOnCarrier]:
     """All filters on the carrier: one per non-empty kernel, ascending."""
     for kernel in nonempty_subsets(carrier.size):

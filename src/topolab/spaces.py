@@ -15,13 +15,12 @@ subbase); ``final_from_edges`` computes a final topology as the reflexive
 transitive closure of pushed-forward neighbourhood edges, with no scan over
 candidate subsets; the exhaustive enumerator grows the reflexive and
 transitive neighbourhood arrays point by point, and
-``homeomorphism_classes`` groups them into orbits under relabelling, the
-classes of ``canonical_form``, the least neighbourhood array over all
-relabellings of the points.
+``homeomorphism_classes`` groups them into orbits under relabelling.
 
 On a finite space every subset is compact, so compactness, local compactness
-and the nested-neighbourhood property hold by theorem and their predicates
-return that value; the definitional scans live in the test oracles.
+and the nested-neighbourhood property hold by theorem, and T2 is T1:
+``space_report`` fills those flags from the theorems (README, "Notes on
+definitions"); the definitional scans live in the test oracles.
 """
 
 from __future__ import annotations
@@ -101,10 +100,6 @@ class FiniteSpace(Frozen):
             if count > lim:
                 raise SizeLimitExceeded(f"topology on {self.n} points exceeds the open-set limit {lim}")
         return tuple(_list_opens(self))
-
-    @cached_property
-    def open_set(self) -> frozenset[int]:
-        return frozenset(self.opens)
 
     @cached_property
     def closeds(self) -> tuple[int, ...]:
@@ -295,37 +290,17 @@ def is_t1(space: FiniteSpace) -> bool:
     return all(u == 1 << x for x, u in enumerate(space.min_nbhds))
 
 
-def is_t2(space: FiniteSpace) -> bool:
-    """Distinct points are separated by disjoint opens; finite Hausdorff spaces are discrete."""
-    return is_t1(space)
-
-
 def is_t3(space: FiniteSpace) -> bool:
     """Regularity only: point and disjoint closed set split by disjoint opens.
 
     On a finite space this holds exactly when every minimal neighbourhood is
     closed, that is, when the specialization preorder is symmetric:
     y in U_x implies x in U_y.  T1 is deliberately not folded in; combine
-    with is_t1/is_t2 when a Hausdorff regular space is required.
+    with is_t1 (on a finite space T2 is T1) when a Hausdorff regular space
+    is required.
     """
     mins = space.min_nbhds
     return all(mins[y] >> x & 1 for x, u in enumerate(mins) for y in iter_bits(u))
-
-
-def is_compact_subset(space: FiniteSpace, k: int) -> bool:
-    """Every open cover of ``k`` has a finite subcover.
-
-    True by theorem: every cover of a finite set has a finite subcover.
-    """
-    return True
-
-
-def is_locally_compact(space: FiniteSpace) -> bool:
-    """Each point a and open U ∋ a admit a ∈ O ⊆ K ⊆ U with O open, K compact.
-
-    True by theorem on a finite space: O = K = the minimal neighbourhood of a.
-    """
-    return True
 
 
 def minimal_open_nbhd(space: FiniteSpace, x: int) -> int:
@@ -333,17 +308,6 @@ def minimal_open_nbhd(space: FiniteSpace, x: int) -> int:
     if not 0 <= x < space.n:
         raise ValueError("point outside the ground set")
     return space.min_nbhds[x]
-
-
-def is_nested_neighbourhood(space: FiniteSpace) -> bool:
-    """Every point has an open neighbourhood base totally ordered by inclusion.
-
-    The property is not pinned down by a standalone definition in the usual
-    references; the reading here is a base of each point's neighbourhoods
-    that forms a chain under ⊆.  True by theorem on a finite space: the
-    minimal open neighbourhood alone is such a base.
-    """
-    return True
 
 
 def shrink_between(space: FiniteSpace, k: int, o: int) -> int | None:
@@ -460,57 +424,26 @@ def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
         yield FiniteSpace(n, mins)
 
 
-@lru_cache(maxsize=1)
-def _relabellings(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(p, image) for every permutation p of the n points; image[m] is the mask m relabelled by p.
+@lru_cache(maxsize=8)
+def homeomorphism_classes(n: int) -> tuple[tuple[FiniteSpace, tuple[tuple[int, FiniteSpace], ...]], ...]:
+    """The topologies on n <= 5 points up to homeomorphism, as (representative, members).
 
-    Built once per n and kept for the last n only: the tables hold n! × 2^n
-    masks, about 80 MB at n = 8.
+    ``enumerate_topologies(n)`` grouped into orbits under relabelling: a
+    permutation p puts p(U_x) at position p(x).  The members of a class are
+    the (corpus index, space) pairs of its orbit, in corpus order; the
+    representative is the first of them, and the classes come in the corpus
+    order of their representatives.  The first space met of each orbit is
+    relabelled n! times, each mask read off a table of its relabellings,
+    and every later member is one lookup.
     """
-    out = []
+    corpus = list(enumerate_topologies(n))  # refuses n > 5 before the n! relabellings are built
+    relabellings = []  # (p, image), image[m] the mask m relabelled by p
     for perm in itertools.permutations(range(n)):
         image = [0] * (1 << n)
         for m in range(1, 1 << n):
             low = m & -m
             image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
-        out.append((perm, tuple(image)))
-    return tuple(out)
-
-
-def _relabelled(nbhds: Sequence[int], relabellings) -> Iterator[tuple[int, ...]]:
-    """The array ``nbhds`` relabelled by each (p, image) of ``_relabellings``."""
-    for perm, image in relabellings:
-        form = [0] * len(nbhds)
-        for x, u in enumerate(nbhds):
-            form[perm[x]] = image[u]
-        yield tuple(form)
-
-
-def canonical_form(space: FiniteSpace) -> tuple[int, ...]:
-    """The lexicographically least neighbourhood array over all relabellings of the points.
-
-    Relabelling by a permutation p puts p(U_x) at position p(x).  Two spaces
-    are homeomorphic exactly when their forms are equal.  All n!
-    relabellings are scanned, so n is limited to 8.
-    """
-    if space.n > 8:
-        raise SizeLimitExceeded(f"the canonical form scans all n! relabellings; n = {space.n} is over 8")
-    return min(_relabelled(space.nbhds, _relabellings(space.n)))
-
-
-@lru_cache(maxsize=8)
-def homeomorphism_classes(n: int) -> tuple[tuple[FiniteSpace, tuple[tuple[int, FiniteSpace], ...]], ...]:
-    """The topologies on n <= 5 points up to homeomorphism, as (representative, members).
-
-    ``enumerate_topologies(n)`` grouped into orbits under relabelling, that
-    is, by canonical form.  The members of a class are the (corpus index,
-    space) pairs of its orbit, in corpus order; the representative is the
-    first of them, and the classes come in the corpus order of their
-    representatives.  The first space met of each orbit is relabelled n!
-    times to name the orbit; every later member is one lookup.
-    """
-    corpus = list(enumerate_topologies(n))  # refuses n > 5 before the n! relabellings are built
-    relabellings = _relabellings(n)
+        relabellings.append((perm, image))
     classes: list[list[tuple[int, FiniteSpace]]] = []
     orbit_of: dict[tuple[int, ...], list[tuple[int, FiniteSpace]]] = {}
     for i, space in enumerate(corpus):
@@ -518,8 +451,11 @@ def homeomorphism_classes(n: int) -> tuple[tuple[FiniteSpace, tuple[tuple[int, F
         if members is None:
             members = []
             classes.append(members)
-            for form in _relabelled(space.nbhds, relabellings):
-                orbit_of[form] = members
+            for perm, image in relabellings:
+                form = [0] * n
+                for x, u in enumerate(space.nbhds):
+                    form[perm[x]] = image[u]
+                orbit_of[tuple(form)] = members
         members.append((i, space))
     return tuple((members[0][1], tuple(members)) for members in classes)
 
@@ -549,10 +485,6 @@ class SpaceReport(NamedTuple):
 
 
 def space_report(space: FiniteSpace) -> SpaceReport:
-    return SpaceReport(
-        t1=is_t1(space),
-        t2=is_t2(space),
-        t3=is_t3(space),
-        locally_compact=is_locally_compact(space),
-        nested_neighbourhood=is_nested_neighbourhood(space),
-    )
+    # finite spaces: T2 is T1, and local compactness and nested neighbourhoods hold (README, "Notes on definitions")
+    t1 = is_t1(space)
+    return SpaceReport(t1=t1, t2=t1, t3=is_t3(space), locally_compact=True, nested_neighbourhood=True)

@@ -47,7 +47,6 @@ from .choice import (
     check_locally_compact_bound,
     check_lower_convergence_lemma,
     classify_property_A,
-    limit_set_P,
 )
 from .errors import NotATopology, SizeLimitExceeded, TopolabError
 from .filters import enumerate_ultrafilters, subsets_carrier
@@ -393,23 +392,15 @@ def suite_stone_cech() -> RunReport:
 # --------------------------------------------------------------- choice lemma
 
 def _choice_space(args) -> tuple[int, int, list]:
-    """(checks, failed checks, witnesses) of one space; a vacuous-limit-set witness is informational, not a failure."""
+    """(checks, failed checks, witnesses) of one space."""
     n, si, space = args
     checked = 0
     witnesses: list = []
     carrier = subsets_carrier(n)
     for ui, phi in enumerate(enumerate_ultrafilters(carrier)):
-        vacuous = limit_set_P(space, phi) == 0
-        ok = check_lower_convergence_lemma(space, phi)
         checked += 1
-        if not ok:
-            witnesses.append(
-                {"kind": "lower-convergence", "n": n, "space": si, "ultrafilter": ui}
-            )
-        if vacuous:
-            witnesses.append(
-                {"kind": "vacuous-empty-limit-set", "n": n, "space": si, "ultrafilter": ui, "informational": True}
-            )
+        if not check_lower_convergence_lemma(space, phi):
+            witnesses.append({"kind": "lower-convergence", "n": n, "space": si, "ultrafilter": ui})
         for a in range(1, 1 << n):
             checked += 2
             if not check_locally_compact_bound(space, phi, a):
@@ -420,7 +411,7 @@ def _choice_space(args) -> tuple[int, int, list]:
                 witnesses.append(
                     {"kind": "filterwise-refinement", "n": n, "space": si, "ultrafilter": ui, "a": points_of(a)}
                 )
-    return checked, sum("informational" not in w for w in witnesses), witnesses
+    return checked, len(witnesses), witnesses
 
 
 def suite_choice_lemma(max_n: int = 3, jobs: int = 1) -> RunReport:

@@ -7,8 +7,8 @@ drops a partial array at its first broken pair), the subbase closure
 follows the literal two-stage procedure, the finest-topology search walks
 all candidate topologies, products are unions of open boxes, and
 compactness, local compactness, nestedness, ultrafilters and countable
-completeness are decided by scanning their definitions (the library returns their theorem values on
-finite spaces).  A filter is the list of its members, every subset that
+completeness are decided by scanning their definitions (on finite spaces
+the library's report fields carry their theorem values).  A filter is the list of its members, every subset that
 holds its kernel; refinement, image filters and filters of functions
 applied to filters are decided on those lists (the library reads kernel
 masks), and choice functions are counted and recognised by their
@@ -38,8 +38,9 @@ Closure, interior, the shrinking lemma, the separation axioms and the
 containment of the Vietoris topology in a final topology are decided by
 scanning the listed opens and closeds, where the library reads minimal
 neighbourhoods.  Homeomorphism is a search over the
-permutations that carry one list of opens onto the other (the library
-compares canonical neighbourhood arrays), and the vietoris-inclusion and
+permutations that carry one list of opens onto the other, and a canonical
+form is the least of the n! relabelled neighbourhood arrays (the library
+names each orbit by relabelling its first member once), and the vietoris-inclusion and
 embedding reports are rebuilt from every labelled pair (X, Y) (the library
 runs one pair per pair of homeomorphism classes).  The tests freeze values
 computed here and compare the library against them.
@@ -157,11 +158,12 @@ def finest_topology_with_continuous(
 ) -> tuple[int, ...]:
     """Finest topology (by scanning all of them) making every map continuous."""
     candidates = []
+    sources = [(frozenset(src.opens), f) for src, f in maps]
     for members in brute_force_topologies(target_n):
         memberset = set(members)
         if all(
-            all(preimage_of(f, u) in src.open_set for u in memberset)
-            for src, f in maps
+            all(preimage_of(f, u) in src_opens for u in memberset)
+            for src_opens, f in sources
         ):
             candidates.append(members)
     finest = max(candidates, key=len)
@@ -523,10 +525,11 @@ def vietoris_pull_back_by_maps(fs) -> tuple[int, ...]:
 
 def continuous_maps_by_preimages(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]:
     """The maps of all_maps whose preimage of every open is open, in that order."""
+    dom_opens = frozenset(dom.opens)
     return tuple(
         f
         for f in all_maps(dom.n, cod.n)
-        if all(sum(1 << x for x, y in enumerate(f.image) if w >> y & 1) in dom.open_set for w in cod.opens)
+        if all(sum(1 << x for x, y in enumerate(f.image) if w >> y & 1) in dom_opens for w in cod.opens)
     )
 
 
@@ -662,7 +665,7 @@ def vietoris_contained_by_opens(setup) -> InclusionReport:
     A violation names the open and the first source whose function space
     refuses its preimage.
     """
-    final_opens = setup.computed.open_set
+    final_opens = frozenset(setup.computed.opens)
     violations = []
     for o in vietoris(setup.cod, setup.family).topology.opens:
         if o in final_opens:
@@ -680,6 +683,17 @@ def vietoris_contained_by_opens(setup) -> InclusionReport:
 def relabel_by_opens(space: FiniteSpace, perm) -> FiniteSpace:
     """The space whose opens are the images of the opens of ``space`` under the point map x ↦ perm[x]."""
     return make_space(space.n, [sum(1 << perm[x] for x in iter_bits(o)) for o in space.opens])
+
+
+def canonical_form_by_relabelling(space: FiniteSpace) -> tuple[int, ...]:
+    """The lexicographically least neighbourhood array over all n! relabellings p, p(U_x) at position p(x)."""
+    forms = []
+    for perm in itertools.permutations(range(space.n)):
+        form = [0] * space.n
+        for x, u in enumerate(space.nbhds):
+            form[perm[x]] = sum(1 << perm[y] for y in iter_bits(u))
+        forms.append(tuple(form))
+    return min(forms)
 
 
 def homeomorphic_by_search(a: FiniteSpace, b: FiniteSpace) -> bool:

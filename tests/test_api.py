@@ -10,10 +10,12 @@ moved into ``tests/oracles.py`` when a test checks a library route against
 it.
 
 The same holds for the public methods of public library classes: a method
-whose name no library module, demo or benchmark script reads (as a name,
-an attribute, or a string the benchmark tracer looks attributes up by) is
-deleted or moved into ``tests/oracles.py``.  The test goes by name, so a
-method that shares its name with one in use escapes it.
+whose name no library module, demo or benchmark script reads as an
+attribute (or names in a string the benchmark tracer looks attributes up
+by) is deleted or moved into ``tests/oracles.py``.  A bare name does not
+count, so a local variable spelled like the method does not keep it.  The
+test goes by name, so a method that shares its name with an attribute in
+use escapes it.
 
 Likewise every defaulted parameter of a public library function is passed
 by some call in the library, a demo or a benchmark script, by position or
@@ -37,6 +39,11 @@ def _reads(node: ast.AST) -> set[str]:
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
     return out
+
+
+def _attributes(node: ast.AST) -> set[str]:
+    """The attribute names read anywhere under ``node``."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
 
 
 def _strings(node: ast.AST) -> set[str]:
@@ -78,7 +85,7 @@ def uncalled_public_names() -> list[str]:
 
 def unread_public_methods() -> list[str]:
     modules, scripts = _sources()
-    read = set().union(*map(_reads, scripts), *map(_strings, scripts), *map(_reads, modules.values()))
+    read = set().union(*map(_attributes, scripts), *map(_strings, scripts), *map(_attributes, modules.values()))
     dead = []
     for name, tree in modules.items():
         for cls in tree.body:

@@ -26,7 +26,7 @@ from topolab import choice
 from topolab.errors import SizeLimitExceeded
 from topolab.filters import FilterOnCarrier, enumerate_filters, enumerate_ultrafilters, subsets_carrier
 from topolab.maps import FiniteMap
-from topolab.spaces import closure, discrete_space, indiscrete_space, sierpinski_space
+from topolab.spaces import closure, discrete_space, enumerate_topologies, indiscrete_space, sierpinski_space
 from topolab.suites import N4_SPACE_STRIDE, suite_choice_lemma
 
 S = sierpinski_space()
@@ -324,6 +324,16 @@ class TestUltrafilterClosedForm:
         for sp in spaces:
             for phi in ultras:
                 assert limit_set_P(sp, phi) == closure(sp, phi.kernel.bit_length())
+
+    @pytest.mark.parametrize("n, cases", [(1, 1), (2, 4 * 3), (3, 29 * 7), (4, 355 * 15)])
+    def test_no_ultrafilter_has_an_empty_limit_set(self, n, cases):
+        # P = cl(S) holds S ≠ ∅, so the choice-lemma sweep, which runs ultrafilters only, meets no vacuous instance
+        found = 0
+        for sp in enumerate_topologies(n):
+            for phi in enumerate_ultrafilters(subsets_carrier(n)):
+                assert limit_set_P(sp, phi) != 0, (sp, phi.kernel)
+                found += 1
+        assert found == cases
 
 
 class TestAgainstEnumerationOracle:

@@ -56,6 +56,24 @@ class TestSpaceCommand:
         assert data["opens"] == [[], [1], [0, 1], [1, 2], [0, 1, 2]]
         assert json.loads(capsys.readouterr().out)["report"]["open_count"] == 5
 
+    @pytest.mark.parametrize(
+        "space, flags",
+        [
+            ({"n": 2, "opens": [[], [1], [0, 1]]}, (False, False, False, 3)),
+            ({"n": 3, "opens": [[], [0], [1], [0, 1], [2], [0, 2], [1, 2], [0, 1, 2]]}, (True, True, True, 8)),
+            ({"n": 3, "opens": [[], [0, 1, 2]]}, (False, False, True, 2)),
+        ],
+        ids=["sierpinski", "discrete-3", "indiscrete-3"],
+    )
+    def test_describe_report(self, tmp_path, capsys, space, flags):
+        # the whole report: finite spaces are locally compact and nested, and T2 is T1
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(space))
+        assert run(["space", str(path), "--describe"]) == 0
+        t1, t2, t3, open_count = flags
+        report = {"t1": t1, "t2": t2, "t3": t3, "locally_compact": True, "nested_neighbourhood": True}
+        assert json.loads(capsys.readouterr().out) == dict(space, report=dict(report, open_count=open_count))
+
 
     def test_subbase_outside_ground_set_exits_2(self, capsys):
         assert run(["space", "--generate-subbase", "[[5]]", "--n", "2"]) == 2

@@ -12,7 +12,7 @@ from oracles import (
     refines_by_members,
 )
 from topolab.bitsets import mask_of, points_of
-from topolab.choice import _kernel_values
+from topolab.choice import _kernel_values, has_property_A
 from topolab.filters import (
     Carrier,
     FilterOnCarrier,
@@ -20,7 +20,6 @@ from topolab.filters import (
     converges,
     enumerate_filters,
     enumerate_ultrafilters,
-    is_countably_complete,
     is_ultrafilter,
     points_carrier,
     singleton_filter,
@@ -176,11 +175,15 @@ class TestConvergence:
 
 class TestCountableCompleteness:
     def test_always_true(self):
+        # the definition holds for every filter, and the property-A report says the same
         for size in (1, 2, 3, 4):
             carrier = Carrier(tuple(range(size)))
             for f in all_filters(carrier):
                 assert is_countably_complete_by_members(f)
-                assert is_countably_complete(f)
+        for n in (1, 2):
+            for f in enumerate_filters(subsets_carrier(n)):
+                assert is_countably_complete_by_members(f)
+                assert has_property_A(n, f).is_countably_complete
 
 
 class TestRepresentationExactness:

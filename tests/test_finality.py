@@ -64,8 +64,8 @@ class TestFinalOverProjections:
 
     def test_trivial_opens_always_present(self):
         setup = final_over_projections(S, [(S, 0b10)])
-        assert 0 in setup.computed.open_set
-        assert (1 << len(setup.family)) - 1 in setup.computed.open_set
+        assert 0 in setup.computed.opens
+        assert (1 << len(setup.family)) - 1 in setup.computed.opens
 
     def test_sierpinski_source_brute_force(self):
         # oracle: scan all subsets of the 3-point hyperspace carrier directly
@@ -126,7 +126,7 @@ class TestFinalOverProjections:
                         assert fs.is_open(pre)
                     # finest: every absent subset breaks some continuity
                 for u in range(1 << len(ks)):
-                    if u in setup.computed.open_set:
+                    if u in setup.computed.opens:
                         continue
                     broken = False
                     for _, a in setup.sources:

@@ -26,9 +26,6 @@ Known survivors, pinned in ``SURVIVORS`` with their check counts:
   see a topology that is too coarse (ROADMAP item 4);
 * ``finality-square`` passes under ``hull-without-last-point``: on a
   discrete Y every U_a is {a}, so the mutant equals the kernel there;
-* every suite passes under ``canonical-form-as-identity``, as none reads
-  ``canonical_form``: ``homeomorphism_classes`` names each orbit by
-  relabelling its first member itself;
 * every suite passes under ``final-from-edges-without-closure``.  Only
   ``finality-square`` builds a final topology, and on its discrete Y every
   pushed edge f(A) → g(A) is a loop, so there is nothing to close;
@@ -142,15 +139,14 @@ def _converges_reversed(monkeypatch):
 
 
 def _limit_set_reads_the_next_subset(monkeypatch):
-    """``limit_set_P`` reads each map's value on subset i + 1 (mod 2^n − 1) for a kernel index i, in every module that reads it."""
+    """``limit_set_P`` reads each map's value on subset i + 1 (mod 2^n − 1) for a kernel index i; only ``choice`` reads it."""
     real = choice.limit_set_P
 
     def mutant(space, phi):
         size = phi.carrier.size
         return real(space, FilterOnCarrier(phi.carrier, sum(1 << (i + 1) % size for i in iter_bits(phi.kernel))))
 
-    for module in (choice, suites):
-        monkeypatch.setattr(module, "limit_set_P", mutant)
+    monkeypatch.setattr(choice, "limit_set_P", mutant)
 
 
 def _compacts_one_place_on(monkeypatch):
@@ -176,11 +172,6 @@ def _orbit_weight_one_more(monkeypatch):
 
     for module in (spaces, suites):
         monkeypatch.setattr(module, "homeomorphism_classes", mutant)
-
-
-def _canonical_form_as_identity(monkeypatch):
-    """``canonical_form`` returns the neighbourhood array as it is, relabelling nothing."""
-    monkeypatch.setattr(spaces, "canonical_form", lambda space: space.nbhds)
 
 
 def _final_from_edges_without_closure(monkeypatch):
@@ -220,7 +211,6 @@ SURVIVORS = [
     ("points-on-the-next-map", _points_on_the_next_map, "embedding", 3, 3468),
     ("vietoris-as-lower", _vietoris_as_lower, "vietoris-inclusion", 2, 923),
     ("hull-without-last-point", _hull_without_last_point, "finality-square", 3, 5),
-    ("canonical-form-as-identity", _canonical_form_as_identity, "vietoris-inclusion", 2, 988),
     ("final-from-edges-without-closure", _final_from_edges_without_closure, "finality-square", 3, 5),
     ("continuous-along-always-true", _continuous_along_always_true, "vietoris-inclusion", 2, 988),
     ("compacts-one-place-on", _compacts_one_place_on, "finality-square", 3, 5),

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import (
     brute_force_topologies,
+    canonical_form_by_relabelling,
     closure_by_closeds,
     finest_topology_with_continuous,
     homeomorphic_by_search,
@@ -36,7 +37,6 @@ from topolab.errors import NotATopology, NotOpen, SizeLimitExceeded
 from topolab.maps import FiniteMap
 from topolab.spaces import (
     FiniteSpace,
-    canonical_form,
     closure,
     discrete_space,
     enumerate_topologies,
@@ -45,11 +45,7 @@ from topolab.spaces import (
     homeomorphism_classes,
     indiscrete_space,
     interior,
-    is_compact_subset,
-    is_locally_compact,
-    is_nested_neighbourhood,
     is_t1,
-    is_t2,
     is_t3,
     make_space,
     minimal_open_nbhd,
@@ -170,11 +166,11 @@ class TestOperators:
 class TestSeparation:
     def test_discrete_all_true(self):
         d = discrete_space(2)
-        assert is_t1(d) and is_t2(d) and is_t3(d)
+        assert is_t1(d) and space_report(d).t2 and is_t3(d)
 
     def test_indiscrete(self):
         i = indiscrete_space(2)
-        assert not is_t1(i) and not is_t2(i)
+        assert not is_t1(i) and not space_report(i).t2
         assert is_t3(i)  # no (point, closed set) pair separates at all
 
     def test_sierpinski_not_t3(self):
@@ -188,18 +184,19 @@ class TestSeparation:
 
 class TestCompactness:
     def test_everything_compact(self, corpus3):
+        # the definition holds for every subset; test_hyperspaces checks that ``compacts`` lists them all
         for _, _, sp in corpus3:
             for k in range(1 << sp.n):
                 assert is_compact_by_covers(sp, k)
-                assert is_compact_subset(sp, k)
 
     def test_locally_compact_and_nested(self, corpus3):
-        # the definitions hold everywhere, and the library returns the same
+        # the definitions hold everywhere, and the report says the same
         for _, _, sp in corpus3:
+            rep = space_report(sp)
             assert is_locally_compact_by_definition(sp)
-            assert is_locally_compact(sp)
+            assert rep.locally_compact
             assert is_nested_by_definition(sp)
-            assert is_nested_neighbourhood(sp)
+            assert rep.nested_neighbourhood
 
 
 class TestShrink:
@@ -291,9 +288,9 @@ class TestFinalTopology:
         maps = [(S, FiniteMap(2, 2, (0, 1))), (S, FiniteMap(2, 2, (1, 0)))]
         got = final_of(2, maps)
         for u in range(4):
-            if u in got.open_set:
+            if u in got.opens:
                 continue
-            assert any(preimage_of(f, u) not in src.open_set for src, f in maps)
+            assert any(preimage_of(f, u) not in src.opens for src, f in maps)
 
 
 class TestEnumeration:
@@ -347,7 +344,7 @@ class TestHomeomorphismClasses:
             assert [i for i, _ in members] == sorted(i for i, _ in members)
             assert all(space == corpus[i] for i, space in members)
             assert rep == members[0][1]  # the member of lowest corpus index
-            assert len({canonical_form(space) for _, space in members}) == 1
+            assert len({canonical_form_by_relabelling(space) for _, space in members}) == 1
         # classes come in the corpus order of their representatives
         assert [members[0][0] for _, members in found] == sorted(members[0][0] for _, members in found)
 
@@ -374,35 +371,42 @@ class TestHomeomorphismClasses:
         # and some 5-point preorders, beyond the enumerated corpus
         for _ in range(20):
             spaces.append(final_from_edges(5, [(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randrange(7))]))
+        # the form and the library's class of a space both survive relabelling
+        class_of = {space.nbhds: c for n in range(1, 6) for c, (_, m) in enumerate(homeomorphism_classes(n)) for _, space in m}
         for sp in spaces:
-            form = canonical_form(sp)
+            form = canonical_form_by_relabelling(sp)
             for _ in range(2):
                 perm = rng.sample(range(sp.n), sp.n)
-                assert canonical_form(relabel_by_opens(sp, perm)) == form
+                moved = relabel_by_opens(sp, perm)
+                assert canonical_form_by_relabelling(moved) == form
+                assert class_of[moved.nbhds] == class_of[sp.nbhds]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_equal_forms_iff_homeomorphic(self, n):
         corpus = list(enumerate_topologies(n))
-        forms = [canonical_form(sp) for sp in corpus]
+        forms = [canonical_form_by_relabelling(sp) for sp in corpus]
+        class_of = {space: c for c, (_, members) in enumerate(homeomorphism_classes(n)) for _, space in members}
         for a, fa in zip(corpus, forms):
             for b, fb in zip(corpus, forms):
-                assert (fa == fb) == homeomorphic_by_search(a, b)
+                assert (fa == fb) == homeomorphic_by_search(a, b) == (class_of[a] == class_of[b])
 
     def test_form_is_a_relabelled_array(self):
         # the least of the relabelled arrays: Sierpinski's open point goes first
-        assert canonical_form(S) == (0b01, 0b11)
-        assert canonical_form(discrete_space(3)) == (1, 2, 4)
+        assert canonical_form_by_relabelling(S) == (0b01, 0b11)
+        assert canonical_form_by_relabelling(discrete_space(3)) == (1, 2, 4)
+        # and the class of each is the orbit of that array
+        for sp in (S, discrete_space(3)):
+            (members,) = [m for _, m in homeomorphism_classes(sp.n) if sp in {space for _, space in m}]
+            assert canonical_form_by_relabelling(sp) in {space.nbhds for _, space in members}
 
     def test_size_guard(self):
-        with pytest.raises(SizeLimitExceeded):
-            canonical_form(discrete_space(9))
         with pytest.raises(SizeLimitExceeded):
             homeomorphism_classes(6)
 
 
 def test_t2_implies_t1_and_t1_implies_discrete(corpus3):
     for _, _, sp in corpus3:
-        if is_t2(sp):
+        if space_report(sp).t2:
             assert is_t1(sp)
         if is_t1(sp):
             assert len(sp.opens) == 1 << sp.n
@@ -419,8 +423,9 @@ class TestPreorderRoutesAgainstOpens:
 
     def test_is_open(self, checked_spaces):
         for sp in checked_spaces:
+            opens = frozenset(sp.opens)
             for mask in range(-2, 2 << sp.n):
-                assert sp.is_open(mask) == (mask in sp.open_set), (sp, mask)
+                assert sp.is_open(mask) == (mask in opens), (sp, mask)
 
     def test_closure_and_interior(self, checked_spaces):
         for sp in checked_spaces:
@@ -442,7 +447,7 @@ class TestPreorderRoutesAgainstOpens:
     def test_separation_axioms(self, checked_spaces):
         flags = set()
         for sp in checked_spaces:
-            got = (is_t1(sp), is_t2(sp), is_t3(sp))
+            got = (is_t1(sp), space_report(sp).t2, is_t3(sp))
             assert got == (is_t1_by_closeds(sp), is_t2_by_opens(sp), is_t3_by_opens(sp)), sp
             flags.add(got)
         assert flags == {(True, True, True), (False, False, True), (False, False, False)}

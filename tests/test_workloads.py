@@ -2,8 +2,8 @@
 
 ``benchmarks/workloads.py`` calls the library through its public names; a
 refactor that breaks a workload must fail here, not only in a benchmark
-run.  One ``corpus`` pass and one ``pairs`` pass run with a host-speed
-stub, every verdict must hold, and the brute-force gate must find nothing.
+run.  One pass of each workload runs with a host-speed stub, every
+verdict must hold, and the brute-force gate must find nothing.
 """
 
 import importlib.util
@@ -32,7 +32,7 @@ def _load_workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["Corpus", "Pairs"])
+@pytest.mark.parametrize("name", ["Choice", "Corpus", "Pairs"])
 def test_one_pass_passes_its_checks_and_gate(name, tmp_path):
     workload = getattr(_load_workloads(), name)()
     inputs = workload.generate(topolab, 7)
