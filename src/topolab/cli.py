@@ -150,9 +150,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for r in reports:
         status = "ok" if r.failed == 0 else "FAILED"
         print(f"{r.suite}: {r.passed}/{r.checked} checks passed [{status}] ({r.wall_time_s}s)")
-        if r.class_pairs:
-            rerun = f", {r.rerun_pairs} labelled pairs re-run after a failure" if r.rerun_pairs else ""
-            print(f"  {r.class_pairs} class pairs for {r.labelled_pairs} labelled pairs{rerun}")
+        if r.arity:
+            swept, labelled = ("representatives", "labelled spaces") if r.arity == 1 else ("class pairs", "labelled pairs")
+            rerun = f", {r.reruns} {labelled} re-run after a failure" if r.reruns else ""
+            print(f"  {r.classes} {swept} for {r.labelled} {labelled}{rerun}")
         for w in r.witnesses[:3]:
             print(f"  witness: {json.dumps(w, sort_keys=True)}")
     return 0 if all(r.failed == 0 for r in reports) else 1

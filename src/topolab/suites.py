@@ -13,18 +13,21 @@ read) and the reason for that bound.  The CLI reads its suite names and its
 failed checks, witnesses), and ``RunReport.add`` folds such triples into a
 report.
 
-vietoris-inclusion and embedding check statements about labelled pairs
-(X, Y) that a relabelling of X or of Y carries onto the same statements,
-so they run one pair of class representatives per pair of homeomorphism
-classes and count its checks once per labelled pair of the orbit product
-(169 class pairs for 1156 labelled pairs at max_n 3, 2116 for 151321 at
-max_n 4, 34225 for 53743561 at max_n 5).  Before the sweep, the orbits of
-each size must cover the corpus indices 0 .. T(n) − 1 once each (T from
-OEIS A000798); otherwise one failed check with an ``orbit-weights``
-witness is recorded.  A class pair with a failure is run again on each
-labelled pair of its orbit product, so counts and witnesses are those of
-the labelled sweep; the report records how many pairs stood for how many,
-outside the payload.
+vietoris-inclusion, embedding and choice-lemma check statements that a
+relabelling of each space carries onto the same statements, so they share
+one class sweep (``_class_sweep``): a group is a tuple of orbits, its check
+runs once on the orbits' first members and counts once per labelled tuple
+of the orbit product.  The pair suites sweep the product of the classes
+with themselves (169 class pairs for 1156 labelled pairs at max_n 3, 2116
+for 151321 at max_n 4, 34225 for 53743561 at max_n 5); choice-lemma sweeps
+one class at a time (25 representatives for 46 labelled spaces at max_n 3,
+the 4-point sample included, and 46 for 389 at max_n 4).  Before the
+sweep, the orbits of each size must cover the corpus indices
+0 .. T(n) − 1 once each (T from OEIS A000798); otherwise one failed check
+with an ``orbit-weights`` witness is recorded.  A group with a failure is
+run again on each labelled tuple of its orbit product, so counts and
+witnesses are those of the labelled sweep; the report records how many
+tuples stood for how many, outside the payload.
 
 The fault-injection hook used by the harness self-test removes the full set
 from the first corpus topology and routes the mangled family through
@@ -36,7 +39,9 @@ from __future__ import annotations
 
 import os
 import time
-from itertools import repeat
+from functools import partial
+from itertools import product, repeat
+from math import prod
 from operator import or_
 from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -63,14 +68,16 @@ ORBIT_SUMS = (1, 4, 29, 355, 6942)  # the labelled topologies on 1 to 5 points (
 class RunReport(SimpleNamespace):
     """The counts and witnesses of one suite run; equal when every field is, and unhashable, as it mutates.
 
-    class_pairs, labelled_pairs and rerun_pairs say how a class-pair sweep
-    covered its labelled pairs; they are not part of the payload.
+    arity, classes, labelled and reruns say how a class sweep covered its
+    labelled tuples of ``arity`` spaces: how many class tuples stood for how
+    many labelled ones, and how many labelled tuples ran again after a
+    failure.  They are not part of the payload.
     """
 
     def __init__(self, suite: str, parameters: dict):
         super().__init__(
             suite=suite, parameters=parameters, checked=0, passed=0, failed=0, witnesses=[], wall_time_s=0.0,
-            class_pairs=0, labelled_pairs=0, rerun_pairs=0,
+            arity=0, classes=0, labelled=0, reruns=0,
         )
 
     def add(self, results: Iterable[tuple[int, int, Sequence[dict]]]) -> None:
@@ -128,19 +135,8 @@ def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
         return pool.map(fn, items)
 
 
-def _class_pair_sweep(name: str, pair: Callable, max_n: int, jobs: int) -> RunReport:
-    """Suite ``name``'s report: the checks of ``pair`` over every labelled (X, Y) on at most max_n points.
-
-    ``pair`` maps ((nx, xi, x), (ny, yi, y)) to (checks, failed checks,
-    witnesses) and is invariant under relabelling X and Y independently.  It
-    runs once on each pair of class representatives, and its checks count
-    |orbit X|·|orbit Y| times, once the orbits are checked to cover the
-    corpus.  A class pair with a failure is run again on every labelled pair
-    of its orbit product, and those results are added in the labelled
-    sweep's order, so the report is the labelled sweep's.
-    """
-    _check_max_n(name, max_n)
-    report = RunReport(name, {"max_n": max_n})
+def _orbits(report: RunReport, max_n: int) -> list[list[tuple[int, int, FiniteSpace]]]:
+    """The orbits of each n <= max_n, as (n, corpus index, space) lists, checking their sizes into ``report``."""
     classes = []
     for n in range(1, max_n + 1):
         orbits = [[(n, i, space) for i, space in members] for _, members in homeomorphism_classes(n)]
@@ -149,20 +145,36 @@ def _class_pair_sweep(name: str, pair: Callable, max_n: int, jobs: int) -> RunRe
             witness = {"kind": "orbit-weights", "n": n, "found": len(found), "expected": ORBIT_SUMS[n - 1]}
             report.add([(1, 1, [witness])])
         classes += orbits
-    class_pairs = [(cx, cy) for cx in classes for cy in classes]
-    results = _pmap(pair, [(cx[0], cy[0]) for cx, cy in class_pairs], jobs)
-    report.add(
-        (checked * len(cx) * len(cy), 0, ())
-        for (cx, cy), (checked, failed, _) in zip(class_pairs, results)
-        if not failed
-    )
-    failing = [(sx, sy) for (cx, cy), (_, failed, _) in zip(class_pairs, results) if failed for sx in cx for sy in cy]
-    failing.sort(key=lambda args: (args[0][:2], args[1][:2]))  # (nx, xi, ny, yi): the labelled order
-    report.add(_pmap(pair, failing, jobs))
-    report.class_pairs = len(class_pairs)
-    report.labelled_pairs = sum(map(len, classes)) ** 2
-    report.rerun_pairs = len(failing)
+    return classes
+
+
+def _class_sweep(report: RunReport, check: Callable, groups: Sequence[tuple], jobs: int) -> RunReport:
+    """Fold into ``report`` the checks of ``check`` over every labelled tuple of each group's orbit product.
+
+    A group is a tuple of orbits.  ``check`` maps a tuple of (n, i, space),
+    one per orbit, to (checks, failed checks, witnesses), and is invariant
+    under relabelling each space.  It runs once on the orbits' first
+    members, and its checks count once per labelled tuple of the product.
+    A group with a failure is run again on every labelled tuple of its
+    product, and those results are added in labelled order, so the report
+    is the labelled sweep's.
+    """
+    results = _pmap(check, [tuple(orbit[0] for orbit in group) for group in groups], jobs)
+    sizes = [prod(map(len, group)) for group in groups]
+    report.add((checked * size, 0, ()) for size, (checked, failed, _) in zip(sizes, results) if not failed)
+    failing = [args for group, (_, failed, _) in zip(groups, results) if failed for args in product(*group)]
+    failing.sort(key=lambda args: [space[:2] for space in args])  # (n, i) of each space: the labelled order
+    report.add(_pmap(check, failing, jobs))
+    report.arity, report.classes, report.labelled, report.reruns = len(groups[0]), len(groups), sum(sizes), len(failing)
     return report
+
+
+def _pair_suite(name: str, pair: Callable, max_n: int, jobs: int) -> RunReport:
+    """Suite ``name``'s report: ``pair`` over every labelled (X, Y) on at most max_n points, by class pair."""
+    _check_max_n(name, max_n)
+    report = RunReport(name, {"max_n": max_n})
+    classes = _orbits(report, max_n)
+    return _class_sweep(report, pair, [(cx, cy) for cx in classes for cy in classes], jobs)
 
 
 # ---------------------------------------------------------------- inclusion
@@ -186,8 +198,8 @@ def _codomain(y: FiniteSpace, memo: dict | None = None) -> _Codomain:
     """Y's side of the inclusion checks: the Vietoris topology and the miss and hit index masks over ``compacts(y)``.
 
     The index masks are stored per hyperpoint, as the positions of the sets
-    whose mask holds it.  A run keeps each Y's side in ``memo``
-    (``_InclusionRun``); without one it is built on each call.
+    whose mask holds it.  A run keeps each Y's side in ``memo``, a new one
+    per run; without one it is built on each call.
     """
     if memo is not None and y in memo:
         return memo[y]
@@ -307,23 +319,8 @@ def _inclusion_pair(args, codomains: dict | None = None) -> tuple[int, int, list
     return checked, len(witnesses), witnesses
 
 
-class _InclusionRun:
-    """``_inclusion_pair`` for one suite run, keeping each Y's side (``_codomain``) for the pairs it checks.
-
-    Each run makes a new one, so no side built before a patch of the
-    library serves a run, and none outlives it; a worker process checks
-    its share of the pairs with a copy of its own.
-    """
-
-    def __init__(self):
-        self.codomains: dict = {}
-
-    def __call__(self, args) -> tuple[int, int, list]:
-        return _inclusion_pair(args, self.codomains)
-
-
 def suite_vietoris_inclusion(max_n: int = 3, jobs: int = 1) -> RunReport:
-    return _class_pair_sweep("vietoris-inclusion", _InclusionRun(), max_n, jobs)
+    return _pair_suite("vietoris-inclusion", partial(_inclusion_pair, codomains={}), max_n, jobs)
 
 
 # ---------------------------------------------------------------- embedding
@@ -348,7 +345,7 @@ def _embedding_pair(args) -> tuple[int, int, list]:
 
 
 def suite_embedding(max_n: int = 3, jobs: int = 1) -> RunReport:
-    return _class_pair_sweep("embedding", _embedding_pair, max_n, jobs)
+    return _pair_suite("embedding", _embedding_pair, max_n, jobs)
 
 
 # ------------------------------------------------------------ finality square
@@ -392,8 +389,8 @@ def suite_stone_cech() -> RunReport:
 # --------------------------------------------------------------- choice lemma
 
 def _choice_space(args) -> tuple[int, int, list]:
-    """(checks, failed checks, witnesses) of one space."""
-    n, si, space = args
+    """(checks, failed checks, witnesses) of one space, given as the 1-tuple ((n, corpus index, space),)."""
+    ((n, si, space),) = args
     checked = 0
     witnesses: list = []
     carrier = subsets_carrier(n)
@@ -415,24 +412,18 @@ def _choice_space(args) -> tuple[int, int, list]:
 
 
 def suite_choice_lemma(max_n: int = 3, jobs: int = 1) -> RunReport:
-    """Exhaustive sweep for n <= max_n, plus the deterministic 4-point sample at max_n 3.
+    """Every space on n <= max_n points by class, plus at max_n 3 the deterministic 4-point sample.
 
     The sample takes every N4_SPACE_STRIDE-th topology of the 355-space
-    corpus, with all 15 ultrafilters each; at max_n 4 every 4-point space
-    is swept instead.
+    corpus, each as an orbit of its own, with all 15 ultrafilters; at
+    max_n 4 every 4-point class is swept instead.
     """
     _check_max_n("choice-lemma", max_n)
     report = RunReport("choice-lemma", {"max_n": max_n, "n4_sample": max_n == 3})
-    tasks = []
-    for n in range(1, max_n + 1):
-        for i, space in enumerate(enumerate_topologies(n)):
-            tasks.append((n, i, space))
+    groups = [(orbit,) for orbit in _orbits(report, max_n)]
     if max_n == 3:
-        for i, space in enumerate(enumerate_topologies(4)):
-            if i % N4_SPACE_STRIDE == 0:
-                tasks.append((4, i, space))
-    report.add(_pmap(_choice_space, tasks, jobs))
-    return report
+        groups += [([(4, i, space)],) for i, space in enumerate(enumerate_topologies(4)) if i % N4_SPACE_STRIDE == 0]
+    return _class_sweep(report, _choice_space, groups, jobs)
 
 
 # ----------------------------------------------------------------- property A

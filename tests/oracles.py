@@ -41,8 +41,9 @@ neighbourhoods.  Homeomorphism is a search over the
 permutations that carry one list of opens onto the other, and a canonical
 form is the least of the n! relabelled neighbourhood arrays (the library
 names each orbit by relabelling its first member once), and the vietoris-inclusion and
-embedding reports are rebuilt from every labelled pair (X, Y) (the library
-runs one pair per pair of homeomorphism classes).  The tests freeze values
+embedding reports are rebuilt from every labelled pair (X, Y), and the
+choice-lemma report from every labelled space (the library runs one pair
+per pair of homeomorphism classes, and one space per class).  The tests freeze values
 computed here and compare the library against them.
 """
 
@@ -50,6 +51,7 @@ import functools
 import itertools
 
 from topolab.bitsets import complement, full_mask, is_subset, iter_bits, meets, points_of
+from topolab.fileio import dumps_canonical
 from topolab.finality import InclusionReport
 from topolab.funcspaces import compact_open, continuous_maps
 from topolab.hyperspaces import compacts, upper_vietoris, vietoris
@@ -708,14 +710,38 @@ def homeomorphic_by_search(a: FiniteSpace, b: FiniteSpace) -> bool:
 
 
 def labelled_sweep(suite: str, max_n: int) -> suites.RunReport:
-    """The vietoris-inclusion or embedding report of every labelled pair (X, Y), in corpus order.
+    """The report of every labelled space (choice-lemma) or pair (X, Y) (the pair suites), in corpus order.
 
-    The sweep the suites ran before the class reduction: each pair is
-    checked on its own, by the suite's own pair function, and its witnesses
-    are appended in the order of the pairs.
+    The sweeps the suites ran before the class reduction: each space or
+    pair is checked on its own, by the suite's own check, and its witnesses
+    are appended in corpus order.  choice-lemma at max_n 3 also checks the
+    4-point sample, every ``N4_SPACE_STRIDE``-th space, after the rest.
     """
     spaces = [(n, i, sp) for n in range(1, max_n + 1) for i, sp in enumerate(enumerate_topologies(n))]
+    if suite == "choice-lemma":
+        report = suites.RunReport(suite, {"max_n": max_n, "n4_sample": max_n == 3})
+        if max_n == 3:
+            spaces += [(4, i, sp) for i, sp in enumerate(enumerate_topologies(4)) if i % suites.N4_SPACE_STRIDE == 0]
+        report.add(suites._choice_space((space,)) for space in spaces)
+        return report
     pair = {"vietoris-inclusion": suites._inclusion_pair, "embedding": suites._embedding_pair}[suite]
     report = suites.RunReport(suite, {"max_n": max_n})
     report.add(pair((sx, sy)) for sx in spaces for sy in spaces)
     return report
+
+
+def assert_same_report(report: suites.RunReport, expected: suites.RunReport) -> None:
+    """The canonical bytes of both reports agree (wall time aside); a mismatch names the first differing witness.
+
+    The texts are not compared in an assert statement, because the diff
+    pytest would render for two long reports takes minutes.
+    """
+    expected.wall_time_s = report.wall_time_s
+    if dumps_canonical(report.to_dict()) != dumps_canonical(expected.to_dict()):
+        pairs = zip(report.witnesses, expected.witnesses)
+        first = next((k for k, (got, want) in enumerate(pairs) if got != want), None)
+        raise AssertionError(
+            f"report differs from the labelled sweep: totals {report.to_dict()['totals']} against "
+            f"{expected.to_dict()['totals']}, {len(report.witnesses)} against {len(expected.witnesses)} "
+            f"witnesses, first differing witness at {first}"
+        )

@@ -304,6 +304,15 @@ class TestVerifyCommand:
         assert "re-run" not in out
         assert "class pairs" not in report.read_text()  # stdout only: the report keeps its bytes
 
+    @pytest.mark.parametrize(
+        "max_n, line", [(3, "25 representatives for 46 labelled spaces"), (4, "46 representatives for 389 labelled spaces")]
+    )
+    def test_summary_names_the_representatives(self, tmp_path, capsys, max_n, line):
+        report = tmp_path / "r.json"
+        assert run(["verify", "--suite", "choice-lemma", "--max-n", str(max_n), "--report", str(report)]) == 0
+        assert f"\n  {line}\n" in capsys.readouterr().out
+        assert "representatives" not in report.read_text()  # stdout only: the report keeps its bytes
+
     def test_summary_counts_the_rerun_pairs(self, monkeypatch, capsys):
         from topolab import suites
         from topolab.funcspaces import MuEmbeddingReport

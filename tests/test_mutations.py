@@ -5,10 +5,10 @@ suite and the max-n whose ``verify`` run must then exit 1 with a witness,
 within a time bound (mutation testing after DeMillo, Lipton and Sayward
 1978, "Hints on test data selection", Computer 11).  A mutant caught by
 two suites has a row for each; ``orbit-weight-one-more`` is caught by both
-pair suites, whose orbits of n points must cover the corpus indices
-0 .. T(n) − 1 once each.  A mutant that no suite catches is a finding:
-either a check is missing, or the mutant is equivalent to the kernel and
-README should say why.
+pair suites and by ``choice-lemma``, whose orbits of n points must cover
+the corpus indices 0 .. T(n) − 1 once each.  A mutant that no suite
+catches is a finding: either a check is missing, or the mutant is
+equivalent to the kernel and README should say why.
 
 Known survivors, pinned in ``SURVIVORS`` with their check counts:
 
@@ -44,7 +44,10 @@ Before and after each run the caches of results built from the kernels
 (``CACHES``) are emptied, so the kernel's results do not serve the mutant
 and the mutant's do not outlive it.  The memo of each Y's side of the
 inclusion checks is no cache of the list: each ``vietoris-inclusion`` run
-makes a new one (``suites._InclusionRun``).
+makes a new one, the ``codomains`` keyword of the ``functools.partial`` of
+``suites._inclusion_pair`` that it sweeps.  The class sweep re-runs every
+failing class on its labelled orbit, so ``choice-lemma`` gives the labelled
+sweep's report under both choice mutants too.
 """
 
 import json
@@ -54,6 +57,7 @@ from operator import and_, or_
 
 import pytest
 
+from oracles import assert_same_report, labelled_sweep
 from topolab import choice, cli, filters, finality, funcspaces, hyperspaces, spaces, suites
 from topolab.bitsets import full_mask, iter_bits
 from topolab.cli import main
@@ -203,6 +207,7 @@ MUTANTS = [
     ("compacts-one-place-on", _compacts_one_place_on, "vietoris-inclusion", 2, 30),
     ("orbit-weight-one-more", _orbit_weight_one_more, "vietoris-inclusion", 2, 30),
     ("orbit-weight-one-more", _orbit_weight_one_more, "embedding", 3, 30),
+    ("orbit-weight-one-more", _orbit_weight_one_more, "choice-lemma", 2, 30),
 ]
 
 # (name, patch, suite, max_n, checks): mutants the suite cannot see, with its check count under them
@@ -217,16 +222,20 @@ SURVIVORS = [
 ]
 
 
-def _verify(patch, suite, max_n, monkeypatch, tmp_path) -> tuple[int, dict]:
+@pytest.fixture
+def cold_caches():
+    """Empty ``CACHES`` before and after the test, so no kernel result serves a mutant and no mutant result outlives it."""
     for cache in CACHES:
         cache.cache_clear()
+    yield
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def _verify(patch, suite, max_n, monkeypatch, tmp_path) -> tuple[int, dict]:
     patch(monkeypatch)
     report = tmp_path / "report.json"
-    try:
-        code = main(["verify", "--suite", suite, "--max-n", str(max_n), "--report", str(report)])
-    finally:
-        for cache in CACHES:
-            cache.cache_clear()
+    code = main(["verify", "--suite", suite, "--max-n", str(max_n), "--report", str(report)])
     return code, json.loads(report.read_text())
 
 
@@ -235,7 +244,7 @@ MUTANT_IDS = [row[0] if [r[0] for r in MUTANTS].count(row[0]) == 1 else f"{row[0
 
 
 @pytest.mark.parametrize("name, patch, suite, max_n, seconds", MUTANTS, ids=MUTANT_IDS)
-def test_mutant_is_caught(name, patch, suite, max_n, seconds, monkeypatch, tmp_path, capsys):
+def test_mutant_is_caught(name, patch, suite, max_n, seconds, monkeypatch, tmp_path, capsys, cold_caches):
     start = time.perf_counter()
     code, data = _verify(patch, suite, max_n, monkeypatch, tmp_path)
     assert time.perf_counter() - start < seconds
@@ -245,7 +254,7 @@ def test_mutant_is_caught(name, patch, suite, max_n, seconds, monkeypatch, tmp_p
 
 
 @pytest.mark.parametrize("name, patch, suite, max_n, checks", SURVIVORS, ids=[f"{row[0]}-{row[2]}" for row in SURVIVORS])
-def test_known_survivor_passes(name, patch, suite, max_n, checks, monkeypatch, tmp_path):
+def test_known_survivor_passes(name, patch, suite, max_n, checks, monkeypatch, tmp_path, cold_caches):
     code, data = _verify(patch, suite, max_n, monkeypatch, tmp_path)
     assert code == 0, name
     assert data["totals"] == {"checked": checks, "failed": 0, "passed": checks}
@@ -254,27 +263,43 @@ def test_known_survivor_passes(name, patch, suite, max_n, checks, monkeypatch, t
 def test_orbit_weights_witness_leaves_the_sweep_as_it_was(monkeypatch):
     # each duplicated member weighs its class one more, as before, and one failed check names its size
     _orbit_weight_one_more(monkeypatch)
-    report = suites.run_suite("vietoris-inclusion", max_n=2)
-    assert (report.checked, report.failed) == (1632 + 2, 2)
-    assert report.witnesses == [
-        {"kind": "orbit-weights", "n": 1, "found": 2, "expected": 1},
-        {"kind": "orbit-weights", "n": 2, "found": 5, "expected": 4},
-    ]
+    # under choice-lemma the duplicated 1- and 2-point members add their 3 and 21 checks
+    for suite, checked in (("vietoris-inclusion", 1632), ("choice-lemma", 87 + 3 + 21)):
+        report = suites.run_suite(suite, max_n=2)
+        assert (report.checked, report.failed) == (checked + 2, 2), suite
+        assert report.witnesses == [
+            {"kind": "orbit-weights", "n": 1, "found": 2, "expected": 1},
+            {"kind": "orbit-weights", "n": 2, "found": 5, "expected": 4},
+        ]
+
+
+@pytest.mark.parametrize(
+    "name, patch, failed",
+    [("converges-reversed", _converges_reversed, 392), ("limit-set-reads-the-next-subset", _limit_set_reads_the_next_subset, 1780)],
+    ids=["converges-reversed", "limit-set-reads-the-next-subset"],
+)
+def test_choice_lemma_mutant_gives_the_labelled_bytes(name, patch, failed, monkeypatch, cold_caches):
+    # every failing class is re-run on its labelled orbit, so the report is the labelled sweep's
+    patch(monkeypatch)
+    report = suites.run_suite("choice-lemma", max_n=3)
+    assert report.failed == failed, name
+    assert_same_report(report, labelled_sweep("choice-lemma", 3))
 
 
 def test_the_codomain_memo_lives_for_one_run(monkeypatch):
     # a run of the kernel, then one of a mutant: each run checks its pairs with a new, empty memo
     runs = []
-    real = suites._class_pair_sweep
+    real = suites._class_sweep
 
-    def sweep(name, pair, max_n, jobs):
-        runs.append((pair, dict(pair.codomains)))
-        return real(name, pair, max_n, jobs)
+    def sweep(report, check, groups, jobs):
+        runs.append((check, dict(check.keywords["codomains"])))
+        return real(report, check, groups, jobs)
 
-    monkeypatch.setattr(suites, "_class_pair_sweep", sweep)
+    monkeypatch.setattr(suites, "_class_sweep", sweep)
     hyperspaces._hyperspace.cache_clear()
     assert suites.run_suite("vietoris-inclusion", max_n=2).failed == 0
     _hull_without_last_point(monkeypatch)
     assert suites.run_suite("vietoris-inclusion", max_n=2).failed == 62
     (first, at_first), (second, at_second) = runs
-    assert first is not second and at_first == at_second == {} and len(first.codomains) == 4  # the Y classes of n <= 2
+    assert first is not second and at_first == at_second == {}
+    assert len(first.keywords["codomains"]) == 4  # the Y classes of n <= 2

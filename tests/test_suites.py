@@ -4,8 +4,14 @@ from collections import Counter
 
 import pytest
 
-from oracles import canonical_form_by_relabelling, inclusion_pair_by_scan, labelled_sweep, relabel_by_opens
-from topolab import suites
+from oracles import (
+    assert_same_report,
+    canonical_form_by_relabelling,
+    inclusion_pair_by_scan,
+    labelled_sweep,
+    relabel_by_opens,
+)
+from topolab import choice, suites
 from topolab.cli import main
 from topolab.fileio import dumps_canonical
 from topolab.bitsets import full_mask
@@ -204,25 +210,8 @@ def _counts(result) -> tuple[int, Counter]:
     return checked, Counter(w["kind"] for w in witnesses)
 
 
-def _assert_same_report(report, expected):
-    """The canonical bytes of both reports agree (wall time aside); a mismatch names the first differing witness.
-
-    The texts are not compared in the assert itself, because the diff pytest
-    would render for two long reports takes minutes.
-    """
-    expected.wall_time_s = report.wall_time_s
-    if dumps_canonical(report.to_dict()) != dumps_canonical(expected.to_dict()):
-        pairs = zip(report.witnesses, expected.witnesses)
-        first = next((k for k, (got, want) in enumerate(pairs) if got != want), None)
-        pytest.fail(
-            f"report differs from the labelled sweep: totals {report.to_dict()['totals']} against "
-            f"{expected.to_dict()['totals']}, {len(report.witnesses)} against {len(expected.witnesses)} "
-            f"witnesses, first differing witness at {first}"
-        )
-
-
 class TestClassReduction:
-    """One pair of class representatives stands for its orbit: asserted, not assumed."""
+    """One tuple of class representatives stands for its orbit product: asserted, not assumed."""
 
     @staticmethod
     def _relabelled_pairs(seed, max_n, count):
@@ -249,11 +238,35 @@ class TestClassReduction:
             kinds += counts[1]
         assert set(kinds) >= {"vietoris-open-preimage-not-open", "miss-preimage-not-open", "hit-preimage-not-open"}
 
-    @pytest.mark.parametrize("suite", ["vietoris-inclusion", "embedding"])
-    def test_report_bytes_match_the_labelled_sweep(self, suite):
-        report = suites.run_suite(suite, max_n=3)
-        assert (report.class_pairs, report.labelled_pairs, report.rerun_pairs) == (169, 1156, 0)
-        _assert_same_report(report, labelled_sweep(suite, 3))
+    def test_choice_results_survive_relabelling(self, monkeypatch):
+        rng = random.Random(13)
+        corpus = [(n, i, sp) for n in range(1, 5) for i, sp in enumerate(enumerate_topologies(n))]
+        cases = [((n, i, sp), (n, i, relabel_by_opens(sp, rng.sample(range(n), n)))) for n, i, sp in rng.sample(corpus, 24)]
+        for args, relabelled in cases:
+            assert suites._choice_space((args,)) == suites._choice_space((relabelled,))
+        # convergence asks U_x ⊆ kernel: a fault that relabelling the space leaves unchanged
+        monkeypatch.setattr(choice, "converges", lambda space, filt, x: space.min_nbhds[x] & ~filt.kernel == 0)
+        kinds = Counter()
+        for args, relabelled in cases:
+            counts = _counts(suites._choice_space((args,)))
+            assert counts == _counts(suites._choice_space((relabelled,)))
+            kinds += counts[1]
+        assert kinds["lower-convergence"] > 0
+
+    @pytest.mark.parametrize(
+        "suite, max_n, coverage",
+        [
+            ("vietoris-inclusion", 3, (2, 169, 1156, 0)),
+            ("embedding", 3, (2, 169, 1156, 0)),
+            ("choice-lemma", 3, (1, 25, 46, 0)),
+            ("choice-lemma", 4, (1, 46, 389, 0)),
+        ],
+        ids=["vietoris-inclusion", "embedding", "choice-lemma-3", "choice-lemma-4"],
+    )
+    def test_report_bytes_match_the_labelled_sweep(self, suite, max_n, coverage):
+        report = suites.run_suite(suite, max_n=max_n)
+        assert (report.arity, report.classes, report.labelled, report.reruns) == coverage
+        assert_same_report(report, labelled_sweep(suite, max_n))
 
     @pytest.mark.parametrize("suite", ["vietoris-inclusion", "embedding"])
     def test_class_fault_is_rerun_on_every_labelled_pair(self, suite, monkeypatch):
@@ -281,9 +294,23 @@ class TestClassReduction:
         monkeypatch.setattr(suites, "mu_embedding_report", failing_report)
         report = suites.run_suite(suite, max_n=3)
         assert report.failed > 0
-        assert report.rerun_pairs == 34 * 2  # every X against both labellings of Sierpinski
+        assert report.reruns == 34 * 2  # every X against both labellings of Sierpinski
         assert {tuple(w["y"]) for w in report.witnesses} == {(2, 1), (2, 2)}
-        _assert_same_report(report, labelled_sweep(suite, 3))
+        assert_same_report(report, labelled_sweep(suite, 3))
+
+    def test_choice_class_fault_is_rerun_on_both_labellings(self, monkeypatch):
+        # a fault whenever the space is a Sierpinski space, in either labelling
+        sierpinski = canonical_form_by_relabelling(sierpinski_space())
+        real = suites.check_lower_convergence_lemma
+
+        def failing(space, phi):
+            return canonical_form_by_relabelling(space) != sierpinski and real(space, phi)
+
+        monkeypatch.setattr(suites, "check_lower_convergence_lemma", failing)
+        report = suites.run_suite("choice-lemma", max_n=3)
+        assert (report.failed, report.reruns) == (2 * 3, 2)  # both labellings, each with its 3 ultrafilters
+        assert {(w["n"], w["space"]) for w in report.witnesses} == {(2, 1), (2, 2)}
+        assert_same_report(report, labelled_sweep("choice-lemma", 3))
 
 
 def _labelled_spaces(max_n):
@@ -311,7 +338,7 @@ class TestPinnedTotals:
         report = suites.run_suite("vietoris-inclusion", max_n=4)
         assert (report.checked, report.failed) == (596278092, 0)
         assert report.checked == _inclusion_closed_form(4)
-        assert (report.class_pairs, report.labelled_pairs) == (46**2, 389**2)
+        assert (report.classes, report.labelled) == (46**2, 389**2)
 
     def test_embedding_at_max_n_4(self):
         report = suites.run_suite("embedding", max_n=4)
