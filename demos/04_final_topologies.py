@@ -7,9 +7,11 @@ a discrete Y fed from its own discrete square the two agree exactly, which
 this demo verifies; the final topology is the transitive closure of the
 neighbourhood edges the projections push forward.
 
-The ultrafilter space of a finite discrete set is also checked: point
-filters biject with the points, closures of point images are clopen, and
-every clopen set is the closure of its trace.
+The ultrafilter space of a finite discrete set is also checked, from the
+ultrafilters the library lists: point filters biject with the points,
+closures of point images are clopen, and every clopen set is the closure of
+its trace.  Every ultrafilter on a finite set is principal, so these hold by
+theorem; no verification suite sweeps them.
 
 Run:  python demos/04_final_topologies.py
 """

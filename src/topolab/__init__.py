@@ -15,7 +15,6 @@ from .choice import (
     check_locally_compact_bound,
     check_lower_convergence_lemma,
     classify_property_A,
-    enumerate_choice_functions,
     filterwise_limit_set,
     has_property_A,
     limit_set_P,

@@ -12,9 +12,10 @@ image tuple of every choice function (20736 on 4 points), reads each once
 with one ``itemgetter`` of its values on the kernel indices, and keeps the
 distinct value masks, once per (n, kernel) behind a bounded cache;
 ``limit_set_P`` then tests each mask against the space's minimal
-neighbourhoods.  ``has_property_A`` generates the tuples on each call,
-stops at the first tuple whose values differ, and builds a ``FiniteMap``
-only for that witness.
+neighbourhoods.  ``has_property_A`` reads no enumeration: the property
+holds exactly when the kernel is one subset, and its witness, the first
+choice function in that order that fails, is built directly (README,
+"Notes on definitions").
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .filters import (
 )
 from .hyperspaces import lower_vietoris
 from .spaces import FiniteSpace, closure
-from .maps import FiniteMap, _unchecked_maps
+from .maps import FiniteMap
 
 
 def _choice_images(n: int) -> Iterator[tuple[int, ...]]:
@@ -49,14 +50,6 @@ def _choice_images(n: int) -> Iterator[tuple[int, ...]]:
     if n > 4:
         raise SizeLimitExceeded("choice-function enumeration is limited to n <= 4")
     return itertools.product(*map(points_of, nonempty_subsets(n)))
-
-
-def enumerate_choice_functions(n: int) -> Iterator[FiniteMap]:
-    """All choice functions on an n-point ground set, in the order of their image tuples.
-
-    Each value is a point of its own subset, so the maps skip the range check.
-    """
-    yield from _unchecked_maps((1 << n) - 1, n, _choice_images(n))
 
 
 def _kernel_values(kernel: tuple[int, ...]) -> itemgetter:
@@ -174,17 +167,30 @@ class PropertyAReport(NamedTuple):
 def has_property_A(n: int, phi: FilterOnCarrier) -> PropertyAReport:
     """Does every choice function send the filter to a singleton filter?
 
-    The report carries the ultrafilter / singleton / countable-completeness
-    flags alongside, since the property forces all three on finite carriers.
+    It does exactly when the kernel is one subset S, as f(S) is one point.
+    Otherwise the witness is the first choice function, in the order of
+    ``_choice_images``, whose kernel values differ: the one that picks each
+    subset's lowest point, unless every kernel subset has the same lowest
+    point; then the last kernel subset with two or more points picks its
+    second point instead.  The report carries the ultrafilter / singleton /
+    countable-completeness flags alongside, since the property forces all
+    three on finite carriers.
     """
     if phi.carrier.size != (1 << n) - 1:
         raise ValueError("filter must live on the subset carrier")
-    read = _kernel_values(points_of(phi.kernel))
-    witness = next((image for image in _choice_images(n) if len(set(read(image))) > 1), None)
+    kernel = phi.kernel_elements()
+    witness = None
+    if len(kernel) > 1:
+        image = [(m & -m).bit_length() - 1 for m in range(1, 1 << n)]
+        if len({image[m - 1] for m in kernel}) == 1:
+            last = max(m for m in kernel if m & (m - 1))
+            rest = last & (last - 1)
+            image[last - 1] = (rest & -rest).bit_length() - 1
+        witness = FiniteMap((1 << n) - 1, n, tuple(image))
     return PropertyAReport(
-        kernel_subsets=tuple(sorted(phi.kernel_elements())),
+        kernel_subsets=kernel,
         holds=witness is None,
-        witness=None if witness is None else FiniteMap((1 << n) - 1, n, witness),
+        witness=witness,
         is_ultrafilter=is_ultrafilter(phi),
         is_singleton=phi.kernel.bit_count() == 1,
         is_countably_complete=True,  # a finite carrier's filters are principal (README, "Notes on definitions")

@@ -201,10 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help=f"all | {' | '.join(SUITE_NAMES)}")
-    bounds = ", ".join(f"{name} (<= {suite.max_n})" for name, suite in SUITES.items() if suite.max_n is not None)
-    unread = ", ".join(name for name, suite in SUITES.items() if suite.max_n is None)
+    bounds = ", ".join(f"{name} (<= {suite.max_n})" for name, suite in SUITES.items())
     p.add_argument("--max-n", type=int, default=3, dest="max_n", help=f"largest n (>= 1), y for finality-square: {bounds}; "
-                   f"not read by {unread}; every selected suite's bound is checked before any suite runs")
+                   "every selected suite's bound is checked before any suite runs")
     p.add_argument("--report", default=None, help="write the RunReport JSON here")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1); never more than the work items or os.cpu_count()")
     p.add_argument("--inject-fault", action="store_true", help="harness self-test: flip one open set and require a failure")

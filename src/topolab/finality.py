@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple, Sequence
 
-from .bitsets import complement, is_subset, iter_bits, mask_of, points_of
+from .bitsets import complement, full_mask, is_subset, iter_bits, mask_of, points_of
 from .errors import SizeLimitExceeded
 from .filters import contains, enumerate_ultrafilters, points_carrier, singleton_filter
 from .funcspaces import compact_open
@@ -229,70 +229,33 @@ def stone_cech_finite_discrete(d_n: int) -> StoneCechReport:
     The ultrafilter space of the discrete space on d_n points is built with
     the base { Uf(M) : M ⊆ D } (ultrafilters containing M); for a finite
     discrete space all ultrafilters are point filters, so w : x ↦ ε(x) must
-    be a bijection and the space coincides with D itself.  The three
-    structural facts are then verified extensionally: closures of point-set
-    images are clopen, the generating base is clopen, and every clopen set C
-    is the closure of its trace C ∩ w(D).
+    be a bijection and the space coincides with D itself.  Every flag is
+    computed from the ultrafilters ``enumerate_ultrafilters`` lists: w is
+    bijective, the closure of each image w(M) is the clopen Uf(M), the base
+    is clopen and holds a neighbourhood base, and every clopen set C is the
+    closure of its trace C ∩ w(D).  A point whose filter is not listed has
+    no image, so w is then not bijective and nothing raises.
     """
     if d_n < 1:
         raise ValueError("d_n must be positive")
     carrier = points_carrier(d_n)
     ultras = list(enumerate_ultrafilters(carrier))
-    # w sends a point to its singleton filter; bijectivity onto the ultrafilters
-    w = {x: singleton_filter(carrier, x) for x in range(d_n)}
-    w_bijective = (
-        len(ultras) == d_n
-        and len(set(w.values())) == d_n
-        and set(w.values()) == set(ultras)
-    )
-    uf_index = {u: i for i, u in enumerate(ultras)}
+    index = {u: i for i, u in enumerate(ultras)}
+    w = [index.get(singleton_filter(carrier, x)) for x in range(d_n)]  # None: the point's filter is not listed
 
-    def uf_of(m: int) -> int:
-        """Index mask of the ultrafilters containing M (kernel inside M)."""
-        out = 0
-        for i, u in enumerate(ultras):
-            if contains(u, m):
-                out |= 1 << i
-        return out
+    def image(m: int) -> int:
+        """The index mask of w(M)."""
+        return sum(1 << w[x] for x in iter_bits(m) if w[x] is not None)
 
-    base = [uf_of(m) for m in range(1 << d_n)]
+    base = [sum(1 << i for i, u in enumerate(ultras) if contains(u, m)) for m in range(1 << d_n)]  # Uf(M)
     space = generate_from_subbase(len(ultras), base)
-
-    def clopen(mask: int) -> bool:
-        return space.is_open(mask) and space.is_open(complement(mask, space.n))
-
-    w_image_mask = 0
-    for x in range(d_n):
-        w_image_mask |= 1 << uf_index[w[x]]
-
-    closures_clopen = True
-    for m in range(1 << d_n):
-        img = 0
-        for x in iter_bits(m):
-            img |= 1 << uf_index[w[x]]
-        cl = closure(space, img)
-        if not clopen(cl) or cl != uf_of(m):
-            closures_clopen = False
-            break
-
-    # base property: each point x has a base set b with x in b ⊆ U_x
-    base_is_clopen = all(clopen(b) for b in base) and all(
-        any(b >> x & 1 and is_subset(b, u) for b in base) for x, u in enumerate(space.min_nbhds)
-    )
-
-    clopen_closure_form = True
-    for c in range(1 << len(ultras)):
-        if not clopen(c):
-            continue
-        if closure(space, c & w_image_mask) != c:
-            clopen_closure_form = False
-            break
-
+    clopens = {c for c in space.opens if space.is_open(complement(c, space.n))}
     return StoneCechReport(
         d_n=d_n,
         ultrafilter_count=len(ultras),
-        w_bijective=w_bijective,
-        closures_clopen=closures_clopen,
-        base_is_clopen=base_is_clopen,
-        clopen_closure_form=clopen_closure_form,
+        w_bijective=None not in w and len(set(w)) == d_n == len(ultras),
+        closures_clopen=all(b in clopens and closure(space, image(m)) == b for m, b in enumerate(base)),
+        base_is_clopen=clopens.issuperset(base)
+        and all(any(b >> x & 1 and is_subset(b, u) for b in base) for x, u in enumerate(space.min_nbhds)),
+        clopen_closure_form=all(closure(space, c & image(full_mask(d_n))) == c for c in clopens),
     )

@@ -51,8 +51,8 @@ for each x ∈ A, then g(A) ⊆ hull f(A), and g(A) meets U_k for each
 k ∈ f(A); these are the upper and the Vietoris nearness of g(A) to f(A).
 On the full powerset the slots drop from 2^n − 1 to n, and when the
 singletons are in the family the Vietoris pull-back P_f equals U_f.  The
-neighbourhoods, P_f and the mu-fibres read the kept slots only.  A
-singleton slot {x} needs no image table: the maps with f(x) = y are near
+neighbourhoods and P_f read the kept slots only.  A singleton slot {x}
+needs no image table: the maps with f(x) = y are near
 exactly the maps in ``_within[x][y]``, those with f(x) ∈ U_y, so on the
 compacts U_f is the box { g : g(x) ∈ U_{f(x)} for every x }, built level
 by level as ``map(and_, box, map(_within[x].__getitem__, _columns[x]))``
@@ -489,23 +489,24 @@ def mu_embedding_report(
     singletons; a family without them only flags the report, it does not
     raise.  Openness onto the image holds for every carrier by theorem: the
     carrier topology is initial for the maps f ↦ f(A) into the upper
-    Vietoris hyperspace, which the Vietoris topology refines, so P_f ⊆ U_f.
-    It is still checked, since the embedding suite counts it.  When the
-    singletons are in the family, P_f = U_f: only the singleton slots are
-    kept, and on them both pull-backs read g(x) ∈ U_{f(x)}; U_f is then
-    reused as P_f instead of pulling back a second time.
+    Vietoris hyperspace, which the Vietoris topology refines, so
+    P_f ⊆ U_f ⊆ sat(U_f) (README, "Notes on definitions").  The report
+    tests P_f ⊆ U_f and builds no fibre; ``oracles.mu_embedding_by_definition``
+    keeps the route through the images of opens.  When the singletons are
+    in the family, P_f = U_f: only the singleton slots are kept, and on
+    them both pull-backs read g(x) ∈ U_{f(x)}; U_f is then reused as P_f
+    instead of pulling back a second time.
 
-    P_f and the mu-fibres are taken over the kept slots of the carrier
-    (``FunctionSpace._kept``), which gives the same sets as all slots.  The
-    verdicts are whole-sequence tests run in C: U_f ⊆ P_f for every f is
+    P_f is taken over the kept slots of the carrier (``FunctionSpace._kept``),
+    which gives the same sets as all slots.  The verdicts are
+    whole-sequence tests run in C: U_f ⊆ P_f for every f is
     ``not any(map(and_, mins, map(invert, pm)))``, and mu is injective when
     the mu values, zipped from the slot columns (``_slot_column``), are
-    pairwise distinct.  Only a non-injective mu splits the carrier into its
-    fibres, by the image tables of the kept slots, to saturate U_f.  The
-    carrier's continuity is one mask (``_continuous``), not a call of
-    ``mu`` per map.  The first map in carrier order that ``mu`` would refuse
-    raises the same error through ``mu``: the first discontinuous map, or
-    the first map of all when the family holds ∅, whose image is no compact.
+    pairwise distinct.  The carrier's continuity is one mask
+    (``_continuous``), not a call of ``mu`` per map.  The first map in
+    carrier order that ``mu`` would refuse raises the same error through
+    ``mu``: the first discontinuous map, or the first map of all when the
+    family holds ∅, whose image is no compact.
     """
     fam = canon_family(family)
     fs = set_open_topology(carrier, fam, dom, cod)
@@ -518,17 +519,9 @@ def mu_embedding_report(
     singletons = all((1 << x) in fam for x in range(dom.n))
     pm = mins if singletons else fs._pull_back(fs._kept, lower=True)
     values = zip(*map(fs._slot_column, fs._kept)) if fs._kept else [()] * fs.size  # mu(f) over the kept slots
-    injective = len(set(values)) == fs.size
-    sat = mins
-    if not injective:  # sat(U_f) adds the mu-fibres of two or more maps that meet U_f
-        fibres = [full_mask(fs.size)]
-        for a in fs._kept:
-            fibres = [p & m for p in fibres for m in fs._table(a).values() if p & m]
-        shared = [m for m in fibres if m & (m - 1)]
-        sat = [reduce(or_, (m for m in shared if m & u), u) for u in mins]
     return MuEmbeddingReport(
         continuous=not any(map(and_, mins, map(invert, pm))),
-        open_onto_image=not any(map(and_, pm, map(invert, sat))),
-        injective=injective,
+        open_onto_image=not any(map(and_, pm, map(invert, mins))),
+        injective=len(set(values)) == fs.size,
         family_has_singletons=singletons,
     )

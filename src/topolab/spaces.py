@@ -159,13 +159,11 @@ def min_nbhds_of(n: int, masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def _validate_axioms(n: int, opens: tuple[int, ...]) -> None:
-    full = full_mask(n)
-    if any(o > full or o < 0 for o in opens):
-        raise ValueError("open mask does not fit the ground set")
+    """Raise NotATopology with the first missing end or the first pair whose union or intersection is missing."""
     members = frozenset(opens)
     if 0 not in members:
         raise NotATopology("empty set missing")
-    if full not in members:
+    if full_mask(n) not in members:
         raise NotATopology("full set missing")
     for a, b in itertools.combinations(opens, 2):
         if a | b not in members:
@@ -177,16 +175,28 @@ def _validate_axioms(n: int, opens: tuple[int, ...]) -> None:
 def make_space(n: int, opens: Iterable[int]) -> FiniteSpace:
     """Validate a family of open masks and build the space.
 
-    Pairwise closure under union and intersection is checked; on finite
-    families that implies closure under arbitrary unions and finite
-    intersections.  Raises NotATopology with the first violated axiom and a
-    witnessing pair.
+    Every member holds the minimal neighbourhood of each of its points, the
+    intersection of the members holding it (``min_nbhds_of``), so it is a
+    union of them: the family lies inside the topology those neighbourhoods
+    generate, which holds ∅ and the full set, and is that topology exactly
+    when it has ``open_count`` members.  Only when that test fails, or the
+    count stops at its memo bound, are the ends and pairs scanned; closure
+    under pairwise unions and intersections decides a finite family.
+    Raises NotATopology with the first violated axiom and a witnessing pair.
     """
     if n < 0:
         raise ValueError("ground set size must be non-negative")
     fam = canon_family(opens)
-    _validate_axioms(n, fam)
-    return FiniteSpace(n, min_nbhds_of(n, fam))
+    if fam and (fam[0] < 0 or fam[-1] > full_mask(n)):  # sorted, so the least and greatest members decide
+        raise ValueError("open mask does not fit the ground set")
+    space = FiniteSpace(n, min_nbhds_of(n, fam))
+    try:
+        generated = space.open_count
+    except SizeLimitExceeded:
+        generated = None
+    if generated != len(fam):
+        _validate_axioms(n, fam)
+    return space
 
 
 def _holding(mins: Sequence[int], x: int) -> int:

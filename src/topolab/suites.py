@@ -7,11 +7,11 @@ A RunReport serializes to canonical JSON; identical inputs give byte-identical
 reports except for the single wall_time_s field.
 
 ``SUITES`` is the registry: for each suite name, its runner
-(max_n, jobs) -> RunReport, its largest max_n (None where max_n is not
-read) and the reason for that bound.  The CLI reads its suite names and its
-``--max-n`` help from it.  Each per-item check returns one triple, (checks,
-failed checks, witnesses), and ``RunReport.add`` folds such triples into a
-report.
+(max_n, jobs) -> RunReport, its largest max_n and the reason for that
+bound; every suite reads max_n.  The CLI reads its suite names and its
+``--max-n`` help from it.  Each per-item check returns one triple,
+(checks, failed checks, witnesses), and ``RunReport.add`` folds such
+triples into a report.
 
 vietoris-inclusion, embedding and choice-lemma check statements that a
 relabelling of each space carries onto the same statements, so they share
@@ -55,12 +55,11 @@ from .choice import (
 )
 from .errors import NotATopology, SizeLimitExceeded, TopolabError
 from .filters import enumerate_ultrafilters, subsets_carrier
-from .finality import check_finality_discrete_square, pushed_edges, stone_cech_finite_discrete
+from .finality import check_finality_discrete_square, pushed_edges
 from .funcspaces import compact_open, continuous_maps, mu_embedding_report
 from .hyperspaces import _hit_index_mask, compacts, vietoris
 from .spaces import FiniteSpace, enumerate_topologies, homeomorphism_classes, make_space
 
-STONE_CECH_MAX_D = 4  # stone-cech checks the discrete spaces on 1 to 4 points
 N4_SPACE_STRIDE = 30  # deterministic n=4 sample: corpus indices 0, 30, 60, ...
 ORBIT_SUMS = (1, 4, 29, 355, 6942)  # the labelled topologies on 1 to 5 points (OEIS A000798)
 
@@ -110,7 +109,7 @@ def _check_max_n(name: str, max_n: int) -> None:
     if max_n < 1:
         raise TopolabError(f"max_n must be at least 1, got {max_n}")
     bound, why = SUITES[name].max_n, SUITES[name].why
-    if bound is not None and max_n > bound:
+    if max_n > bound:
         raise SizeLimitExceeded(f"{name} {why}; max_n {max_n} is over {bound}")
 
 
@@ -370,22 +369,6 @@ def suite_finality_square(max_y: int = 3) -> RunReport:
     return report
 
 
-# ----------------------------------------------------------------- stone-cech
-
-def suite_stone_cech() -> RunReport:
-    report = RunReport("stone-cech", {"max_d": STONE_CECH_MAX_D})
-    for d_n in range(1, STONE_CECH_MAX_D + 1):
-        rep = stone_cech_finite_discrete(d_n)
-        for name, ok in (
-            ("w-bijective", rep.w_bijective),
-            ("closures-clopen", rep.closures_clopen),
-            ("base-clopen", rep.base_is_clopen),
-            ("clopen-closure-form", rep.clopen_closure_form),
-        ):
-            report.record(ok, {"kind": name, "d_n": d_n})
-    return report
-
-
 # --------------------------------------------------------------- choice lemma
 
 def _choice_space(args) -> tuple[int, int, list]:
@@ -453,7 +436,7 @@ def suite_property_a(max_n: int = 3) -> RunReport:
 
 class Suite(NamedTuple):
     run: Callable[[int, int], RunReport]  # (max_n, jobs) -> the suite's report
-    max_n: int | None  # the largest max_n, or None where max_n is not read
+    max_n: int  # the largest max_n
     why: str  # the reason for that bound
 
 
@@ -464,9 +447,6 @@ SUITES = {
     ),
     "embedding": Suite(lambda max_n, jobs: suite_embedding(max_n, jobs), 5, "sweeps the homeomorphism classes of n <= 5"),
     "finality-square": Suite(lambda max_n, jobs: suite_finality_square(max_n), 3, "checks y <= 3"),
-    "stone-cech": Suite(
-        lambda max_n, jobs: suite_stone_cech(), None, f"checks the discrete spaces on 1 to {STONE_CECH_MAX_D} points"
-    ),
     "choice-lemma": Suite(
         lambda max_n, jobs: suite_choice_lemma(max_n, jobs),
         4,

@@ -167,7 +167,7 @@ def test_acceptance_run_cli_verify_all(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads(report_path.read_text())
     assert code == 0
-    assert len(payload) == 6
+    assert len(payload) == 5
     assert all(r["totals"]["failed"] == 0 for r in payload)
 
 

@@ -1,4 +1,4 @@
-import inspect
+import random
 
 import pytest
 
@@ -17,7 +17,6 @@ from topolab.choice import (
     check_locally_compact_bound,
     check_lower_convergence_lemma,
     classify_property_A,
-    enumerate_choice_functions,
     filterwise_limit_set,
     has_property_A,
     limit_set_P,
@@ -40,27 +39,28 @@ def subset_filter(n, *masks):
 
 
 class TestEnumeration:
+    """The image tuples that ``_kernel_images`` reads: every choice function once, in the oracle's order."""
+
     @pytest.mark.parametrize("n,count", [(2, 2), (3, 24), (4, 20736)])
     def test_counts(self, n, count):
         assert choice_function_count(n) == count
         if n < 4:  # the 4-point functions are counted in the test below
-            assert sum(1 for _ in enumerate_choice_functions(n)) == count
+            assert sum(1 for _ in choice._choice_images(n)) == count
 
     def test_enumerated_count_and_validity(self):
-        fns = list(enumerate_choice_functions(3))
+        fns = [FiniteMap(7, 3, image) for image in choice._choice_images(3)]
         assert len(fns) == 24
         assert all(is_choice_function(3, f) for f in fns)
         assert len(set(fns)) == 24
 
     def test_four_point_functions_build_and_are_distinct(self):
-        fns = list(enumerate_choice_functions(4))
-        assert len(fns) == 20736
-        assert all(is_choice_function(4, f) for f in fns)
-        assert len(set(fns)) == 20736
+        images = list(choice._choice_images(4))
+        assert images == [f.image for f in checked_choice_functions(4)]
+        assert len(set(images)) == 20736
 
     def test_guard(self):
         with pytest.raises(SizeLimitExceeded):
-            list(enumerate_choice_functions(5))
+            choice._choice_images(5)
 
 
 class TestLimitSet:
@@ -197,6 +197,17 @@ class TestPropertyA:
         with pytest.raises(SizeLimitExceeded):
             classify_property_A(4)
 
+    def test_five_points_by_theorem(self):
+        # no enumeration of the 5-point choice functions: the property holds for one kernel subset, and the
+        # witness of a larger kernel is a choice function whose kernel values differ
+        carrier = subsets_carrier(5)
+        for kernel in (1, 1 << 30, 0b11, 1 | 1 << 30, (1 << 31) - 1, 1 << 2 | 1 << 6 | 1 << 14):
+            report = has_property_A(5, FilterOnCarrier(carrier, kernel))
+            assert report.holds == (kernel.bit_count() == 1) == (report.witness is None)
+            if report.witness is not None:
+                assert is_choice_function(5, report.witness)
+                assert len({report.witness.image[i] for i in points_of(kernel)}) > 1
+
 
 class TestN4Sample:
     def test_stride_sample_passes(self, corpus_n4):
@@ -228,12 +239,7 @@ class TestFilterwiseAgainstKernelSample:
                 assert filterwise_limit_set(sp, phi, 20) == filterwise_by_kernel_sample(sp, phi, 20)
 
     def test_suite_enumerates_once_per_n_and_kernel(self, monkeypatch):
-        # the benchmark's tracer counts choice.enumerate_choice_functions.items only through generator functions
-        assert inspect.isgeneratorfunction(choice.enumerate_choice_functions)
         twins = checked_choice_functions(4)
-        drawn = list(enumerate_choice_functions(4))
-        assert drawn == list(twins)
-        assert list(map(hash, drawn)) == list(map(hash, twins))
         # the sweeps read image tuples once per (n, kernel): 1 + 3 ultrafilter kernels on 1 and 2 points,
         # not once for each of the 1 + 4 · 3 = 13 (space, ultrafilter) pairs
         images_of = choice._choice_images
@@ -266,24 +272,18 @@ class TestSweepsBuildNoMaps:
 
     @pytest.fixture
     def built(self, monkeypatch):
+        # ``choice`` imports no map factory that skips ``FiniteMap.__init__``, so counting that sees every map it makes
+        assert not {"_unchecked_maps", "all_maps"} & set(vars(choice))
         built = []
-        unchecked, init = choice._unchecked_maps, FiniteMap.__init__
-
-        def counted_unchecked(dom_n, cod_n, images):
-            for f in unchecked(dom_n, cod_n, images):
-                built.append(f)
-                yield f
+        init = FiniteMap.__init__
 
         def counted_init(f, *args):
             built.append(f)
             init(f, *args)
 
-        monkeypatch.setattr(choice, "_unchecked_maps", counted_unchecked)
         monkeypatch.setattr(FiniteMap, "__init__", counted_init)
-        # both counters see the maps they build: two choice functions and one checked map
-        list(enumerate_choice_functions(2))
         FiniteMap(1, 1, (0,))
-        assert len(built) == 3
+        assert len(built) == 1
         built.clear()
         return built
 
@@ -367,8 +367,11 @@ class TestAgainstEnumerationOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_property_a_flag_and_witness(self, n):
-        # every filter up to 3 points; on 4 points the kernels of one or two subsets
+        # every filter up to 3 points; on 4 points the kernels of one or two subsets, every ultrafilter among
+        # them, and a seeded sample of the rest
         kernels = range(1, 1 << (1 << n) - 1) if n < 4 else [k for k in range(1, 1 << 15) if k.bit_count() <= 2]
+        if n == 4:
+            kernels += random.Random(29).sample([k for k in range(1, 1 << 15) if k.bit_count() > 2], 200)
         for kernel in kernels:
             phi = FilterOnCarrier(subsets_carrier(n), kernel)
             report = has_property_A(n, phi)

@@ -46,6 +46,16 @@ class TestSpaceCommand:
     def test_missing_file(self, tmp_path):
         assert run(["space", str(tmp_path / "absent.json")]) == 2
 
+    def test_the_file_of_a_discrete_16_point_space_validates_at_once(self, tmp_path, capsys):
+        # the 65536 opens that ``space --out`` writes are checked by one count, not by their 2^31 pairs
+        path = tmp_path / "d16.json"
+        subbase = json.dumps([[x] for x in range(16)])
+        assert run(["space", "--n", "16", "--generate-subbase", subbase, "--out", str(path)]) == 0
+        start = time.perf_counter()
+        assert run(["space", str(path)]) == 0
+        assert time.perf_counter() - start < 5
+        assert "valid topology on 16 points with 65536 opens" in capsys.readouterr().out
+
     def test_generate_and_describe(self, tmp_path, capsys):
         out = tmp_path / "g.json"
         code = run(
@@ -199,18 +209,24 @@ class TestVerifyCommand:
         code = run(["verify", "--suite", "all", "--max-n", "2", "--report", str(report)])
         assert code == 0
         payload = json.loads(report.read_text())
-        assert {r["suite"] for r in payload} >= {"vietoris-inclusion", "property-a"}
+        assert [r["suite"] for r in payload] == list(SUITES) and len(payload) == 5
         assert all(r["totals"]["failed"] == 0 for r in payload)
 
     def test_unknown_suite(self, capsys):
         assert run(["verify", "--suite", "bogus"]) == 2
+        # ultrafilters on a finite set are principal: ``stone_cech_finite_discrete`` is a library call, not a suite
+        capsys.readouterr()
+        assert run(["verify", "--suite", "stone-cech"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown suite" in err and "Traceback" not in err
+        assert all(name in err for name in SUITES) and len(SUITES) == 5
 
     def test_bad_opens_limit_in_environment_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("TOPOLAB_LIMIT_OPENS", "abc")
         assert run(["verify", "--suite", "finality-square"]) == 2
         assert "TOPOLAB_LIMIT_OPENS" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suite", [name for name, suite in SUITES.items() if suite.max_n is not None])
+    @pytest.mark.parametrize("suite", list(SUITES))
     def test_one_over_the_bound_is_refused_before_any_suite_runs(self, suite, monkeypatch, capsys):
         # the refusal names the bound and its reason, and comes before any suite runs
         from topolab import suites
@@ -277,8 +293,8 @@ class TestVerifyCommand:
     def test_report_determinism(self, tmp_path):
         r1 = tmp_path / "r1.json"
         r2 = tmp_path / "r2.json"
-        run(["verify", "--suite", "stone-cech", "--report", str(r1)])
-        run(["verify", "--suite", "stone-cech", "--report", str(r2)])
+        run(["verify", "--suite", "property-a", "--report", str(r1)])
+        run(["verify", "--suite", "property-a", "--report", str(r2)])
         d1 = json.loads(r1.read_text())
         d2 = json.loads(r2.read_text())
         d1.pop("wall_time_s")
@@ -462,7 +478,7 @@ class TestExitCodeContract:
         for argv in (
             ["space", str(sierpinski_file)],
             ["corpus", "--n", "0", "--out", str(corpus)],
-            ["verify", "--suite", "stone-cech"],
+            ["verify", "--suite", "property-a"],
         ):
             assert run([*argv, flag, value]) == 2, argv
             err = capsys.readouterr().err
@@ -470,7 +486,7 @@ class TestExitCodeContract:
         assert not corpus.exists()
 
     @pytest.mark.parametrize(
-        "value, argv", [("0", ["verify", "--suite", "stone-cech"]), ("-5", ["space", "{s}"])], ids=["verify", "space"]
+        "value, argv", [("0", ["verify", "--suite", "property-a"]), ("-5", ["space", "{s}"])], ids=["verify", "space"]
     )
     def test_nonpositive_opens_limit_in_environment_is_refused_by_name(
         self, sierpinski_file, monkeypatch, capsys, value, argv

@@ -4,6 +4,7 @@ from oracles import pushed_edges_by_maps, vietoris_contained_by_opens
 from topolab.errors import SizeLimitExceeded
 from topolab.finality import (
     FinalitySetup,
+    StoneCechReport,
     check_finality_discrete_square,
     check_vietoris_contained,
     final_from_discrete_sources,
@@ -290,9 +291,20 @@ class TestContainmentAgainstOpens:
 class TestStoneCech:
     @pytest.mark.parametrize("d_n", [1, 2, 3, 4])
     def test_all_properties(self, d_n):
+        assert stone_cech_finite_discrete(d_n) == StoneCechReport(
+            d_n=d_n,
+            ultrafilter_count=d_n,
+            w_bijective=True,
+            closures_clopen=True,
+            base_is_clopen=True,
+            clopen_closure_form=True,
+        )
+
+    @pytest.mark.parametrize("d_n", [1, 2, 3, 4])
+    def test_a_missing_ultrafilter_is_seen(self, d_n, monkeypatch):
+        # the flags are computed from the listed ultrafilters: drop the last one, and w is no bijection
+        real = finality.enumerate_ultrafilters
+        monkeypatch.setattr(finality, "enumerate_ultrafilters", lambda carrier: list(real(carrier))[:-1])
         rep = stone_cech_finite_discrete(d_n)
-        assert rep.ultrafilter_count == d_n
-        assert rep.w_bijective
-        assert rep.closures_clopen
-        assert rep.base_is_clopen
-        assert rep.clopen_closure_form
+        assert rep.ultrafilter_count == d_n - 1
+        assert not rep.w_bijective

@@ -332,8 +332,9 @@ class TestEmbeddingOracle:
                 assert got == mu_embedding_by_definition(dom, cod, fns, fam), (dom, cod)
 
     def test_families_without_singletons(self, corpus3):
-        # with the non-empty opens and closeds: where a family lacks a
-        # singleton, P_f is pulled back by the Vietoris nearness, not U_f
+        # the subsets of two or more points, {X}, the consecutive pairs and the
+        # non-empty opens and closeds, on every pair with n <= 3: where a family
+        # lacks a singleton, P_f is pulled back by the Vietoris nearness, not U_f
         non_injective = 0
         for _, _, dom in corpus3:
             opens = tuple(o for o in dom.opens if o)
@@ -342,8 +343,9 @@ class TestEmbeddingOracle:
                     fns = continuous_maps(dom, cod)
                     got = _flags(mu_embedding_report(dom, cod, fns, fam))
                     assert got == mu_embedding_by_definition(dom, cod, fns, fam), (dom, cod, fam)
+                    assert got[1]  # open onto its image by theorem: P_f ⊆ U_f ⊆ sat(U_f)
                     non_injective += not got[2]
-        assert non_injective > 1000  # the fibres of a non-injective mu are exercised
+        assert non_injective > 1000  # the definition's route through the images of opens is exercised
 
     def test_shuffled_carriers(self, corpus3):
         # the columns must not assume the order of all_maps; an "all"

@@ -16,6 +16,7 @@ from oracles import (
     finest_topology_with_continuous,
     homeomorphic_by_search,
     interior_by_opens,
+    is_topology_family,
     is_compact_by_covers,
     is_locally_compact_by_definition,
     is_nested_by_definition,
@@ -81,6 +82,52 @@ class TestMakeSpace:
         a = make_space(2, [0b11, 0b00, 0b10, 0b10])
         b = make_space(2, [0b00, 0b10, 0b11])
         assert a == b
+
+    @pytest.mark.parametrize("opens", [[-1], [0, -2, 3], [0, 0b100], [-1, 0b100]])
+    def test_masks_outside_the_ground_set_are_refused_first(self, opens):
+        # before any neighbourhood is built: a negative mask has no end of bits to iterate
+        with pytest.raises(ValueError, match="does not fit the ground set"):
+            make_space(2, opens)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_family_against_the_pairwise_scan(self, n):
+        # the count test accepts exactly the topologies, and a refusal keeps the scan's axiom and witness
+        subsets = range(1 << n)
+        refused = 0
+        for bits in range(1 << len(subsets)):
+            fam = tuple(m for m in subsets if bits >> m & 1)
+            try:
+                spaces._validate_axioms(n, fam)
+            except NotATopology as exc:
+                expected = (exc.axiom, exc.witness)
+            else:
+                expected = FiniteSpace(n, spaces.min_nbhds_of(n, fam))
+            try:
+                got = make_space(n, fam)
+            except NotATopology as exc:
+                got = (exc.axiom, exc.witness)
+                refused += 1
+            assert got == expected, fam
+            assert isinstance(got, FiniteSpace) == is_topology_family(n, fam), fam
+        assert (1 << len(subsets)) - refused == (1, 1, 4, 29)[n]
+
+    def test_the_pairs_are_scanned_only_on_a_refusal(self, monkeypatch):
+        scans = []
+        real = spaces._validate_axioms
+        monkeypatch.setattr(spaces, "_validate_axioms", lambda n, fam: scans.append(n) or real(n, fam))
+        assert make_space(10, range(1 << 10)) == discrete_space(10)
+        assert scans == []
+        with pytest.raises(NotATopology) as exc:
+            make_space(3, [0b000, 0b011, 0b110, 0b111])
+        assert (exc.value.axiom, exc.value.witness) == ("intersection not open", ((0, 1), (1, 2)))
+        assert scans == [3]
+
+    def test_a_count_over_its_memo_bound_falls_back_to_the_scan(self, monkeypatch):
+        monkeypatch.setattr(limits, "OPEN_COUNT_MEMO", 2)
+        assert make_space(3, range(8)) == discrete_space(3)
+        with pytest.raises(NotATopology) as exc:
+            make_space(3, [0b000, 0b001, 0b010, 0b111])
+        assert (exc.value.axiom, exc.value.witness) == ("union not open", ((0,), (1,)))
 
 
 class TestSubbase:

@@ -173,7 +173,6 @@ PINNED_REPORTS = [
     ("embedding", {"max_n": 3}, 3468),
     ("finality-square", {"max_y": 3}, 5),
     ("property-a", {"max_n": 3}, 15),
-    ("stone-cech", {"max_d": 4}, 16),
 ]
 
 

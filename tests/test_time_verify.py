@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from topolab.suites import SUITE_NAMES
+
 
 def _load_tool():
     path = Path(__file__).resolve().parents[1] / "tools" / "time_verify.py"
@@ -20,3 +22,14 @@ def test_one_run_of_property_a(tmp_path, capsys):
     record = json.loads((tmp_path / "BENCH_verify_property-a_n1.json").read_text())
     assert record["codes"] == [0] and record["totals"] == [{"checked": 5, "passed": 5, "failed": 0}]
     assert len(record["reference_s"]) == 1 and record["median_reference_s"] > 0
+
+
+def test_one_run_of_every_suite(tmp_path, capsys):
+    # --suite all writes a list of reports: the record keeps each suite's totals, in suite order
+    tool = _load_tool()
+    assert tool.main(["--suite", "all", "--max-n", "1", "--runs", "1", "--out-dir", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "BENCH_verify_all_n1.json").read_text())
+    assert record["codes"] == [0]
+    (totals,) = record["totals"]
+    assert len(totals) == len(SUITE_NAMES)
+    assert all(t["failed"] == 0 and t["checked"] == t["passed"] > 0 for t in totals)

@@ -17,7 +17,8 @@ Usage, from the repository root:
 
     python tools/time_verify.py --suite vietoris-inclusion --max-n 4 [--jobs 2] [--runs 5]
 
-Prints one line per run and the median, and writes the record to
+``--suite all`` runs every suite in one process.  Prints one line per
+run and the median, and writes the record to
 ``.benchmark-results/BENCH_verify_<suite>_n<max-n>.json`` (``--out-dir``
 names another directory).  Exits 0 when every run exited 0, else 1.
 """
@@ -47,7 +48,11 @@ def _hostspeed():
 
 
 def time_runs(suite: str, max_n: int, jobs: int | None, runs: int) -> dict:
-    """The record of ``runs`` fresh ``verify`` processes: exit codes, totals, raw and reference-speed wall times."""
+    """The record of ``runs`` fresh ``verify`` processes: exit codes, totals, raw and reference-speed wall times.
+
+    A run's totals are its report's, or with ``--suite all`` the list of
+    each suite's totals in suite order.
+    """
     hostspeed = _hostspeed()
     speed = hostspeed.HostSpeed()
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -80,7 +85,9 @@ def time_runs(suite: str, max_n: int, jobs: int | None, runs: int) -> dict:
             record["wall_s"].append(end - start)
             record["reference_s"].append((end - start) * hostspeed.REFERENCE_S / probes)
             if run.returncode in (0, 1):
-                record["totals"].append(json.loads(report.read_text())["totals"])
+                payload = json.loads(report.read_text())  # --suite all writes a list of reports
+                totals = [r["totals"] for r in payload] if isinstance(payload, list) else payload["totals"]
+                record["totals"].append(totals)
             else:
                 record["totals"].append(None)
                 record["stderr"] = stderr
