@@ -62,7 +62,7 @@ def pushed_edges(groups: dict[int, int], mins: Sequence[int]) -> Iterator[tuple[
     """
     for v, members in groups.items():
         reach = 0
-        while members:  # iter_bits inlined: the inclusion suite calls this once per (pair, compact)
+        while members:  # iter_bits inlined: one step per map, for each point of each inclusion pair
             low = members & -members
             reach |= mins[low.bit_length() - 1]
             members ^= low

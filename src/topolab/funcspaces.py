@@ -26,9 +26,10 @@ images of each slot, not the 4^|cod| of a hyperspace on the 2^|cod| − 1
 compacts.  The image tables that ``images`` hands out are keyed by
 hyperpoint: the position of f(A) in ``compacts(cod)``, which is the image
 mask less one.  The inclusion suite reads the tables themselves
-(``_table``), keyed by image mask, and decides the continuity of a
-coordinate once per image group, from the union of the U_f over the group
-that ``finality.pushed_edges`` gives.
+(``_table``), keyed by image mask.  It decides the continuity of the
+singleton coordinates f ↦ f(x) once per pair, one test per image group
+from the union of the U_f over the group that ``finality.pushed_edges``
+gives, and that of every other coordinate follows from them.
 
 A FunctionSpace works on whole image columns and function masks, never
 map by map in Python.  ``_columns[x]`` holds f(x) for every carrier map,

@@ -29,6 +29,13 @@ run again on each labelled tuple of its orbit product, so counts and
 witnesses are those of the labelled sweep; the report records how many
 tuples stood for how many, outside the payload.
 
+vietoris-inclusion checks each Y's side against its definitions once per
+Y, and the continuity of the singleton coordinates f ↦ f(x) once per
+pair.  When both hold, the continuity of every f ↦ f(a) and the miss
+identities follow, and only the hit identities are computed compact by
+compact; otherwise every check is computed compact by compact
+(``_inclusion_pair``).
+
 The fault-injection hook used by the harness self-test removes the full set
 from the first corpus topology and routes the mangled family through
 validation: the resulting axiom violation must surface as a witness and a
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 import os
 import time
-from functools import partial
+from functools import partial, reduce
 from itertools import product, repeat
 from math import prod
 from operator import or_
@@ -191,14 +198,20 @@ class _Codomain(NamedTuple):
     avoids: tuple[int, ...]  # Y ∖ F for each closed F of Y
     miss_at: tuple[tuple[int, ...], ...]  # miss_at[img]: the positions j of the closeds whose miss mask holds img
     hit_at: tuple[tuple[int, ...], ...]  # hit_at[img]: the positions j of the opens whose hit mask holds img
+    exact: bool  # compacts(y) is in mask order, and near, miss_at and hit_at agree with their definitions (``_codomain``)
 
 
 def _codomain(y: FiniteSpace, memo: dict | None = None) -> _Codomain:
     """Y's side of the inclusion checks: the Vietoris topology and the miss and hit index masks over ``compacts(y)``.
 
     The index masks are stored per hyperpoint, as the positions of the sets
-    whose mask holds it.  A run keeps each Y's side in ``memo``, a new one
-    per run; without one it is built on each call.
+    whose mask holds it.  ``exact`` is decided by brute force from Y's
+    U_y, opens and closeds, none of the routes that built the side: it
+    holds when ``compacts(y)`` lists the non-empty subsets in mask order,
+    and for every image v, near[v] holds exactly the u ⊆ hull(v) that meet
+    U_p for each p ∈ v, miss_at[v] the closeds v misses and hit_at[v] the
+    opens v meets.  A run keeps each Y's side in ``memo``, a new one per
+    run; without one it is built on each call.
     """
     if memo is not None and y in memo:
         return memo[y]
@@ -211,13 +224,20 @@ def _codomain(y: FiniteSpace, memo: dict | None = None) -> _Codomain:
     def by_hyperpoint(masks: list[int]) -> tuple[tuple[int, ...], ...]:
         return ((), *(tuple(j for j, m in enumerate(masks) if m >> k & 1) for k in range(len(ky))))
 
-    side = _Codomain(
-        hyper=hyper,
-        near=(0, *(u << 1 for u in hyper.min_nbhds)),
-        avoids=tuple(complement(fmask, y.n) for fmask in y.closeds),
-        miss_at=by_hyperpoint(misses),
-        hit_at=by_hyperpoint(hits),
-    )
+    near, miss_at, hit_at = (0, *(u << 1 for u in hyper.min_nbhds)), by_hyperpoint(misses), by_hyperpoint(hits)
+    images = range(1, 1 << y.n)
+
+    def agrees(v: int) -> bool:  # near, miss_at and hit_at at image v, against their definitions
+        nbhds = [y.min_nbhds[p] for p in iter_bits(v)]
+        hull = reduce(or_, nbhds)
+        return (
+            near[v] == sum(1 << u for u in images if not u & ~hull and all(u & w for w in nbhds))
+            and miss_at[v] == tuple(j for j, fmask in enumerate(y.closeds) if not v & fmask)
+            and hit_at[v] == tuple(j for j, o in enumerate(y.opens) if v & o)
+        )
+
+    exact = ky == tuple(images) and all(map(agrees, images))
+    side = _Codomain(hyper, near, tuple(complement(fmask, y.n) for fmask in y.closeds), miss_at, hit_at, exact)
     if memo is not None:
         memo[y] = side
     return side
@@ -242,28 +262,56 @@ def _continuous_along(groups: dict[int, int], near: Sequence[int], mins: Sequenc
     return True
 
 
+def _singletons_continuous(fsp, near: Sequence[int]) -> bool:
+    """f ↦ f({x}) is continuous for every point x of the domain (``_continuous_along`` on the singleton tables)."""
+    mins = fsp.min_nbhds
+    return all(_continuous_along(fsp._table(1 << x), near, mins) for x in range(fsp.dom.n))
+
+
+def _preimages(table: dict[int, int], at: Sequence[tuple[int, ...]], count: int) -> list[int]:
+    """Per set j of ``count``, the union of the masks of the entries img of ``table`` with j in at[img]."""
+    out = [0] * count
+    for img, m in table.items():
+        for j in at[img]:
+            out[j] |= m
+    return out
+
+
 def _inclusion_pair(args, codomains: dict | None = None) -> tuple[int, int, list]:
     """Hit-and-miss identities and Vietoris openness of the maps f ↦ f(a).
 
     Y's side, the Vietoris topology and the miss and hit index masks over
     compacts(y), comes from ``_codomain``, kept in ``codomains`` if given.
     For each compact a the image table ``fsp._table(a)`` gives one function
-    mask per image, and every preimage is a union of them: one pass over
-    the entries adds each mask to the preimages of every closed set its
-    hyperpoint misses and every open set it meets.  The right-hand routes
-    are ``fsp.subbasic(a, Y ∖ F)`` for the miss identity and the union of
-    the singleton subbasic sets over a for the hit identity, grown over the
-    subsets b of X in mask order from b − x, x the lowest point of b.  The
-    map into the Vietoris hyperspace is continuous when every edge it
-    pushes forward lies in the Vietoris preorder (``_continuous_along``),
-    tested per image group: the entries are non-empty and disjoint, so a
-    union of groups holds a group's reach exactly when the groups it meets
-    are among them.  When it holds, every Vietoris open, the miss and hit
-    index masks (the Vietoris subbase) among them, pulls back to an open.
-    The Vietoris opens are counted, and listed one by one only to name the
-    witnesses when continuity fails.  Each witness is one failed check; a
-    compact whose identities hold and whose map is continuous adds none,
-    and the rest are checked set by set, in the order of the witnesses.
+    mask per image, and every preimage is a union of them: a pass over the
+    entries adds each mask to the preimages of every open set its
+    hyperpoint meets, and one more to those of every closed set it misses.
+    The right-hand routes are ``fsp.subbasic(a, Y ∖ F)`` for the miss
+    identity and the union of the singleton subbasic sets over a for the
+    hit identity, grown over the subsets b of X in mask order from b − x,
+    x the lowest point of b.
+
+    Once per pair, two preconditions decide the miss identity and the
+    continuity of every f ↦ f(a) for all compacts a at once (README,
+    "Notes on definitions"): Y's side is ``exact``, and every f ↦ f({x})
+    is continuous (``_singletons_continuous``).  Then every g ∈ U_f has
+    g(x) ∈ U_{f(x)}, so g(a) ⊆ hull f(a) and g(a) meets U_y for each
+    y ∈ f(a): g(a) is Vietoris-near f(a).  And the two sides of the miss
+    identity are unions over the same entries of ``_table(a)``, tested by
+    miss_at[img] and by img ⊆ Y ∖ F, which exactness makes one test.  The
+    hit identity, the check of the table recurrence against the singleton
+    tables, is computed for each compact.
+
+    A pair without both preconditions, or a compact whose hit identity
+    fails, takes the per-compact route: the map into the Vietoris
+    hyperspace is continuous when every edge it pushes forward lies in the
+    Vietoris preorder (``_continuous_along``), tested per image group.
+    When it holds, every Vietoris open, the miss and hit index masks (the
+    Vietoris subbase) among them, pulls back to an open.  The Vietoris
+    opens are counted, and listed one by one only to name the witnesses
+    when continuity fails.  Each witness is one failed check; a compact
+    whose identities hold and whose map is continuous adds none, and the
+    rest are checked set by set, in the order of the witnesses.
     """
     (nx, xi, x), (ny, yi, y) = args
     witnesses: list = []
@@ -277,6 +325,7 @@ def _inclusion_pair(args, codomains: dict | None = None) -> tuple[int, int, list
     for b in range(1, 1 << x.n):
         hit_rhs.append(list(map(or_, hit_rhs[b & b - 1], by_point[(b & -b).bit_length() - 1])))
     compacts_x = compacts(x)
+    implied = side.exact and _singletons_continuous(fsp, side.near)
 
     def tag(kind: str, **extra) -> dict:
         base = {"x": (nx, xi), "y": (ny, yi), "kind": kind}
@@ -285,14 +334,11 @@ def _inclusion_pair(args, codomains: dict | None = None) -> tuple[int, int, list
 
     for a in compacts_x:
         table = fsp._table(a)
-        lhs_miss, lhs_hit = [0] * len(closeds), [0] * len(opens)
-        for img, m in table.items():
-            for j in miss_at[img]:
-                lhs_miss[j] |= m
-            for j in hit_at[img]:
-                lhs_hit[j] |= m
+        lhs_hit, rhs_hit = _preimages(table, hit_at, len(opens)), hit_rhs[a]
+        if implied and lhs_hit == rhs_hit:
+            continue
+        lhs_miss = _preimages(table, miss_at, len(closeds))
         rhs_miss = list(map(subbasic, repeat(a, len(avoids)), avoids))
-        rhs_hit = hit_rhs[a]
         continuous = _continuous_along(table, side.near, mins)
         if continuous and lhs_miss == rhs_miss and lhs_hit == rhs_hit:
             continue

@@ -34,7 +34,8 @@ Known survivors, pinned in ``SURVIVORS`` with their check counts:
   it is equivalent to the kernel on a correct library.  Every f ↦ f(a)
   from the compact-open space into the Vietoris hyperspace is continuous,
   so the Vietoris opens that the shortcut skips all pull back to opens,
-  and the suite counts them either way;
+  and the suite counts them either way.  The once-per-pair test of the
+  singleton coordinates reads ``pushed_edges`` too, so it passes as well;
 * ``finality-square`` passes under ``compacts-one-place-on``: on its
   discrete Y the final and the Vietoris topology on the compacts are both
   discrete, and a discrete space relabelled is itself.  ``embedding`` and
@@ -48,6 +49,11 @@ makes a new one, the ``codomains`` keyword of the ``functools.partial`` of
 ``suites._inclusion_pair`` that it sweeps.  The class sweep re-runs every
 failing class on its labelled orbit, so ``choice-lemma`` gives the labelled
 sweep's report under both choice mutants too.
+
+``per_compact_route`` makes both preconditions of the inclusion shortcut
+false, so every compact of every pair is checked one by one; under it the
+``vietoris-inclusion`` reports of the kernel and of every row that names
+that suite keep their bytes.
 """
 
 import json
@@ -222,6 +228,13 @@ SURVIVORS = [
 ]
 
 
+def per_compact_route(monkeypatch):
+    """Make both preconditions of the inclusion shortcut false, so every compact of every pair takes the per-compact route."""
+    real = suites._codomain
+    monkeypatch.setattr(suites, "_codomain", lambda y, memo=None: real(y, memo)._replace(exact=False))
+    monkeypatch.setattr(suites, "_singletons_continuous", lambda fsp, near: False)
+
+
 @pytest.fixture
 def cold_caches():
     """Empty ``CACHES`` before and after the test, so no kernel result serves a mutant and no mutant result outlives it."""
@@ -258,6 +271,33 @@ def test_known_survivor_passes(name, patch, suite, max_n, checks, monkeypatch, t
     code, data = _verify(patch, suite, max_n, monkeypatch, tmp_path)
     assert code == 0, name
     assert data["totals"] == {"checked": checks, "failed": 0, "passed": checks}
+
+
+# the vietoris-inclusion rows, and the kernel as a survivor with its check counts at max-n 2 and 3
+INCLUSION_ROWS = [(row[0], row[1], None) for row in MUTANTS if row[2] == "vietoris-inclusion"]
+INCLUSION_ROWS += [(row[0], row[1], {row[3]: row[4]}) for row in SURVIVORS if row[2] == "vietoris-inclusion"]
+INCLUSION_ROWS += [("kernel", lambda monkeypatch: None, {2: 988, 3: 242352})]
+
+
+@pytest.mark.parametrize("max_n", [2, 3])
+@pytest.mark.parametrize("name, patch, pinned", INCLUSION_ROWS, ids=[row[0] for row in INCLUSION_ROWS])
+def test_the_inclusion_shortcut_gives_the_per_compact_bytes(name, patch, pinned, max_n, monkeypatch, cold_caches):
+    # with its preconditions forced false, every compact takes the per-compact route: the report payload,
+    # whose canonical JSON is the report file, must not move, nor must the failures that set the exit code,
+    # and a survivor keeps its pinned count
+    payloads = []
+    for route in (patch, per_compact_route):  # the second run keeps the mutant patched
+        route(monkeypatch)
+        report = suites.run_suite("vietoris-inclusion", max_n=max_n)
+        report.wall_time_s = 0.0
+        payloads.append(report.to_dict())
+    assert payloads[0] == payloads[1], name
+    if pinned is None:
+        assert report.failed > 0 and report.witnesses, name
+    else:
+        assert report.failed == 0, name
+        if max_n in pinned:
+            assert report.checked == pinned[max_n], name
 
 
 def test_orbit_weights_witness_leaves_the_sweep_as_it_was(monkeypatch):

@@ -11,6 +11,7 @@ from oracles import (
     labelled_sweep,
     relabel_by_opens,
 )
+from test_mutations import MUTANTS, SURVIVORS, cold_caches, per_compact_route  # noqa: F401 (a fixture)
 from topolab import choice, suites
 from topolab.cli import main
 from topolab.fileio import dumps_canonical
@@ -20,6 +21,9 @@ from topolab.funcspaces import FunctionSpace, MuEmbeddingReport, compact_open
 from topolab.hyperspaces import HyperSpace, compacts, vietoris
 from topolab.spaces import discrete_space, enumerate_topologies, homeomorphism_classes, sierpinski_space
 
+
+# the caught mutants under which the inclusion shortcut's soundness is checked
+SHORTCUT_MUTANTS = ("box-without-last-coordinate", "points-on-the-next-map", "hull-without-last-point", "compacts-one-place-on")
 
 # 4-point class pairs (X, Y) by position in homeomorphism_classes(4): X runs from the discrete
 # space (class 0) to the indiscrete one (class 32), and each Y has at most 648 Vietoris opens
@@ -35,6 +39,11 @@ def _class_pairs():
 
     reps = [rep(n, k) for n in (1, 2, 3) for k in range(len(homeomorphism_classes(n)))]
     return [(sx, sy) for sx in reps for sy in reps] + [(rep(4, kx), rep(4, ky)) for kx, ky in FOUR_POINT_CLASS_PAIRS]
+
+
+def _class_members(max_n):
+    """The first member of each homeomorphism class on at most max_n points."""
+    return [members[0][1] for n in range(1, max_n + 1) for _, members in homeomorphism_classes(n)]
 
 
 class TestInclusionPair:
@@ -112,6 +121,42 @@ class TestInclusionPair:
                 assert suites._continuous_along(table, side.near, fsp.min_nbhds) == scan, (x, y, a)
                 verdicts[scan] += 1
         assert verdicts[False] > 0 if coarsen else not verdicts[False]
+
+    def test_the_shortcut_holds_on_the_kernel(self):
+        # Y's side is exact on every class with n <= 5, and both preconditions hold on all 169 class pairs
+        ys = _class_members(5)
+        assert len(ys) == 185 and all(suites._codomain(y).exact for y in ys)
+        for (_, _, x), (_, _, y) in _class_pairs()[:169]:
+            assert suites._singletons_continuous(compact_open(x, y), suites._codomain(y).near), (x, y)
+
+    @pytest.mark.parametrize("name", SHORTCUT_MUTANTS)
+    def test_the_shortcut_is_sound_under_the_caught_mutants(self, name, monkeypatch, cold_caches):
+        # whenever both preconditions hold for a class pair, the per-compact route finds no witness there
+        dict((row[0], row[1]) for row in MUTANTS)[name](monkeypatch)
+        held = []
+        for args in _class_pairs()[:169]:
+            (_, _, x), (_, _, y) = args
+            side = suites._codomain(y)
+            if side.exact and suites._singletons_continuous(compact_open(x, y), side.near):
+                held.append(args)
+        per_compact_route(monkeypatch)
+        assert held and [suites._inclusion_pair(args)[1] for args in held] == [0] * len(held)
+
+    @pytest.mark.parametrize(
+        "name, exact",
+        [
+            ("hull-without-last-point", lambda y: y.min_nbhds == tuple(1 << p for p in range(y.n))),  # discrete
+            ("vietoris-as-lower", lambda y: set(y.min_nbhds) == {y.full}),  # indiscrete
+            ("compacts-one-place-on", lambda y: y.n == 1),
+            ("box-without-last-coordinate", lambda y: True),
+            ("points-on-the-next-map", lambda y: True),
+        ],
+        ids=["hull-without-last-point", "vietoris-as-lower", "compacts-one-place-on", "box", "points"],
+    )
+    def test_where_y_stays_exact_under_a_mutant(self, name, exact, monkeypatch, cold_caches):
+        dict((row[0], row[1]) for row in MUTANTS + SURVIVORS)[name](monkeypatch)
+        ys = _class_members(5)
+        assert [suites._codomain(y).exact for y in ys] == list(map(exact, ys))
 
 
 class TestRequestChecks:

@@ -2,7 +2,8 @@
 
 Each run is ``python -m topolab.cli verify --suite <s> --max-n <n>
 [--jobs <j>]`` in a new process, on the ``src`` tree of this checkout, so
-start-up and imports count.  The host runs Python at one of two speeds
+start-up and imports count (``time_process``, which
+``tools/time_tier1.py`` shares).  The host runs Python at one of two speeds
 about 2x apart and may switch within a run, so this process takes
 host-speed probes (``benchmarks/hostspeed.py``) while the run goes on,
 every ``hostspeed.INTERVAL_S``, and ``NEIGHBOURS`` on each side of it.
@@ -47,6 +48,36 @@ def _hostspeed():
     return module
 
 
+def time_process(argv: list[str], hostspeed, speed) -> tuple[int, str, str, float, float]:
+    """Run ``argv`` once in a fresh process on the ``src`` tree of this checkout, from its root.
+
+    Returns (exit code, standard output, standard error, wall seconds,
+    wall seconds at the reference speed).  ``speed``, a
+    ``hostspeed.HostSpeed``, takes ``NEIGHBOURS`` probes just before and
+    just after the run and one every ``hostspeed.INTERVAL_S`` while it goes
+    on; the reference time is the wall time times ``hostspeed.REFERENCE_S``
+    over their median.
+    """
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    first = len(speed.durations)
+    for _ in range(NEIGHBOURS):
+        speed.probe()
+    start = hostspeed.clock()
+    with subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as run:
+        while True:
+            try:
+                stdout, stderr = run.communicate(timeout=hostspeed.INTERVAL_S)
+                break
+            except subprocess.TimeoutExpired:
+                speed.probe()
+    end = hostspeed.clock()
+    for _ in range(NEIGHBOURS):
+        speed.probe()
+    probes = statistics.median(speed.durations[first:])
+    return run.returncode, stdout, stderr, end - start, (end - start) * hostspeed.REFERENCE_S / probes
+
+
 def time_runs(suite: str, max_n: int, jobs: int | None, runs: int) -> dict:
     """The record of ``runs`` fresh ``verify`` processes: exit codes, totals, raw and reference-speed wall times.
 
@@ -55,8 +86,6 @@ def time_runs(suite: str, max_n: int, jobs: int | None, runs: int) -> dict:
     """
     hostspeed = _hostspeed()
     speed = hostspeed.HostSpeed()
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     record = {"suite": suite, "max_n": max_n, "jobs": jobs, "runs": runs}
     record.update(codes=[], totals=[], wall_s=[], reference_s=[])
     with tempfile.TemporaryDirectory() as scratch:
@@ -66,25 +95,11 @@ def time_runs(suite: str, max_n: int, jobs: int | None, runs: int) -> dict:
         if jobs is not None:
             argv += ["--jobs", str(jobs)]
         for _ in range(runs):
-            first = len(speed.durations)
-            for _ in range(NEIGHBOURS):
-                speed.probe()
-            start = hostspeed.clock()
-            with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as run:
-                while True:
-                    try:
-                        _, stderr = run.communicate(timeout=hostspeed.INTERVAL_S)
-                        break
-                    except subprocess.TimeoutExpired:
-                        speed.probe()
-            end = hostspeed.clock()
-            for _ in range(NEIGHBOURS):
-                speed.probe()
-            probes = statistics.median(speed.durations[first:])
-            record["codes"].append(run.returncode)
-            record["wall_s"].append(end - start)
-            record["reference_s"].append((end - start) * hostspeed.REFERENCE_S / probes)
-            if run.returncode in (0, 1):
+            code, _, stderr, wall, reference = time_process(argv, hostspeed, speed)
+            record["codes"].append(code)
+            record["wall_s"].append(wall)
+            record["reference_s"].append(reference)
+            if code in (0, 1):
                 payload = json.loads(report.read_text())  # --suite all writes a list of reports
                 totals = [r["totals"] for r in payload] if isinstance(payload, list) else payload["totals"]
                 record["totals"].append(totals)
