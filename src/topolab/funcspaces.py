@@ -32,8 +32,9 @@ from the union of the U_f over the group that ``finality.pushed_edges``
 gives, and that of every other coordinate follows from them.
 
 A FunctionSpace works on whole image columns and function masks, never
-map by map in Python.  ``_columns[x]`` holds f(x) for every carrier map,
-zipped from the image tuples when the space is built; the point table
+map by map in Python.  It holds its carrier as image tuples (``_rows``),
+and ``_columns[x]`` holds f(x) for every carrier map, zipped from them
+when the space is built; the point table
 ``_points[x][y]``, the mask of the maps with f(x) = y, is read off that
 column as bytes, one ``bytes.translate`` and one ``int(…, 2)`` per value
 y the column holds (``_value_masks``).  The image table of
@@ -58,30 +59,33 @@ exactly the maps in ``_within[x][y]``, those with f(x) ∈ U_y, so on the
 compacts U_f is the box { g : g(x) ∈ U_{f(x)} for every x }, built level
 by level as ``map(and_, box, map(_within[x].__getitem__, _columns[x]))``
 and skipping a coordinate whose values are near every map.  On a family
-holding the singletons the report builds no image table: its verdicts and
-its injectivity read the box and the columns.
+holding the singletons the report builds no neighbourhood: P_f = U_f, so
+mu is continuous and open onto its image by theorem, and it is injective
+when the image tuples are distinct.
 
 Sharing: one ``lru_cache``, ``_function_space``, holds the last 8 spaces,
-keyed by (dom, cod, carrier, family), so ``compact_open`` followed by
-``mu_embedding_report`` on ``continuous_maps(dom, cod)`` builds each table
-at most once.  No lookup pays per map for what the library knows: the
-carrier key (``_Carrier``) hashes by the carrier's length and compares
-the same tuple at once, and other carriers map by map, so no ``FiniteMap``
-is hashed; ``compact_open`` hands over maps it built for (dom, cod) and
-validates none, while ``set_open_topology`` validates every carrier
-before the lookup, so a refused call leaves the cache as it was.  The
-maps of ``continuous_maps`` and of the "all" carrier come as a
-``_Built`` tuple, whose maps share one shape, so ``set_open_topology``
-checks its first map only.  They skip ``FiniteMap``'s range check
-(``maps._unchecked_maps``), since their images are grown in
-``range(cod.n)``.  ``images`` hands each caller a fresh dict, so no caller
-can change what the next one reads.
+keyed by (dom, cod, carrier, family), the carrier as its image tuples
+(``_Carrier``), which hash by their count and compare tuple by tuple, so
+no tuple and no ``FiniteMap`` is hashed.  ``compact_open`` and the suites
+hand over the image tuples of ``_continuous_images`` (the growth of
+``continuous_maps``, kept in its own cache) or of the "all" carrier, so a
+space they build holds no ``FiniteMap``; ``set_open_topology`` validates
+every map of a caller's carrier before the lookup, so a refused call
+leaves the cache as it was, and keys the space by the maps' image tuples.
+The maps of ``continuous_maps`` share their image tuples with
+``_continuous_images``, so ``compact_open`` followed by
+``mu_embedding_report`` on ``continuous_maps(dom, cod)`` finds one space
+and builds each table at most once.  ``FiniteMap``s are built, without
+the range check (``maps._unchecked_maps``), only where a caller reads
+maps: ``continuous_maps``, ``FunctionSpace.functions`` on first read, and
+the one map ``mu`` refuses.  ``images`` hands each caller a fresh dict,
+so no caller can change what the next one reads.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import compress, repeat
+from itertools import compress, product, repeat
 from operator import and_, attrgetter, invert, itemgetter, or_
 from typing import NamedTuple, Sequence
 
@@ -90,10 +94,11 @@ from .bitsets import canon_family, full_mask, is_subset, iter_bits
 from .errors import ImageNotInFamily
 from .frozen import Frozen, memo
 from .hyperspaces import compacts
-from .maps import FiniteMap, _unchecked_maps, all_maps
+from .maps import FiniteMap, _unchecked_maps
 from .spaces import FiniteSpace, _holding, is_open_in
 
 _CARRIER = "the function space's carrier"
+_IMAGE, _SHAPE = attrgetter("image"), attrgetter("dom_n", "cod_n")
 
 
 def is_continuous(dom: FiniteSpace, cod: FiniteSpace, f: FiniteMap) -> bool:
@@ -104,9 +109,28 @@ def is_continuous(dom: FiniteSpace, cod: FiniteSpace, f: FiniteMap) -> bool:
     return all(is_subset(f.image_of(u), cmins[y]) for u, y in zip(dom.min_nbhds, f.image))
 
 
+class _Carrier(tuple):
+    """A carrier's image tuples as a cache key: hashed by their count, so no tuple is hashed, and compared tuple by tuple."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return len(self)
+
+
 @lru_cache(maxsize=256)
 def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]:
     """All continuous maps dom -> cod, in all_maps order.
+
+    The maps of the image tuples of ``_continuous_images``, which are in
+    range by construction, so the maps skip ``FiniteMap``'s check.
+    """
+    return tuple(_unchecked_maps(dom.n, cod.n, _continuous_images(dom, cod)))
+
+
+@lru_cache(maxsize=256)
+def _continuous_images(dom: FiniteSpace, cod: FiniteSpace) -> _Carrier:
+    """The image tuples of the continuous maps dom -> cod, in all_maps order.
 
     The image tuples grow one point at a time in lexicographic order.  Point
     x may take value y when y lies in U_{f(e)} for every earlier e with x in
@@ -116,8 +140,7 @@ def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]
     column at a time; each distinct mask is listed once, and a partial map
     with an empty mask is dropped.  The maps are the function space's
     ground set, so the point guard bounds the partial maps of each step:
-    SizeLimitExceeded before a step holds more.  The images are in range by
-    construction, so the maps skip ``FiniteMap``'s check.
+    SizeLimitExceeded before a step holds more.
     """
     dmins, cmins = dom.min_nbhds, cod.min_nbhds
     lim = limits.max_points()
@@ -146,14 +169,15 @@ def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]
         if count > lim:
             limits.guard_points(count, f"the continuous maps on the first {x + 1} domain points")
         images = [image + (y,) for image, ys in zip(images, picks) for y in ys]
-    return _Built(_unchecked_maps(dom.n, cod.n, images))
+    return _Carrier(images)
 
 
 class FunctionSpace(Frozen):
     """A carrier of maps dom -> cod with the set-open topology of ``family``.
 
-    Everything is kept as function masks (bit i for ``functions[i]``) and
-    derived from the image columns ``_columns``: the point table
+    Everything is kept as function masks (bit i for the i-th carrier map,
+    whose image tuple is ``_rows[i]``) and derived from the image columns
+    ``_columns``: the point table
     ``_points`` (maps with f(x) = y) and its neighbourhood table ``_within``
     (maps with f(x) ∈ U_y), the image table ``_table(a)`` of a subset, built
     on first use by the recurrence over the lowest point and kept in
@@ -161,20 +185,32 @@ class FunctionSpace(Frozen):
     edge, and the family members ``_kept`` whose slots a pull-back needs
     (slot pruning, see the module docstring).  The tables are ``memo``
     attributes, built on first read without the lock of a
-    ``cached_property``; ``min_nbhds`` is a ``cached_property``.
+    ``cached_property``, and so are the carrier maps ``functions`` of a
+    space built from image tuples (``_function_space``); ``min_nbhds`` is a
+    ``cached_property``.
     """
 
     _fields = ("dom", "cod", "functions", "family")
 
     def __init__(self, dom: FiniteSpace, cod: FiniteSpace, functions: tuple[FiniteMap, ...], family: tuple[int, ...]):
+        self.__dict__["functions"] = functions
+        self._fill(dom, cod, tuple(map(_IMAGE, functions)), family)
+
+    def _fill(self, dom: FiniteSpace, cod: FiniteSpace, rows: Sequence[tuple[int, ...]], family: tuple[int, ...]) -> None:
+        """Set the fields but ``functions`` from the image tuples ``rows``, which the caller vouches are in range."""
         fields = self.__dict__
-        fields["dom"], fields["cod"], fields["functions"], fields["family"] = dom, cod, functions, family
-        # _columns[x][i] = functions[i](x), the image tuples transposed: every table reads them
-        fields["_columns"] = (*zip(*map(attrgetter("image"), functions)),) or ((),) * dom.n
+        fields["dom"], fields["cod"], fields["family"], fields["_rows"] = dom, cod, family, rows
+        # _columns[x][i] = rows[i][x], the image tuples transposed: every table reads them
+        fields["_columns"] = (*zip(*rows),) or ((),) * dom.n
+
+    @memo
+    def functions(self) -> tuple[FiniteMap, ...]:
+        """The carrier maps, built from the image tuples ``_rows`` on first read, without ``FiniteMap``'s range check."""
+        return tuple(_unchecked_maps(self.dom.n, self.cod.n, self._rows))
 
     @property
     def size(self) -> int:
-        return len(self.functions)
+        return len(self._rows)
 
     @memo
     def _points(self) -> tuple[tuple[int, ...], ...]:
@@ -378,65 +414,44 @@ def set_open_topology(
     """Topology on the carrier generated by { (A, W) : A in family, W open }.
 
     The arguments are validated on every call, before the lookup, so a
-    refused call leaves the cache as it was (``_domain_family``).  A
-    carrier the library built (``_Built``) has one shape, so its first map
-    stands for all of them.  The FunctionSpace itself comes from
-    ``_function_space``, shared with ``compact_open`` (see the module
+    refused call leaves the cache as it was (``_domain_family``).  The
+    FunctionSpace itself comes from ``_function_space``, keyed by the
+    carrier's image tuples and shared with ``compact_open`` (see the module
     docstring).
     """
     fam = _domain_family(family, dom)
-    built = type(carrier) is _Built
-    fns = carrier if built else tuple(carrier)
-    dom_n, cod_n = dom.n, cod.n
-    for f in fns[:1] if built else fns:  # a plain loop: half the time of any() over a generator
-        if f.dom_n != dom_n or f.cod_n != cod_n:
-            raise ValueError("carrier maps must go from dom to cod")
-    return _function_space(dom, cod, _Carrier(fns), fam)
-
-
-class _Built(tuple):
-    """The maps of ``continuous_maps`` or of the "all" carrier: every map has the dom_n and cod_n of the first."""
-
-    __slots__ = ()
-
-
-class _Carrier:
-    """A carrier as a cache key: hashed by its length and compared as the same tuple or map by map, so no map is hashed."""
-
-    __slots__ = ("maps",)
-
-    def __init__(self, maps: tuple[FiniteMap, ...]):
-        self.maps = maps
-
-    def __hash__(self) -> int:
-        return len(self.maps)
-
-    def __eq__(self, other) -> bool:
-        return self.maps is other.maps or self.maps == other.maps
+    fns = tuple(carrier)
+    if not set(map(_SHAPE, fns)) <= {(dom.n, cod.n)}:
+        raise ValueError("carrier maps must go from dom to cod")
+    return _function_space(dom, cod, _Carrier(map(_IMAGE, fns)), fam)
 
 
 @lru_cache(maxsize=8)
-def _function_space(dom: FiniteSpace, cod: FiniteSpace, carrier: _Carrier, family: tuple[int, ...]) -> FunctionSpace:
-    return FunctionSpace(dom, cod, carrier.maps, family)
+def _function_space(dom: FiniteSpace, cod: FiniteSpace, rows: _Carrier, family: tuple[int, ...]) -> FunctionSpace:
+    """The space on the maps whose image tuples are ``rows``; its ``functions`` are built on first read."""
+    space = object.__new__(FunctionSpace)
+    space._fill(dom, cod, rows, family)
+    return space
 
 
 def compact_open(dom: FiniteSpace, cod: FiniteSpace, carrier: str = "continuous") -> FunctionSpace:
     """Set-open topology generated by the compact subsets of the domain, on the "continuous" or "all" maps.
 
     The carrier is the space's ground set, so the point guard bounds it:
-    the "all" carrier is checked before any map is built, and
-    ``continuous_maps`` refuses while it grows.  The library built the maps
-    for (dom, cod), so they are not validated again.
+    the "all" carrier is checked before any image tuple is built, and
+    ``_continuous_images`` refuses while it grows.  The library built the
+    image tuples for (dom, cod), so they are not validated again, and no
+    map is built until a caller reads ``functions``.
     """
     if carrier == "continuous":
-        fns = continuous_maps(dom, cod)
+        rows = _continuous_images(dom, cod)
     elif carrier == "all":
         limits.guard_points(cod.n ** dom.n, _CARRIER)
-        fns = _Built(all_maps(dom.n, cod.n))
+        rows = _Carrier(product(range(cod.n), repeat=dom.n))
     else:
         raise ValueError(f"unknown carrier {carrier!r}; expected 'continuous' or 'all'")
-    limits.guard_points(len(fns), _CARRIER)  # a cached carrier may predate a smaller guard
-    return _function_space(dom, cod, _Carrier(fns), compacts(dom))
+    limits.guard_points(len(rows), _CARRIER)  # a cached carrier may predate a smaller guard
+    return _function_space(dom, cod, rows, compacts(dom))
 
 
 def mu(dom: FiniteSpace, cod: FiniteSpace, family: Sequence[int], f: FiniteMap) -> tuple[int, ...]:
@@ -491,38 +506,52 @@ def mu_embedding_report(
     raise.  Openness onto the image holds for every carrier by theorem: the
     carrier topology is initial for the maps f ↦ f(A) into the upper
     Vietoris hyperspace, which the Vietoris topology refines, so
-    P_f ⊆ U_f ⊆ sat(U_f) (README, "Notes on definitions").  The report
-    tests P_f ⊆ U_f and builds no fibre; ``oracles.mu_embedding_by_definition``
-    keeps the route through the images of opens.  When the singletons are
-    in the family, P_f = U_f: only the singleton slots are kept, and on
-    them both pull-backs read g(x) ∈ U_{f(x)}; U_f is then reused as P_f
-    instead of pulling back a second time.
+    P_f ⊆ U_f ⊆ sat(U_f) (README, "Notes on definitions").  The report is
+    ``_embedding_report`` on the space of ``set_open_topology``.
+    """
+    return _embedding_report(set_open_topology(carrier, family, dom, cod))
 
-    P_f is taken over the kept slots of the carrier (``FunctionSpace._kept``),
-    which gives the same sets as all slots.  The verdicts are
-    whole-sequence tests run in C: U_f ⊆ P_f for every f is
+
+def _embedding_report(fs: FunctionSpace) -> MuEmbeddingReport:
+    """``mu_embedding_report`` of the space ``fs``: its carrier, with the set-open topology of its family.
+
+    The carrier's continuity is one mask (``_continuous``), not a call of
+    ``mu`` per map.  The first map in carrier order that ``mu`` would
+    refuse is built and raises the same error through ``mu``: the first
+    discontinuous map, or the first map of all when the family holds ∅,
+    whose image is no compact.
+
+    When the family holds every singleton, the verdicts come from the
+    theorem (README, "Notes on definitions"): only the singleton slots are
+    kept, and on them both pull-backs read g(x) ∈ U_{f(x)}, so P_f = U_f
+    and mu is continuous and open onto its image; mu(f) over the kept
+    slots is f's image tuple, so mu is injective when the image tuples are
+    pairwise distinct.  No neighbourhood is built.
+
+    Otherwise the report tests P_f ⊆ U_f and builds no fibre;
+    ``oracles.mu_embedding_by_definition`` keeps the route through the
+    images of opens.  P_f is taken over the kept slots of the carrier
+    (``FunctionSpace._kept``), which gives the same sets as all slots.  The
+    verdicts are whole-sequence tests run in C: U_f ⊆ P_f for every f is
     ``not any(map(and_, mins, map(invert, pm)))``, and mu is injective when
     the mu values, zipped from the slot columns (``_slot_column``), are
-    pairwise distinct.  The carrier's continuity is one mask
-    (``_continuous``), not a call of ``mu`` per map.  The first map in
-    carrier order that ``mu`` would refuse raises the same error through
-    ``mu``: the first discontinuous map, or the first map of all when the
-    family holds ∅, whose image is no compact.
+    pairwise distinct.
     """
-    fam = canon_family(family)
-    fs = set_open_topology(carrier, fam, dom, cod)
+    dom, cod, fam = fs.dom, fs.cod, fs.family
     refused = full_mask(fs.size)
     if 0 not in fam:  # otherwise every map is refused: it sends ∅ to ∅, which is no compact
         refused &= ~fs._continuous
     if refused:
-        mu(dom, cod, fam, fs.functions[(refused & -refused).bit_length() - 1])
+        (f,) = _unchecked_maps(dom.n, cod.n, [fs._rows[(refused & -refused).bit_length() - 1]])
+        mu(dom, cod, fam, f)
+    if all((1 << x) in fs._members for x in range(dom.n)):
+        return MuEmbeddingReport(True, True, len(set(fs._rows)) == fs.size, True)
     mins = fs.min_nbhds
-    singletons = all((1 << x) in fam for x in range(dom.n))
-    pm = mins if singletons else fs._pull_back(fs._kept, lower=True)
+    pm = fs._pull_back(fs._kept, lower=True)
     values = zip(*map(fs._slot_column, fs._kept)) if fs._kept else [()] * fs.size  # mu(f) over the kept slots
     return MuEmbeddingReport(
         continuous=not any(map(and_, mins, map(invert, pm))),
         open_onto_image=not any(map(and_, pm, map(invert, mins))),
         injective=len(set(values)) == fs.size,
-        family_has_singletons=singletons,
+        family_has_singletons=False,
     )

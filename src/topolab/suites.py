@@ -63,7 +63,7 @@ from .choice import (
 from .errors import NotATopology, SizeLimitExceeded, TopolabError
 from .filters import enumerate_ultrafilters, subsets_carrier
 from .finality import check_finality_discrete_square, pushed_edges
-from .funcspaces import compact_open, continuous_maps, mu_embedding_report
+from .funcspaces import _continuous_images, _embedding_report, _function_space, compact_open
 from .hyperspaces import _hit_index_mask, compacts, vietoris
 from .spaces import FiniteSpace, enumerate_topologies, homeomorphism_classes, make_space
 
@@ -371,10 +371,15 @@ def suite_vietoris_inclusion(max_n: int = 3, jobs: int = 1) -> RunReport:
 # ---------------------------------------------------------------- embedding
 
 def _embedding_pair(args) -> tuple[int, int, list]:
-    """(checks, failed checks, witnesses): three flags, one witness per failing pair."""
+    """(checks, failed checks, witnesses): three flags, one witness per failing pair.
+
+    The flags are ``mu_embedding_report``'s on the continuous maps and the
+    non-empty subsets of X, read off the space on their image tuples, so no
+    map is built.
+    """
     (nx, xi, x), (ny, yi, y) = args
     fam = tuple(range(1, 1 << x.n))
-    rep = mu_embedding_report(x, y, continuous_maps(x, y), fam)
+    rep = _embedding_report(_function_space(x, y, _continuous_images(x, y), fam))
     bad = 3 - sum((rep.continuous, rep.open_onto_image, rep.injective))
     if not bad:
         return 3, 0, []

@@ -260,7 +260,7 @@ class TestVerifyCommand:
         failing = MuEmbeddingReport(
             continuous=False, open_onto_image=False, injective=True, family_has_singletons=True
         )
-        monkeypatch.setattr(suites, "mu_embedding_report", lambda *args: failing)
+        monkeypatch.setattr(suites, "_embedding_report", lambda fs: failing)
         report = suites.suite_embedding(max_n=2)
         pairs = 5 * 5  # the 1- and 2-point corpus has 5 spaces
         assert report.checked == 3 * pairs
@@ -336,7 +336,7 @@ class TestVerifyCommand:
         failing = MuEmbeddingReport(
             continuous=False, open_onto_image=True, injective=True, family_has_singletons=True
         )
-        monkeypatch.setattr(suites, "mu_embedding_report", lambda *args: failing)
+        monkeypatch.setattr(suites, "_embedding_report", lambda fs: failing)
         assert run(["verify", "--suite", "embedding", "--max-n", "2"]) == 1
         assert "16 class pairs for 25 labelled pairs, 25 labelled pairs re-run after a failure" in capsys.readouterr().out
 

@@ -26,7 +26,7 @@ from topolab.funcspaces import (
     set_open_topology,
 )
 from topolab.hyperspaces import closeds, compacts, upper_vietoris, vietoris
-from topolab import funcspaces, hyperspaces, limits, maps, suites
+from topolab import cli, funcspaces, hyperspaces, limits, maps, suites
 from topolab.frozen import memo
 from topolab.maps import FiniteMap, all_maps
 from topolab.spaces import discrete_space, homeomorphism_classes, indiscrete_space, sierpinski_space
@@ -125,20 +125,14 @@ class TestSharedSpace:
         with pytest.raises(ValueError, match="carrier maps must go from dom to cod"):
             set_open_topology(fns + (FiniteMap(3, 2, (0, 0, 1)),), P2, S, S)
         with pytest.raises(ValueError, match="carrier maps must go from dom to cod"):
+            # its image fits the codomain, but its cod_n does not: the maps are checked, not their image tuples
+            set_open_topology(fns + (FiniteMap(2, 3, (0, 1)),), P2, S, S)
+        with pytest.raises(ValueError, match="carrier maps must go from dom to cod"):
             set_open_topology(fns, P2, discrete_space(3), S)
         with pytest.raises(ValueError, match="family members must be subsets of the domain"):
             set_open_topology(fns, P2 + (0b100,), S, S)
         assert cache.cache_info() == before
         assert set_open_topology(fns, P2, S, S) is set_open_topology(list(fns), reversed(P2), S, S)
-
-    def test_a_built_carrier_is_checked_by_its_first_map(self):
-        # the library's own carriers have one shape, so their first map stands for all of them
-        fns = continuous_maps(S, S)
-        assert type(fns) is funcspaces._Built and type(compact_open(S, S, "all").functions) is funcspaces._Built
-        odd = fns + (FiniteMap(3, 2, (0, 0, 1)),)
-        with pytest.raises(ValueError, match="carrier maps must go from dom to cod"):
-            set_open_topology(odd, P2, S, S)
-        assert set_open_topology(funcspaces._Built(odd), P2, S, S).size == len(odd)
 
     def test_cache_is_bounded(self):
         assert funcspaces._function_space.cache_info().maxsize is not None
@@ -147,7 +141,7 @@ class TestSharedSpace:
         # min_nbhds stays a cached_property; the tables are memos that keep .func, as cached_property does
         assert isinstance(vars(FunctionSpace)["min_nbhds"], cached_property)
         fs = compact_open(S, D2)
-        for name in ("_points", "_tables", "_members", "_kept", "_within", "_continuous"):
+        for name in ("functions", "_points", "_tables", "_members", "_kept", "_within", "_continuous"):
             field = getattr(FunctionSpace, name)
             assert type(field) is memo and callable(field.func)
             value = getattr(fs, name)
@@ -190,6 +184,41 @@ class TestSharedSpace:
         rng = random.Random(10)
         for _ in range(12):
             self._check(rng.choice(corpus_n4), rng.choice(corpus_n4))
+
+
+def _class_representatives(max_n: int) -> list:
+    """The first member of each homeomorphism class with at most max_n points: 13 for max_n 3."""
+    return [members[0][1] for n in range(1, max_n + 1) for _, members in homeomorphism_classes(n)]
+
+
+class TestImageTupleCarriers:
+    """A space holds its carrier as image tuples; its maps are built on first read and equal the public ones."""
+
+    def test_compact_open_reads_the_continuous_maps(self, corpus3):
+        classes = _class_representatives(3)
+        assert len(classes) ** 2 == 169
+        for dom in classes:
+            for cod in classes:
+                _cold()
+                functions = compact_open(dom, cod).functions
+                assert functions == continuous_maps(dom, cod), (dom, cod)
+        for _, _, dom in corpus3:
+            for _, _, cod in corpus3:
+                assert compact_open(dom, cod, "all").functions == tuple(all_maps(dom.n, cod.n)), (dom, cod)
+
+    def test_the_pairs_item_builds_one_space(self, corpus_n4):
+        # the item of the pairs benchmark: the maps, the compact-open box, then the report on the maps;
+        # the report's carrier of FiniteMaps finds the space that compact_open keyed by image tuples
+        rng = random.Random(31)
+        for _ in range(6):
+            x, y = rng.choice(corpus_n4), rng.choice(corpus_n4)
+            _cold()
+            maps_xy = continuous_maps(x, y)
+            compact_open(x, y).min_nbhds
+            report = mu_embedding_report(x, y, maps_xy, compacts(x))
+            info = funcspaces._function_space.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 1, 1), (x, y)
+            assert report.continuous and report.open_onto_image and report.injective
 
 
 class TestCompactOpen:
@@ -390,6 +419,22 @@ class TestEmbeddingOracle:
         finally:
             limits.reset_limits()
         assert got == expected
+
+    def test_a_family_with_the_singletons_is_decided_by_the_theorem(self, monkeypatch):
+        # P_f = U_f when the singletons are in the family: the report reads no neighbourhood and no pull-back
+        def refuse(*args, **kwargs):
+            raise AssertionError("the singleton route reads no neighbourhood")
+
+        monkeypatch.setattr(FunctionSpace, "min_nbhds", property(refuse))
+        monkeypatch.setattr(FunctionSpace, "_pull_back", refuse)
+        classes = _class_representatives(3)
+        for dom in classes:
+            singletons = tuple(1 << x for x in range(dom.n))
+            for fam in dict.fromkeys((tuple(nonempty_subsets(dom.n)), singletons, singletons + (dom.full,))):
+                for cod in classes:
+                    fns = continuous_maps(dom, cod)
+                    got = _flags(mu_embedding_report(dom, cod, fns, fam))
+                    assert got == mu_embedding_by_definition(dom, cod, fns, fam), (dom, cod, fam)
 
     def test_errors_of_mu_are_kept(self):
         with pytest.raises(ValueError):
@@ -693,8 +738,27 @@ def map_work(monkeypatch):
     return counts
 
 
+@pytest.fixture()
+def constructed(monkeypatch):
+    """Every ``FiniteMap`` made from here on: ``FiniteMap(...)`` and ``maps._unchecked_maps`` both set the image through ``maps._put_image``."""
+    made = []
+    real = maps._put_image
+
+    def put_image(f, image):
+        made.append(image)
+        real(f, image)
+
+    monkeypatch.setattr(maps, "_put_image", put_image)
+    FiniteMap(1, 1, (0,))
+    next(maps._unchecked_maps(1, 1, [(0,)]))
+    assert made == [(0,), (0,)]  # both routes are counted
+    made.clear()
+    return made
+
+
 def _cold():
     continuous_maps.cache_clear()
+    funcspaces._continuous_images.cache_clear()
     funcspaces._function_space.cache_clear()
 
 
@@ -719,6 +783,14 @@ class TestNoPerMapWork:
         assert checked > 0 and failed == 0 and witnesses == []
         assert map_work == {"hash": 0, "check": 0}
 
+    @pytest.mark.parametrize("suite", ["vietoris-inclusion", "embedding"])
+    def test_the_pair_suites_build_no_map(self, suite, constructed, tmp_path):
+        # both read the image tuples of their carriers; no FiniteMap is made at max-n 3
+        _cold()
+        report = tmp_path / "report.json"
+        assert cli.main(["verify", "--suite", suite, "--max-n", "3", "--report", str(report)]) == 0
+        assert constructed == []
+
     def test_maps_equal_their_public_twins(self, map_work, corpus3):
         built = []
         for _, _, dom in corpus3:
@@ -737,19 +809,7 @@ class TestNoPerMapWork:
 class TestCarrierGuard:
     """The carrier is the function space's ground set, so the point guard bounds it."""
 
-    def test_refused_before_any_map_is_built(self, map_work, monkeypatch):
-        built = []
-
-        def counting(real):
-            def build(dom_n, cod_n, images):
-                for f in real(dom_n, cod_n, images):
-                    built.append(f)
-                    yield f
-
-            return build
-
-        monkeypatch.setattr(maps, "_unchecked_maps", counting(maps._unchecked_maps))
-        monkeypatch.setattr(funcspaces, "_unchecked_maps", counting(funcspaces._unchecked_maps))
+    def test_refused_before_any_map_is_built(self, constructed):
         d8 = discrete_space(8)
         _cold()
         limits.set_limits(points=1000)
@@ -759,7 +819,7 @@ class TestCarrierGuard:
                     compact_open(d8, d8, carrier)
         finally:
             limits.reset_limits()
-        assert built == [] and map_work["check"] == 0
+        assert constructed == []
 
     @pytest.mark.parametrize("carrier", ["continuous", "all"])
     def test_bound_is_the_carrier_size(self, carrier):

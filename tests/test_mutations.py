@@ -13,11 +13,11 @@ equivalent to the kernel and README should say why.
 Known survivors, pinned in ``SURVIVORS`` with their check counts:
 
 * the ``embedding`` suite passes all 3468 checks at max-n 3 under the box
-  mutant, since its family holds the singletons, so P_f is taken as U_f
-  and continuity and openness compare the mutant with itself;
-* it passes them under ``points-on-the-next-map`` too, for the same
-  reason: the box and P_f are the one wrong array, the mu values are read
-  off the image columns, not the point table, and the continuity mask is
+  mutant, since it reads no box: its family holds the singletons, so
+  P_f = U_f, and continuity and openness come from that theorem, and
+  injectivity from the distinct image tuples;
+* it passes them under ``points-on-the-next-map`` too: it reads no box,
+  the image tuples are not the point table, and the continuity mask is
   the full mask moved by one map, so no map is refused;
 * ``vietoris-inclusion`` passes under ``vietoris-as-lower``, with 0
   failures: only its check count moves, 988 → 923 at max-n 2 and

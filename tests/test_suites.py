@@ -316,16 +316,16 @@ class TestClassReduction:
     def test_class_fault_is_rerun_on_every_labelled_pair(self, suite, monkeypatch):
         # a fault whenever Y is a Sierpinski space, in either labelling
         sierpinski = canonical_form_by_relabelling(sierpinski_space())
-        real_vietoris, real_report = suites.vietoris, suites.mu_embedding_report
+        real_vietoris, real_report = suites.vietoris, suites._embedding_report
 
         def fine_vietoris(space, family):
             if canonical_form_by_relabelling(space) != sierpinski:
                 return real_vietoris(space, family)
             return HyperSpace(space, family, discrete_space(len(family)), "vietoris")
 
-        def failing_report(x, y, maps, family):
-            rep = real_report(x, y, maps, family)
-            if canonical_form_by_relabelling(y) != sierpinski:
+        def failing_report(fs):
+            rep = real_report(fs)
+            if canonical_form_by_relabelling(fs.cod) != sierpinski:
                 return rep
             return MuEmbeddingReport(
                 continuous=False,
@@ -335,7 +335,7 @@ class TestClassReduction:
             )
 
         monkeypatch.setattr(suites, "vietoris", fine_vietoris)
-        monkeypatch.setattr(suites, "mu_embedding_report", failing_report)
+        monkeypatch.setattr(suites, "_embedding_report", failing_report)
         report = suites.run_suite(suite, max_n=3)
         assert report.failed > 0
         assert report.reruns == 34 * 2  # every X against both labellings of Sierpinski

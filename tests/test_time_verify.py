@@ -22,6 +22,23 @@ def test_one_run_of_property_a(tmp_path, capsys):
     record = json.loads((tmp_path / "BENCH_verify_property-a_n1.json").read_text())
     assert record["codes"] == [0] and record["totals"] == [{"checked": 5, "passed": 5, "failed": 0}]
     assert len(record["reference_s"]) == 1 and record["median_reference_s"] > 0
+    # each run records its child CPU seconds, the load around it and whether it was contended
+    assert record["cpus"] >= 1 and record["cpu_s"][0] > 0 and record["peak_rss_mb"][0] > 0
+    assert [len(record[key][0]) for key in ("load_before", "load_after")] == [3, 3]
+    assert record["contended"] in ([False], [True])
+
+
+def test_a_run_is_contended_by_its_cpu_share_or_the_load_before_it():
+    tool = _load_tool()
+
+    def run(wall, cpu, load):
+        return tool.Timed(0, "", "", wall, wall, cpu, (load, 0.0, 0.0), (0.0, 0.0, 0.0), 30.0)
+
+    assert not tool.contended(run(10.0, 9.5, 0.5), one_worker=True, cpus=2)
+    assert tool.contended(run(10.0, 8.5, 0.5), one_worker=True, cpus=2)  # another process took a tenth of its core
+    assert not tool.contended(run(10.0, 8.5, 0.5), one_worker=False, cpus=2)  # workers: the ratio says nothing
+    assert tool.contended(run(10.0, 19.0, 2.0), one_worker=False, cpus=2)  # the cores were busy before it started
+    assert not tool.contended(run(10.0, 9.5, 1.9), one_worker=True, cpus=2)
 
 
 def test_one_run_of_every_suite(tmp_path, capsys):

@@ -5,7 +5,10 @@ from the root of this checkout and on its ``src`` tree, so start-up,
 collection and imports count.  The runs are timed as
 ``tools/time_verify.py`` times ``verify`` (its ``time_process``): with
 host-speed probes taken around and during each run, which scale its wall
-time to the reference speed of ``benchmarks/hostspeed.py``.
+time to the reference speed of ``benchmarks/hostspeed.py``, and with its
+CPU seconds and the load before and after it, which mark a run contended
+when its CPU/wall ratio is low or the load shows another process on the
+cores.
 
 Usage, from the repository root:
 
@@ -38,22 +41,19 @@ def _time_verify():
     return module
 
 
-def time_runs(pytest_args: list[str], runs: int) -> dict:
-    """The record of ``runs`` fresh pytest processes: exit codes, summary lines, raw and reference-speed wall times."""
-    timer = _time_verify()
+def time_runs(pytest_args: list[str], runs: int, timer) -> dict:
+    """The record of ``runs`` fresh pytest processes, timed by ``timer`` (``tools/time_verify.py``): exit codes, summary lines, times, loads and contention flags."""
     hostspeed = timer._hostspeed()
     speed = hostspeed.HostSpeed()
     argv = [sys.executable, "-m", "pytest", "-q", *pytest_args]
-    record = {"pytest_args": pytest_args, "runs": runs, "codes": [], "summaries": [], "wall_s": [], "reference_s": []}
+    record = timer.new_record(pytest_args=pytest_args, runs=runs, summaries=[])
     for _ in range(runs):
-        code, stdout, stderr, wall, reference = timer.time_process(argv, hostspeed, speed)
-        lines = stdout.strip().splitlines()
-        record["codes"].append(code)
+        run = timer.time_process(argv, hostspeed, speed)
+        timer.record_run(record, run, one_worker=True)  # pytest runs the tests in one process
+        lines = run.stdout.strip().splitlines()
         record["summaries"].append(lines[-1] if lines else "")
-        record["wall_s"].append(wall)
-        record["reference_s"].append(reference)
-        if code != 0:
-            record["stderr"] = stderr
+        if run.code != 0:
+            record["stderr"] = run.stderr
     record["median_reference_s"] = statistics.median(record["reference_s"])
     record["median_wall_s"] = statistics.median(record["wall_s"])
     return record
@@ -68,9 +68,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv[:split])
     if args.runs < 1:
         parser.error(f"--runs must be at least 1, got {args.runs}")
-    record = time_runs(argv[split + 1 :], args.runs)
-    for code, summary, reference in zip(record["codes"], record["summaries"], record["reference_s"]):
-        print(f"exit {code}  {summary}  at the reference speed {reference:.3f} s")
+    timer = _time_verify()
+    record = time_runs(argv[split + 1 :], args.runs, timer)
+    for k, (code, summary) in enumerate(zip(record["codes"], record["summaries"])):
+        print(f"exit {code}  {summary}  {timer.run_line(record, k)}")
     median, runs = record["median_reference_s"], record["runs"]
     print(f"median process wall time at the reference speed: {median:.3f} s ({runs} runs)")
     if "stderr" in record:

@@ -14,6 +14,14 @@ the probes share the cores with them and read slow, so the reference
 times come out low: compare such runs with each other, or by wall time.
 Every run must report the same totals.
 
+Each run also records the CPU seconds of its process tree (the change in
+``getrusage(RUSAGE_CHILDREN)``, which counts the pool workers once they
+are joined), the peak resident set so far and ``os.getloadavg()`` before
+and after it.  A run is marked contended (``contended``) when another
+process likely held its cores: with one worker its CPU/wall ratio is under
+``CPU_SHARE``, or the 1-minute load before it was at least the usable CPU
+count.  Compare uncontended runs.
+
 Usage, from the repository root:
 
     python tools/time_verify.py --suite vietoris-inclusion --max-n 4 [--jobs 2] [--runs 5]
@@ -30,14 +38,17 @@ import argparse
 import importlib.util
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 NEIGHBOURS = 2  # probes taken just before and just after each run
+CPU_SHARE = 0.9  # the least CPU/wall ratio of an uncontended run with one worker
 
 
 def _hostspeed():
@@ -48,21 +59,63 @@ def _hostspeed():
     return module
 
 
-def time_process(argv: list[str], hostspeed, speed) -> tuple[int, str, str, float, float]:
+class Timed(NamedTuple):
+    """One timed process run (``time_process``)."""
+
+    code: int
+    stdout: str
+    stderr: str
+    wall_s: float
+    reference_s: float  # the wall time at the reference speed
+    cpu_s: float  # user and system CPU seconds of the process and its joined children
+    load_before: tuple[float, float, float]  # os.getloadavg() just before the run
+    load_after: tuple[float, float, float]  # and just after it
+    peak_rss_mb: float  # the largest resident set of any process this one has waited for so far, in MiB
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def contended(run: Timed, one_worker: bool, cpus: int) -> bool:
+    """Whether another process likely held the run's cores.
+
+    With one worker, a run that got a core to itself spends nearly all its
+    wall time on the CPU, so a CPU/wall ratio under ``CPU_SHARE`` marks it;
+    so does a 1-minute load of at least ``cpus`` before it, with or without
+    workers.
+    """
+    return (one_worker and run.cpu_s < CPU_SHARE * run.wall_s) or run.load_before[0] >= cpus
+
+
+def _children() -> tuple[float, float]:
+    """The CPU seconds of every descendant waited for, and the largest resident set among them in MiB (Linux counts KiB)."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
+
+
+def time_process(argv: list[str], hostspeed, speed) -> Timed:
     """Run ``argv`` once in a fresh process on the ``src`` tree of this checkout, from its root.
 
-    Returns (exit code, standard output, standard error, wall seconds,
-    wall seconds at the reference speed).  ``speed``, a
-    ``hostspeed.HostSpeed``, takes ``NEIGHBOURS`` probes just before and
-    just after the run and one every ``hostspeed.INTERVAL_S`` while it goes
-    on; the reference time is the wall time times ``hostspeed.REFERENCE_S``
-    over their median.
+    ``speed``, a ``hostspeed.HostSpeed``, takes ``NEIGHBOURS`` probes just
+    before and just after the run and one every ``hostspeed.INTERVAL_S``
+    while it goes on; the reference time is the wall time times
+    ``hostspeed.REFERENCE_S`` over their median.  The CPU time is the
+    change in ``getrusage(RUSAGE_CHILDREN)`` over the run, which counts
+    every descendant the run waited for.  Its peak resident set is a
+    running maximum over every process this one has waited for, so with
+    one command per tool process it is the peak over that command's runs.
     """
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     first = len(speed.durations)
     for _ in range(NEIGHBOURS):
         speed.probe()
+    load_before, (cpu_before, _) = os.getloadavg(), _children()
     start = hostspeed.clock()
     with subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as run:
         while True:
@@ -72,22 +125,51 @@ def time_process(argv: list[str], hostspeed, speed) -> tuple[int, str, str, floa
             except subprocess.TimeoutExpired:
                 speed.probe()
     end = hostspeed.clock()
+    (cpu_after, peak), load_after = _children(), os.getloadavg()
     for _ in range(NEIGHBOURS):
         speed.probe()
     probes = statistics.median(speed.durations[first:])
-    return run.returncode, stdout, stderr, end - start, (end - start) * hostspeed.REFERENCE_S / probes
+    wall = end - start
+    reference = wall * hostspeed.REFERENCE_S / probes
+    return Timed(run.returncode, stdout, stderr, wall, reference, cpu_after - cpu_before, load_before, load_after, peak)
+
+
+PER_RUN = ("wall_s", "reference_s", "cpu_s", "load_before", "load_after", "peak_rss_mb")  # ``Timed`` fields kept per run
+
+
+def record_run(record: dict, run: Timed, one_worker: bool) -> None:
+    """Append the run's exit code, ``PER_RUN`` fields and contention flag to the lists of ``record``."""
+    record["codes"].append(run.code)
+    for key in PER_RUN:
+        record[key].append(getattr(run, key))
+    record["contended"].append(contended(run, one_worker, record["cpus"]))
+
+
+def new_record(**fields) -> dict:
+    """A record with ``fields`` and the empty per-run lists that ``record_run`` fills."""
+    return dict(fields, cpus=usable_cpus(), codes=[], contended=[], **{key: [] for key in PER_RUN})
+
+
+def run_line(record: dict, k: int) -> str:
+    """Run k's times, CPU/wall ratio, load before it and contention flag, for printing."""
+    wall, cpu = record["wall_s"][k], record["cpu_s"][k]
+    flag = "  CONTENDED" if record["contended"][k] else ""
+    return (
+        f"wall {wall:.3f} s  at the reference speed {record['reference_s'][k]:.3f} s  "
+        f"cpu/wall {cpu / wall:.2f}  load before {record['load_before'][k][0]:.2f}  "
+        f"peak {record['peak_rss_mb'][k]:.1f} MiB{flag}"
+    )
 
 
 def time_runs(suite: str, max_n: int, jobs: int | None, runs: int) -> dict:
-    """The record of ``runs`` fresh ``verify`` processes: exit codes, totals, raw and reference-speed wall times.
+    """The record of ``runs`` fresh ``verify`` processes: exit codes, totals, times, loads and contention flags.
 
     A run's totals are its report's, or with ``--suite all`` the list of
     each suite's totals in suite order.
     """
     hostspeed = _hostspeed()
     speed = hostspeed.HostSpeed()
-    record = {"suite": suite, "max_n": max_n, "jobs": jobs, "runs": runs}
-    record.update(codes=[], totals=[], wall_s=[], reference_s=[])
+    record = new_record(suite=suite, max_n=max_n, jobs=jobs, runs=runs, totals=[])
     with tempfile.TemporaryDirectory() as scratch:
         report = Path(scratch) / "report.json"
         argv = [sys.executable, "-m", "topolab.cli", "verify", "--suite", suite, "--max-n", str(max_n)]
@@ -95,17 +177,15 @@ def time_runs(suite: str, max_n: int, jobs: int | None, runs: int) -> dict:
         if jobs is not None:
             argv += ["--jobs", str(jobs)]
         for _ in range(runs):
-            code, _, stderr, wall, reference = time_process(argv, hostspeed, speed)
-            record["codes"].append(code)
-            record["wall_s"].append(wall)
-            record["reference_s"].append(reference)
-            if code in (0, 1):
+            run = time_process(argv, hostspeed, speed)
+            record_run(record, run, one_worker=jobs in (None, 1))
+            if run.code in (0, 1):
                 payload = json.loads(report.read_text())  # --suite all writes a list of reports
                 totals = [r["totals"] for r in payload] if isinstance(payload, list) else payload["totals"]
                 record["totals"].append(totals)
             else:
                 record["totals"].append(None)
-                record["stderr"] = stderr
+                record["stderr"] = run.stderr
     record["median_reference_s"] = statistics.median(record["reference_s"])
     record["median_wall_s"] = statistics.median(record["wall_s"])
     return record
@@ -122,8 +202,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.runs < 1:
         parser.error(f"--runs must be at least 1, got {args.runs}")
     record = time_runs(args.suite, args.max_n, args.jobs, args.runs)
-    for code, wall, reference in zip(record["codes"], record["wall_s"], record["reference_s"]):
-        print(f"exit {code}  wall {wall:.3f} s  at the reference speed {reference:.3f} s")
+    for k, code in enumerate(record["codes"]):
+        print(f"exit {code}  {run_line(record, k)}")
     median, runs = record["median_reference_s"], record["runs"]
     print(f"median process wall time at the reference speed: {median:.3f} s ({runs} runs)")
     if "stderr" in record:
