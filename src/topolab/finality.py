@@ -16,7 +16,8 @@ topology behind the size guard.  For discrete domains a restriction-based
 route makes the 3x3 square (19683 maps) tractable: every map out of a
 discrete space is continuous and its minimal compact-open neighbourhood is
 the pointwise box around it, so the pushed-forward edges only depend on the
-restriction of the map to A.
+restriction of the map to A, and a larger A pushes every edge a smaller one
+does.  The route scans the restrictions once, at the largest source.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple, Sequence
 
-from .bitsets import complement, full_mask, is_subset, iter_bits, mask_of, points_of
+from .bitsets import complement, full_mask, is_subset, iter_bits, mask_of
 from .errors import SizeLimitExceeded
 from .filters import contains, enumerate_ultrafilters, points_carrier, singleton_filter
 from .funcspaces import compact_open
@@ -150,28 +151,35 @@ def final_from_discrete_sources(
     Every map out of a discrete space is continuous and its minimal
     compact-open neighbourhood is the pointwise box { g : g(z) ∈
     min_nbhd(f(z)) }, so both the projection value and the pushed-forward
-    edges f(A) → g(A) depend only on the restriction of f to A; the edges
-    are therefore collected over restrictions instead of whole maps.  Agrees
-    with the general neighbourhood strategy of final_over_projections
+    edges f(A) → g(A) depend only on the restriction of f to A, a tuple of
+    |A| values.  A source's edges are those of a larger source too: padding
+    a restriction and each of its neighbours with copies of their last
+    entries keeps both images.  So the union over the sources is the edge
+    set of the largest one, and the restrictions are scanned once, at the
+    largest |A|; with no source only the loops remain.  Every mask is
+    checked to be a non-empty subset of the z_n points before any is read.
+    Agrees with the general neighbourhood strategy of final_over_projections
+    and with the per-source scan ``oracles.final_from_discrete_sources_by_sources``
     (asserted in tests, also for non-discrete codomains where the edges
     really remove opens).
     """
+    if z_n < 0:
+        raise ValueError("z_n must not be negative")
+    if not all(0 < a < 1 << z_n for a in source_masks):
+        raise ValueError("source subset must be a non-empty subset of the discrete space")
     family = compacts(cod)
     index = {m: i for i, m in enumerate(family)}
     cod_mins = cod.min_nbhds
 
     edges = set()
-    for a in source_masks:
-        pts = points_of(a)
-        if not pts or a >= (1 << z_n):
-            raise ValueError("source subset must be a non-empty subset of the discrete space")
-        for restriction in itertools.product(range(cod.n), repeat=len(pts)):
-            h = index[mask_of(restriction)]
-            reach = {0}
-            for val in restriction:
-                nbhd = tuple(iter_bits(cod_mins[val]))
-                reach = {s | (1 << c) for s in reach for c in nbhd}
-            edges.update((h, index[r]) for r in reach)
+    size = max((a.bit_count() for a in source_masks), default=0)
+    for restriction in itertools.product(range(cod.n), repeat=size) if size else ():
+        h = index[mask_of(restriction)]
+        reach = {0}
+        for val in restriction:
+            nbhd = tuple(iter_bits(cod_mins[val]))
+            reach = {s | (1 << c) for s in reach for c in nbhd}
+        edges.update((h, index[r]) for r in reach)
     return final_from_edges(len(family), edges)
 
 
@@ -185,11 +193,15 @@ def check_finality_discrete_square(y_n: int) -> SquareFinalityReport:
     prefixes A = {0..k−1}, k = 1..z_n, and they give the final topology of
     all compacts of Z: on a discrete Z the restrictions of maps to A, and
     so the pushed edges f(A) → g(A), depend only on |A|, so one compact of
-    each size contributes every edge.
+    each size contributes every edge.  The report counts the z_n prefixes
+    as its sources.
 
     Every subset of the discrete Z is compact and every map out of it is
     continuous, so the scan runs over restrictions to A (the projection
     value and the minimal-neighbourhood box of a map only depend on f|A).
+    The largest prefix, Z itself, pushes every edge the smaller ones do, so
+    ``final_from_discrete_sources`` scans the y_n^z_n restrictions of size
+    z_n once (3^9 = 19683 for y = 3).
     """
     if y_n < 1:
         raise ValueError("y_n must be positive")

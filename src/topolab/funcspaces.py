@@ -72,8 +72,9 @@ hand over the image tuples of ``_continuous_images`` (the growth of
 space they build holds no ``FiniteMap``; ``set_open_topology`` validates
 every map of a caller's carrier before the lookup, so a refused call
 leaves the cache as it was, and keys the space by the maps' image tuples.
-The maps of ``continuous_maps`` share their image tuples with
-``_continuous_images``, so ``compact_open`` followed by
+The tuple of ``continuous_maps`` carries the image tuples of
+``_continuous_images`` it was built from, and ``set_open_topology`` keys
+it by them without reading a map, so ``compact_open`` followed by
 ``mu_embedding_report`` on ``continuous_maps(dom, cod)`` finds one space
 and builds each table at most once.  ``FiniteMap``s are built, without
 the range check (``maps._unchecked_maps``), only where a caller reads
@@ -118,14 +119,28 @@ class _Carrier(tuple):
         return len(self)
 
 
+class _Maps(tuple):
+    """The maps of ``continuous_maps``, carrying the (dom_n, cod_n) ``shape`` and the image tuples ``rows`` they were built from."""
+
+    def __new__(cls, dom_n: int, cod_n: int, rows: _Carrier) -> _Maps:
+        maps = super().__new__(cls, _unchecked_maps(dom_n, cod_n, rows))
+        maps.shape, maps.rows = (dom_n, cod_n), rows
+        return maps
+
+    def __reduce__(self):
+        return _Maps, (*self.shape, self.rows)
+
+
 @lru_cache(maxsize=256)
 def continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[FiniteMap, ...]:
     """All continuous maps dom -> cod, in all_maps order.
 
     The maps of the image tuples of ``_continuous_images``, which are in
-    range by construction, so the maps skip ``FiniteMap``'s check.
+    range by construction, so the maps skip ``FiniteMap``'s check.  The
+    tuple carries those image tuples, so ``set_open_topology`` keys a space
+    on it without reading a map.
     """
-    return tuple(_unchecked_maps(dom.n, cod.n, _continuous_images(dom, cod)))
+    return _Maps(dom.n, cod.n, _continuous_images(dom, cod))
 
 
 @lru_cache(maxsize=256)
@@ -417,9 +432,13 @@ def set_open_topology(
     refused call leaves the cache as it was (``_domain_family``).  The
     FunctionSpace itself comes from ``_function_space``, keyed by the
     carrier's image tuples and shared with ``compact_open`` (see the module
-    docstring).
+    docstring).  The maps of ``continuous_maps`` of the same shape are
+    keyed by the image tuples they carry, reading no map; any other carrier
+    has every map's shape checked and its image tuples read.
     """
     fam = _domain_family(family, dom)
+    if type(carrier) is _Maps and carrier.shape == (dom.n, cod.n):
+        return _function_space(dom, cod, carrier.rows, fam)
     fns = tuple(carrier)
     if not set(map(_SHAPE, fns)) <= {(dom.n, cod.n)}:
         raise ValueError("carrier maps must go from dom to cod")

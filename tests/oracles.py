@@ -33,8 +33,10 @@ neighbourhoods are pulled back over every family member, through the upper
 Vietoris or the Vietoris hyperspace on every non-empty subset of the
 codomain, where the library builds the tables column-wise from its point
 table, skips the members its singletons already decide, and reads the
-nearness of two images off the codomain's minimal neighbourhoods.
-Closure, interior, the shrinking lemma, the separation axioms and the
+nearness of two images off the codomain's minimal neighbourhoods.  The
+final topology over discrete sources is scanned source by source (the
+library scans the restrictions once, at the largest source).  Closure,
+interior, the shrinking lemma, the separation axioms and the
 containment of the Vietoris topology in a final topology are decided by
 scanning the listed opens and closeds, where the library reads minimal
 neighbourhoods.  Homeomorphism is a search over the
@@ -50,13 +52,13 @@ computed here and compare the library against them.
 import functools
 import itertools
 
-from topolab.bitsets import complement, full_mask, is_subset, iter_bits, meets, points_of
+from topolab.bitsets import complement, full_mask, is_subset, iter_bits, mask_of, meets, points_of
 from topolab.fileio import dumps_canonical
 from topolab.finality import InclusionReport
 from topolab.funcspaces import compact_open, continuous_maps
 from topolab.hyperspaces import compacts, upper_vietoris, vietoris
 from topolab.maps import FiniteMap, all_maps
-from topolab.spaces import FiniteSpace, enumerate_topologies, generate_from_subbase, make_space
+from topolab.spaces import FiniteSpace, enumerate_topologies, final_from_edges, generate_from_subbase, make_space
 from topolab import suites
 
 
@@ -659,6 +661,22 @@ def is_t3_by_opens(space: FiniteSpace) -> bool:
             ):
                 return False
     return True
+
+
+def final_from_discrete_sources_by_sources(cod: FiniteSpace, z_n: int, source_masks) -> FiniteSpace:
+    """The final topology over f ↦ f(A) from a discrete z_n-point space, every source's restrictions scanned in turn.
+
+    Each source A pushes the edges f(A) → g(A) of the tuples of |A| values
+    and their pointwise neighbours; the result closes their union.
+    """
+    family = compacts(cod)
+    index = {m: i for i, m in enumerate(family)}
+    edges = set()
+    for a in source_masks:
+        for restriction in itertools.product(range(cod.n), repeat=len(points_of(a))):
+            near = itertools.product(*(points_of(cod.min_nbhds[v]) for v in restriction))
+            edges.update((index[mask_of(restriction)], index[mask_of(c)]) for c in near)
+    return final_from_edges(len(family), edges)
 
 
 def vietoris_contained_by_opens(setup) -> InclusionReport:

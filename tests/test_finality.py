@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from oracles import pushed_edges_by_maps, vietoris_contained_by_opens
+from oracles import final_from_discrete_sources_by_sources, pushed_edges_by_maps, vietoris_contained_by_opens
 from topolab.errors import SizeLimitExceeded
 from topolab.finality import (
     FinalitySetup,
@@ -16,6 +18,7 @@ from topolab import finality, limits, suites
 from topolab.funcspaces import compact_open
 from topolab.hyperspaces import compacts, vietoris
 from topolab.spaces import (
+    FiniteSpace,
     discrete_space,
     enumerate_topologies,
     homeomorphism_classes,
@@ -206,13 +209,16 @@ class TestDiscreteSquare:
 
     def test_prefix_sources_give_every_compact(self, corpus3):
         # on a discrete source the pushed edges depend on |A| only, so one
-        # prefix of each size gives the final topology of all compacts
+        # prefix of each size gives the final topology of all compacts; the
+        # library scans the largest source alone, so both sides are the
+        # source-by-source scan
         cases = 0
         for _, _, cod in corpus3:
             for m in range(1, 5):
                 prefixes = [(1 << k) - 1 for k in range(1, m + 1)]
                 every = compacts(discrete_space(m))
-                assert final_from_discrete_sources(cod, m, prefixes) == final_from_discrete_sources(cod, m, every)
+                by_prefixes = final_from_discrete_sources_by_sources(cod, m, prefixes)
+                assert by_prefixes == final_from_discrete_sources_by_sources(cod, m, every)
                 cases += 1
         assert cases == 136
 
@@ -246,7 +252,59 @@ class TestDiscreteSquare:
             check_finality_discrete_square(4)
 
 
+def assert_route_matches_the_per_source_loop(corpus) -> int:
+    """Assert the scan at the largest source against the source-by-source oracle; return the cases.
+
+    Every codomain of ``corpus``, for z_n <= 3 with every non-empty set of
+    source masks, and for z_n = 4 with one mask of each size over every
+    non-empty set of sizes.  The route is read through ``finality``, so a
+    patched route is the one compared.
+    """
+    sets = [(z_n, masks) for z_n in (1, 2, 3) for masks in _non_empty_sets(range(1, 1 << z_n))]
+    sets += [(4, masks) for masks in _non_empty_sets([0b1, 0b11, 0b111, 0b1111])]
+    cases = 0
+    for _, _, cod in corpus:
+        for z_n, masks in sets:
+            got = finality.final_from_discrete_sources(cod, z_n, masks)
+            assert got == final_from_discrete_sources_by_sources(cod, z_n, masks), (cod, z_n, masks)
+            cases += 1
+    return cases
+
+
+def _non_empty_sets(items) -> list[tuple[int, ...]]:
+    items = tuple(items)
+    return [c for k in range(1, len(items) + 1) for c in itertools.combinations(items, k)]
+
+
+class TestDiscreteSourcesOracle:
+    def test_route_equals_the_per_source_loop(self, corpus3):
+        # 1 + 7 + 127 mask sets for z_n <= 3 and 15 size sets for z_n = 4, on 34 codomains
+        assert assert_route_matches_the_per_source_loop(corpus3) == 150 * 34
+
+    def test_no_source_leaves_the_loops(self, corpus3):
+        # with no map, no edge but the loops: the discrete topology on the compacts
+        for _, _, cod in corpus3:
+            k = len(compacts(cod))
+            discrete = FiniteSpace(k, tuple(1 << i for i in range(k)))
+            for z_n in (0, 1, 3):
+                assert final_from_discrete_sources(cod, z_n, []) == discrete, (cod, z_n)
+                assert final_from_discrete_sources_by_sources(cod, z_n, []) == discrete
+
+
 class TestSourceCheck:
+    @pytest.mark.parametrize("z_n", [1, 2, 3])
+    def test_discrete_source_outside_the_non_empty_subsets_is_refused(self, z_n):
+        # refused before any point of a mask is read: the points of -1 never end
+        for a in (-1, 0, 1 << z_n):
+            for masks in ([a], [0b1, a]):
+                with pytest.raises(ValueError, match="non-empty subset of the discrete space"):
+                    final_from_discrete_sources(discrete_space(2), z_n, masks)
+
+    def test_negative_point_count_is_refused_by_name(self):
+        for masks in ([], [0b1]):
+            with pytest.raises(ValueError, match="z_n must not be negative"):
+                final_from_discrete_sources(discrete_space(2), -1, masks)
+
     @pytest.mark.parametrize("a", [0, -1, 0b100])
     def test_source_outside_the_non_empty_subsets_is_refused(self, a):
         with pytest.raises(ValueError, match="non-empty compact of its space"):

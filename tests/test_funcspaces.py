@@ -1,3 +1,4 @@
+import pickle
 import random
 from functools import cached_property
 
@@ -205,6 +206,29 @@ class TestImageTupleCarriers:
         for _, _, dom in corpus3:
             for _, _, cod in corpus3:
                 assert compact_open(dom, cod, "all").functions == tuple(all_maps(dom.n, cod.n)), (dom, cod)
+
+    def test_the_continuous_maps_are_keyed_by_the_tuples_they_carry(self, monkeypatch):
+        # set_open_topology finds compact_open's space for continuous_maps, pickled or not, without reading a map; a list of the
+        # same maps is validated and finds it too; a mismatched map is refused and leaves the cache as it was
+        read = []
+        for name in ("_SHAPE", "_IMAGE"):
+            monkeypatch.setattr(funcspaces, name, lambda f, real=getattr(funcspaces, name): read.append(f) or real(f))
+        classes = _class_representatives(3)
+        for x in classes:
+            for y in classes:
+                _cold()
+                maps, fam = continuous_maps(x, y), compacts(x)
+                assert set_open_topology(maps, fam, x, y) is compact_open(x, y) and not read, (x, y)
+                assert set_open_topology(pickle.loads(pickle.dumps(maps)), fam, x, y) is compact_open(x, y) and not read
+                assert set_open_topology(list(maps), fam, x, y) is compact_open(x, y), (x, y)
+                assert len(read) == 2 * len(maps)
+                before = funcspaces._function_space.cache_info()
+                wider = discrete_space(y.n + 1)
+                for carrier, cod in ((maps + (FiniteMap(x.n, y.n + 1, (y.n,) * x.n),), y), (maps, wider)):
+                    with pytest.raises(ValueError, match="carrier maps must go from dom to cod"):
+                        set_open_topology(carrier, fam, x, cod)
+                assert funcspaces._function_space.cache_info() == before
+                read.clear()
 
     def test_the_pairs_item_builds_one_space(self, corpus_n4):
         # the item of the pairs benchmark: the maps, the compact-open box, then the report on the maps;

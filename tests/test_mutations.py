@@ -40,6 +40,10 @@ Known survivors, pinned in ``SURVIVORS`` with their check counts:
   discrete Y the final and the Vietoris topology on the compacts are both
   discrete, and a discrete space relabelled is itself.  ``embedding`` and
   ``choice-lemma`` read no ``compacts`` listing at all;
+* ``finality-square`` passes under ``discrete-sources-read-the-smallest``,
+  where ``final_from_discrete_sources`` keeps only its smallest source: on
+  a discrete Y every source size pushes only loops.  The comparison of the
+  route with the source-by-source oracle in ``test_finality`` catches it;
 
 Before and after each run the caches of results built from the kernels
 (``CACHES``) are emptied, so the kernel's results do not serve the mutant
@@ -63,6 +67,7 @@ from operator import and_, or_
 
 import pytest
 
+import test_finality
 from oracles import assert_same_report, labelled_sweep
 from topolab import choice, cli, filters, finality, funcspaces, hyperspaces, spaces, suites
 from topolab.bitsets import full_mask, iter_bits
@@ -202,6 +207,16 @@ def _continuous_along_always_true(monkeypatch):
     monkeypatch.setattr(suites, "pushed_edges", lambda groups, mins: iter(()))
 
 
+def _discrete_sources_read_the_smallest(monkeypatch):
+    """``finality.final_from_discrete_sources`` keeps only its smallest source, so a larger one pushes no edge."""
+    real = finality.final_from_discrete_sources
+
+    def mutant(cod, z_n, source_masks):
+        return real(cod, z_n, sorted(source_masks, key=int.bit_count)[:1])
+
+    monkeypatch.setattr(finality, "final_from_discrete_sources", mutant)
+
+
 # (name, patch, suite, max_n, seconds)
 MUTANTS = [
     ("box-without-last-coordinate", _box_without_last_coordinate, "vietoris-inclusion", 2, 30),
@@ -225,6 +240,7 @@ SURVIVORS = [
     ("final-from-edges-without-closure", _final_from_edges_without_closure, "finality-square", 3, 5),
     ("continuous-along-always-true", _continuous_along_always_true, "vietoris-inclusion", 2, 988),
     ("compacts-one-place-on", _compacts_one_place_on, "finality-square", 3, 5),
+    ("discrete-sources-read-the-smallest", _discrete_sources_read_the_smallest, "finality-square", 3, 5),
 ]
 
 
@@ -298,6 +314,13 @@ def test_the_inclusion_shortcut_gives_the_per_compact_bytes(name, patch, pinned,
         assert report.failed == 0, name
         if max_n in pinned:
             assert report.checked == pinned[max_n], name
+
+
+def test_the_discrete_sources_oracle_catches_the_smallest_source(monkeypatch, corpus3):
+    # the survivor of finality-square fails the route's comparison with the source-by-source scan
+    _discrete_sources_read_the_smallest(monkeypatch)
+    with pytest.raises(AssertionError):
+        test_finality.assert_route_matches_the_per_source_loop(corpus3)
 
 
 def test_orbit_weights_witness_leaves_the_sweep_as_it_was(monkeypatch):
