@@ -3,12 +3,16 @@
 All set-level arithmetic in the library goes through these helpers, so a
 "subset" is always a plain ``int`` and a "family" is always a duplicate-free
 tuple sorted numerically (the canonical order used for structural equality
-and for indexing family members).
+and for indexing family members).  ``grow`` is the one walk of the
+lowest-point recurrence memo[A] = step(memo[A − x], x) over a memo, which
+the image tables of ``funcspaces`` and the hyperspace build share.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
+
+_T = TypeVar("_T")
 
 
 def mask_of(points: Iterable[int]) -> int:
@@ -52,6 +56,23 @@ def meets(a: int, b: int) -> bool:
 def canon_family(masks: Iterable[int]) -> tuple[int, ...]:
     """Canonical (sorted, duplicate-free) form of a family of masks."""
     return tuple(sorted(set(masks)))
+
+
+def grow(memo: dict[int, _T], m: int, step: Callable[[_T, int], _T]) -> _T:
+    """memo[m], filled in by the lowest-point recurrence memo[b] = step(memo[b − x], x), x the lowest point of b.
+
+    The walk drops lowest points from m until it reaches a mask in ``memo``,
+    which must hold 0 or a mask on that walk, then fills the masks it passed,
+    from the nearest one up, so a later call stops at the first of them.
+    """
+    chain = []
+    while m not in memo:
+        chain.append(m)
+        m &= m - 1
+    value = memo[m]
+    for b in reversed(chain):
+        value = memo[b] = step(value, (b & -b).bit_length() - 1)
+    return value
 
 
 def nonempty_subsets(n: int) -> Iterator[int]:

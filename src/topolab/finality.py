@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple, Sequence
 
+from . import limits
 from .bitsets import complement, full_mask, is_subset, iter_bits, mask_of
 from .errors import SizeLimitExceeded
 from .filters import contains, enumerate_ultrafilters, points_carrier, singleton_filter
@@ -246,10 +247,15 @@ def stone_cech_finite_discrete(d_n: int) -> StoneCechReport:
     bijective, the closure of each image w(M) is the clopen Uf(M), the base
     is clopen and holds a neighbourhood base, and every clopen set C is the
     closure of its trace C ∩ w(D).  A point whose filter is not listed has
-    no image, so w is then not bijective and nothing raises.
+    no image, so w is then not bijective and nothing raises.  The discrete
+    space lists its 2^d_n opens, so a d_n over the open-set guard is
+    refused before the base is built or any ultrafilter listed.
     """
     if d_n < 1:
         raise ValueError("d_n must be positive")
+    lim = limits.max_opens()
+    if 1 << d_n > lim:
+        raise SizeLimitExceeded(f"the discrete space on {d_n} points has 2^{d_n} opens, over the open-set limit {lim}")
     carrier = points_carrier(d_n)
     ultras = list(enumerate_ultrafilters(carrier))
     index = {u: i for i, u in enumerate(ultras)}

@@ -40,11 +40,11 @@ column as bytes, one ``bytes.translate`` and one ``int(…, 2)`` per value
 y the column holds (``_value_masks``).  The image table of
 a subset A follows from the recurrence table(A) = table(A − x) ⊗
 table({x}), x the lowest point of A, where ⊗ intersects the masks of every
-pair of entries and joins their images.  A table is built the first time
-a caller reads it and is kept on the space, so a caller that reads only
-the singleton tables never pays for the 2^n − 1 members of a full
-powerset.  Carrier continuity is one mask as well: the maps with
-f(e) ∈ U_{f(x)} for every domain edge e ∈ U_x.
+pair of entries and joins their images; ``bitsets.grow`` walks it.  A
+table is built the first time a caller reads it and is kept on the
+space, so a caller that reads only the singleton tables never pays for
+the 2^n − 1 members of a full powerset.  Carrier continuity is one mask
+as well: the maps with f(e) ∈ U_{f(x)} for every domain edge e ∈ U_x.
 
 Slot pruning: the empty member adds nothing to a pull-back, as every map
 sends it to ∅, and neither does a family member A of two or more points
@@ -91,7 +91,7 @@ from operator import and_, attrgetter, invert, itemgetter, or_
 from typing import NamedTuple, Sequence
 
 from . import limits
-from .bitsets import canon_family, full_mask, is_subset, iter_bits
+from .bitsets import canon_family, full_mask, grow, is_subset, iter_bits
 from .errors import ImageNotInFamily
 from .frozen import Frozen, memo
 from .hyperspaces import compacts
@@ -195,9 +195,10 @@ class FunctionSpace(Frozen):
     ``_columns``: the point table
     ``_points`` (maps with f(x) = y) and its neighbourhood table ``_within``
     (maps with f(x) ∈ U_y), the image table ``_table(a)`` of a subset, built
-    on first use by the recurrence over the lowest point and kept in
-    ``_tables``, the continuous maps ``_continuous`` by one mask per domain
-    edge, and the family members ``_kept`` whose slots a pull-back needs
+    on first use by the recurrence over the lowest point (``bitsets.grow``
+    over ``_times_point``) and kept in ``_tables``, the continuous maps
+    ``_continuous`` by one mask per domain edge, and the family members
+    ``_kept`` whose slots a pull-back needs
     (slot pruning, see the module docstring).  The tables are ``memo``
     attributes, built on first read without the lock of a
     ``cached_property``, and so are the carrier maps ``functions`` of a
@@ -240,31 +241,27 @@ class FunctionSpace(Frozen):
     def _table(self, a: int) -> dict[int, int]:
         """{ image f(a) : function mask of { f : f(a) = image } }, built on first use and kept; ValueError unless a is in the family.
 
-        table(A) = table(A − x) ⊗ _points[x] for the lowest point x of A: each
-        entry (img, m) of table(A − x) splits into (img | {y}, m & _points[x][y]).
-        The cost is (distinct images × |cod|) mask operations per subset, paid
-        for A and for each of its suffixes not built before.
+        table(A) = table(A − x) ⊗ _points[x] for the lowest point x of A
+        (``bitsets.grow`` over ``_times_point``), paid for A and for each of
+        its suffixes not built before.
         """
         if a not in self._members:
             raise ValueError(f"{a:#x} is not in the family")
         tables = self._tables
-        if a in tables:
-            return tables[a]
-        chain = []
-        b = a
-        while b not in tables:
-            chain.append(b)
-            b &= b - 1
-        for b in reversed(chain):
-            low = b & -b
-            column = [(1 << y, m) for y, m in enumerate(self._points[low.bit_length() - 1]) if m]
-            out: dict[int, int] = {}
-            for img, members in tables[b ^ low].items():
-                for bit, m in column:
-                    if members & m:
-                        out[img | bit] = out.get(img | bit, 0) | members & m
-            tables[b] = out
-        return tables[a]
+        return tables[a] if a in tables else grow(tables, a, self._times_point)
+
+    def _times_point(self, table: dict[int, int], x: int) -> dict[int, int]:
+        """table ⊗ _points[x]: each entry (img, m) splits into (img | {y}, m & _points[x][y]).
+
+        The cost is (distinct images × |cod|) mask operations.
+        """
+        column = [(1 << y, m) for y, m in enumerate(self._points[x]) if m]
+        out: dict[int, int] = {}
+        for img, members in table.items():
+            for bit, m in column:
+                if members & m:
+                    out[img | bit] = out.get(img | bit, 0) | members & m
+        return out
 
     @memo
     def _members(self) -> frozenset[int]:

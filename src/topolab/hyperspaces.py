@@ -35,7 +35,7 @@ from operator import and_
 from typing import Sequence
 
 from . import limits
-from .bitsets import canon_family, is_subset, meets, nonempty_subsets
+from .bitsets import canon_family, grow, is_subset, meets, nonempty_subsets
 from .errors import NotOpen
 from .filters import FilterOnCarrier, converges
 from .frozen import Frozen
@@ -74,25 +74,17 @@ def miss(family: Sequence[int], m: int) -> tuple[int, ...]:
     return tuple(a for a in family if not meets(a, m))
 
 
-def _hit_index_mask(family: Sequence[int], m: int) -> int:
-    mask = 0
-    for i, a in enumerate(family):
-        if a & m:
-            mask |= 1 << i
-    return mask
-
-
 @lru_cache(maxsize=256)
 def _hyperspace(space: FiniteSpace, family: tuple[int, ...]) -> tuple[HyperSpace, HyperSpace, HyperSpace]:
     """The lower, upper and Vietoris hyperspaces of ``family``, in one pass (module docstring).
 
     Each member A is reached from A − a, a its lowest point: L(A) = L(A − a)
-    ∧ hit(U_a) and H(A) = H(A − a) ∨ U_a, memoized on the masks with the
-    chain walked down to a memo hit, as ``FunctionSpace._table`` does, so any
-    family works.  hit(M), the index mask of the members meeting M, is
-    memoized the same way: hit(M) = hit(M − x) ∨ holding(x).  The upper
-    neighbourhood of A is every member outside hit(X ∖ H(A)), and the
-    Vietoris one is the meet of the lower and the upper.
+    ∧ hit(U_a) and H(A) = H(A − a) ∨ U_a, memoized on the masks; when A − a
+    is no earlier member, ``bitsets.grow`` fills it in, so any family works.
+    hit(M), the index mask of the members meeting M, is memoized the same
+    way: hit(M) = hit(M − x) ∨ holding(x).  The upper neighbourhood of A is
+    every member outside hit(X ∖ H(A)), and the Vietoris one is the meet of
+    the lower and the upper.
     """
     fam = _check_family(space, family)
     mins, full = space.min_nbhds, space.full
@@ -107,39 +99,22 @@ def _hyperspace(space: FiniteSpace, family: tuple[int, ...]) -> tuple[HyperSpace
     everything = bit - 1
     meeting = {0: 0}  # M -> hit(M)
 
-    def hit(m: int) -> int:
-        chain = []
-        while m not in meeting:
-            chain.append(m)
-            m &= m - 1
-        for m in reversed(chain):
-            low = m & -m
-            meeting[m] = meeting[m ^ low] | holding[low.bit_length() - 1]
-        return meeting[m]
+    def joined(met: int, p: int) -> int:  # hit(M) = hit(M − p) ∨ holding(p)
+        return met | holding[p]
 
-    hits = [hit(u) for u in mins]
+    hits = [grow(meeting, u, joined) for u in mins]
     lows, hulls = {0: everything}, {0: 0}  # A -> L(A), A -> H(A)
-
-    def fill(b: int) -> None:
-        chain = []
-        while b not in hulls:
-            chain.append(b)
-            b &= b - 1
-        for b in reversed(chain):
-            rest, x = b & (b - 1), (b & -b).bit_length() - 1
-            lows[b] = lows[rest] & hits[x]
-            hulls[b] = hulls[rest] | mins[x]
-
     lower, upper = [], []
     for a in fam:
         rest, x = a & (a - 1), (a & -a).bit_length() - 1
         if rest not in hulls:  # A − a is no earlier member
-            fill(rest)
+            grow(lows, rest, lambda below, p: below & hits[p])
+            grow(hulls, rest, lambda hull, p: hull | mins[p])
         lows[a] = below = lows[rest] & hits[x]
         hulls[a] = hull = hulls[rest] | mins[x]
         lower.append(below)
         out = full & ~hull
-        upper.append(everything & ~(meeting[out] if out in meeting else hit(out)))
+        upper.append(everything & ~(meeting[out] if out in meeting else grow(meeting, out, joined)))
     both = tuple(map(and_, lower, upper))
     n = len(fam)
     return (

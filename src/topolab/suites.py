@@ -36,6 +36,12 @@ identities follow, and only the hit identities are computed compact by
 compact; otherwise every check is computed compact by compact
 (``_inclusion_pair``).
 
+No suite re-checks what a theorem decides without saying so (README,
+"Notes on definitions").  Property (A) holds exactly for the filters
+whose kernel is one subset, and ``has_property_A`` decides it by that
+theorem, so there is no property-a suite: ``classify_property_A`` is a
+library call, as ``finality.stone_cech_finite_discrete`` is.
+
 The fault-injection hook used by the harness self-test removes the full set
 from the first corpus topology and routes the mangled family through
 validation: the resulting axiom violation must surface as a witness and a
@@ -53,18 +59,13 @@ from operator import or_
 from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .bitsets import complement, full_mask, iter_bits, points_of
-from .choice import (
-    check_filterwise_refinement,
-    check_locally_compact_bound,
-    check_lower_convergence_lemma,
-    classify_property_A,
-)
+from .bitsets import complement, iter_bits, points_of
+from .choice import check_filterwise_refinement, check_locally_compact_bound, check_lower_convergence_lemma
 from .errors import NotATopology, SizeLimitExceeded, TopolabError
 from .filters import enumerate_ultrafilters, subsets_carrier
 from .finality import check_finality_discrete_square, pushed_edges
 from .funcspaces import _continuous_images, _embedding_report, _function_space, compact_open
-from .hyperspaces import _hit_index_mask, compacts, vietoris
+from .hyperspaces import compacts, vietoris
 from .spaces import FiniteSpace, enumerate_topologies, homeomorphism_classes, make_space
 
 N4_SPACE_STRIDE = 30  # deterministic n=4 sample: corpus indices 0, 30, 60, ...
@@ -204,27 +205,24 @@ class _Codomain(NamedTuple):
 def _codomain(y: FiniteSpace, memo: dict | None = None) -> _Codomain:
     """Y's side of the inclusion checks: the Vietoris topology and the miss and hit index masks over ``compacts(y)``.
 
-    The index masks are stored per hyperpoint, as the positions of the sets
-    whose mask holds it.  ``exact`` is decided by brute force from Y's
-    U_y, opens and closeds, none of the routes that built the side: it
-    holds when ``compacts(y)`` lists the non-empty subsets in mask order,
-    and for every image v, near[v] holds exactly the u ⊆ hull(v) that meet
-    U_p for each p ∈ v, miss_at[v] the closeds v misses and hit_at[v] the
-    opens v meets.  A run keeps each Y's side in ``memo``, a new one per
-    run; without one it is built on each call.
+    The index masks are stored per hyperpoint: entry k + 1 of ``miss_at``
+    and ``hit_at`` lists the closeds F with c ∩ F = ∅ and the opens O with
+    c ∩ O ≠ ∅, c = compacts(y)[k], so both read the listing.  ``exact`` is
+    decided by brute force from Y's U_y, opens and closeds and the image
+    masks v, not the listing: it holds when ``compacts(y)`` lists the
+    non-empty subsets in mask order, and for every image v, near[v] holds
+    exactly the u ⊆ hull(v) that meet U_p for each p ∈ v, miss_at[v] the
+    closeds v misses and hit_at[v] the opens v meets.  A run keeps each Y's
+    side in ``memo``, a new one per run; without one it is built on each
+    call.
     """
     if memo is not None and y in memo:
         return memo[y]
     ky = compacts(y)
     hyper = vietoris(y, ky).topology
-    everything = full_mask(len(ky))
-    misses = [everything & ~_hit_index_mask(ky, fmask) for fmask in y.closeds]
-    hits = [_hit_index_mask(ky, o) for o in y.opens]
-
-    def by_hyperpoint(masks: list[int]) -> tuple[tuple[int, ...], ...]:
-        return ((), *(tuple(j for j, m in enumerate(masks) if m >> k & 1) for k in range(len(ky))))
-
-    near, miss_at, hit_at = (0, *(u << 1 for u in hyper.min_nbhds)), by_hyperpoint(misses), by_hyperpoint(hits)
+    near = (0, *(u << 1 for u in hyper.min_nbhds))
+    miss_at = ((), *(tuple(j for j, fmask in enumerate(y.closeds) if not c & fmask) for c in ky))
+    hit_at = ((), *(tuple(j for j, o in enumerate(y.opens) if c & o) for c in ky))
     images = range(1, 1 << y.n)
 
     def agrees(v: int) -> bool:  # near, miss_at and hit_at at image v, against their definitions
@@ -460,29 +458,6 @@ def suite_choice_lemma(max_n: int = 3, jobs: int = 1) -> RunReport:
     return _class_sweep(report, _choice_space, groups, jobs)
 
 
-# ----------------------------------------------------------------- property A
-
-def suite_property_a(max_n: int = 3) -> RunReport:
-    _check_max_n("property-a", max_n)
-    report = RunReport("property-a", {"max_n": max_n})
-    expected_counts = {1: 1, 2: 3, 3: 7}
-    for n in range(1, max_n + 1):
-        cls = classify_property_A(n)
-        checks = (
-            ("property-a-equals-singletons", cls.property_a_equals_singletons),
-            ("property-a-all-ultrafilters", cls.all_property_a_ultrafilters),
-            ("property-a-all-countably-complete", cls.all_property_a_countably_complete),
-            ("property-a-count", cls.property_a_count == expected_counts[n]),
-            ("filter-count", cls.filter_count == (1 << ((1 << n) - 1)) - 1),
-        )
-        for name, ok in checks:
-            report.record(
-                ok,
-                {"kind": name, "n": n, "property_a_count": cls.property_a_count, "filter_count": cls.filter_count},
-            )
-    return report
-
-
 # ------------------------------------------------------------------- harness
 
 class Suite(NamedTuple):
@@ -503,7 +478,6 @@ SUITES = {
         4,
         "enumerates choice functions on at most 4 points",
     ),
-    "property-a": Suite(lambda max_n, jobs: suite_property_a(max_n), 3, "knows the counts for n <= 3"),
 }
 SUITE_NAMES = tuple(SUITES)
 

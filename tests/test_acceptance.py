@@ -167,7 +167,7 @@ def test_acceptance_run_cli_verify_all(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads(report_path.read_text())
     assert code == 0
-    assert len(payload) == 5
+    assert len(payload) == 4
     assert all(r["totals"]["failed"] == 0 for r in payload)
 
 
@@ -178,7 +178,7 @@ def test_criterion_9_invariant_regression_and_fault(tmp_path, capsys):
     embedding = suite_embedding(max_n=2)
     report_path = tmp_path / "fault.json"
     code = cli_main(
-        ["verify", "--suite", "property-a", "--max-n", "2", "--inject-fault", "--report", str(report_path)]
+        ["verify", "--suite", "finality-square", "--max-n", "2", "--inject-fault", "--report", str(report_path)]
     )
     capsys.readouterr()
     import json

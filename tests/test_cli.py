@@ -209,17 +209,19 @@ class TestVerifyCommand:
         code = run(["verify", "--suite", "all", "--max-n", "2", "--report", str(report)])
         assert code == 0
         payload = json.loads(report.read_text())
-        assert [r["suite"] for r in payload] == list(SUITES) and len(payload) == 5
+        assert [r["suite"] for r in payload] == list(SUITES) and len(payload) == 4
         assert all(r["totals"]["failed"] == 0 for r in payload)
 
     def test_unknown_suite(self, capsys):
         assert run(["verify", "--suite", "bogus"]) == 2
-        # ultrafilters on a finite set are principal: ``stone_cech_finite_discrete`` is a library call, not a suite
-        capsys.readouterr()
-        assert run(["verify", "--suite", "stone-cech"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown suite" in err and "Traceback" not in err
-        assert all(name in err for name in SUITES) and len(SUITES) == 5
+        # retired suites, whose checks a theorem decides: ultrafilters on a finite set are principal, and property (A)
+        # holds exactly for a one-subset kernel; ``stone_cech_finite_discrete`` and ``classify_property_A`` are library calls
+        for retired in ("stone-cech", "property-a"):
+            capsys.readouterr()
+            assert run(["verify", "--suite", retired]) == 2
+            err = capsys.readouterr().err
+            assert "unknown suite" in err and repr(retired) in err and "Traceback" not in err
+            assert all(name in err for name in SUITES) and len(SUITES) == 4
 
     def test_bad_opens_limit_in_environment_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("TOPOLAB_LIMIT_OPENS", "abc")
@@ -272,7 +274,7 @@ class TestVerifyCommand:
     def test_inject_fault(self, tmp_path):
         report = tmp_path / "r.json"
         code = run(
-            ["verify", "--suite", "property-a", "--max-n", "2", "--inject-fault", "--report", str(report)]
+            ["verify", "--suite", "finality-square", "--max-n", "2", "--inject-fault", "--report", str(report)]
         )
         assert code == 1
         payload = json.loads(report.read_text())
@@ -293,8 +295,8 @@ class TestVerifyCommand:
     def test_report_determinism(self, tmp_path):
         r1 = tmp_path / "r1.json"
         r2 = tmp_path / "r2.json"
-        run(["verify", "--suite", "property-a", "--report", str(r1)])
-        run(["verify", "--suite", "property-a", "--report", str(r2)])
+        run(["verify", "--suite", "finality-square", "--report", str(r1)])
+        run(["verify", "--suite", "finality-square", "--report", str(r2)])
         d1 = json.loads(r1.read_text())
         d2 = json.loads(r2.read_text())
         d1.pop("wall_time_s")
@@ -478,7 +480,7 @@ class TestExitCodeContract:
         for argv in (
             ["space", str(sierpinski_file)],
             ["corpus", "--n", "0", "--out", str(corpus)],
-            ["verify", "--suite", "property-a"],
+            ["verify", "--suite", "finality-square"],
         ):
             assert run([*argv, flag, value]) == 2, argv
             err = capsys.readouterr().err
@@ -486,7 +488,7 @@ class TestExitCodeContract:
         assert not corpus.exists()
 
     @pytest.mark.parametrize(
-        "value, argv", [("0", ["verify", "--suite", "property-a"]), ("-5", ["space", "{s}"])], ids=["verify", "space"]
+        "value, argv", [("0", ["verify", "--suite", "finality-square"]), ("-5", ["space", "{s}"])], ids=["verify", "space"]
     )
     def test_nonpositive_opens_limit_in_environment_is_refused_by_name(
         self, sierpinski_file, monkeypatch, capsys, value, argv

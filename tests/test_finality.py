@@ -366,3 +366,17 @@ class TestStoneCech:
         rep = stone_cech_finite_discrete(d_n)
         assert rep.ultrafilter_count == d_n - 1
         assert not rep.w_bijective
+
+    def test_over_the_open_guard_is_refused_before_any_ultrafilter(self, monkeypatch):
+        # the discrete space on d_n points lists 2^d_n opens: 5 points are refused under a guard of 16, 4 still pass
+        listed = []
+        real = finality.enumerate_ultrafilters
+        monkeypatch.setattr(finality, "enumerate_ultrafilters", lambda carrier: listed.append(carrier) or real(carrier))
+        limits.set_limits(opens=16)
+        try:
+            with pytest.raises(SizeLimitExceeded, match="2\\^5 opens, over the open-set limit 16"):
+                stone_cech_finite_discrete(5)
+            assert listed == []
+            assert stone_cech_finite_discrete(4) == StoneCechReport(4, 4, True, True, True, True) and len(listed) == 1
+        finally:
+            limits.reset_limits()

@@ -217,7 +217,6 @@ PINNED_REPORTS = [
     ("vietoris-inclusion", {"max_n": 3}, 242352),
     ("embedding", {"max_n": 3}, 3468),
     ("finality-square", {"max_y": 3}, 5),
-    ("property-a", {"max_n": 3}, 15),
 ]
 
 

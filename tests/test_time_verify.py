@@ -15,12 +15,12 @@ def _load_tool(name: str = "time_verify"):
     return module
 
 
-def test_one_run_of_property_a(tmp_path, capsys):
+def test_one_run_of_finality_square(tmp_path, capsys):
     tool = _load_tool()
-    assert tool.main(["--suite", "property-a", "--max-n", "1", "--runs", "1", "--out-dir", str(tmp_path)]) == 0
+    assert tool.main(["--suite", "finality-square", "--max-n", "1", "--runs", "1", "--out-dir", str(tmp_path)]) == 0
     assert "median process wall time at the reference speed" in capsys.readouterr().out
-    record = json.loads((tmp_path / "BENCH_verify_property-a_n1.json").read_text())
-    assert record["codes"] == [0] and record["totals"] == [{"checked": 5, "passed": 5, "failed": 0}]
+    record = json.loads((tmp_path / "BENCH_verify_finality-square_n1.json").read_text())
+    assert record["codes"] == [0] and record["totals"] == [{"checked": 1, "passed": 1, "failed": 0}]
     assert len(record["reference_s"]) == 1 and record["median_reference_s"] > 0
     # each run records its child CPU seconds, the load around it and whether it was contended
     assert record["cpus"] >= 1 and record["cpu_s"][0] > 0 and record["peak_rss_mb"][0] > 0
