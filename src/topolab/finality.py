@@ -6,7 +6,8 @@ contributing the map f ↦ f(A) from the compact-open function space to the
 hyperspace carrier.  Every final topology here comes from one kernel,
 ``spaces.final_from_edges``: each source pushes the minimal-neighbourhood
 edges f → g of its function space forward to the edges f(A) → g(A)
-(``pushed_edges`` gives them per value f(A), as the maps they reach), and
+(``pushed_edges`` gives them per value f(A), as the mask of the values
+they reach), and
 the final topology is their reflexive transitive closure.  No candidate
 subsets of the carrier are scanned.
 
@@ -50,25 +51,32 @@ class FinalitySetup(NamedTuple):
 
 
 def pushed_edges(groups: dict[int, int], mins: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Per value v, the pair (v, reach), reach the union of the U_f over the maps f ↦ v.
+    """Per value v, the pair (v, reached), reached the mask of the values u of the edges v → u pushed forward.
 
     ``groups`` maps each value v of a coordinate f ↦ v on a function space
     to the mask of the maps sent to v, and ``mins`` is the space's
     minimal-neighbourhood array.  The edges pushed forward from v are the
     v → u where some U_f with f ↦ v holds a g ↦ u: those to the groups u
-    that reach meets.  A map between finite spaces is continuous iff it is
-    monotone for the specialization preorders, so the coordinate is
-    continuous into a topology T on the values iff every edge v → u lies in
-    T's preorder, u ∈ U_v; and the final topology of such coordinates is
-    the reflexive transitive closure of their edges (``final_from_edges``).
+    that the reach of v, the union of the U_f over its group, meets, and
+    ``reached`` has bit u set for each.  A map between finite spaces is
+    continuous iff it is monotone for the specialization preorders, so the
+    coordinate is continuous into a topology T on the values iff every
+    edge v → u lies in T's preorder, u ∈ U_v; and the final topology of
+    such coordinates is the reflexive transitive closure of their edges
+    (``final_from_edges``).
     """
-    for v, members in groups.items():
+    items = groups.items()
+    for v, members in items:
         reach = 0
         while members:  # iter_bits inlined: one step per map, for each point of each inclusion pair
             low = members & -members
             reach |= mins[low.bit_length() - 1]
             members ^= low
-        yield v, reach
+        reached = 0
+        for u, others in items:
+            if reach & others:
+                reached |= 1 << u
+        yield v, reached
 
 
 def final_over_projections(
@@ -103,9 +111,8 @@ def final_over_projections(
                 ) from exc
         else:
             mins = fsp.min_nbhds
-        groups = fsp.images(a)
-        for v, reach in pushed_edges(groups, mins):
-            edges.update((v, u) for u, others in groups.items() if reach & others)
+        for v, reached in pushed_edges(fsp.images(a), mins):
+            edges.update((v, u) for u in iter_bits(reached))
     computed = final_from_edges(len(family), edges)
     return FinalitySetup(cod, family, tuple((s, a) for s, a in sources), computed, strategy)
 

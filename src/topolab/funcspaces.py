@@ -23,18 +23,24 @@ read off the codomain's U_y (README "Notes on definitions"): the upper one
 holds the C ⊆ hull(B) = ⋃_{y∈B} U_y, and the Vietoris one those that also
 meet U_y for each y ∈ B.  So a pull-back costs the square of the distinct
 images of each slot, not the 4^|cod| of a hyperspace on the 2^|cod| − 1
-compacts.  The image tables that ``images`` hands out are keyed by
-hyperpoint: the position of f(A) in ``compacts(cod)``, which is the image
-mask less one.  The inclusion suite reads the tables themselves
+compacts.  A member A of two or more points reads both off its own
+subbasic sets (A, W): the maps upper-near an image v are (A, hull(v)),
+and the Vietoris-near ones are those less, for each y ∈ v, the maps in
+(A, Y ∖ U_y), whose image misses U_y.  The image tables that ``images``
+hands out are keyed by hyperpoint: the position of f(A) in
+``compacts(cod)``, which is the image mask less one.  The inclusion
+suite reads the tables themselves
 (``_table``), keyed by image mask.  It decides the continuity of the
 singleton coordinates f ↦ f(x) once per pair, one test per image group
 from the union of the U_f over the group that ``finality.pushed_edges``
 gives, and that of every other coordinate follows from them.
 
 A FunctionSpace works on whole image columns and function masks, never
-map by map in Python.  It holds its carrier as image tuples (``_rows``),
-and ``_columns[x]`` holds f(x) for every carrier map, zipped from them
-when the space is built; the point table
+map by map in Python.  It is its carrier's image tuples (``rows``), with
+its domain, codomain and family: one constructor takes them, and
+equality, hashing, the repr and pickling read them.  ``_columns[x]``
+holds f(x) for every carrier map, zipped from them when the space is
+built; the point table
 ``_points[x][y]``, the mask of the maps with f(x) = y, is read off that
 column as bytes, one ``bytes.translate`` and one ``int(…, 2)`` per value
 y the column holds (``_value_masks``).  The image table of
@@ -63,13 +69,12 @@ holding the singletons the report builds no neighbourhood: P_f = U_f, so
 mu is continuous and open onto its image by theorem, and it is injective
 when the image tuples are distinct.
 
-Sharing: one ``lru_cache``, ``_function_space``, holds the last 8 spaces,
-keyed by (dom, cod, carrier, family), the carrier as its image tuples
-(``_Carrier``), which hash by their count and compare tuple by tuple, so
-no tuple and no ``FiniteMap`` is hashed.  ``compact_open`` and the suites
-hand over the image tuples of ``_continuous_images`` (the growth of
-``continuous_maps``, kept in its own cache) or of the "all" carrier, so a
-space they build holds no ``FiniteMap``; ``set_open_topology`` validates
+Sharing: ``_function_space`` is the constructor behind an ``lru_cache``
+that holds the last 8 spaces, keyed by (dom, cod, rows, family), the rows
+as ``_Carrier``, which hashes by its count and compares tuple by tuple,
+so no tuple and no ``FiniteMap`` is hashed.  ``compact_open`` and the
+suites hand over the image tuples of ``_continuous_images``, the one
+carrier memo, or of the "all" carrier; ``set_open_topology`` validates
 every map of a caller's carrier before the lookup, so a refused call
 leaves the cache as it was, and keys the space by the maps' image tuples.
 The tuple of ``continuous_maps`` carries the image tuples of
@@ -155,34 +160,41 @@ def _continuous_images(dom: FiniteSpace, cod: FiniteSpace) -> _Carrier:
     column at a time; each distinct mask is listed once, and a partial map
     with an empty mask is dropped.  The maps are the function space's
     ground set, so the point guard bounds the partial maps of each step:
-    SizeLimitExceeded before a step holds more.
+    when a step would hold more, the held partial maps that some later
+    point can take no value for are dropped first, by the same lookups,
+    and SizeLimitExceeded is raised only if the step still holds more.
     """
     dmins, cmins = dom.min_nbhds, cod.min_nbhds
     lim = limits.max_points()
     everything = full_mask(cod.n)
     closures = None
     listed = {everything: tuple(range(cod.n))}  # admissible mask -> its values
-    images: list[tuple[int, ...]] = [()]
-    for x in range(dom.n):
+
+    def allowed(z: int):
+        """Per held partial map, on the points before x, the mask of the values point z may take given them."""
+        nonlocal closures
         lookups = []
         for e in range(x):
-            table = cmins if dmins[e] >> x & 1 else None
-            if dmins[x] >> e & 1:
+            table = cmins if dmins[e] >> z & 1 else None
+            if dmins[z] >> e & 1:
                 if closures is None:  # closures[v]: the y with v ∈ U_y
                     closures = [_holding(cmins, v) for v in range(cod.n)]
                 table = closures if table is None else list(map(and_, cmins, closures))
             if table is not None:
                 lookups.append(map(table.__getitem__, map(itemgetter(e), images)))
-        if lookups:
-            masks = list(reduce(partial(map, and_), lookups))
-            for m in set(masks).difference(listed):
-                listed[m] = tuple(iter_bits(m))
-            picks = list(map(listed.__getitem__, masks))
-        else:
-            picks = [listed[everything]] * len(images)
+        return reduce(partial(map, and_), lookups, repeat(everything, len(images)))
+
+    images: list[tuple[int, ...]] = [()]
+    for x in range(dom.n):
+        masks = list(allowed(x))
+        for m in set(masks).difference(listed):
+            listed[m] = tuple(iter_bits(m))
+        picks = list(map(listed.__getitem__, masks))
         count = sum(map(len, picks))
         if count > lim:
-            limits.guard_points(count, f"the continuous maps on the first {x + 1} domain points")
+            live = [all(ms) for ms in zip(picks, *map(allowed, range(x + 1, dom.n)))]  # no value at x or at a later point: dropped
+            images, picks = list(compress(images, live)), list(compress(picks, live))
+            limits.guard_points(sum(map(len, picks)), f"the continuous maps on the first {x + 1} domain points")
         images = [image + (y,) for image, ys in zip(images, picks) for y in ys]
     return _Carrier(images)
 
@@ -190,8 +202,12 @@ def _continuous_images(dom: FiniteSpace, cod: FiniteSpace) -> _Carrier:
 class FunctionSpace(Frozen):
     """A carrier of maps dom -> cod with the set-open topology of ``family``.
 
-    Everything is kept as function masks (bit i for the i-th carrier map,
-    whose image tuple is ``_rows[i]``) and derived from the image columns
+    The space is its fields: the image tuples ``rows`` of the carrier maps,
+    which the caller vouches are in range (``set_open_topology`` and
+    ``compact_open`` are the checked routes), and equality, hashing, the
+    repr and pickling read them, never a ``FiniteMap``.  Everything else is
+    kept as function masks (bit i for the i-th carrier map, whose image
+    tuple is ``rows[i]``) and derived from the image columns
     ``_columns``: the point table
     ``_points`` (maps with f(x) = y) and its neighbourhood table ``_within``
     (maps with f(x) ∈ U_y), the image table ``_table(a)`` of a subset, built
@@ -201,32 +217,26 @@ class FunctionSpace(Frozen):
     ``_kept`` whose slots a pull-back needs
     (slot pruning, see the module docstring).  The tables are ``memo``
     attributes, built on first read without the lock of a
-    ``cached_property``, and so are the carrier maps ``functions`` of a
-    space built from image tuples (``_function_space``); ``min_nbhds`` is a
-    ``cached_property``.
+    ``cached_property``, and so are the carrier maps ``functions``;
+    ``min_nbhds`` is a ``cached_property``.
     """
 
-    _fields = ("dom", "cod", "functions", "family")
+    _fields = ("dom", "cod", "rows", "family")
 
-    def __init__(self, dom: FiniteSpace, cod: FiniteSpace, functions: tuple[FiniteMap, ...], family: tuple[int, ...]):
-        self.__dict__["functions"] = functions
-        self._fill(dom, cod, tuple(map(_IMAGE, functions)), family)
-
-    def _fill(self, dom: FiniteSpace, cod: FiniteSpace, rows: Sequence[tuple[int, ...]], family: tuple[int, ...]) -> None:
-        """Set the fields but ``functions`` from the image tuples ``rows``, which the caller vouches are in range."""
+    def __init__(self, dom: FiniteSpace, cod: FiniteSpace, rows: Sequence[tuple[int, ...]], family: tuple[int, ...]):
         fields = self.__dict__
-        fields["dom"], fields["cod"], fields["family"], fields["_rows"] = dom, cod, family, rows
+        fields["dom"], fields["cod"], fields["rows"], fields["family"] = dom, cod, rows, family
         # _columns[x][i] = rows[i][x], the image tuples transposed: every table reads them
         fields["_columns"] = (*zip(*rows),) or ((),) * dom.n
 
     @memo
     def functions(self) -> tuple[FiniteMap, ...]:
-        """The carrier maps, built from the image tuples ``_rows`` on first read, without ``FiniteMap``'s range check."""
-        return tuple(_unchecked_maps(self.dom.n, self.cod.n, self._rows))
+        """The carrier maps, built from the image tuples ``rows`` on first read, without ``FiniteMap``'s range check."""
+        return tuple(_unchecked_maps(self.dom.n, self.cod.n, self.rows))
 
     @property
     def size(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
     @memo
     def _points(self) -> tuple[tuple[int, ...], ...]:
@@ -315,13 +325,15 @@ class FunctionSpace(Frozen):
         ``lower`` it must also meet U_y for each y ∈ f(A), which makes it
         Vietoris-near.  On a singleton {x} both read g(x) ∈ U_{f(x)}, so the
         maps near a map with f(x) = y are ``_within[x][y]`` and no image
-        table is built.  A larger member pairs the entries of its image
-        table: the square of its distinct images.  Each slot is one column,
+        table is built.  A larger member A reads its subbasic sets, one
+        pass over its image table each: the maps upper-near an image v are
+        (A, hull(v)), and with ``lower`` those in (A, Y ∖ U_y), whose image
+        misses U_y, are taken out for each y ∈ v.  Each slot is one column,
         the near mask of every map looked up by its value on the slot
         (``_slot_column``), and the columns are ANDed map by map in C; a
         slot whose values are all near every map is skipped.
         """
-        everything = full_mask(self.size)
+        everything, full = full_mask(self.size), self.cod.full
         cmins = self.cod.min_nbhds
         ups = []
         for a in slots:
@@ -330,16 +342,12 @@ class FunctionSpace(Frozen):
                 near, column = self._within[x], self._columns[x]
                 seen = compress(near, self._points[x])
             else:
-                items = tuple(self._table(a).items())
                 near = {}
-                for v, _ in items:
+                for v in self._table(a):
                     nbhds = [cmins[y] for y in iter_bits(v)]
-                    hull = reduce(or_, nbhds)
-                    up = 0
-                    for u, others in items:
-                        if u & ~hull == 0 and (not lower or all(u & w for w in nbhds)):
-                            up |= others
-                    near[v] = up
+                    near[v] = self.subbasic(a, reduce(or_, nbhds))
+                    for w in nbhds if lower else ():
+                        near[v] &= everything ^ self.subbasic(a, full ^ w)
                 column, seen = self._slot_column(a), near.values()
             if not all(map(everything.__eq__, seen)):
                 ups.append(map(near.__getitem__, column))
@@ -442,12 +450,7 @@ def set_open_topology(
     return _function_space(dom, cod, _Carrier(map(_IMAGE, fns)), fam)
 
 
-@lru_cache(maxsize=8)
-def _function_space(dom: FiniteSpace, cod: FiniteSpace, rows: _Carrier, family: tuple[int, ...]) -> FunctionSpace:
-    """The space on the maps whose image tuples are ``rows``; its ``functions`` are built on first read."""
-    space = object.__new__(FunctionSpace)
-    space._fill(dom, cod, rows, family)
-    return space
+_function_space = lru_cache(maxsize=8)(FunctionSpace)
 
 
 def compact_open(dom: FiniteSpace, cod: FiniteSpace, carrier: str = "continuous") -> FunctionSpace:
@@ -558,10 +561,10 @@ def _embedding_report(fs: FunctionSpace) -> MuEmbeddingReport:
     if 0 not in fam:  # otherwise every map is refused: it sends ∅ to ∅, which is no compact
         refused &= ~fs._continuous
     if refused:
-        (f,) = _unchecked_maps(dom.n, cod.n, [fs._rows[(refused & -refused).bit_length() - 1]])
+        (f,) = _unchecked_maps(dom.n, cod.n, [fs.rows[(refused & -refused).bit_length() - 1]])
         mu(dom, cod, fam, f)
     if all((1 << x) in fs._members for x in range(dom.n)):
-        return MuEmbeddingReport(True, True, len(set(fs._rows)) == fs.size, True)
+        return MuEmbeddingReport(True, True, len(set(fs.rows)) == fs.size, True)
     mins = fs.min_nbhds
     pm = fs._pull_back(fs._kept, lower=True)
     values = zip(*map(fs._slot_column, fs._kept)) if fs._kept else [()] * fs.size  # mu(f) over the kept slots

@@ -199,7 +199,7 @@ class _Codomain(NamedTuple):
     avoids: tuple[int, ...]  # Y ∖ F for each closed F of Y
     miss_at: tuple[tuple[int, ...], ...]  # miss_at[img]: the positions j of the closeds whose miss mask holds img
     hit_at: tuple[tuple[int, ...], ...]  # hit_at[img]: the positions j of the opens whose hit mask holds img
-    exact: bool  # compacts(y) is in mask order, and near, miss_at and hit_at agree with their definitions (``_codomain``)
+    exact: bool  # compacts(y) is in mask order and near agrees with its definition, so miss_at and hit_at do (``_codomain``)
 
 
 def _codomain(y: FiniteSpace, memo: dict | None = None) -> _Codomain:
@@ -208,13 +208,13 @@ def _codomain(y: FiniteSpace, memo: dict | None = None) -> _Codomain:
     The index masks are stored per hyperpoint: entry k + 1 of ``miss_at``
     and ``hit_at`` lists the closeds F with c ∩ F = ∅ and the opens O with
     c ∩ O ≠ ∅, c = compacts(y)[k], so both read the listing.  ``exact`` is
-    decided by brute force from Y's U_y, opens and closeds and the image
-    masks v, not the listing: it holds when ``compacts(y)`` lists the
-    non-empty subsets in mask order, and for every image v, near[v] holds
-    exactly the u ⊆ hull(v) that meet U_p for each p ∈ v, miss_at[v] the
-    closeds v misses and hit_at[v] the opens v meets.  A run keeps each Y's
-    side in ``memo``, a new one per run; without one it is built on each
-    call.
+    decided by brute force from Y's U_y and the image masks v, not the
+    listing: it holds when ``compacts(y)`` lists the non-empty subsets in
+    mask order, and for every image v, near[v] holds exactly the u ⊆
+    hull(v) that meet U_p for each p ∈ v.  In mask order c = v at entry v,
+    so miss_at[v] and hit_at[v] are then the closeds v misses and the opens
+    v meets by their construction.  A run keeps each Y's side in ``memo``,
+    a new one per run; without one it is built on each call.
     """
     if memo is not None and y in memo:
         return memo[y]
@@ -225,14 +225,10 @@ def _codomain(y: FiniteSpace, memo: dict | None = None) -> _Codomain:
     hit_at = ((), *(tuple(j for j, o in enumerate(y.opens) if c & o) for c in ky))
     images = range(1, 1 << y.n)
 
-    def agrees(v: int) -> bool:  # near, miss_at and hit_at at image v, against their definitions
+    def agrees(v: int) -> bool:  # near at image v, against its definition
         nbhds = [y.min_nbhds[p] for p in iter_bits(v)]
         hull = reduce(or_, nbhds)
-        return (
-            near[v] == sum(1 << u for u in images if not u & ~hull and all(u & w for w in nbhds))
-            and miss_at[v] == tuple(j for j, fmask in enumerate(y.closeds) if not v & fmask)
-            and hit_at[v] == tuple(j for j, o in enumerate(y.opens) if v & o)
-        )
+        return near[v] == sum(1 << u for u in images if not u & ~hull and all(u & w for w in nbhds))
 
     exact = ky == tuple(images) and all(map(agrees, images))
     side = _Codomain(hyper, near, tuple(complement(fmask, y.n) for fmask in y.closeds), miss_at, hit_at, exact)
@@ -245,19 +241,11 @@ def _continuous_along(groups: dict[int, int], near: Sequence[int], mins: Sequenc
     """f ↦ f(a) is continuous into the hyperspace whose neighbourhoods are ``near``, one test per image group.
 
     ``groups`` maps each value v to the mask of the maps f ↦ v, and
-    ``pushed_edges`` gives each group's reach, the union of its U_f.  The
-    coordinate is continuous when every pushed edge v → u has u ∈ U_v, that
-    is, when the reach of each group v meets no group outside U_v.  The
-    groups are non-empty and disjoint, so testing group by group is testing
-    the reach against the union of the groups inside U_v.
+    ``pushed_edges`` gives, per v, the mask of the values u of the edges
+    v → u pushed forward.  The coordinate is continuous when every such u
+    lies in U_v, that is, when no reached value lies outside near[v].
     """
-    items = groups.items()
-    for v, reach in pushed_edges(groups, mins):  # a loop: all() over a generator expression resumes a second generator
-        inside = near[v]
-        for u, others in items:
-            if reach & others and not inside >> u & 1:
-                return False
-    return True
+    return all(not reached & ~near[v] for v, reached in pushed_edges(groups, mins))
 
 
 def _singletons_continuous(fsp, near: Sequence[int]) -> bool:

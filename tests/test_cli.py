@@ -85,6 +85,23 @@ class TestSpaceCommand:
         assert json.loads(capsys.readouterr().out) == dict(space, report=dict(report, open_count=open_count))
 
 
+    def test_generate_subbase_without_n_exits_2(self, capsys):
+        assert run(["space", "--generate-subbase", "[[0]]"]) == 2
+        assert "needs --n" in capsys.readouterr().err
+
+    def test_neither_file_nor_subbase_exits_2(self, capsys):
+        assert run(["space"]) == 2
+        assert "need a space file or --generate-subbase" in capsys.readouterr().err
+
+    def test_opens_limit_from_the_environment_and_the_flag_over_it(self, monkeypatch, capsys):
+        # the discrete 5-point space has 32 opens
+        monkeypatch.setenv("TOPOLAB_LIMIT_OPENS", "16")
+        args = ["space", "--n", "5", "--generate-subbase", "[[0],[1],[2],[3],[4]]"]
+        assert run(args) == 2
+        assert "size limit" in capsys.readouterr().err
+        assert run(args + ["--limit-opens", "64"]) == 0
+        assert "with 32 opens" in capsys.readouterr().out
+
     def test_subbase_outside_ground_set_exits_2(self, capsys):
         assert run(["space", "--generate-subbase", "[[5]]", "--n", "2"]) == 2
         assert "--generate-subbase" in capsys.readouterr().err
@@ -174,6 +191,18 @@ class TestHyperCommand:
         space.write_text(json.dumps({"n": 2}))
         assert run(["hyper", "--space", str(space)]) == 2
         assert "malformed space file" in capsys.readouterr().err
+
+    def test_closeds_family(self, sierpinski_file, capsys):
+        assert run(["hyper", "--space", str(sierpinski_file), "--family", "closeds"]) == 0
+        assert json.loads(capsys.readouterr().out)["hyperpoints"] == [[0], [0, 1]]
+
+    @pytest.mark.parametrize("command", ["hyper", "funcspace"])
+    def test_unknown_family_spec_exits_2(self, sierpinski_file, capsys, command):
+        path = str(sierpinski_file)
+        spaces = ["--space", path] if command == "hyper" else ["--dom", path, "--cod", path]
+        assert run([command, *spaces, "--family", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown family spec 'bogus'" in err and "Traceback" not in err
 
 
 class TestFuncspaceCommand:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from oracles import final_from_discrete_sources_by_sources, pushed_edges_by_maps, vietoris_contained_by_opens
+from topolab.bitsets import full_mask, iter_bits
 from topolab.errors import SizeLimitExceeded
 from topolab.finality import (
     FinalitySetup,
@@ -14,8 +15,8 @@ from topolab.finality import (
     pushed_edges,
     stone_cech_finite_discrete,
 )
-from topolab import finality, limits, suites
-from topolab.funcspaces import compact_open
+from topolab import finality, funcspaces, limits, suites
+from topolab.funcspaces import FunctionSpace, compact_open
 from topolab.hyperspaces import compacts, vietoris
 from topolab.spaces import (
     FiniteSpace,
@@ -43,8 +44,7 @@ class TestPushedEdges:
                 hyper = vietoris(y, compacts(y)).topology
                 for a in compacts(x):
                     slot = fsp.images(a)
-                    reaches = pushed_edges(slot, fsp.min_nbhds)
-                    edges = {(v, u) for v, reach in reaches for u, m in slot.items() if reach & m}
+                    edges = {(v, u) for v, reached in pushed_edges(slot, fsp.min_nbhds) for u in iter_bits(reached)}
                     assert edges == pushed_edges_by_maps(fsp, a), (x, y, a)
 
                     def preimage(index_mask):
@@ -344,6 +344,23 @@ class TestContainmentAgainstOpens:
                 assert report == vietoris_contained_by_opens(setup), (cod, topo)
                 failed += not report.contained
         assert failed
+
+    def test_the_first_refusing_source_is_named(self, corpus3, monkeypatch):
+        # the library's sources pull every Vietoris open back to an open (the box theorem), so a violation
+        # names no source; on indiscrete function spaces the preimages are refused, and the first source is named
+        setups = []
+        for _, _, cod in corpus3[1:5]:
+            base = final_over_projections(cod, [(S, 0b10), (cod, 0b11)])
+            stand_in = indiscrete_space(len(base.family))
+            setups.append(FinalitySetup(cod, base.family, base.sources, stand_in, base.strategy))
+        monkeypatch.setattr(FunctionSpace, "min_nbhds", property(lambda fs: (full_mask(fs.size),) * fs.size))
+        funcspaces._function_space.cache_clear()
+        named = 0
+        for setup in setups:
+            report = check_vietoris_contained(setup)
+            assert report == vietoris_contained_by_opens(setup), setup.cod
+            named += sum(pos is not None for _, pos in report.violations)
+        assert named
 
 
 class TestStoneCech:

@@ -30,7 +30,7 @@ from topolab.hyperspaces import closeds, compacts, upper_vietoris, vietoris
 from topolab import cli, funcspaces, hyperspaces, limits, maps, suites
 from topolab.frozen import memo
 from topolab.maps import FiniteMap, all_maps
-from topolab.spaces import discrete_space, homeomorphism_classes, indiscrete_space, sierpinski_space
+from topolab.spaces import FiniteSpace, discrete_space, homeomorphism_classes, indiscrete_space, sierpinski_space
 
 S = sierpinski_space()
 D2 = discrete_space(2)
@@ -815,6 +815,15 @@ class TestNoPerMapWork:
         assert cli.main(["verify", "--suite", suite, "--max-n", "3", "--report", str(report)]) == 0
         assert constructed == []
 
+    def test_hashing_comparing_and_pickling_a_space_build_no_map(self, constructed, corpus_n4):
+        # a space is its image tuples: equality, hash, repr and the pickle round trip read them
+        _cold()
+        fs = compact_open(corpus_n4[100], corpus_n4[200])
+        twin = pickle.loads(pickle.dumps(fs))
+        assert twin == fs and twin is not fs and hash(twin) == hash(fs) and {fs: 1}[twin] == 1
+        assert repr(twin) == repr(fs) and twin != compact_open(corpus_n4[100], corpus_n4[200], "all")
+        assert constructed == []
+
     def test_maps_equal_their_public_twins(self, map_work, corpus3):
         built = []
         for _, _, dom in corpus3:
@@ -862,3 +871,20 @@ class TestCarrierGuard:
         assert build(27).size == 27
         with pytest.raises(SizeLimitExceeded):  # the carrier is cached now, built under a larger guard
             build(26)
+
+
+def test_the_guard_counts_only_partial_maps_that_extend():
+    # five open points below a sixth whose neighbourhood is the whole space: a continuous map into a discrete
+    # space is constant, so 4 maps, though the first five points alone take 4^5 = 1024 values
+    x, y = FiniteSpace(6, (1, 2, 4, 8, 16, 63)), discrete_space(4)
+    _cold()
+    limits.set_limits(points=1000)
+    try:
+        fs = compact_open(x, y)
+        with pytest.raises(SizeLimitExceeded) as refused:  # no partial map of a discrete domain is dropped
+            compact_open(discrete_space(5), y)
+    finally:
+        limits.reset_limits()
+    assert fs.functions == continuous_maps(x, y) == continuous_maps_by_preimages(x, y) and fs.size == 4
+    expected = "the continuous maps on the first 5 domain points would have 1024 points, over the limit 1000"
+    assert str(refused.value) == expected

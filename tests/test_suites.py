@@ -217,6 +217,7 @@ PINNED_REPORTS = [
     ("vietoris-inclusion", {"max_n": 3}, 242352),
     ("embedding", {"max_n": 3}, 3468),
     ("finality-square", {"max_y": 3}, 5),
+    ("choice-lemma", {"max_n": 3, "n4_sample": True}, 8712),
 ]
 
 

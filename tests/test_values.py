@@ -43,7 +43,7 @@ VALUES = [
     (FilterOnCarrier, ("carrier", "kernel"), (Carrier((0, 1)), 0b10)),
     (HyperSpace, ("base", "family", "topology", "variant"), (S, (1, 2, 3), FiniteSpace(3, (7, 2, 6)), "vietoris")),
     (ProductCodec, ("sizes",), ((2, 3),)),
-    (FunctionSpace, ("dom", "cod", "functions", "family"), (S, S, (FiniteMap(2, 2, (0, 1)),), (1, 2, 3))),
+    (FunctionSpace, ("dom", "cod", "rows", "family"), (S, S, ((0, 1),), (1, 2, 3))),
 ]
 
 RECORDS = [
