@@ -3,9 +3,13 @@
 All set-level arithmetic in the library goes through these helpers, so a
 "subset" is always a plain ``int`` and a "family" is always a duplicate-free
 tuple sorted numerically (the canonical order used for structural equality
-and for indexing family members).  ``grow`` is the one walk of the
-lowest-point recurrence memo[A] = step(memo[A − x], x) over a memo, which
-the image tables of ``funcspaces`` and the hyperspace build share.
+and for indexing family members).  ``family_of`` is the one check that a
+family given as input is a family of subsets of n points: every builder
+that takes opens, a subbase, a hyperspace family, a set-open family or
+finality sources canonicalises and checks it there.  ``grow`` is the one
+walk of the lowest-point recurrence memo[A] = step(memo[A − x], x) over a
+memo, which the image tables of ``funcspaces`` and the hyperspace build
+share.
 """
 
 from __future__ import annotations
@@ -56,6 +60,20 @@ def meets(a: int, b: int) -> bool:
 def canon_family(masks: Iterable[int]) -> tuple[int, ...]:
     """Canonical (sorted, duplicate-free) form of a family of masks."""
     return tuple(sorted(set(masks)))
+
+
+def family_of(masks: Iterable[int], n: int, message: str, nonempty: bool = False) -> tuple[int, ...]:
+    """The canonical family of ``masks``; ValueError(message) unless each is a subset of the n points, non-empty if ``nonempty``.
+
+    The family is sorted, so its least and greatest members decide.  A
+    negative n is refused by name first.
+    """
+    if n < 0:
+        raise ValueError("ground set size must be non-negative")
+    fam = canon_family(masks)
+    if fam and (fam[0] < (1 if nonempty else 0) or fam[-1] > full_mask(n)):
+        raise ValueError(message)
+    return fam
 
 
 def grow(memo: dict[int, _T], m: int, step: Callable[[_T, int], _T]) -> _T:

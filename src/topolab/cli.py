@@ -3,7 +3,8 @@ function-space exports, and the verification suites.
 
 Exit codes: 0 success / all checks passed, 1 a validation or suite check
 failed (diagnostics or witnesses emitted), 2 input, usage, or size-limit
-errors.
+errors.  A command refuses by raising ``TopolabError`` (or an ``OSError``),
+and ``main`` alone prints the refusal and returns 2.
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ from .spaces import enumerate_topologies, generate_from_subbase, space_report
 from .suites import SUITE_NAMES, SUITES, run_suites
 
 
-def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--limit-points", type=int, default=None, help="ground-set size guard")
-    parser.add_argument("--limit-opens", type=int, default=None, help="open-set count guard")
-
-
 def _apply_limits(args: argparse.Namespace) -> None:
     for flag, value in (("--limit-points", args.limit_points), ("--limit-opens", args.limit_opens)):
         if value is not None and value < 1:
@@ -36,16 +32,18 @@ def _apply_limits(args: argparse.Namespace) -> None:
     limits.max_opens()  # a malformed TOPOLAB_LIMIT_OPENS is refused before any work
 
 
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise TopolabError(f"--n must be non-negative, got {n}")
+
+
 def cmd_space(args: argparse.Namespace) -> int:
     """Validate, generate, or describe a space file."""
     check_writable(args.out)
     if args.generate_subbase is not None:
         if args.n is None:
-            print("--generate-subbase needs --n", file=sys.stderr)
-            return 2
-        if args.n < 0:
-            print(f"--n must be non-negative, got {args.n}", file=sys.stderr)
-            return 2
+            raise TopolabError("--generate-subbase needs --n")
+        _check_n(args.n)
         limits.guard_points(args.n, "--n")
         subbase = read_json(
             args.generate_subbase, "--generate-subbase", lambda v: point_masks(v, args.n, "the subbase"), literal=True
@@ -53,8 +51,7 @@ def cmd_space(args: argparse.Namespace) -> int:
         space = generate_from_subbase(args.n, subbase)
     else:
         if args.file is None:
-            print("need a space file or --generate-subbase", file=sys.stderr)
-            return 2
+            raise TopolabError("need a space file or --generate-subbase")
         try:
             space = load_space(args.file)
         except NotATopology as exc:
@@ -81,9 +78,7 @@ def cmd_space(args: argparse.Namespace) -> int:
 
 def cmd_corpus(args: argparse.Namespace) -> int:
     """Materialize all topologies on n points with stable filenames."""
-    if args.n < 0:
-        print(f"--n must be non-negative, got {args.n}", file=sys.stderr)
-        return 2
+    _check_n(args.n)
     corpus = list(enumerate_topologies(args.n))  # refuses n over 5 before the directory is made
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -165,41 +160,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="finite-topology computation and exhaustive verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    guards = argparse.ArgumentParser(add_help=False)
+    guards.add_argument("--limit-points", type=int, default=None, help="ground-set size guard")
+    guards.add_argument("--limit-opens", type=int, default=None, help="open-set count guard")
 
-    p = sub.add_parser("space", help="validate / generate / describe space files")
+    p = sub.add_parser("space", parents=[guards], help="validate / generate / describe space files")
     p.add_argument("file", nargs="?", help="space JSON file")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--generate-subbase", default=None, metavar="JSON", help='e.g. "[[0,1],[1,2]]"')
     p.add_argument("--describe", action="store_true")
     p.add_argument("--out", default=None)
-    _add_limit_flags(p)
     p.set_defaults(func=cmd_space)
 
-    p = sub.add_parser("corpus", help="materialize all topologies on n points")
+    p = sub.add_parser("corpus", parents=[guards], help="materialize all topologies on n points")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_limit_flags(p)
     p.set_defaults(func=cmd_corpus)
 
-    p = sub.add_parser("hyper", help="hyperspace of a space file")
+    p = sub.add_parser("hyper", parents=[guards], help="hyperspace of a space file")
     p.add_argument("--space", required=True)
     p.add_argument("--family", default="all", help="all | compacts | closeds | @file")
     p.add_argument("--variant", choices=("lower", "upper", "vietoris"), default="vietoris")
     p.add_argument("--out", default=None)
-    _add_limit_flags(p)
     p.set_defaults(func=cmd_hyper)
 
-    p = sub.add_parser("funcspace", help="set-open function space between two space files")
+    p = sub.add_parser("funcspace", parents=[guards], help="set-open function space between two space files")
     p.add_argument("--dom", required=True)
     p.add_argument("--cod", required=True)
     p.add_argument("--carrier", choices=("continuous", "all"), default="continuous")
     p.add_argument("--family", default="compacts", help="compacts | all | closeds | @file")
     p.add_argument("--materialize", action="store_true")
     p.add_argument("--out", default=None)
-    _add_limit_flags(p)
     p.set_defaults(func=cmd_funcspace)
 
-    p = sub.add_parser("verify", help="run verification suites")
+    p = sub.add_parser("verify", parents=[guards], help="run verification suites")
     p.add_argument("--suite", default="all", help=f"all | {' | '.join(SUITE_NAMES)}")
     bounds = ", ".join(f"{name} (<= {suite.max_n})" for name, suite in SUITES.items())
     p.add_argument("--max-n", type=int, default=3, dest="max_n", help=f"largest n (>= 1), y for finality-square: {bounds}; "
@@ -207,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="write the RunReport JSON here")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1); never more than the work items or os.cpu_count()")
     p.add_argument("--inject-fault", action="store_true", help="harness self-test: flip one open set and require a failure")
-    _add_limit_flags(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

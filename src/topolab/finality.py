@@ -27,7 +27,7 @@ import itertools
 from typing import Iterator, NamedTuple, Sequence
 
 from . import limits
-from .bitsets import complement, full_mask, is_subset, iter_bits, mask_of
+from .bitsets import complement, family_of, full_mask, is_subset, iter_bits, mask_of
 from .errors import SizeLimitExceeded
 from .filters import contains, enumerate_ultrafilters, points_carrier, singleton_filter
 from .funcspaces import compact_open
@@ -96,8 +96,7 @@ def final_over_projections(
     if not sources:
         raise ValueError("need at least one source")
     for src, a in sources:
-        if not 0 < a <= src.full:
-            raise ValueError("source subset must be a non-empty compact of its space")
+        family_of((a,), src.n, "source subset must be a non-empty compact of its space", nonempty=True)
     family = compacts(cod)
     edges = set()
     for src, a in sources:
@@ -165,7 +164,10 @@ def final_from_discrete_sources(
     entries keeps both images.  So the union over the sources is the edge
     set of the largest one, and the restrictions are scanned once, at the
     largest |A|; with no source only the loops remain.  Every mask is
-    checked to be a non-empty subset of the z_n points before any is read.
+    checked to be a non-empty subset of the z_n points before any is read,
+    and the cod.n^|A| restrictions of the largest source, the carrier of
+    the general route's function space on it, are checked against the
+    point guard before the scan.
     Agrees with the general neighbourhood strategy of final_over_projections
     and with the per-source scan ``oracles.final_from_discrete_sources_by_sources``
     (asserted in tests, also for non-discrete codomains where the edges
@@ -173,14 +175,14 @@ def final_from_discrete_sources(
     """
     if z_n < 0:
         raise ValueError("z_n must not be negative")
-    if not all(0 < a < 1 << z_n for a in source_masks):
-        raise ValueError("source subset must be a non-empty subset of the discrete space")
+    masks = family_of(source_masks, z_n, "source subset must be a non-empty subset of the discrete space", nonempty=True)
+    size = max((a.bit_count() for a in masks), default=0)
+    limits.guard_points(cod.n ** size, "the restrictions of the largest source")
     family = compacts(cod)
     index = {m: i for i, m in enumerate(family)}
     cod_mins = cod.min_nbhds
 
     edges = set()
-    size = max((a.bit_count() for a in source_masks), default=0)
     for restriction in itertools.product(range(cod.n), repeat=size) if size else ():
         h = index[mask_of(restriction)]
         reach = {0}

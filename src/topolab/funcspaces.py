@@ -96,7 +96,7 @@ from operator import and_, attrgetter, invert, itemgetter, or_
 from typing import NamedTuple, Sequence
 
 from . import limits
-from .bitsets import canon_family, full_mask, grow, is_subset, iter_bits
+from .bitsets import family_of, full_mask, grow, is_subset, iter_bits
 from .errors import ImageNotInFamily
 from .frozen import Frozen, memo
 from .hyperspaces import compacts
@@ -104,6 +104,7 @@ from .maps import FiniteMap, _unchecked_maps
 from .spaces import FiniteSpace, _holding, is_open_in
 
 _CARRIER = "the function space's carrier"
+_DOMAIN_FAMILY = "family members must be subsets of the domain"
 _IMAGE, _SHAPE = attrgetter("image"), attrgetter("dom_n", "cod_n")
 
 
@@ -417,14 +418,6 @@ def _marking(y: int) -> bytes:
     return b"0" * y + b"1" + b"0" * (255 - y)
 
 
-def _domain_family(family: Sequence[int], dom: FiniteSpace) -> tuple[int, ...]:
-    """The canonical family; ValueError unless every member is a subset of the domain, which its sorted ends decide."""
-    fam = canon_family(family)
-    if fam and (fam[0] < 0 or fam[-1] > dom.full):
-        raise ValueError("family members must be subsets of the domain")
-    return fam
-
-
 def set_open_topology(
     carrier: Sequence[FiniteMap],
     family: Sequence[int],
@@ -434,14 +427,14 @@ def set_open_topology(
     """Topology on the carrier generated by { (A, W) : A in family, W open }.
 
     The arguments are validated on every call, before the lookup, so a
-    refused call leaves the cache as it was (``_domain_family``).  The
+    refused call leaves the cache as it was (``bitsets.family_of``).  The
     FunctionSpace itself comes from ``_function_space``, keyed by the
     carrier's image tuples and shared with ``compact_open`` (see the module
     docstring).  The maps of ``continuous_maps`` of the same shape are
     keyed by the image tuples they carry, reading no map; any other carrier
     has every map's shape checked and its image tuples read.
     """
-    fam = _domain_family(family, dom)
+    fam = family_of(family, dom.n, _DOMAIN_FAMILY)
     if type(carrier) is _Maps and carrier.shape == (dom.n, cod.n):
         return _function_space(dom, cod, carrier.rows, fam)
     fns = tuple(carrier)
@@ -481,7 +474,7 @@ def mu(dom: FiniteSpace, cod: FiniteSpace, family: Sequence[int], f: FiniteMap) 
     is no compact and raises ImageNotInFamily; a member outside the domain
     raises ValueError.
     """
-    fam = _domain_family(family, dom)
+    fam = family_of(family, dom.n, _DOMAIN_FAMILY)
     if not is_continuous(dom, cod, f):
         raise ValueError("mu expects a continuous map")
     out = []

@@ -35,7 +35,7 @@ from operator import and_
 from typing import Sequence
 
 from . import limits
-from .bitsets import canon_family, grow, is_subset, meets, nonempty_subsets
+from .bitsets import canon_family, family_of, grow, is_subset, meets, nonempty_subsets
 from .errors import NotOpen
 from .filters import FilterOnCarrier, converges
 from .frozen import Frozen
@@ -57,10 +57,8 @@ class HyperSpace(Frozen):
 
 
 def _check_family(space: FiniteSpace, family: Sequence[int]) -> tuple[int, ...]:
-    fam = canon_family(family)
+    fam = family_of(family, space.n, "family members must be non-empty subsets of the base", nonempty=True)
     limits.guard_points(len(fam), "the hyperspace")  # the family is its ground set
-    if fam and (fam[0] <= 0 or fam[-1] > space.full):  # sorted, so the least and greatest members decide
-        raise ValueError("family members must be non-empty subsets of the base")
     return fam
 
 

@@ -34,6 +34,7 @@ from . import limits
 from .bitsets import (
     canon_family,
     complement,
+    family_of,
     full_mask,
     is_subset,
     iter_bits,
@@ -184,11 +185,7 @@ def make_space(n: int, opens: Iterable[int]) -> FiniteSpace:
     under pairwise unions and intersections decides a finite family.
     Raises NotATopology with the first violated axiom and a witnessing pair.
     """
-    if n < 0:
-        raise ValueError("ground set size must be non-negative")
-    fam = canon_family(opens)
-    if fam and (fam[0] < 0 or fam[-1] > full_mask(n)):  # sorted, so the least and greatest members decide
-        raise ValueError("open mask does not fit the ground set")
+    fam = family_of(opens, n, "open mask does not fit the ground set")
     space = FiniteSpace(n, min_nbhds_of(n, fam))
     try:
         generated = space.open_count
@@ -252,9 +249,7 @@ def generate_from_subbase(n: int, subbase: Iterable[int]) -> FiniteSpace:
     full set) and then arbitrary unions (empty union = empty set); the
     minimal neighbourhoods are the per-point subbase intersections.
     """
-    fam = canon_family(subbase)
-    if fam and (fam[0] < 0 or fam[-1] > full_mask(n)):  # sorted, so the least and greatest members decide
-        raise ValueError("subbase mask does not fit the ground set")
+    fam = family_of(subbase, n, "subbase mask does not fit the ground set")
     return FiniteSpace(n, min_nbhds_of(n, fam))
 
 

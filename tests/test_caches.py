@@ -3,12 +3,14 @@
 The caches are found the way ``benchmarks/run.py`` finds the ones it clears
 before each pass: every attribute of a ``topolab.*`` module that has
 ``cache_clear`` and was defined in that module.  A new memo carries a bound
-and a README entry; an unbounded one would have to be added to the empty
-list below on purpose.
+and a row of README's cache table, both checked here; an unbounded one
+would have to be added to the empty list below on purpose.
 """
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import topolab
 from topolab import hyperspaces
@@ -31,6 +33,14 @@ def _caches() -> dict:
 def test_unbounded_caches_are_on_the_list():
     unbounded = {name for name, fn in _caches().items() if fn.cache_info().maxsize is None}
     assert unbounded <= UNBOUNDED_ALLOWED, sorted(unbounded - UNBOUNDED_ALLOWED)
+
+
+def test_the_readme_cache_table_names_every_cache():
+    # the backticked name opening each row of the table under "| cache | key | bound |"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| cache | key | bound |\n| --- | --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    rows = [re.match(r"\| `([\w.]+)`", line).group(1) for line in table.splitlines()]
+    assert sorted(rows) == sorted(_caches())
 
 
 def test_the_function_space_cache_is_found_and_small():

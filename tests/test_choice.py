@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -334,6 +336,42 @@ class TestUltrafilterClosedForm:
                 assert limit_set_P(sp, phi) != 0, (sp, phi.kernel)
                 found += 1
         assert found == cases
+
+
+def meet_of_closures(space, phi) -> int:
+    """⋂ cl(S) over the kernel members S of ``phi``: the points x whose U_x meets every kernel member."""
+    return reduce(and_, (closure(space, s) for s in phi.kernel_elements()), space.full)
+
+
+class TestLimitSetIdentities:
+    """P = ⋂ cl(S) over the kernel, and lower convergence to A is A ⊆ P (ROADMAP item 2); the library keeps the sweep."""
+
+    def test_every_filter_up_to_three_points(self, corpus3):
+        pairs = 0
+        for _, _, sp in corpus3:
+            for phi in enumerate_filters(subsets_carrier(sp.n)):
+                assert limit_set_P(sp, phi) == meet_of_closures(sp, phi), (sp, phi.kernel)
+                pairs += 1
+        assert pairs == 3712
+
+    def test_every_ultrafilter_on_every_four_point_space(self, corpus_n4):
+        ultras = list(enumerate_ultrafilters(subsets_carrier(4)))
+        pairs = 0
+        for sp in corpus_n4:
+            for phi in ultras:
+                assert limit_set_P(sp, phi) == meet_of_closures(sp, phi), (sp, phi.kernel)
+                pairs += 1
+        assert pairs == 355 * 15
+
+    def test_lower_convergence_is_containment_in_the_limit_set(self, corpus3):
+        cases = 0
+        for _, _, sp in corpus3:
+            for phi in enumerate_filters(subsets_carrier(sp.n)):
+                p = limit_set_P(sp, phi)
+                for a in nonempty_subsets(sp.n):
+                    assert choice._hyper_converges(sp, phi, a) == is_subset(a, p), (sp, phi.kernel, a)
+                    cases += 1
+        assert cases == 25866
 
 
 class TestAgainstEnumerationOracle:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from oracles import final_from_discrete_sources_by_sources, pushed_edges_by_maps, vietoris_contained_by_opens
-from topolab.bitsets import full_mask, iter_bits
+from topolab.bitsets import full_mask, is_subset, iter_bits
 from topolab.errors import SizeLimitExceeded
 from topolab.finality import (
     FinalitySetup,
@@ -319,6 +319,39 @@ class TestSourceCheck:
                 final_over_projections(S, [(indiscrete_space(3), 0b1)])
         finally:
             limits.reset_limits()
+
+    def test_the_restrictions_of_the_largest_source_are_guarded(self):
+        # final_over_projections refuses the same source: its function space holds the 3^8 maps out of 8 discrete points
+        limits.set_limits(points=1000)
+        try:
+            with pytest.raises(SizeLimitExceeded, match="the restrictions of the largest source would have 6561 points"):
+                final_from_discrete_sources(discrete_space(3), 8, [0xFF])
+            masks = [0b111111]  # 3^6 = 729 restrictions
+            got = final_from_discrete_sources(discrete_space(3), 8, masks)
+            assert got == final_from_discrete_sources_by_sources(discrete_space(3), 8, masks)
+        finally:
+            limits.reset_limits()
+
+
+class TestDiscreteSourcesAgainstVietoris:
+    """|Y| discrete sources give the Vietoris topology on the compacts of Y; |Y| − 1 give a strictly finer one (ROADMAP item 5)."""
+
+    def test_as_many_points_as_y_give_vietoris(self, corpus3, corpus_n4):
+        spaces = [sp for _, _, sp in corpus3] + corpus_n4
+        for y in spaces:
+            assert final_from_discrete_sources(y, y.n, [y.full]) == vietoris(y, compacts(y)).topology, y
+        assert len(spaces) == 389
+
+    def test_one_point_fewer_is_strictly_finer_off_the_discrete_spaces(self, corpus3, corpus_n4):
+        finer = 0
+        for y in [sp for _, _, sp in corpus3] + corpus_n4:
+            if y.n < 2 or y == discrete_space(y.n):
+                continue
+            got = final_from_discrete_sources(y, y.n - 1, [full_mask(y.n - 1)])
+            expected = vietoris(y, compacts(y)).topology
+            assert all(map(is_subset, got.min_nbhds, expected.min_nbhds)) and got != expected, y
+            finer += 1
+        assert finer == 385
 
 
 class TestContainmentAgainstOpens:

@@ -89,6 +89,15 @@ class TestMakeSpace:
         with pytest.raises(ValueError, match="does not fit the ground set"):
             make_space(2, opens)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda n: generate_from_subbase(n, []), discrete_space, indiscrete_space],
+        ids=["generate_from_subbase", "discrete_space", "indiscrete_space"],
+    )
+    def test_a_negative_size_is_refused_by_name(self, build):
+        with pytest.raises(ValueError, match="ground set size must be non-negative"):
+            build(-1)
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_every_family_against_the_pairwise_scan(self, n):
         # the count test accepts exactly the topologies, and a refusal keeps the scan's axiom and witness
