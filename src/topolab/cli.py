@@ -4,7 +4,9 @@ function-space exports, and the verification suites.
 Exit codes: 0 success / all checks passed, 1 a validation or suite check
 failed (diagnostics or witnesses emitted), 2 input, usage, or size-limit
 errors.  A command refuses by raising ``TopolabError`` (or an ``OSError``),
-and ``main`` alone prints the refusal and returns 2.
+and ``main`` alone prints the refusal and returns 2.  ``main`` builds its
+argument parser on its first call, not at import, and reuses it, so a
+caller that runs ``verify`` in-process over and over builds it once.
 """
 
 from __future__ import annotations
@@ -206,9 +208,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first ``main`` call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse ``argv`` with the one parser of the process and run its command; returns the exit code.
+
+    Each call parses into a new namespace, and the size limits it sets are
+    reset when it returns, so one call leaves nothing for the next.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         _apply_limits(args)
         return args.func(args)

@@ -68,7 +68,7 @@ def pushed_edges(groups: dict[int, int], mins: Sequence[int]) -> Iterator[tuple[
     items = groups.items()
     for v, members in items:
         reach = 0
-        while members:  # iter_bits inlined: one step per map, for each point of each inclusion pair
+        while members:  # iter_bits inlined: one step per map
             low = members & -members
             reach |= mins[low.bit_length() - 1]
             members ^= low

@@ -29,11 +29,11 @@ and the Vietoris-near ones are those less, for each y ∈ v, the maps in
 (A, Y ∖ U_y), whose image misses U_y.  The image tables that ``images``
 hands out are keyed by hyperpoint: the position of f(A) in
 ``compacts(cod)``, which is the image mask less one.  The inclusion
-suite reads the tables themselves
-(``_table``), keyed by image mask.  It decides the continuity of the
-singleton coordinates f ↦ f(x) once per pair, one test per image group
-from the union of the U_f over the group that ``finality.pushed_edges``
-gives, and that of every other coordinate follows from them.
+suite reads the tables themselves (``_table``), keyed by image mask, and
+on a pair that passes only those of the points.  It decides the
+continuity of the singleton coordinates f ↦ f({x}) once per pair, from
+the union of the U_f over each group of the point table ``_points[x]``,
+taken in C, and that of every other coordinate follows from them.
 
 A FunctionSpace works on whole image columns and function masks, never
 map by map in Python.  It is its carrier's image tuples (``rows``), with
@@ -48,8 +48,9 @@ a subset A follows from the recurrence table(A) = table(A − x) ⊗
 table({x}), x the lowest point of A, where ⊗ intersects the masks of every
 pair of entries and joins their images; ``bitsets.grow`` walks it.  A
 table is built the first time a caller reads it and is kept on the
-space, so a caller that reads only the singleton tables never pays for
-the 2^n − 1 members of a full powerset.  Carrier continuity is one mask
+space, so a caller that reads only the singleton tables, as the
+inclusion suite does on a pair that passes, never pays for the other
+2^n − 1 − n members of a full powerset.  Carrier continuity is one mask
 as well: the maps with f(e) ∈ U_{f(x)} for every domain edge e ∈ U_x.
 
 Slot pruning: the empty member adds nothing to a pull-back, as every map
@@ -241,7 +242,7 @@ class FunctionSpace(Frozen):
 
     @memo
     def _points(self) -> tuple[tuple[int, ...], ...]:
-        """_points[x][y] = function mask of { f : f(x) = y }, read off the column of x (``_value_masks``)."""
+        """_points[x][y] = function mask of { f : f(x) = y }, read off the column of x (``_value_masks``); the masks of x partition the carrier."""
         return tuple(_value_masks(column, self.cod.n) for column in self._columns)
 
     @memo
@@ -254,7 +255,11 @@ class FunctionSpace(Frozen):
 
         table(A) = table(A − x) ⊗ _points[x] for the lowest point x of A
         (``bitsets.grow`` over ``_times_point``), paid for A and for each of
-        its suffixes not built before.
+        its suffixes not built before.  As the point masks partition the
+        carrier, the entries whose image meets a set O unite to the maps
+        with f(x) ∈ O for some x ∈ A: the union of the same over the
+        singleton tables, so a caller after that union needs no table of A
+        (README, "Notes on definitions").
         """
         if a not in self._members:
             raise ValueError(f"{a:#x} is not in the family")

@@ -30,11 +30,11 @@ witnesses are those of the labelled sweep; the report records how many
 tuples stood for how many, outside the payload.
 
 vietoris-inclusion checks each Y's side against its definitions once per
-Y, and the continuity of the singleton coordinates f ↦ f(x) once per
-pair.  When both hold, the continuity of every f ↦ f(a) and the miss
-identities follow, and only the hit identities are computed compact by
-compact; otherwise every check is computed compact by compact
-(``_inclusion_pair``).
+Y, and per pair the continuity of the singleton coordinates f ↦ f({x})
+and their hit identities.  When all hold, the continuity of every
+f ↦ f(a) and both identities for every compact a follow by theorem, and
+no image table of two or more points is built; otherwise every check is
+computed compact by compact (``_inclusion_pair``).
 
 No suite re-checks what a theorem decides without saying so (README,
 "Notes on definitions").  Property (A) holds exactly for the filters
@@ -53,7 +53,7 @@ from __future__ import annotations
 import os
 import time
 from functools import partial, reduce
-from itertools import product, repeat
+from itertools import compress, product, repeat
 from math import prod
 from operator import or_
 from types import SimpleNamespace
@@ -249,9 +249,27 @@ def _continuous_along(groups: dict[int, int], near: Sequence[int], mins: Sequenc
 
 
 def _singletons_continuous(fsp, near: Sequence[int]) -> bool:
-    """f ↦ f({x}) is continuous for every point x of the domain (``_continuous_along`` on the singleton tables)."""
-    mins = fsp.min_nbhds
-    return all(_continuous_along(fsp._table(1 << x), near, mins) for x in range(fsp.dom.n))
+    """f ↦ f({x}) is continuous for every point x of the domain: ``_continuous_along`` on the singleton tables, in C.
+
+    The groups are those of the point table, ``_points[x][y]`` the maps
+    with f(x) = y, not the image column that the box U_f is built from, so
+    the test does not grant itself what ``min_nbhds`` assumes.  The reach
+    of group y, the union of the U_f over its maps, must miss outside[y],
+    the union of the groups u whose singleton {u} is outside near[{y}].
+    The reach is one ``reduce(or_, compress(mins, selector))``, the
+    selector being the group's mask written in binary as the bytes 0 and
+    1, the last map first (``format`` and ``bytes.translate``), against
+    ``mins`` reversed: no Python step per map.
+    """
+    mins, cod_n = fsp.min_nbhds[::-1], fsp.cod.n
+    digits, bits = f"0{fsp.size}b", bytes.maketrans(b"01", b"\0\1")  # built per call: no table is built at import
+    apart = [[u for u in range(cod_n) if not near[1 << y] >> (1 << u) & 1] for y in range(cod_n)]  # {u} ∉ near[{y}]
+    for groups in fsp._points:
+        for members, us in zip(groups, apart):
+            outside = reduce(or_, map(groups.__getitem__, us), 0)
+            if members and outside and reduce(or_, compress(mins, format(members, digits).encode().translate(bits)), 0) & outside:
+                return False
+    return True
 
 
 def _preimages(table: dict[int, int], at: Sequence[tuple[int, ...]], count: int) -> list[int]:
@@ -277,21 +295,26 @@ def _inclusion_pair(args, codomains: dict | None = None) -> tuple[int, int, list
     hit identity, grown over the subsets b of X in mask order from b − x,
     x the lowest point of b.
 
-    Once per pair, two preconditions decide the miss identity and the
+    Once per pair, three preconditions decide both identities and the
     continuity of every f ↦ f(a) for all compacts a at once (README,
-    "Notes on definitions"): Y's side is ``exact``, and every f ↦ f({x})
-    is continuous (``_singletons_continuous``).  Then every g ∈ U_f has
-    g(x) ∈ U_{f(x)}, so g(a) ⊆ hull f(a) and g(a) meets U_y for each
-    y ∈ f(a): g(a) is Vietoris-near f(a).  And the two sides of the miss
-    identity are unions over the same entries of ``_table(a)``, tested by
-    miss_at[img] and by img ⊆ Y ∖ F, which exactness makes one test.  The
-    hit identity, the check of the table recurrence against the singleton
-    tables, is computed for each compact.
+    "Notes on definitions"): Y's side is ``exact``, every f ↦ f({x}) is
+    continuous (``_singletons_continuous``), and the hit identity holds at
+    every singleton.  Then every g ∈ U_f has g(x) ∈ U_{f(x)}, so g(a) ⊆
+    hull f(a) and g(a) meets U_y for each y ∈ f(a): g(a) is Vietoris-near
+    f(a).  The two sides of the miss identity are unions over the same
+    entries of ``_table(a)``, tested by miss_at[img] and by img ⊆ Y ∖ F,
+    which exactness makes one test.  And by the table recurrence the hit
+    preimage of an open along f ↦ f(a) is the union of those along the
+    f ↦ f({x}), x ∈ a, as its right-hand side is of the singleton subbasic
+    sets, so the singletons decide it.  No table of two or more points is
+    built then.
 
-    A pair without both preconditions, or a compact whose hit identity
-    fails, takes the per-compact route: the map into the Vietoris
-    hyperspace is continuous when every edge it pushes forward lies in the
-    Vietoris preorder (``_continuous_along``), tested per image group.
+    A pair without the three preconditions is checked compact by compact.
+    On an exact side with continuous singletons a compact whose hit
+    identity holds is passed over, and the rest take the per-compact
+    route: the map into the Vietoris hyperspace is continuous when every
+    edge it pushes forward lies in the Vietoris preorder
+    (``_continuous_along``), tested per image group.
     When it holds, every Vietoris open, the miss and hit index masks (the
     Vietoris subbase) among them, pulls back to an open.  The Vietoris
     opens are counted, and listed one by one only to name the witnesses
@@ -306,12 +329,15 @@ def _inclusion_pair(args, codomains: dict | None = None) -> tuple[int, int, list
     mins = fsp.min_nbhds
     subbasic = fsp.subbasic
     closeds, opens, avoids, miss_at, hit_at = y.closeds, y.opens, side.avoids, side.miss_at, side.hit_at
+    compacts_x = compacts(x)
+    checked = len(compacts_x) * (2 * len(closeds) + 2 * len(opens) + side.hyper.open_count)
     by_point = [list(map(subbasic, repeat(1 << pt, len(opens)), opens)) for pt in range(x.n)]
+    implied = side.exact and _singletons_continuous(fsp, side.near)
+    if implied and by_point == [_preimages(fsp._table(1 << pt), hit_at, len(opens)) for pt in range(x.n)]:
+        return checked, 0, []
     hit_rhs = [[0] * len(opens)]  # hit_rhs[a]: the union of by_point[pt] over pt ∈ a, per open
     for b in range(1, 1 << x.n):
         hit_rhs.append(list(map(or_, hit_rhs[b & b - 1], by_point[(b & -b).bit_length() - 1])))
-    compacts_x = compacts(x)
-    implied = side.exact and _singletons_continuous(fsp, side.near)
 
     def tag(kind: str, **extra) -> dict:
         base = {"x": (nx, xi), "y": (ny, yi), "kind": kind}
@@ -346,7 +372,6 @@ def _inclusion_pair(args, codomains: dict | None = None) -> tuple[int, int, list
                 witnesses.append(
                     tag("vietoris-open-preimage-not-open", a=a_points, hyper_open=list(iter_bits(ovm)))
                 )
-    checked = len(compacts_x) * (2 * len(closeds) + 2 * len(opens) + side.hyper.open_count)
     return checked, len(witnesses), witnesses
 
 

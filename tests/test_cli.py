@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import topolab
+from topolab import cli
 from topolab.cli import main
 from topolab.limits import DEFAULT_MAX_POINTS as GUARD
 from topolab.suites import SUITE_NAMES, SUITES
@@ -370,6 +371,45 @@ class TestVerifyCommand:
         monkeypatch.setattr(suites, "_embedding_report", lambda fs: failing)
         assert run(["verify", "--suite", "embedding", "--max-n", "2"]) == 1
         assert "16 class pairs for 25 labelled pairs, 25 labelled pairs re-run after a failure" in capsys.readouterr().out
+
+
+class TestBackToBackCalls:
+    """``main`` builds its parser once per process, on the first call; each call still starts from nothing."""
+
+    def test_a_points_refusal_leaves_the_next_call_unlimited(self, sierpinski_file, capsys):
+        args = ["funcspace", "--dom", str(sierpinski_file), "--cod", str(sierpinski_file)]
+        assert run(args + ["--limit-points", "2"]) == 2  # three continuous maps
+        assert "size limit" in capsys.readouterr().err
+        assert run(args) == 0
+
+    def test_space_then_verify_then_funcspace(self, sierpinski_file, tmp_path, capsys):
+        assert run(["space", str(sierpinski_file), "--describe"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["open_count"] == 3
+        report = tmp_path / "r.json"
+        assert run(["verify", "--suite", "embedding", "--max-n", "2", "--report", str(report)]) == 0
+        assert capsys.readouterr().out.startswith("embedding: ")
+        assert json.loads(report.read_text())["parameters"] == {"max_n": 2}
+        out = tmp_path / "f.json"
+        assert run(["funcspace", "--dom", str(sierpinski_file), "--cod", str(sierpinski_file), "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert (data["carrier"], data["functions"], data["family"]) == ("continuous", [[0, 0], [0, 1], [1, 1]], [[0], [1], [0, 1]])
+        assert "topology" not in data
+
+    def test_help_after_other_calls_lists_every_command(self, sierpinski_file, capsys):
+        assert run(["space", str(sierpinski_file)]) == 0
+        parser = cli._parser
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as done:
+            run(["--help"])
+        assert done.value.code == 0 and cli._parser is parser
+        out = capsys.readouterr().out
+        assert all(command in out for command in ("space", "corpus", "hyper", "funcspace", "verify"))
+
+    def test_import_builds_no_parser(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(topolab.__file__).parent.parent)}
+        code = "import topolab.cli as cli; assert cli._parser is None; assert cli.main(['corpus', '--n', '-1', '--out', 'x']) == 2; assert cli._parser"
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
 
 
 class TestSpaceFileValidation:

@@ -31,11 +31,14 @@ Known survivors, pinned in ``SURVIVORS`` with their check counts:
   pushed edge f(A) → g(A) is a loop, so there is nothing to close;
 * every suite passes under ``continuous-along-always-true``, where
   ``pushed_edges`` yields no group's reach to ``suites._continuous_along``:
-  it is equivalent to the kernel on a correct library.  Every f ↦ f(a)
-  from the compact-open space into the Vietoris hyperspace is continuous,
-  so the Vietoris opens that the shortcut skips all pull back to opens,
-  and the suite counts them either way.  The once-per-pair test of the
-  singleton coordinates reads ``pushed_edges`` too, so it passes as well;
+  it is equivalent to the kernel on a correct library.  The once-per-pair
+  test of the singleton coordinates reads the point table, not
+  ``pushed_edges``, so the mutant reaches only the compact-by-compact
+  route, which a correct library takes on no pair.  With that route
+  forced (``per_compact_route``), every f ↦ f(a) from the compact-open
+  space into the Vietoris hyperspace is continuous, so the Vietoris opens
+  that the mutant skips all pull back to opens, and the suite counts them
+  either way;
 * ``finality-square`` passes under ``compacts-one-place-on``: on its
   discrete Y the final and the Vietoris topology on the compacts are both
   discrete, and a discrete space relabelled is itself.  ``embedding`` and
@@ -54,8 +57,9 @@ makes a new one, the ``codomains`` keyword of the ``functools.partial`` of
 failing class on its labelled orbit, so ``choice-lemma`` gives the labelled
 sweep's report under both choice mutants too.
 
-``per_compact_route`` makes both preconditions of the inclusion shortcut
-false, so every compact of every pair is checked one by one; under it the
+``per_compact_route`` makes the box theorem's two preconditions of the
+inclusion shortcut false, so every compact of every pair is checked one
+by one, its hit identity included; under it the
 ``vietoris-inclusion`` reports of the kernel and of every row that names
 that suite keep their bytes.
 """
@@ -245,7 +249,7 @@ SURVIVORS = [
 
 
 def per_compact_route(monkeypatch):
-    """Make both preconditions of the inclusion shortcut false, so every compact of every pair takes the per-compact route."""
+    """Make the box theorem's two preconditions false, so every compact of every pair takes the per-compact route."""
     real = suites._codomain
     monkeypatch.setattr(suites, "_codomain", lambda y, memo=None: real(y, memo)._replace(exact=False))
     monkeypatch.setattr(suites, "_singletons_continuous", lambda fsp, near: False)

@@ -1,6 +1,8 @@
 import json
 import random
 from collections import Counter
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -15,7 +17,7 @@ from test_mutations import MUTANTS, SURVIVORS, cold_caches, per_compact_route  #
 from topolab import choice, suites
 from topolab.cli import main
 from topolab.fileio import dumps_canonical
-from topolab.bitsets import full_mask
+from topolab.bitsets import full_mask, iter_bits
 from topolab.errors import SizeLimitExceeded, TopolabError
 from topolab.funcspaces import FunctionSpace, MuEmbeddingReport, compact_open
 from topolab.hyperspaces import HyperSpace, compacts, vietoris
@@ -128,6 +130,31 @@ class TestInclusionPair:
         assert len(ys) == 185 and all(suites._codomain(y).exact for y in ys)
         for (_, _, x), (_, _, y) in _class_pairs()[:169]:
             assert suites._singletons_continuous(compact_open(x, y), suites._codomain(y).near), (x, y)
+
+    @pytest.mark.parametrize("name", [None, "box-without-last-coordinate", "points-on-the-next-map"], ids=["kernel", "box", "points"])
+    def test_the_singleton_test_gives_the_pushed_edges_verdict(self, name, monkeypatch, cold_caches):
+        # the reach of each point group, taken in C, gives the verdict of _continuous_along on the singleton
+        # tables, a Python step per map through finality.pushed_edges, and under both mutants some pair fails it
+        if name:
+            dict((row[0], row[1]) for row in MUTANTS)[name](monkeypatch)
+        verdicts = Counter()
+        for (_, _, x), (_, _, y) in _class_pairs()[:169]:
+            fsp, near = compact_open(x, y), suites._codomain(y).near
+            by_edges = all(suites._continuous_along(fsp._table(1 << pt), near, fsp.min_nbhds) for pt in range(x.n))
+            verdict = suites._singletons_continuous(fsp, near)
+            assert verdict == by_edges, (x, y)
+            verdicts[verdict] += 1
+        assert verdicts[False] > 0 if name else not verdicts[False]
+
+    def test_hit_preimages_are_unions_over_the_points(self):
+        # the theorem the shortcut decides the hit identity by: on an exact side the hit preimages along
+        # f -> f(a), read off the image table of a, are the unions of those along the f -> f({x}), x in a
+        for (_, _, x), (_, _, y) in _class_pairs():
+            fsp, side = compact_open(x, y), suites._codomain(y)
+            points = [suites._preimages(fsp._table(1 << pt), side.hit_at, len(y.opens)) for pt in range(x.n)]
+            for a in compacts(x):
+                union = [reduce(or_, column) for column in zip(*(points[pt] for pt in iter_bits(a)))]
+                assert suites._preimages(fsp._table(a), side.hit_at, len(y.opens)) == union, (x, y, a)
 
     @pytest.mark.parametrize("name", SHORTCUT_MUTANTS)
     def test_the_shortcut_is_sound_under_the_caught_mutants(self, name, monkeypatch, cold_caches):
